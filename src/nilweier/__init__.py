@@ -20,6 +20,7 @@ from .errors import (
     NilWeierError,
     NoEpsilon,
     OutsideBigCell,
+    ParityViolation,
     ParseError,
     ProjectionPole,
     SingularLoop,
@@ -33,7 +34,6 @@ from .loopalg import (
     PCMatrix2,
     TailAccumulator,
     TwistedLoop,
-    loop_eval,
     loop_exp,
     loop_inv,
     loop_mul,

@@ -21,8 +21,7 @@ import numpy as np
 from .config import BUILTINS, load_config, threads_from_env
 from .errors import NilWeierError
 from .export import export_csv, export_obj
-from .pipeline import extract_normalized_potential
-from .verify import run_verification
+from .verify import roundtrip_errors, run_diagnostics, run_verification
 
 __all__ = ["main", "cmd_generate", "cmd_verify", "cmd_roundtrip", "cmd_list_builtins"]
 
@@ -67,12 +66,7 @@ def cmd_generate(config_source, out_dir: str) -> dict:
             for i, j, kind, detail in fg.hole_errors[:50]
         ],
         "hole_count": int(fg.holes.sum()),
-        "max_conditioning": (
-            float(np.nanmax(fg.conditioning))
-            if not np.isnan(fg.conditioning).all()
-            else None
-        ),
-        "tail_relative": pipeline.tail.relative(),
+        **run_diagnostics(pipeline),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -93,21 +87,7 @@ def cmd_verify(config_source, report_path: str | None = None) -> dict:
 def cmd_roundtrip(config_source) -> dict:
     cfg, pipeline = _run_pipeline(config_source)
     half = 0.45 * min(abs(cfg.s_min), cfg.s_max, abs(cfg.t_min), cfg.t_max)
-    axis = np.linspace(-half, half, 7)
-    rec = extract_normalized_potential(pipeline, axis_values=axis)
-    pot = cfg.potential
-    rows = []
-    worst = 0.0
-    for k, x in enumerate(rec.axis_values):
-        x = float(x)
-        errs = {
-            "f": abs(rec.f[k] - pot.f.eval(x)),
-            "g": abs(rec.g[k] - pot.g.eval(x)),
-            "Q": abs(rec.Q[k] - pot.Q.eval(x)),
-            "R": abs(rec.R[k] - pot.R.eval(x)),
-        }
-        worst = max(worst, errs["f"], errs["g"], errs["Q"] / 4.0, errs["R"] / 4.0)
-        rows.append({"x": x, **{k2: float(v) for k2, v in errs.items()}})
+    rows, worst = roundtrip_errors(pipeline, np.linspace(-half, half, 7))
     return {"name": cfg.name, "samples": rows, "worst_b_B_error": worst, "pass": worst <= 1e-7}
 
 

@@ -25,6 +25,14 @@ class NoEpsilon(NilWeierError):
 class TruncationOverflow(NilWeierError):
     """Dropped Laurent tail mass exceeded the configured relative budget."""
 
+    def __init__(self, message, gridpoint=None):
+        super().__init__(message)
+        self.gridpoint = gridpoint
+
+
+class ParityViolation(NilWeierError):
+    """Loop coefficients break the twisting parity by more than round-off."""
+
 
 class SingularLoop(NilWeierError):
     """A matrix loop could not be inverted (singular coefficient system)."""

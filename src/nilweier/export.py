@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import EmptyGrid
 from .pipeline import SurfaceGrid
 
-__all__ = ["export_mesh", "export_obj", "export_csv"]
+__all__ = ["export_obj", "export_csv"]
 
 _SPACES = {"nil": "nil", "l3": "l3", "normal": "normals"}
 
@@ -76,10 +76,3 @@ def export_csv(sg: SurfaceGrid) -> bytes:
                     )
     return ("\n".join(rows) + "\n").encode()
 
-
-def export_mesh(sg: SurfaceGrid, fmt: str, theta_index: int = 0, space: str = "nil") -> bytes:
-    if fmt == "obj":
-        return export_obj(sg, theta_index, space)
-    if fmt == "csv":
-        return export_csv(sg)
-    raise ValueError(f"unknown format {fmt!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideBigCell
-from .loopalg import LoopPair, TailAccumulator, TwistedLoop, _inv_triangular, loop_inv, loop_mul
+from .loopalg import TailAccumulator, TwistedLoop, _inv_triangular, loop_inv, loop_mul
 
 __all__ = ["BirkhoffResult", "IwasawaResult", "birkhoff_split", "iwasawa_double"]
 
@@ -49,10 +49,19 @@ class BirkhoffResult:
 
 @dataclass(frozen=True)
 class IwasawaResult:
-    frame: LoopPair
-    vplus: TwistedLoop
+    """F = Phi_s V+^{-1}; the pair (F, F) is the unitary-type frame.
+
+    Only V+^{-1} is needed to build F, so V+ itself is inverted on request.
+    """
+
+    frame: TwistedLoop
+    vplus_inv: TwistedLoop
     vminus: TwistedLoop
     conditioning: float
+
+    @property
+    def vplus(self) -> TwistedLoop:
+        return _inv_triangular(self.vplus_inv, lower=False)
 
 
 def _normalized_factor_inverse(w: TwistedLoop, sign: int) -> tuple[TwistedLoop, float]:
@@ -140,12 +149,9 @@ def iwasawa_double(
     s_inv = _inv_triangular(phi_s, lower=True) if hi <= 0 else loop_inv(phi_s, tail)
     w = loop_mul(s_inv, phi_t, tail)
     split = birkhoff_split(w, "plus_star_minus", tail)
-    vplus_inv = split.plus
-    frame = loop_mul(phi_s, vplus_inv, tail)
-    vplus = _inv_triangular(vplus_inv, lower=False)
     return IwasawaResult(
-        frame=LoopPair.from_frame(frame),
-        vplus=vplus,
+        frame=loop_mul(phi_s, split.plus, tail),
+        vplus_inv=split.plus,
         vminus=split.minus,
         conditioning=split.conditioning,
     )

@@ -354,10 +354,6 @@ class SpinorField:
     h_gap: float
     dirac_potential_re: float
 
-    def dirac_potential(self, k: int) -> ParaComplex:
-        """U = -(H/2) e^{u/2} + (i'/4) h at point k; purely imaginary at H=0."""
-        return ParaComplex(0.0, float(self.h[k]) / 4.0)
-
 
 def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorField:
     """Evaluate spinors and the nonlinear Dirac residuals at each point.

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularLoop, TruncationOverflow
+from .errors import ParityViolation, SingularLoop, TruncationOverflow
 from .paracomplex import ParaComplex
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "loop_mul",
     "loop_inv",
     "loop_exp",
-    "loop_eval",
     "pair_eval",
     "mu_log_derivative",
     "star2",
@@ -44,7 +43,7 @@ __all__ = [
 
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
-_PARITY_TOL = 1e-9  # relative; violations above this abort hard
+_PARITY_TOL = 1e-9  # relative; violations above this raise ParityViolation
 
 
 class TailAccumulator:
@@ -111,7 +110,7 @@ class TwistedLoop:
             if c.shape != (2 * self.N + 1, 2, 2):
                 raise ValueError(f"coefficient array must have shape {(2*self.N+1, 2, 2)}")
         if enforce_parity:
-            c = _assert_and_clean_parity(c, self.N)
+            c = _check_and_clean_parity(c, self.N)
         c.setflags(write=False)
         self.c = c
 
@@ -162,20 +161,12 @@ class TwistedLoop:
         return float(np.linalg.det(self.eval(lam)))
 
     # -- derived loops ---------------------------------------------------------
-    def lam_d_dlam(self) -> "TwistedLoop":
-        ks = np.arange(-self.N, self.N + 1, dtype=float)
-        return TwistedLoop(self.N, self.c * ks[:, None, None], enforce_parity=False)
-
     def scale_columns(self, d: float) -> "TwistedLoop":
         """Right-multiply by the constant diagonal gauge diag(d, 1/d)."""
         c = self.c.copy()
         c[:, :, 0] *= d
         c[:, :, 1] /= d
         return TwistedLoop(self.N, c, enforce_parity=False)
-
-    def left_mul_matrix(self, A: np.ndarray) -> "TwistedLoop":
-        """Multiply every coefficient by the constant matrix A on the left."""
-        return TwistedLoop(self.N, np.einsum("ij,kjl->kil", A, self.c), enforce_parity=False)
 
     def shift_mul(self, A: np.ndarray, deg: int, tail: TailAccumulator | None = None) -> "TwistedLoop":
         """Right-multiply by the single-term loop lam^deg * A (exact, cheap)."""
@@ -224,13 +215,14 @@ def _check_same_N(a: TwistedLoop, b: TwistedLoop) -> None:
         raise ValueError(f"truncation orders differ: {a.N} vs {b.N}")
 
 
-def _assert_and_clean_parity(c: np.ndarray, N: int) -> np.ndarray:
+def _check_and_clean_parity(c: np.ndarray, N: int) -> np.ndarray:
     mask = _mask(N)
     scale = max(float(np.abs(c).max()), 1e-300)
     worst = float(np.abs(c[mask]).max()) if mask.any() else 0.0
-    assert worst <= _PARITY_TOL * scale, (
-        f"twisting parity violated: off-parity mass {worst:.3e} vs scale {scale:.3e}"
-    )
+    if worst > _PARITY_TOL * scale:
+        raise ParityViolation(
+            f"twisting parity violated: off-parity mass {worst:.3e} vs scale {scale:.3e}"
+        )
     out = c.copy()
     out[mask] = 0.0
     return out
@@ -329,12 +321,6 @@ def loop_exp(x: TwistedLoop, tail: TailAccumulator | None = None, terms: int = 4
     return acc
 
 
-def loop_eval(a: TwistedLoop, lam: float) -> np.ndarray:
-    if lam <= 0.0:
-        raise ValueError("spectral value lam must be positive")
-    return a.eval(lam)
-
-
 def star2(A: np.ndarray) -> np.ndarray:
     """Pointwise group involution s3 (A^T)^(-1) s3; for det A = 1 this is the
     180-degree rotation [[d, c], [b, a]]."""
@@ -386,10 +372,6 @@ class PCMatrix2:
     def __sub__(self, other: "PCMatrix2") -> "PCMatrix2":
         return PCMatrix2(self.p - other.p, self.q - other.q)
 
-    def scalar_mul(self, z) -> "PCMatrix2":
-        z = ParaComplex(z.re, z.im) if isinstance(z, ParaComplex) else ParaComplex(float(z), 0.0)
-        return PCMatrix2(z.p * self.p, z.q * self.q)
-
     def inverse(self) -> "PCMatrix2":
         try:
             return PCMatrix2(np.linalg.inv(self.p), np.linalg.inv(self.q))
@@ -409,7 +391,6 @@ class LoopPair:
 
     slot_s: TwistedLoop
     slot_t: TwistedLoop
-    tail: TailAccumulator | None = field(default=None, compare=False)
 
     def __post_init__(self):
         _check_same_N(self.slot_s, self.slot_t)
@@ -422,19 +403,11 @@ class LoopPair:
     def identity(N: int) -> "LoopPair":
         return LoopPair(TwistedLoop.identity(N), TwistedLoop.identity(N))
 
-    @staticmethod
-    def from_frame(f: TwistedLoop) -> "LoopPair":
-        """Unitary-type elements carry the same real loop in both slots."""
-        return LoopPair(f, f)
-
     def mul(self, other: "LoopPair", tail: TailAccumulator | None = None) -> "LoopPair":
         return LoopPair(
             loop_mul(self.slot_s, other.slot_s, tail),
             loop_mul(self.slot_t, other.slot_t, tail),
         )
-
-    def inv(self, tail: TailAccumulator | None = None) -> "LoopPair":
-        return LoopPair(loop_inv(self.slot_s, tail), loop_inv(self.slot_t, tail))
 
 
 def pair_eval(P: LoopPair, theta: float) -> PCMatrix2:

@@ -33,13 +33,13 @@ from .errors import (
     DegenerateSpinors,
     GaugeFailure,
     OutsideBigCell,
+    TruncationOverflow,
 )
 from .expressions import Expression, combine, const_times, parse_expression, rename_variable
 from .factorization import birkhoff_split, iwasawa_double
 from .loopalg import (
     SIGMA3,
     LoopPair,
-    PCMatrix2,
     TailAccumulator,
     TwistedLoop,
     loop_inv,
@@ -220,14 +220,10 @@ def solve_frame_ode(
 
 @dataclass
 class FramePoint:
-    loop: TwistedLoop  # gauge-normalized frame (single slot; pair is (F, F))
+    loop: TwistedLoop  # gauge-normalized frame F; its para-complex pair is (F, F)
     h: float
     gauge_log: float
     conditioning: float
-    d22: float
-
-    def pair(self) -> LoopPair:
-        return LoopPair.from_frame(self.loop)
 
 
 def _frame_point(
@@ -252,12 +248,10 @@ def _frame_point(
         )
     h = math.sqrt(fg) * d22
     d = (f_val / (g_val * d22 * d22)) ** 0.25
-    frame = res.frame.slot_s.scale_columns(d)
+    frame = res.frame.scale_columns(d)
     if initial is not None:
         frame = loop_mul(initial, frame, tail)
-    return FramePoint(
-        loop=frame, h=h, gauge_log=math.log(d), conditioning=res.conditioning, d22=d22
-    )
+    return FramePoint(loop=frame, h=h, gauge_log=math.log(d), conditioning=res.conditioning)
 
 
 @dataclass
@@ -271,19 +265,6 @@ class FrameGrid:
     conditioning: np.ndarray
     holes: np.ndarray  # bool mask
     hole_errors: list = field(default_factory=list)
-    potential: PotentialSpec | None = None
-    phi_s: list | None = None
-    phi_t: list | None = None
-
-    def pair_at(self, i: int, j: int) -> LoopPair:
-        return LoopPair.from_frame(self.frames[i, j])
-
-    def interior_indices(self):
-        ns, nt = len(self.s_grid), len(self.t_grid)
-        for i in range(1, ns - 1):
-            for j in range(1, nt - 1):
-                if not self.holes[i, j]:
-                    yield i, j
 
 
 def build_extended_frames(
@@ -300,7 +281,8 @@ def build_extended_frames(
 
     Points outside the big cell (or with nonpositive angle function) are
     recorded as holes, not fatal errors; the sweep is deterministic for any
-    thread count because every point writes only its own slot.
+    thread count because every point writes only its own slot.  A
+    TruncationOverflow is fatal and names the gridpoint it arose at.
     """
     s_grid = np.asarray(s_grid, float)
     t_grid = np.asarray(t_grid, float)
@@ -318,6 +300,7 @@ def build_extended_frames(
         row_tail = TailAccumulator(bound=tail.bound if tail is not None else 1e-9)
         row_errors = []
         for j in range(nt):
+            gridpoint = (float(s_grid[i]), float(t_grid[j]))
             try:
                 pt = _frame_point(
                     phi_s_list[i],
@@ -326,8 +309,13 @@ def build_extended_frames(
                     g_vals[j],
                     initial,
                     row_tail,
-                    gridpoint=(float(s_grid[i]), float(t_grid[j])),
+                    gridpoint=gridpoint,
                 )
+            except TruncationOverflow as exc:
+                raise TruncationOverflow(
+                    f"{exc} at gridpoint (s={gridpoint[0]}, t={gridpoint[1]})",
+                    gridpoint=gridpoint,
+                ) from exc
             except (OutsideBigCell, GaugeFailure) as exc:
                 holes[i, j] = True
                 row_errors.append((i, j, type(exc).__name__, str(exc)))
@@ -357,9 +345,6 @@ def build_extended_frames(
         conditioning=conditioning,
         holes=holes,
         hole_errors=hole_errors,
-        potential=potential,
-        phi_s=list(phi_s_list),
-        phi_t=list(phi_t_list),
     )
 
 
@@ -530,9 +515,6 @@ class Pipeline:
     def normal_at(self, s, t, theta):
         return self.surface_at(s, t, theta)[2]
 
-    def frame_pc_at(self, s: float, t: float, theta: float) -> PCMatrix2:
-        return pair_eval(self.frame_at(s, t).pair(), float(theta))
-
     def spinors_at(self, s: float, t: float, theta: float):
         """Generating spinor pair (chi1, chi2) and angle function h.
 
@@ -541,7 +523,7 @@ class Pipeline:
         spectral angle, matching the surface produced by the Sym formulas.
         """
         pt = self.frame_at(s, t)
-        F = pair_eval(pt.pair(), float(theta))
+        F = pair_eval(LoopPair(pt.loop, pt.loop), float(theta))
         root = math.sqrt(pt.h / 2.0)
         half = float(theta) / 2.0
         mu_m = ParaComplex.from_null(math.exp(-half), math.exp(half))  # mu^{-1/2}

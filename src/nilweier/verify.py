@@ -21,10 +21,10 @@ from .geometry import (
     minimality_residual,
     spinors_and_dirac,
 )
-from .loopalg import PCMatrix2, SIGMA3, pair_eval
+from .loopalg import SIGMA3, LoopPair, PCMatrix2, pair_eval
 from .pipeline import Pipeline, extract_normalized_potential
 
-__all__ = ["run_verification", "safe_points"]
+__all__ = ["run_verification", "safe_points", "roundtrip_errors", "run_diagnostics"]
 
 _LAMBDA_THETAS = (0.0, 0.25, -0.25, 0.5, -0.5)
 
@@ -106,6 +106,37 @@ def _surface_relation(oracle: str, v: np.ndarray) -> float:
     return 0.0
 
 
+def roundtrip_errors(pipeline: Pipeline, axis_values) -> tuple[list[dict], float]:
+    """Recover the normalized potential along `axis_values` and compare it
+    with the pipeline's own: per-sample f, g, Q, R errors and the worst b/B
+    error max(f, g, Q/4, R/4)."""
+    rec = extract_normalized_potential(pipeline, axis_values=axis_values)
+    pot = pipeline.potential
+    rows = []
+    worst = 0.0
+    for k, x in enumerate(rec.axis_values):
+        x = float(x)
+        errs = {
+            "f": abs(rec.f[k] - pot.f.eval(x)),
+            "g": abs(rec.g[k] - pot.g.eval(x)),
+            "Q": abs(rec.Q[k] - pot.Q.eval(x)),
+            "R": abs(rec.R[k] - pot.R.eval(x)),
+        }
+        worst = max(worst, errs["f"], errs["g"], errs["Q"] / 4.0, errs["R"] / 4.0)
+        rows.append({"x": x, **{name: float(v) for name, v in errs.items()}})
+    return rows, worst
+
+
+def run_diagnostics(pipeline: Pipeline) -> dict:
+    """Worst factorization conditioning (None when every point is a hole) and
+    the relative Laurent tail mass of a run pipeline."""
+    cond = pipeline.frame_grid.conditioning
+    return {
+        "max_conditioning": float(np.nanmax(cond)) if not np.isnan(cond).all() else None,
+        "tail_relative": pipeline.tail.relative(),
+    }
+
+
 def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     if pipeline.frame_grid is None:
         pipeline.run()
@@ -121,7 +152,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     det_err = reality_err = h_theta_err = 0.0
     for s, t in pts:
         pt = pipeline.frame_at(s, t)
-        pair = pt.pair()
+        pair = LoopPair(pt.loop, pt.loop)
         for th in _LAMBDA_THETAS:
             F = pair_eval(pair, th)
             d = F.det()
@@ -261,18 +292,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     # initial frame the surface's own normalized data differs from the
     # configured one, so the comparison is only meaningful without it
     if pipeline.initial_frame is None:
-        axis = [x for x in np.linspace(-0.4, 0.4, 5)]
-        rec = extract_normalized_potential(pipeline, axis_values=axis)
-        pot = pipeline.potential
-        rt_err = 0.0
-        for k, x in enumerate(rec.axis_values):
-            rt_err = max(
-                rt_err,
-                abs(rec.f[k] - pot.f.eval(float(x))),
-                abs(rec.g[k] - pot.g.eval(float(x))),
-                abs(rec.Q[k] - pot.Q.eval(float(x))) / 4.0,
-                abs(rec.R[k] - pot.R.eval(float(x))) / 4.0,
-            )
+        _, rt_err = roundtrip_errors(pipeline, np.linspace(-0.4, 0.4, 5))
         checks.append(_check("normalized_potential_roundtrip", rt_err, 1e-7))
 
     # oracle surface relations
@@ -296,13 +316,10 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
             )
             checks.append(_check("l3_circular_cylinder_relation", circ, 1e-6))
 
-    holes = int(fg.holes.sum())
-    report = {
+    return {
         "name": oracle or "run",
         "passed": all(c["pass"] for c in checks),
         "checks": checks,
-        "holes": holes,
-        "max_conditioning": float(np.nanmax(fg.conditioning)) if not np.isnan(fg.conditioning).all() else None,
-        "tail_relative": pipeline.tail.relative(),
+        "holes": int(fg.holes.sum()),
+        **run_diagnostics(pipeline),
     }
-    return report

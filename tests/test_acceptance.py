@@ -279,8 +279,8 @@ def test_criterion_9_property_suites(cylinder_run):
         iw = iwasawa_double(phi_s, phi_t)
         worst_rec = max(
             worst_rec,
-            (loop_mul(iw.frame.slot_s, iw.vplus) - phi_s).norm() / phi_s.norm(),
-            (loop_mul(iw.frame.slot_s, iw.vminus) - phi_t).norm() / phi_t.norm(),
+            (loop_mul(iw.frame, iw.vplus) - phi_s).norm() / phi_s.norm(),
+            (loop_mul(iw.frame, iw.vminus) - phi_t).norm() / phi_t.norm(),
         )
 
     # para-complex domain laws and the square-root unit lemma
@@ -315,7 +315,7 @@ def test_criterion_9_property_suites(cylinder_run):
         gauged = _sym_point(fg.frames[i, j].scale_columns(math.exp(c)), theta)
         for u, v in zip(base, gauged):
             worst_gauge = max(worst_gauge, float(np.abs(u - v).max()))
-        F = pair_eval(fg.pair_at(i, j), theta)
+        F = pair_eval(LoopPair(fg.frames[i, j], fg.frames[i, j]), theta)
         f21, f22 = F.entry(1, 0), F.entry(1, 1)
         h_theta = fg.h[i, j] * (f22 * f22.conj() - f21 * f21.conj()).re
         worst_h = max(worst_h, abs(h_theta - fg.h[i, j]))

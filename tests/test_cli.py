@@ -6,8 +6,10 @@ import pytest
 
 from nilweier import EmptyGrid
 from nilweier.cli import cmd_generate, cmd_list_builtins, cmd_roundtrip, cmd_verify, main
+from nilweier.config import load_config
 from nilweier.export import export_csv, export_obj
 from nilweier.pipeline import SurfaceGrid
+from nilweier.verify import roundtrip_errors, run_diagnostics, run_verification
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -195,6 +197,34 @@ def test_roundtrip_command(tmp_path):
     assert result["pass"] and result["worst_b_B_error"] <= 1e-7
 
 
+def test_roundtrip_command_matches_shared_roundtrip_errors(tmp_path):
+    path = _small_cylinder_config(str(tmp_path))
+    result = cmd_roundtrip(path)
+    cfg = load_config(path)
+    pipeline = cfg.make_pipeline().run()
+    half = 0.45 * min(abs(cfg.s_min), cfg.s_max, abs(cfg.t_min), cfg.t_max)
+    rows, worst = roundtrip_errors(pipeline, np.linspace(-half, half, 7))
+    assert result["worst_b_B_error"] == worst
+    assert result["samples"] == rows
+
+
+def test_manifest_and_report_share_diagnostics(tmp_path):
+    path = _small_cylinder_config(str(tmp_path))
+    manifest = cmd_generate(path, os.path.join(str(tmp_path), "out"))
+    cfg = load_config(path)
+    pipeline = cfg.make_pipeline().run()
+    assert run_diagnostics(pipeline) == {
+        "max_conditioning": manifest["max_conditioning"],
+        "tail_relative": manifest["tail_relative"],
+    }
+    assert manifest["max_conditioning"] >= 1.0 and manifest["tail_relative"] > 0.0
+    report = run_verification(pipeline, oracle=cfg.oracle)
+    assert report["max_conditioning"] == manifest["max_conditioning"]
+    # the verification's off-grid axis integrations record into the run's
+    # tail account, so the report reads the account after them
+    assert report["tail_relative"] == run_diagnostics(pipeline)["tail_relative"]
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["list-builtins"]) == 0
     assert "cylinder" in capsys.readouterr().out
@@ -252,12 +282,3 @@ def test_config_validation_errors():
     with pytest.raises(ValueError):
         RunConfig("x", base.potential, 1, 2, -1, 1, ns=5, nt=5)
 
-
-def test_export_mesh_wrapper():
-    from nilweier.export import export_mesh
-
-    sg = tiny_grid()
-    assert export_mesh(sg, "obj").startswith(b"v ")
-    assert export_mesh(sg, "csv").startswith(b"s,t,theta")
-    with pytest.raises(ValueError):
-        export_mesh(sg, "stl")

@@ -82,9 +82,9 @@ def test_iwasawa_cylinder_closed_form():
     phi_t = loop_exp(TwistedLoop.from_terms(N, {1: t * K}))
     res = iwasawa_double(phi_s, phi_t)
     for lam in (0.8, 1.0, 1.2):
-        assert np.abs(res.frame.slot_s.eval(lam) - cylinder_frame(s, t, lam)).max() < 1e-12
-    assert (loop_mul(res.frame.slot_s, res.vplus) - phi_s).norm() < 1e-11
-    assert (loop_mul(res.frame.slot_s, res.vminus) - phi_t).norm() < 1e-11
+        assert np.abs(res.frame.eval(lam) - cylinder_frame(s, t, lam)).max() < 1e-12
+    assert (loop_mul(res.frame, res.vplus) - phi_s).norm() < 1e-11
+    assert (loop_mul(res.frame, res.vminus) - phi_t).norm() < 1e-11
     assert np.allclose(res.vplus.coeff(0), np.eye(2), atol=1e-12)
 
 
@@ -95,7 +95,7 @@ def test_iwasawa_plane_modulo_gauge():
     phi_t = TwistedLoop.from_terms(N, {0: np.eye(2), 1: [[0.0, 0.0], [t, 0.0]]})
     res = iwasawa_double(phi_s, phi_t)
     lam = 1.0
-    M = res.frame.slot_s.eval(lam)
+    M = res.frame.eval(lam)
     E = plane_frame(s, t, lam)
     d = E[0, 0] / M[0, 0]
     gauged = M.copy()
@@ -119,12 +119,12 @@ def test_iwasawa_reconstruction_randomized():
         phi_s = random_minus_star_loop(rng, 12)
         phi_t = random_plus_star_loop(rng, 12)
         res = iwasawa_double(phi_s, phi_t)
-        err_s = (loop_mul(res.frame.slot_s, res.vplus) - phi_s).norm()
-        err_t = (loop_mul(res.frame.slot_s, res.vminus) - phi_t).norm()
+        err_s = (loop_mul(res.frame, res.vplus) - phi_s).norm()
+        err_t = (loop_mul(res.frame, res.vminus) - phi_t).norm()
         scale = max(phi_s.norm(), phi_t.norm())
         assert err_s <= 1e-10 * scale
         assert err_t <= 1e-10 * scale
-        assert res.frame.slot_s.parity_error() == 0.0
+        assert res.frame.parity_error() == 0.0
 
 
 def test_conditioning_reported_and_grows_near_boundary():

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from nilweier import (
     LoopPair,
+    ParityViolation,
     TailAccumulator,
     TruncationOverflow,
     TwistedLoop,
@@ -81,7 +85,7 @@ def test_pair_eval_cylinder_closed_form():
     s, t = 0.8, -0.5
     N = 20
     Fs = loop_exp(TwistedLoop.from_terms(N, {-1: s * K, 1: t * K}))
-    P = LoopPair.from_frame(Fs)
+    P = LoopPair(Fs, Fs)
     for theta in (0.0, 0.2, -0.3):
         F = pair_eval(P, theta)
         w = (s * math.exp(-theta) + t * math.exp(theta)) / 4.0
@@ -148,8 +152,31 @@ def test_parity_violation_is_hard_failure():
     c = np.zeros((13, 2, 2))
     c[6] = np.eye(2)
     c[7] = np.eye(2)  # odd degree with diagonal entries
-    with pytest.raises(AssertionError):
+    with pytest.raises(ParityViolation):
         TwistedLoop(6, c)
+
+
+def test_parity_violation_survives_optimized_mode():
+    # a degree-0 off-diagonal entry as large as the whole loop; under -O an
+    # assert would vanish and the entry would be silently zeroed
+    script = (
+        "import numpy as np\n"
+        "from nilweier import NilWeierError, TwistedLoop\n"
+        "c = np.zeros((5, 2, 2))\n"
+        "c[2] = [[1.0, 1.0], [0.0, 1.0]]\n"
+        "try:\n"
+        "    TwistedLoop(2, c)\n"
+        "except NilWeierError:\n"
+        "    print('raised')\n"
+        "else:\n"
+        "    print('zeroed')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "raised"
 
 
 def test_truncation_overflow():

@@ -5,6 +5,7 @@ import pytest
 
 from nilweier import (
     DegeneratePotential,
+    LoopPair,
     OutsideBigCell,
     ParaComplex,
     TruncationOverflow,
@@ -17,6 +18,7 @@ from nilweier.loopalg import TailAccumulator
 from nilweier.pipeline import (
     Pipeline,
     _AxisFlow,
+    build_extended_frames,
     extract_normalized_potential,
     integrate_weierstrass_path,
     pair_potential,
@@ -118,6 +120,17 @@ def test_truncation_overflow_propagates():
         solve_frame_ode(pot, np.linspace(-3, 3, 13), np.linspace(-3, 3, 13), 8, trunc_n=4)
 
 
+def test_truncation_overflow_in_sweep_names_gridpoint():
+    pot = translate_potential("1", "0", "0.0625", "0")
+    grid = np.linspace(-1, 1, 5)
+    phi_s, phi_t, _, _ = solve_frame_ode(pot, grid, grid, steps_per_cell=4, trunc_n=8)
+    with pytest.raises(TruncationOverflow) as exc:
+        build_extended_frames(phi_s, phi_t, pot, grid, grid, tail=TailAccumulator(bound=1e-300))
+    s, t = exc.value.gridpoint
+    assert s in grid and t in grid
+    assert f"gridpoint (s={s}, t={t})" in str(exc.value)
+
+
 # -- extended frames -----------------------------------------------------------
 
 
@@ -164,7 +177,7 @@ def test_frame_det_and_reality_at_sampled_spectra(cyl_pipe):
     for _ in range(40):
         i = rng.integers(0, len(fg.s_grid))
         j = rng.integers(0, len(fg.t_grid))
-        pair = fg.pair_at(i, j)
+        pair = LoopPair(fg.frames[i, j], fg.frames[i, j])
         for theta in (-0.5, -0.25, 0.0, 0.25, 0.5):
             F = pair_eval(pair, theta)
             d = F.det()
@@ -261,7 +274,7 @@ def test_angle_function_theta_independent(cyl_pipe, plane_pipe):
             if fg.holes[i, j]:
                 continue
             theta = float(rng.uniform(-0.4, 0.4))
-            F = pair_eval(fg.pair_at(i, j), theta)
+            F = pair_eval(LoopPair(fg.frames[i, j], fg.frames[i, j]), theta)
             f21, f22 = F.entry(1, 0), F.entry(1, 1)
             h_theta = fg.h[i, j] * (f22 * f22.conj() - f21 * f21.conj()).re
             assert abs(h_theta - fg.h[i, j]) <= 1e-9
