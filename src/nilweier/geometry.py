@@ -124,13 +124,18 @@ def _central(fn, x: float, h: float):
     return (np.asarray(fn(x + h)) - np.asarray(fn(x - h))) / (2.0 * h)
 
 
-def richardson_d1(fn, x: float, h: float, levels: int = 2):
-    """Richardson-extrapolated first derivative of a vector-valued callable."""
-    table = [_central(fn, x, h / (2.0**k)) for k in range(levels)]
+def _richardson(estimate, h: float, levels: int):
+    """Extrapolate a second-order estimate(step) over the steps h, h/2, ..."""
+    table = [estimate(h / (2.0**k)) for k in range(levels)]
     for m in range(1, levels):
         fac = 4.0**m
         table = [(fac * table[k + 1] - table[k]) / (fac - 1.0) for k in range(len(table) - 1)]
     return table[0]
+
+
+def richardson_d1(fn, x: float, h: float, levels: int = 2):
+    """Richardson-extrapolated first derivative of a vector-valued callable."""
+    return _richardson(lambda hh: _central(fn, x, hh), h, levels)
 
 
 def cross_d2(fn, s: float, t: float, h: float, levels: int = 2):
@@ -144,11 +149,7 @@ def cross_d2(fn, s: float, t: float, h: float, levels: int = 2):
             + np.asarray(fn(s - hh, t - hh))
         ) / (4.0 * hh * hh)
 
-    table = [estimate(h / (2.0**k)) for k in range(levels)]
-    for m in range(1, levels):
-        fac = 4.0**m
-        table = [(fac * table[k + 1] - table[k]) / (fac - 1.0) for k in range(len(table) - 1)]
-    return table[0]
+    return _richardson(estimate, h, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +306,7 @@ def mean_curvature_L3(surface_fn, points, step: float = 1e-3, normal_fn=None) ->
     for s, t in points:
         s, t = float(s), float(t)
         f_x, f_y, signs = _xy_tangents(surface_fn, s, t, step, "l3")
-        npp = np.asarray(normal_fn(s + step, t + step))
-        nmm = np.asarray(normal_fn(s - step, t - step))
-        npm = np.asarray(normal_fn(s + step, t - step))
-        nmp = np.asarray(normal_fn(s - step, t + step))
-        n_x = (npp - nmm) / (2.0 * step)
-        n_y = (npm - nmp) / (2.0 * step)
+        n_x, n_y, _ = _xy_tangents(normal_fn, s, t, step, "l3")
         E = float((signs * f_x * f_x).sum())
         F = float((signs * f_x * f_y).sum())
         G = float((signs * f_y * f_y).sum())
@@ -335,14 +331,20 @@ def _null(z: ParaComplex) -> np.ndarray:
     return np.array([z.p, z.q])
 
 
+def conformal_factor_root(psi1: ParaComplex, psi2: ParaComplex) -> float:
+    """Spinor expression 2(psi2 conj(psi2) + psi1 conj(psi1)); its square is
+    the conformal factor e^u of the Heisenberg surface."""
+    return 2.0 * (psi2.p * psi2.q + psi1.p * psi1.q)
+
+
 @dataclass
 class SpinorField:
     """Generating spinors on a point set with their consistency residuals.
 
     `dirac` is the worst residual of the two coupled first-order equations
     with potential (i'/4) h; `h_gap` compares the supplied angle function
-    with 2(psi2 conj(psi2) - psi1 conj(psi1)); `eu` is the spinor expression
-    2(psi2 conj(psi2) + psi1 conj(psi1)) of the conformal factor root.
+    with 2(psi2 conj(psi2) - psi1 conj(psi1)); `eu` is `conformal_factor_root`
+    at each point.
     """
 
     points: list
@@ -388,7 +390,7 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
         r2 = np.array([-d1_t[0] + 0.25 * h * n2[0], -d1_s[1] - 0.25 * h * n2[1]])
         worst_dirac = max(worst_dirac, float(np.abs(r1).max()), float(np.abs(r2).max()))
         h_spinor = 2.0 * (n2[0] * n2[1] - n1[0] * n1[1])
-        eu = 2.0 * (n2[0] * n2[1] + n1[0] * n1[1])
+        eu = conformal_factor_root(c1, c2)
         worst_hgap = max(worst_hgap, abs(h_spinor - h))
         # Dirac potential from the equation itself: -d_z psi2 / psi1; needs
         # Richardson-extrapolated derivatives to resolve Re U at the 1e-9 level

@@ -147,6 +147,7 @@ class _AxisFlow:
 
     Every requested value integrates afresh from 0 with a step count fixed by
     the per-unit density, so results are independent of evaluation order.
+    Dropped tail mass goes to `tail`, or to the flow's own account if None.
     """
 
     def __init__(self, coeff_fn, deg: int, N: int, steps_per_unit: float, tail: TailAccumulator):
@@ -157,11 +158,12 @@ class _AxisFlow:
         self.tail = tail
         self._cache: dict[float, TwistedLoop] = {0.0: TwistedLoop.identity(N)}
 
-    def at(self, x: float) -> TwistedLoop:
+    def at(self, x: float, tail: TailAccumulator | None = None) -> TwistedLoop:
         x = float(x)
         hit = self._cache.get(x)
         if hit is not None:
             return hit
+        tail = self.tail if tail is None else tail
         n = max(1, int(math.ceil(abs(x) * self.spu - 1e-12)))
         h = x / n
         phi = TwistedLoop.identity(self.N)
@@ -170,10 +172,10 @@ class _AxisFlow:
             a0 = self.coeff_fn(pos)
             am = self.coeff_fn(pos + h / 2.0)
             a1 = self.coeff_fn(pos + h)
-            k1 = phi.shift_mul(a0, self.deg, self.tail)
-            k2 = (phi + (h / 2.0) * k1).shift_mul(am, self.deg, self.tail)
-            k3 = (phi + (h / 2.0) * k2).shift_mul(am, self.deg, self.tail)
-            k4 = (phi + h * k3).shift_mul(a1, self.deg, self.tail)
+            k1 = phi.shift_mul(a0, self.deg, tail)
+            k2 = (phi + (h / 2.0) * k1).shift_mul(am, self.deg, tail)
+            k3 = (phi + (h / 2.0) * k2).shift_mul(am, self.deg, tail)
+            k4 = (phi + h * k3).shift_mul(a1, self.deg, tail)
             phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             pos = (k + 1) * h
         self._cache[x] = phi
@@ -216,6 +218,11 @@ def solve_frame_ode(
 # ---------------------------------------------------------------------------
 # Iwasawa + gauge normalization
 # ---------------------------------------------------------------------------
+
+
+def _overflow_at(exc: TruncationOverflow, gridpoint) -> TruncationOverflow:
+    s, t = gridpoint
+    return TruncationOverflow(f"{exc} at gridpoint (s={s}, t={t})", gridpoint=gridpoint)
 
 
 @dataclass
@@ -312,10 +319,7 @@ def build_extended_frames(
                     gridpoint=gridpoint,
                 )
             except TruncationOverflow as exc:
-                raise TruncationOverflow(
-                    f"{exc} at gridpoint (s={gridpoint[0]}, t={gridpoint[1]})",
-                    gridpoint=gridpoint,
-                ) from exc
+                raise _overflow_at(exc, gridpoint) from exc
             except (OutsideBigCell, GaugeFailure) as exc:
                 holes[i, j] = True
                 row_errors.append((i, j, type(exc).__name__, str(exc)))
@@ -430,8 +434,10 @@ class Pipeline:
     """Owns one run: potential, axis flows, frame grid, surfaces.
 
     Also serves as the exact point evaluator behind all finite-difference
-    verification: `frame_at`, `surface_at` and `spinors_at` recompute any
-    off-grid point from scratch (deterministically), never by interpolation.
+    verification: `frame_at`, `surface_at` and `spinors_at` reuse the sweep's
+    gridpoint frames and recompute any other point from scratch
+    (deterministically, never by interpolation), accounting its dropped tail
+    mass in `point_tail`, never in the run's `tail`.
     """
 
     def __init__(
@@ -454,6 +460,7 @@ class Pipeline:
         self.thetas = np.asarray(thetas, float)
         self.threads = max(1, int(threads))
         self.tail = TailAccumulator(bound=tail_bound)
+        self.point_tail = TailAccumulator(bound=tail_bound)
         if initial_frame is not None and initial_frame.N != self.trunc_n:
             initial_frame = TwistedLoop.from_terms(
                 self.trunc_n,
@@ -479,7 +486,13 @@ class Pipeline:
             tail=self.tail,
             threads=self.threads,
         )
-        self.surface_grid = sym_map(self.frame_grid, self.thetas)
+        fg = self.frame_grid
+        for (i, j), loop in np.ndenumerate(fg.frames):
+            if loop is not None:
+                self._point_cache[(float(fg.s_grid[i]), float(fg.t_grid[j]))] = FramePoint(
+                    loop, float(fg.h[i, j]), float(fg.gauge_log[i, j]), float(fg.conditioning[i, j])
+                )
+        self.surface_grid = sym_map(fg, self.thetas)
         return self
 
     # -- point evaluators -------------------------------------------------------
@@ -487,15 +500,19 @@ class Pipeline:
         key = (float(s), float(t))
         hit = self._point_cache.get(key)
         if hit is None:
-            hit = _frame_point(
-                self._flow_s.at(s),
-                self._flow_t.at(t),
-                self.potential.f.eval(float(s)),
-                self.potential.g.eval(float(t)),
-                self.initial_frame,
-                None,
-                gridpoint=key,
-            )
+            tail = self.point_tail
+            try:
+                hit = _frame_point(
+                    self._flow_s.at(s, tail),
+                    self._flow_t.at(t, tail),
+                    self.potential.f.eval(float(s)),
+                    self.potential.g.eval(float(t)),
+                    self.initial_frame,
+                    tail,
+                    gridpoint=key,
+                )
+            except TruncationOverflow as exc:
+                raise _overflow_at(exc, key) from exc
             self._point_cache[key] = hit
         return hit
 

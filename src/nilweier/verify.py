@@ -12,9 +12,11 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateMetric, NilWeierError
+from .errors import DegenerateMetric
 from .geometry import (
+    _xy_tangents,
     abresch_rosenberg,
+    conformal_factor_root,
     first_fundamental_form,
     flatness_residual,
     mean_curvature_L3,
@@ -22,7 +24,7 @@ from .geometry import (
     spinors_and_dirac,
 )
 from .loopalg import SIGMA3, LoopPair, PCMatrix2, pair_eval
-from .pipeline import Pipeline, extract_normalized_potential
+from .pipeline import Pipeline, _sym_point, extract_normalized_potential
 
 __all__ = ["run_verification", "safe_points", "roundtrip_errors", "run_diagnostics"]
 
@@ -32,8 +34,9 @@ _LAMBDA_THETAS = (0.0, 0.25, -0.25, 0.5, -0.5)
 def safe_points(pipeline: Pipeline, count: int = 9, margin: int = 2, nil_side: bool = False):
     """Interior gridpoints with a hole-free neighborhood, downsampled.
 
-    With nil_side=True, points whose induced Heisenberg metric is close to
-    degenerate are dropped too (finite differences need a margin there).
+    With nil_side=True, only points whose Heisenberg conformal factor e^u at
+    the first spectral angle, read exactly from the sweep's spinors, lies
+    within a factor 30 of its median are kept, nearest the basepoint first.
     """
     fg = pipeline.frame_grid
     ns, nt = len(fg.s_grid), len(fg.t_grid)
@@ -46,17 +49,10 @@ def safe_points(pipeline: Pipeline, count: int = 9, margin: int = 2, nil_side: b
             candidates.append((float(fg.s_grid[i]), float(fg.t_grid[j])))
     if nil_side and candidates:
         theta0 = float(pipeline.thetas[0])
-
-        def conf(st):
-            try:
-                res = first_fundamental_form(
-                    lambda a, b: pipeline.nil_at(a, b, theta0), [st], step=1e-3, space="nil"
-                )
-                return abs(float(res.E[0]))
-            except (DegenerateMetric, NilWeierError):
-                return 0.0
-
-        vals = [conf(st) for st in candidates]
+        vals = [
+            conformal_factor_root(*pipeline.spinors_at(s, t, theta0)[:2]) ** 2
+            for s, t in candidates
+        ]
         positives = sorted(v for v in vals if v > 0.0)
         med = positives[len(positives) // 2] if positives else 0.0
         # keep points whose induced metric sits in a moderate band around the
@@ -175,7 +171,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     )
     checks.append(_check("frame_twisting_parity", parity, 1e-12))
 
-    # spinors and Dirac system
+    # spinors and Dirac system (the theta0 field serves the conformal factor)
     for th in sorted({theta0, max(thetas)}):
         sp = spinors_and_dirac(
             lambda a, b: pipeline.spinors_at(a, b, th)[:2],
@@ -189,11 +185,10 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
         checks.append(
             _check(f"dirac_potential_purely_imaginary[{tag}]", sp.dirac_potential_re, 1e-9)
         )
+        if th == theta0:
+            sp0 = sp
 
     # conformality of the Heisenberg surface and conformal factor consistency
-    sp0 = spinors_and_dirac(
-        lambda a, b: pipeline.spinors_at(a, b, theta0)[:2], pipeline.h_at, pts_nil, step=1e-3
-    )
     fff = first_fundamental_form(
         lambda a, b: pipeline.nil_at(a, b, theta0), pts_nil, step=1e-3, space="nil"
     )
@@ -240,9 +235,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
         n = pipeline.normal_at(s, t, theta0)
         nn = n[0] ** 2 - n[1] ** 2 + n[2] ** 2
         nn_err = max(nn_err, abs(nn - 1.0))
-        d = 1e-4
-        fx = (np.asarray(pipeline.l3_at(s + d, t + d, theta0)) - pipeline.l3_at(s - d, t - d, theta0)) / (2 * d)
-        fy = (np.asarray(pipeline.l3_at(s + d, t - d, theta0)) - pipeline.l3_at(s - d, t + d, theta0)) / (2 * d)
+        fx, fy, _ = _xy_tangents(lambda a, b: pipeline.l3_at(a, b, theta0), s, t, 1e-4, "l3")
         for v in (fx, fy):
             orth_err = max(orth_err, abs(n[0] * v[0] - n[1] * v[1] + n[2] * v[2]))
     checks.append(_check("normal_unit_length", nn_err, 1e-8))
@@ -277,8 +270,6 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
 
     # Sym gauge invariance under a mu-independent diagonal field
     gauge_err = 0.0
-    from .pipeline import _sym_point
-
     for s, t in pts:
         c = 0.3 * math.sin(s + 0.7) * math.cos(t - 0.3)
         loop = pipeline.frame_at(s, t).loop
@@ -298,16 +289,15 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     # oracle surface relations
     if oracle is not None and oracle in ("cylinder", "hyperbolic-cylinder", "horizontal-plane"):
         rel_err = 0.0
-        st_grid = sg
-        for k in range(len(st_grid.thetas)):
-            for i in range(len(st_grid.s_grid)):
-                for j in range(len(st_grid.t_grid)):
-                    if st_grid.holes[i, j]:
+        for k in range(len(sg.thetas)):
+            for i in range(len(sg.s_grid)):
+                for j in range(len(sg.t_grid)):
+                    if sg.holes[i, j]:
                         continue
-                    s, t = st_grid.s_grid[i], st_grid.t_grid[j]
+                    s, t = sg.s_grid[i], sg.t_grid[j]
                     if oracle == "horizontal-plane" and not (-1.0 < s * t < 1.0):
                         continue
-                    rel_err = max(rel_err, _surface_relation(oracle, st_grid.nil[k, i, j]))
+                    rel_err = max(rel_err, _surface_relation(oracle, sg.nil[k, i, j]))
         tol = 1e-8 if oracle == "horizontal-plane" else 1e-6
         checks.append(_check(f"surface_relation[{oracle}]", rel_err, tol))
         if oracle == "cylinder":

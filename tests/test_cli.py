@@ -9,7 +9,7 @@ from nilweier.cli import cmd_generate, cmd_list_builtins, cmd_roundtrip, cmd_ver
 from nilweier.config import load_config
 from nilweier.export import export_csv, export_obj
 from nilweier.pipeline import SurfaceGrid
-from nilweier.verify import roundtrip_errors, run_diagnostics, run_verification
+from nilweier.verify import roundtrip_errors, run_diagnostics, run_verification, safe_points
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -182,6 +182,24 @@ def test_verify_small_cylinder_passes(tmp_path):
     assert all({"check", "value", "threshold", "pass"} <= set(c) for c in on_disk["checks"])
 
 
+def _no_iwasawa(*args, **kwargs):
+    raise AssertionError("Iwasawa split after the sweep")
+
+
+def test_nil_side_selection_reads_the_sweep(tmp_path, plane_pipe, monkeypatch):
+    small = load_config(_small_cylinder_config(str(tmp_path))).make_pipeline().run()
+    monkeypatch.setattr("nilweier.pipeline.iwasawa_double", _no_iwasawa)
+    assert safe_points(small, nil_side=True) == [
+        (0.0, 0.0), (-0.25, 0.0), (0.0, -0.25), (0.0, 0.25), (0.25, 0.0),
+        (-0.5, 0.0), (-0.25, -0.25), (-0.25, 0.25), (0.0, -0.5),
+    ]
+    a, b = -0.19999999999999996, 0.20000000000000018
+    assert safe_points(plane_pipe, nil_side=True) == [
+        (0.0, 0.0), (a, 0.0), (0.0, a), (0.0, b), (b, 0.0),
+        (-0.3999999999999999, 0.0), (a, a), (0.0, -0.3999999999999999), (a, b),
+    ]
+
+
 def test_verify_detects_bad_integration(tmp_path):
     # one RK4 step across a 0.5-wide cell leaves visible det drift
     cfg = _small_cylinder_config(str(tmp_path), stepsPerCell=1, domain={
@@ -220,9 +238,7 @@ def test_manifest_and_report_share_diagnostics(tmp_path):
     assert manifest["max_conditioning"] >= 1.0 and manifest["tail_relative"] > 0.0
     report = run_verification(pipeline, oracle=cfg.oracle)
     assert report["max_conditioning"] == manifest["max_conditioning"]
-    # the verification's off-grid axis integrations record into the run's
-    # tail account, so the report reads the account after them
-    assert report["tail_relative"] == run_diagnostics(pipeline)["tail_relative"]
+    assert report["tail_relative"] == manifest["tail_relative"]
 
 
 def test_main_exit_codes(tmp_path, capsys):

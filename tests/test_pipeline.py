@@ -171,6 +171,42 @@ def test_plane_big_cell_boundary(plane_pipe):
     assert exc.value.gridpoint == (1.0, -1.0)
 
 
+def _no_iwasawa(*args, **kwargs):
+    raise AssertionError("Iwasawa split after the sweep")
+
+
+def test_frame_at_reuses_the_sweeps_gridpoint_frames(cyl_pipe, plane_pipe, monkeypatch):
+    fg = cyl_pipe.frame_grid
+    monkeypatch.setattr("nilweier.pipeline.iwasawa_double", _no_iwasawa)
+    for (i, j), loop in np.ndenumerate(fg.frames):
+        if fg.holes[i, j]:
+            continue
+        pt = cyl_pipe.frame_at(fg.s_grid[i], fg.t_grid[j])
+        assert np.array_equal(pt.loop.c, loop.c)
+        assert pt.h == fg.h[i, j]
+    monkeypatch.undo()
+    # holes are not cached: they are recomputed and raise their own error
+    with pytest.raises(OutsideBigCell) as exc:
+        plane_pipe.frame_at(1.0, -1.0)
+    assert exc.value.gridpoint == (1.0, -1.0)
+
+
+def test_point_evaluations_have_their_own_tail_account():
+    pot = translate_potential("1", "0", "0.0625", "0")
+    grid = np.linspace(-1, 1, 5)
+    pipe = Pipeline(pot, grid, grid, trunc_n=8, steps_per_cell=4).run()
+    dropped, kept = pipe.tail.dropped, pipe.tail.kept
+    pipe.frame_at(0.15, -0.35)
+    assert (pipe.tail.dropped, pipe.tail.kept) == (dropped, kept)
+    assert pipe.point_tail.kept > 0.0 and pipe.point_tail.bound == pipe.tail.bound
+    pipe.point_tail.bound = 1e-300
+    with pytest.raises(TruncationOverflow) as exc:
+        pipe.frame_at(0.25, 0.45)
+    assert exc.value.gridpoint == (0.25, 0.45)
+    assert "gridpoint (s=0.25, t=0.45)" in str(exc.value)
+    assert (pipe.tail.dropped, pipe.tail.kept) == (dropped, kept)
+
+
 def test_frame_det_and_reality_at_sampled_spectra(cyl_pipe):
     fg = cyl_pipe.frame_grid
     rng = np.random.default_rng(31)
