@@ -364,11 +364,10 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
     function.  Derivatives are central differences at `step`.
     """
 
-    def p1(s, t):
-        return _null(spinor_fn(s, t)[0])
-
-    def p2(s, t):
-        return _null(spinor_fn(s, t)[1])
+    def nulls(s, t):
+        """Null components (psi1_p, psi1_q, psi2_p, psi2_q), one evaluation."""
+        c1, c2 = spinor_fn(s, t)
+        return np.concatenate((_null(c1), _null(c2)))
 
     psi1_out, psi2_out, h_out, eu_out = [], [], [], []
     worst_dirac = 0.0
@@ -376,13 +375,12 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
     worst_repot = 0.0
     for s, t in points:
         s, t = float(s), float(t)
-        c1 = spinor_fn(s, t)[0]
-        c2 = spinor_fn(s, t)[1]
+        c1, c2 = spinor_fn(s, t)
         h = float(h_fn(s, t))
-        d1_s = _central(lambda x: p1(x, t), s, step)
-        d1_t = _central(lambda x: p1(s, x), t, step)
-        d2_s = _central(lambda x: p2(x, t), s, step)
-        d2_t = _central(lambda x: p2(s, x), t, step)
+        d_s = _central(lambda x: nulls(x, t), s, step)
+        d_t = _central(lambda x: nulls(s, x), t, step)
+        d1_s, d2_s = d_s[:2], d_s[2:]
+        d1_t, d2_t = d_t[:2], d_t[2:]
         n1, n2 = _null(c1), _null(c2)
         # d_z psi2 + (i'/4) h psi1 : null components (d_s p, d_t q)
         r1 = np.array([d2_s[0] + 0.25 * h * n1[0], d2_t[1] - 0.25 * h * n1[1]])
@@ -397,8 +395,8 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
         scale = math.sqrt(max(abs(eu), 1e-12))
         if min(abs(n1[0]), abs(n1[1])) > 1e-2 * scale:
             base = max(step, 2e-2)
-            dp = float(richardson_d1(lambda x: p2(x, t)[0], s, base, levels=3))
-            dq = float(richardson_d1(lambda x: p2(s, x)[1], t, base, levels=3))
+            dp = float(richardson_d1(lambda x: nulls(x, t)[2], s, base, levels=3))
+            dq = float(richardson_d1(lambda x: nulls(s, x)[3], t, base, levels=3))
             pot_p = -dp / n1[0]
             pot_q = -dq / n1[1]
             worst_repot = max(worst_repot, abs((pot_p + pot_q) / 2.0))

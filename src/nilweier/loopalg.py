@@ -18,8 +18,10 @@ mu = e^(i' theta) on the unit hyperbola corresponds to lam = e^theta.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,24 +78,14 @@ class TailAccumulator:
         self.kept += other.kept
 
 
-def _parity_mask(N: int) -> np.ndarray:
-    """Entries that must vanish: off-diagonal at even k, diagonal at odd k."""
-    mask = np.zeros((2 * N + 1, 2, 2), dtype=bool)
-    for k in range(-N, N + 1):
-        if k % 2 == 0:
-            mask[k + N, 0, 1] = mask[k + N, 1, 0] = True
-        else:
-            mask[k + N, 0, 0] = mask[k + N, 1, 1] = True
-    return mask
-
-
-_MASK_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _mask(N: int) -> np.ndarray:
-    if N not in _MASK_CACHE:
-        _MASK_CACHE[N] = _parity_mask(N)
-    return _MASK_CACHE[N]
+    """Entries that must vanish: off-diagonal at even k, diagonal at odd k."""
+    off_diagonal = ~np.eye(2, dtype=bool)
+    even = (np.arange(-N, N + 1) % 2 == 0)[:, None, None]
+    mask = np.where(even, off_diagonal, ~off_diagonal)
+    mask.setflags(write=False)
+    return mask
 
 
 class TwistedLoop:
@@ -110,7 +102,9 @@ class TwistedLoop:
             if c.shape != (2 * self.N + 1, 2, 2):
                 raise ValueError(f"coefficient array must have shape {(2*self.N+1, 2, 2)}")
         if enforce_parity:
-            c = _check_and_clean_parity(c, self.N)
+            fx = _Effects(1)
+            c = _clean_parity(c[None], self.N, fx)[0]
+            fx.play(0, None)
         c.setflags(write=False)
         self.c = c
 
@@ -163,10 +157,7 @@ class TwistedLoop:
     # -- derived loops ---------------------------------------------------------
     def scale_columns(self, d: float) -> "TwistedLoop":
         """Right-multiply by the constant diagonal gauge diag(d, 1/d)."""
-        c = self.c.copy()
-        c[:, :, 0] *= d
-        c[:, :, 1] /= d
-        return TwistedLoop(self.N, c, enforce_parity=False)
+        return TwistedLoop(self.N, _scale_rows(self.c[None], np.array([d]))[0], enforce_parity=False)
 
     def shift_mul(self, A: np.ndarray, deg: int, tail: TailAccumulator | None = None) -> "TwistedLoop":
         """Right-multiply by the single-term loop lam^deg * A (exact, cheap)."""
@@ -215,57 +206,131 @@ def _check_same_N(a: TwistedLoop, b: TwistedLoop) -> None:
         raise ValueError(f"truncation orders differ: {a.N} vs {b.N}")
 
 
-def _check_and_clean_parity(c: np.ndarray, N: int) -> np.ndarray:
-    mask = _mask(N)
-    scale = max(float(np.abs(c).max()), 1e-300)
-    worst = float(np.abs(c[mask]).max()) if mask.any() else 0.0
-    if worst > _PARITY_TOL * scale:
-        raise ParityViolation(
-            f"twisting parity violated: off-parity mass {worst:.3e} vs scale {scale:.3e}"
-        )
+class _Effects:
+    """Side effects of a batch of loop operations, kept per item in the order
+    a batch of one has them: tail records (dropped, kept), near-boundary
+    warnings, and the error that ends the item.  Anything with `record` is a
+    tail account, so an `_Effects` can stand for one; its records then go to
+    every live item.  `play(b, tail)` performs item b's effects."""
+
+    def __init__(self, size: int):
+        self.items: list[list] = [[] for _ in range(size)]
+        self.alive = np.ones(size, dtype=bool)
+
+    def record(self, dropped, kept) -> None:
+        dropped = np.broadcast_to(dropped, self.alive.shape)
+        kept = np.broadcast_to(kept, self.alive.shape)
+        for b in np.flatnonzero(self.alive):
+            self.items[b].append((float(dropped[b]), float(kept[b])))
+
+    def warn(self, b: int, message: str) -> None:
+        self.items[b].append(message)
+
+    def fail(self, b: int, exc: Exception) -> None:
+        if self.alive[b]:
+            self.items[b].append(exc)
+            self.alive[b] = False
+
+    def play(self, b: int, tail) -> None:
+        effects, self.items[b] = self.items[b], []
+        for effect in effects:
+            if isinstance(effect, tuple):
+                if tail is not None:
+                    tail.record(*effect)
+            elif isinstance(effect, str):
+                warnings.warn(effect, stacklevel=3)
+            else:
+                try:
+                    raise effect
+                finally:  # the traceback keeps this frame: drop its references to the error
+                    del effect, effects
+
+
+def _scale_rows(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Right-multiply each loop of a (B, 2N+1, 2, 2) stack by diag(d_b, 1/d_b)."""
     out = c.copy()
-    out[mask] = 0.0
+    out[..., 0] *= d[:, None, None]
+    out[..., 1] /= d[:, None, None]
     return out
+
+
+def _sq_sum(c: np.ndarray) -> np.ndarray:
+    """Per-item sum of squares of a (B, ...) stack, in a batch of one's order."""
+    return (c**2).reshape(len(c), -1).sum(axis=1)
+
+
+def _clean_parity(c: np.ndarray, N: int, fx: _Effects) -> np.ndarray:
+    """Zero the off-parity entries of a (B, 2N+1, 2, 2) stack; an item whose
+    off-parity mass exceeds round-off of its own scale fails."""
+    mask = _mask(N)
+    scale = np.maximum(np.abs(c).reshape(len(c), -1).max(axis=1), 1e-300)
+    worst = np.abs(c[:, mask]).max(axis=1)
+    for b in np.flatnonzero(worst > _PARITY_TOL * scale):
+        message = f"twisting parity violated: off-parity mass {worst[b]:.3e} vs scale {scale[b]:.3e}"
+        fx.fail(b, ParityViolation(message))
+    out = c.copy()
+    out[:, mask] = 0.0
+    return out
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray, fx: _Effects) -> np.ndarray:
+    """Cauchy products truncated to [-N, N] of (B, 2N+1, 2, 2) stacks; `a`
+    may also be one (2N+1, 2, 2) loop shared by all items.
+
+    Degrees accumulate in sequence, as a batch of one does; degrees of `a`
+    that vanish in every item are skipped, which is exact since adding a
+    signed zero never changes the sum.  Each item's dropped and kept tail
+    masses are recorded before its parity check.
+    """
+    n = a.shape[-3]
+    N = n // 2
+    full = np.zeros((len(b), 2 * n - 1, 2, 2))
+    b0, b1 = b[:, :, 0, None, :], b[:, :, 1, None, :]
+    for m in np.flatnonzero(a.reshape(-1, n, 4).any(axis=(0, 2))):
+        am = a[..., m, None, :, :]
+        full[..., m : m + n, :, :] += am[..., 0, None] * b0 + am[..., 1, None] * b1
+    kept = full[:, N : N + n]
+    dropped = np.sqrt(_sq_sum(full[:, :N]) + _sq_sum(full[:, N + n :]))
+    fx.record(dropped, np.sqrt(_sq_sum(kept)))
+    return _clean_parity(kept, N, fx)
 
 
 def loop_mul(a: TwistedLoop, b: TwistedLoop, tail: TailAccumulator | None = None) -> TwistedLoop:
     """Cauchy product truncated to [-N, N]; dropped tail mass is recorded."""
     _check_same_N(a, b)
-    N = a.N
-    n = 2 * N + 1
-    full = np.zeros((2 * n - 1, 2, 2))
-    for m in range(n):
-        am = a.c[m]
-        if not am.any():
-            continue
-        full[m : m + n] += np.einsum("ij,kjl->kil", am, b.c)
-    kept = full[N : N + n]
-    dropped_sq = (full[:N] ** 2).sum() + (full[N + n :] ** 2).sum()
-    if tail is not None:
-        tail.record(float(np.sqrt(dropped_sq)), float(np.sqrt((kept**2).sum())))
-    return TwistedLoop(N, kept.copy())
+    fx = _Effects(1)
+    c = _mul_rows(a.c[None], b.c[None], fx)
+    fx.play(0, tail)
+    return TwistedLoop(a.N, c[0], enforce_parity=False)
+
+
+def _inv_rows(x: np.ndarray, lower: bool, fx: _Effects) -> np.ndarray:
+    """Exact inverses of a (B, 2N+1, 2, 2) stack of loops supported on [-N,0]
+    (lower) or [0,N] (upper); raises SingularLoop if any degree-0
+    coefficient is singular."""
+    N = x.shape[1] // 2
+    y = np.zeros_like(x)
+    try:
+        y0 = np.linalg.inv(x[:, N])
+    except np.linalg.LinAlgError as exc:
+        raise SingularLoop("degree-0 coefficient is singular") from exc
+    y[:, N] = y0
+    sign = -1 if lower else 1
+    for k in range(1, N + 1):
+        acc = np.zeros_like(y0)
+        for j in range(1, k + 1):
+            acc += x[:, N + sign * j] @ y[:, N + sign * (k - j)]
+        y[:, N + sign * k] = -y0 @ acc
+    return _clean_parity(y, N, fx)
 
 
 def _inv_triangular(x: TwistedLoop, lower: bool) -> TwistedLoop:
     """Exact inverse of a loop supported on [-N,0] (lower) or [0,N] (upper)
     whose degree-0 coefficient is invertible; stays in the same subalgebra."""
-    N = x.N
-    y = np.zeros_like(x.c)
-    x0 = x.c[N]
-    try:
-        y0 = np.linalg.inv(x0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLoop("degree-0 coefficient is singular") from exc
-    y[N] = y0
-    sign = -1 if lower else 1
-    for k in range(1, N + 1):
-        acc = np.zeros((2, 2))
-        for j in range(1, k + 1):
-            xj = x.c[N + sign * j]
-            yk = y[N + sign * (k - j)]
-            acc += xj @ yk
-        y[N + sign * k] = -y0 @ acc
-    return TwistedLoop(N, y)
+    fx = _Effects(1)
+    y = _inv_rows(x.c[None], lower, fx)
+    fx.play(0, None)
+    return TwistedLoop(x.N, y[0], enforce_parity=False)
 
 
 def loop_inv(a: TwistedLoop, tail: TailAccumulator | None = None) -> TwistedLoop:

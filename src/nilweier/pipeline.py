@@ -36,12 +36,15 @@ from .errors import (
     TruncationOverflow,
 )
 from .expressions import Expression, combine, const_times, parse_expression, rename_variable
-from .factorization import birkhoff_split, iwasawa_double
+from .factorization import _iwasawa_rows, birkhoff_split, iwasawa_double
 from .loopalg import (
     SIGMA3,
     LoopPair,
     TailAccumulator,
     TwistedLoop,
+    _Effects,
+    _mul_rows,
+    _scale_rows,
     loop_inv,
     loop_mul,
     pair_eval,
@@ -233,6 +236,31 @@ class FramePoint:
     conditioning: float
 
 
+def _gauge_rows(frame, vminus, f_val, g_vals, initial, fx, gridpoints):
+    """Diagonal gauge normalization of a (B, 2N+1, 2, 2) stack of Iwasawa
+    frames sharing f, then the initial-frame product.  Returns (gauged
+    frames, h, gauge_log); a point with nonpositive angle function fails
+    with GaugeFailure."""
+    N = frame.shape[1] // 2
+    h = np.full(len(frame), np.nan)
+    gauge_log = np.full(len(frame), np.nan)
+    d = np.ones(len(frame))
+    for b in np.flatnonzero(fx.alive):
+        d22 = float(vminus[b, N, 1, 1])
+        fg = f_val * g_vals[b]
+        if fg <= 0.0 or d22 <= 1e-13:
+            message = f"angle function not positive (f*g={fg:.3e}, d22={d22:.3e})"
+            fx.fail(b, GaugeFailure(message, gridpoint=gridpoints[b]))
+            continue
+        h[b] = math.sqrt(fg) * d22
+        d[b] = (f_val / (g_vals[b] * d22 * d22)) ** 0.25
+        gauge_log[b] = math.log(d[b])
+    frame = _scale_rows(frame, d)
+    if initial is not None:
+        frame = _mul_rows(initial.c, frame, fx)
+    return frame, h, gauge_log
+
+
 def _frame_point(
     phi_s: TwistedLoop,
     phi_t: TwistedLoop,
@@ -247,18 +275,17 @@ def _frame_point(
     except OutsideBigCell as exc:
         exc.gridpoint = gridpoint
         raise
-    d22 = float(res.vminus.coeff(0)[1, 1])
-    fg = f_val * g_val
-    if fg <= 0.0 or d22 <= 1e-13:
-        raise GaugeFailure(
-            f"angle function not positive (f*g={fg:.3e}, d22={d22:.3e})", gridpoint=gridpoint
-        )
-    h = math.sqrt(fg) * d22
-    d = (f_val / (g_val * d22 * d22)) ** 0.25
-    frame = res.frame.scale_columns(d)
-    if initial is not None:
-        frame = loop_mul(initial, frame, tail)
-    return FramePoint(loop=frame, h=h, gauge_log=math.log(d), conditioning=res.conditioning)
+    fx = _Effects(1)
+    frame, h, gauge_log = _gauge_rows(
+        res.frame.c[None], res.vminus.c[None], f_val, [g_val], initial, fx, [gridpoint]
+    )
+    fx.play(0, tail)
+    return FramePoint(
+        TwistedLoop(phi_s.N, frame[0], enforce_parity=False),
+        float(h[0]),
+        float(gauge_log[0]),
+        res.conditioning,
+    )
 
 
 @dataclass
@@ -286,14 +313,18 @@ def build_extended_frames(
 ) -> FrameGrid:
     """Per-gridpoint Iwasawa decomposition plus diagonal gauge normalization.
 
-    Points outside the big cell (or with nonpositive angle function) are
-    recorded as holes, not fatal errors; the sweep is deterministic for any
-    thread count because every point writes only its own slot.  A
-    TruncationOverflow is fatal and names the gridpoint it arose at.
+    Each grid row is factorized as one batch that shares Phi_s (on
+    `threads` workers); the rows' tail records, warnings and errors then
+    take effect point by point in row order, exactly as point-by-point
+    factorization has them, so the sweep is deterministic for any thread
+    count.  Points outside the big cell (or with nonpositive angle function)
+    are recorded as holes, not fatal errors.  A TruncationOverflow is fatal
+    and names the gridpoint it arose at.
     """
     s_grid = np.asarray(s_grid, float)
     t_grid = np.asarray(t_grid, float)
     ns, nt = len(s_grid), len(t_grid)
+    N = phi_s_list[0].N
     frames = np.empty((ns, nt), dtype=object)
     h = np.full((ns, nt), np.nan)
     gauge_log = np.full((ns, nt), np.nan)
@@ -302,47 +333,43 @@ def build_extended_frames(
     hole_errors: list = []
     f_vals = [potential.f.eval(float(s)) for s in s_grid]
     g_vals = [potential.g.eval(float(t)) for t in t_grid]
+    phi_t = np.stack([loop.c for loop in phi_t_list])
+    gridpoints = [[(float(s), float(t)) for t in t_grid] for s in s_grid]
 
-    def run_row(i: int):
-        row_tail = TailAccumulator(bound=tail.bound if tail is not None else 1e-9)
-        row_errors = []
-        for j in range(nt):
-            gridpoint = (float(s_grid[i]), float(t_grid[j]))
-            try:
-                pt = _frame_point(
-                    phi_s_list[i],
-                    phi_t_list[j],
-                    f_vals[i],
-                    g_vals[j],
-                    initial,
-                    row_tail,
-                    gridpoint=gridpoint,
-                )
-            except TruncationOverflow as exc:
-                raise _overflow_at(exc, gridpoint) from exc
-            except (OutsideBigCell, GaugeFailure) as exc:
-                holes[i, j] = True
-                row_errors.append((i, j, type(exc).__name__, str(exc)))
-                continue
-            frames[i, j] = pt.loop
-            h[i, j] = pt.h
-            gauge_log[i, j] = pt.gauge_log
-            conditioning[i, j] = pt.conditioning
-        return i, row_tail, row_errors
+    def factor_row(i: int):
+        fx = _Effects(nt)
+        frame, _, vminus, conds = _iwasawa_rows(phi_s_list[i], phi_t, fx)
+        frame, h_row, log_row = _gauge_rows(
+            frame, vminus, f_vals[i], g_vals, initial, fx, gridpoints[i]
+        )
+        return fx, frame, h_row, log_row, conds
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_row, range(ns)))
-    else:
-        results = [run_row(i) for i in range(ns)]
-    for _, row_tail, row_errors in sorted(results, key=lambda r: r[0]):
-        if tail is not None:
+    row_tails = []
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = pool.map(factor_row, range(ns)) if threads > 1 else map(factor_row, range(ns))
+        for i, (fx, frame, h_row, log_row, conds) in enumerate(rows):
+            row_tails.append(TailAccumulator(bound=tail.bound if tail is not None else 1e-9))
+            for j, gridpoint in enumerate(gridpoints[i]):
+                try:
+                    fx.play(j, row_tails[-1])
+                except TruncationOverflow as exc:
+                    raise _overflow_at(exc, gridpoint) from exc
+                except (OutsideBigCell, GaugeFailure) as exc:
+                    exc.gridpoint = gridpoint
+                    holes[i, j] = True
+                    hole_errors.append((i, j, type(exc).__name__, str(exc)))
+                    continue
+                frames[i, j] = TwistedLoop(N, frame[j], enforce_parity=False)
+                h[i, j] = h_row[j]
+                gauge_log[i, j] = log_row[j]
+                conditioning[i, j] = conds[j]
+    if tail is not None:
+        for row_tail in row_tails:
             tail.merge(row_tail)
-        hole_errors.extend(row_errors)
     return FrameGrid(
         s_grid=s_grid,
         t_grid=t_grid,
-        trunc_n=phi_s_list[0].N,
+        trunc_n=N,
         frames=frames,
         h=h,
         gauge_log=gauge_log,

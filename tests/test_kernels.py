@@ -1,0 +1,176 @@
+"""The batched loop kernels against their batch-of-one calls and against the
+point-by-point algorithms they replace, bit for bit, on random twisted loops."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilweier import loop_mul
+from nilweier.factorization import _normalized_factor_inverses, _split_rows
+from nilweier.loopalg import (
+    TwistedLoop,
+    _clean_parity,
+    _Effects,
+    _inv_rows,
+    _mask,
+    _mul_rows,
+)
+
+from _oracles import random_group_loop, random_minus_star_loop, random_plus_star_loop
+
+stacks = settings(max_examples=20, deadline=None)
+sizes = dict(
+    N=st.sampled_from([1, 4, 9]), B=st.sampled_from([1, 3, 7]), seed=st.integers(0, 2**32 - 1)
+)
+
+
+def _random_stack(seed, N, B, kinds=("group", "minus", "plus")):
+    """B random twisted loops; mixing kinds leaves some degrees zero in some
+    items only, which the products' stack-wide zero skip must handle."""
+    rng = np.random.default_rng(seed)
+    make = {
+        "group": random_group_loop, "minus": random_minus_star_loop, "plus": random_plus_star_loop
+    }
+    return np.stack([make[kinds[rng.integers(len(kinds))]](rng, N).c for _ in range(B)])
+
+
+def _effects(fx, b):
+    return [(type(e).__name__, str(e)) if isinstance(e, Exception) else e for e in fx.items[b]]
+
+
+def _one_by_one(kernel, *stacks_and_args, shared=()):
+    """Run `kernel` once per item; arguments listed in `shared` are passed whole."""
+    B = max(len(x) for k, x in enumerate(stacks_and_args) if k not in shared)
+    outs = []
+    for b in range(B):
+        fx = _Effects(1)
+        args = [x if k in shared else x[b : b + 1] for k, x in enumerate(stacks_and_args)]
+        outs.append((kernel(*args, fx), fx))
+    return outs
+
+
+def _reference_mul(a, b):
+    """The point-by-point Cauchy product: one einsum per nonzero degree of a."""
+    n = len(a)
+    N = n // 2
+    full = np.zeros((2 * n - 1, 2, 2))
+    for m in range(n):
+        if a[m].any():
+            full[m : m + n] += np.einsum("ij,kjl->kil", a[m], b)
+    kept = full[N : N + n]
+    dropped = float(np.sqrt((full[:N] ** 2).sum() + (full[N + n :] ** 2).sum()))
+    out = kept.copy()
+    out[_mask(N)] = 0.0
+    return out, dropped, float(np.sqrt((kept**2).sum()))
+
+
+def _reference_inv(x, lower):
+    """The point-by-point triangular recursion of 2x2 products."""
+    N = len(x) // 2
+    y = np.zeros_like(x)
+    y0 = np.linalg.inv(x[N])
+    y[N] = y0
+    sign = -1 if lower else 1
+    for k in range(1, N + 1):
+        acc = np.zeros((2, 2))
+        for j in range(1, k + 1):
+            acc += x[N + sign * j] @ y[N + sign * (k - j)]
+        y[N + sign * k] = -y0 @ acc
+    y[_mask(N)] = 0.0
+    return y
+
+
+@stacks
+@given(**sizes)
+def test_cauchy_product_batch_equals_batch_of_one(N, B, seed):
+    a = _random_stack(seed, N, B)
+    b = _random_stack(seed + 1, N, B)
+    for left, shared in ((a, ()), (a[0], (0,))):
+        fx = _Effects(B)
+        out = _mul_rows(left, b, fx)
+        for i, (one, fx1) in enumerate(_one_by_one(_mul_rows, left, b, shared=shared)):
+            assert np.array_equal(out[i], one[0])
+            assert _effects(fx, i) == _effects(fx1, 0)
+            ref, dropped, kept = _reference_mul(a[0] if shared else a[i], b[i])
+            assert np.array_equal(out[i], ref)
+            assert fx.items[i] == [(dropped, kept)]
+    # the scalar product is the batch of one
+    prod = loop_mul(TwistedLoop(N, a[0]), TwistedLoop(N, b[0]))
+    assert np.array_equal(prod.c, _reference_mul(a[0], b[0])[0])
+
+
+@stacks
+@given(**sizes, lower=st.booleans())
+def test_triangular_inverse_batch_equals_batch_of_one(N, B, seed, lower):
+    x = _random_stack(seed, N, B, kinds=("minus",) if lower else ("plus",))
+    fx = _Effects(B)
+    out = _inv_rows(x, lower, fx)
+    for i, (one, fx1) in enumerate(_one_by_one(lambda v, f: _inv_rows(v, lower, f), x)):
+        assert np.array_equal(out[i], one[0])
+        assert np.array_equal(out[i], _reference_inv(x[i], lower))
+        assert fx.items[i] == fx1.items[0] == []
+
+
+@stacks
+@given(**sizes, level=st.sampled_from([1e-13, 1e-9, 1e-6]))
+def test_parity_clean_batch_equals_batch_of_one(N, B, seed, level):
+    rng = np.random.default_rng(seed)
+    c = _random_stack(seed, N, B)
+    # off-parity noise around the tolerance, of a different size per item
+    c = c + _mask(N) * rng.normal(size=c.shape) * level * rng.uniform(0.1, 10.0, size=(B, 1, 1, 1))
+    fx = _Effects(B)
+    out = _clean_parity(c, N, fx)
+    for i, (one, fx1) in enumerate(_one_by_one(lambda v, f: _clean_parity(v, N, f), c)):
+        assert np.array_equal(out[i], one[0])
+        assert _effects(fx, i) == _effects(fx1, 0)
+        assert fx.alive[i] == fx1.alive[0]
+    assert not out[:, _mask(N)].any()
+
+
+@stacks
+@given(**sizes, sign=st.sampled_from([-1, 1]))
+def test_normalized_factor_inverse_batch_equals_batch_of_one(N, B, seed, sign):
+    w = _random_stack(seed, N, B, kinds=("group",))
+    fx = _Effects(B)
+    u, conds = _normalized_factor_inverses(w, sign, fx)
+    for i, ((u1, c1), fx1) in enumerate(
+        _one_by_one(lambda v, f: _normalized_factor_inverses(v, sign, f), w)
+    ):
+        assert np.array_equal(u[i], u1[0])
+        assert conds[i] == c1[0]
+        assert _effects(fx, i) == _effects(fx1, 0)
+
+
+def _factorable_stack(seed, N, B):
+    """B loops M D P: M a product of up to N twisted shears (I + a lam^-1 E),
+    D = diag(d, 1/d), P a product of up to N shears (I + a lam E).  Both
+    factors and their inverses are polynomials of degree <= N, so the split
+    is exact within the truncation."""
+    rng = np.random.default_rng(seed)
+    E = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    out = []
+    for _ in range(B):
+        d = np.exp(0.3 * rng.normal())
+        loop = TwistedLoop.from_terms(N, {0: np.diag([d, 1.0 / d])})
+        for _ in range(rng.integers(0, N + 1)):
+            shear = {0: np.eye(2), -1: 0.5 * rng.normal() * E[rng.integers(2)]}
+            loop = loop_mul(TwistedLoop.from_terms(N, shear), loop)
+        for _ in range(rng.integers(0, N + 1)):
+            shear = {0: np.eye(2), 1: 0.5 * rng.normal() * E[rng.integers(2)]}
+            loop = loop_mul(loop, TwistedLoop.from_terms(N, shear))
+        out.append(loop.c)
+    return np.stack(out)
+
+
+@stacks
+@given(**sizes, sign=st.sampled_from([-1, 1]))
+def test_birkhoff_factors_multiply_back(N, B, seed, sign):
+    w = _factorable_stack(seed, N, B)
+    fx = _Effects(B)
+    minus, plus, _ = _split_rows(w, sign, fx)
+    assert fx.alive.all()
+    for i in range(B):
+        left, right = (minus[i], plus[i]) if sign < 0 else (plus[i], minus[i])
+        recon = loop_mul(TwistedLoop(N, left), TwistedLoop(N, right))
+        loop = TwistedLoop(N, w[i])
+        assert (recon - loop).norm() <= 1e-10 * loop.norm()

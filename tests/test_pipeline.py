@@ -1,10 +1,13 @@
+import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nilweier import (
     DegeneratePotential,
+    GaugeFailure,
     LoopPair,
     OutsideBigCell,
     ParaComplex,
@@ -14,10 +17,12 @@ from nilweier import (
     loop_mul,
     pair_eval,
 )
+from nilweier import factorization
 from nilweier.loopalg import TailAccumulator
 from nilweier.pipeline import (
     Pipeline,
     _AxisFlow,
+    _frame_point,
     build_extended_frames,
     extract_normalized_potential,
     integrate_weierstrass_path,
@@ -120,15 +125,139 @@ def test_truncation_overflow_propagates():
         solve_frame_ode(pot, np.linspace(-3, 3, 13), np.linspace(-3, 3, 13), 8, trunc_n=4)
 
 
+def _reference_sweep(phi_s, phi_t, pot, s_grid, t_grid, initial=None, bound=1e-9):
+    """The sweep point by point: scalar `_frame_point` calls in row order, one
+    tail account per row merged in row order.  Returns (frames, h, gauge_log,
+    conditioning, holes, hole_errors, tail); a TruncationOverflow names the
+    gridpoint it arose at."""
+    ns, nt = len(s_grid), len(t_grid)
+    frames = np.empty((ns, nt), dtype=object)
+    h, gauge_log, cond = (np.full((ns, nt), np.nan) for _ in range(3))
+    holes = np.zeros((ns, nt), dtype=bool)
+    errors, row_tails = [], []
+    for i, s in enumerate(s_grid):
+        row_tails.append(TailAccumulator(bound))
+        for j, t in enumerate(t_grid):
+            gridpoint = (float(s), float(t))
+            try:
+                pt = _frame_point(
+                    phi_s[i], phi_t[j], pot.f.eval(float(s)), pot.g.eval(float(t)), initial,
+                    row_tails[-1], gridpoint=gridpoint,
+                )
+            except TruncationOverflow as exc:
+                raise TruncationOverflow(str(exc), gridpoint=gridpoint) from exc
+            except (OutsideBigCell, GaugeFailure) as exc:
+                holes[i, j] = True
+                errors.append((i, j, type(exc).__name__, str(exc)))
+                continue
+            frames[i, j] = pt.loop
+            h[i, j], gauge_log[i, j], cond[i, j] = pt.h, pt.gauge_log, pt.conditioning
+    tail = TailAccumulator(bound)
+    for row_tail in row_tails:
+        tail.merge(row_tail)
+    return frames, h, gauge_log, cond, holes, errors, tail
+
+
 def test_truncation_overflow_in_sweep_names_gridpoint():
     pot = translate_potential("1", "0", "0.0625", "0")
-    grid = np.linspace(-1, 1, 5)
+    for grid, bound, first in (
+        (np.linspace(-1, 1, 5), 1e-300, (-1.0, -1.0)),
+        # the corner is not the worst point here: the first overflow is mid-row
+        (np.linspace(-0.5, 1.5, 5), 1e-13, (-0.5, 1.0)),
+    ):
+        phi_s, phi_t, _, _ = solve_frame_ode(pot, grid, grid, steps_per_cell=4, trunc_n=8)
+        with pytest.raises(TruncationOverflow) as ref:
+            _reference_sweep(phi_s, phi_t, pot, grid, grid, bound=bound)
+        with pytest.raises(TruncationOverflow) as exc:
+            build_extended_frames(phi_s, phi_t, pot, grid, grid, tail=TailAccumulator(bound=bound))
+        assert exc.value.gridpoint == ref.value.gridpoint == first
+        s, t = first
+        assert str(exc.value) == f"{ref.value} at gridpoint (s={s}, t={t})"
+
+
+def _near_boundary_plane(initial):
+    """Plane frames on a grid with both hole causes and two points whose
+    factorization is near the big-cell boundary (cond above COND_WARN)."""
+    pot = translate_potential("4", "0", "0", "0")
+    _, _, flow_s, flow_t = solve_frame_ode(
+        pot, np.linspace(-2, 2, 9), np.linspace(-2, 2, 9), steps_per_cell=4, trunc_n=12
+    )
+    s_grid = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    t_grid = np.array([-2.0, -1.0, -0.999999999999, -0.5, -0.4999999999998, 0.0, 0.5, 1.0, 2.0])
+    if initial:
+        from nilweier.config import _umbrella_frame
+
+        A = _umbrella_frame(0.5)
+        initial = TwistedLoop.from_terms(12, {k: A.coeff(k) for k in range(-4, 5)})
+    else:
+        initial = None
+    phi_s = [flow_s.at(s) for s in s_grid]
+    phi_t = [flow_t.at(t) for t in t_grid]
+    return phi_s, phi_t, pot, s_grid, t_grid, initial
+
+
+def _near_boundary_warnings(caught):
+    return [str(w.message) for w in caught if "near big-cell boundary" in str(w.message)]
+
+
+@pytest.mark.parametrize("initial", [False, True], ids=["plain", "umbrella"])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_sweep_equals_point_by_point_reference(initial, threads, monkeypatch):
+    phi_s, phi_t, pot, s_grid, t_grid, initial = _near_boundary_plane(initial)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref = _reference_sweep(phi_s, phi_t, pot, s_grid, t_grid, initial)
+    ref_warnings = _near_boundary_warnings(caught)
+    inversions = []
+    real_inv = factorization._inv_triangular
+
+    def counted_inv(x, lower):
+        inversions.append(x)
+        return real_inv(x, lower)
+
+    monkeypatch.setattr(factorization, "_inv_triangular", counted_inv)
+    tail = TailAccumulator()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fg = build_extended_frames(
+            phi_s, phi_t, pot, s_grid, t_grid, initial=initial, tail=tail, threads=threads
+        )
+    # Phi_s is inverted once per row, not once per gridpoint
+    assert len(inversions) == len(s_grid)
+    frames, h, gauge_log, cond, holes, errors, ref_tail = ref
+    assert {e[2] for e in errors} == {"OutsideBigCell", "GaugeFailure"}
+    assert len(ref_warnings) == 2
+    assert np.array_equal(fg.holes, holes)
+    for (i, j), loop in np.ndenumerate(frames):
+        assert (fg.frames[i, j] is None) == (loop is None)
+        if loop is not None:
+            assert np.array_equal(fg.frames[i, j].c, loop.c)
+    assert np.array_equal(fg.h, h, equal_nan=True)
+    assert np.array_equal(fg.gauge_log, gauge_log, equal_nan=True)
+    assert np.array_equal(fg.conditioning, cond, equal_nan=True)
+    assert fg.hole_errors == errors
+    assert (tail.dropped, tail.kept) == (ref_tail.dropped, ref_tail.kept)
+    assert _near_boundary_warnings(caught) == ref_warnings
+
+
+def test_holes_leave_no_reference_cycles(plane_pipe):
+    """A hole's error is raised from the batch's kept effects; it must not
+    keep them alive through its traceback, or every sweep and point
+    evaluation leaves cyclic garbage behind."""
+    pot = translate_potential("4", "0", "0", "0")
+    grid = np.linspace(-2, 2, 9)
     phi_s, phi_t, _, _ = solve_frame_ode(pot, grid, grid, steps_per_cell=4, trunc_n=8)
-    with pytest.raises(TruncationOverflow) as exc:
-        build_extended_frames(phi_s, phi_t, pot, grid, grid, tail=TailAccumulator(bound=1e-300))
-    s, t = exc.value.gridpoint
-    assert s in grid and t in grid
-    assert f"gridpoint (s={s}, t={t})" in str(exc.value)
+    gc.collect()
+    gc.disable()
+    try:
+        fg = build_extended_frames(phi_s, phi_t, pot, grid, grid)
+        for s, t in ((1.0, -1.0), (1.5, -1.5)):
+            with pytest.raises((OutsideBigCell, GaugeFailure)):
+                plane_pipe.frame_at(s, t)
+        assert fg.holes.sum() > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- extended frames -----------------------------------------------------------
