@@ -5,8 +5,7 @@
     nilweier roundtrip --config <path-or-builtin>
     nilweier list-builtins
 
-Exit codes: 0 all good, 2 verification failures, 1 hard error.  The
-environment variable NILWEIER_THREADS overrides the grid-stage parallelism.
+Exit codes: 0 all good, 2 verification failures, 1 hard error.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import BUILTINS, load_config, threads_from_env
+from .config import BUILTINS, load_config
 from .errors import NilWeierError
 from .export import export_csv, export_obj
 from .verify import roundtrip_errors, run_diagnostics, run_verification
@@ -28,7 +27,7 @@ __all__ = ["main", "cmd_generate", "cmd_verify", "cmd_roundtrip", "cmd_list_buil
 
 def _run_pipeline(config_source):
     cfg = load_config(config_source)
-    pipeline = cfg.make_pipeline(threads=threads_from_env())
+    pipeline = cfg.make_pipeline()
     pipeline.run()
     return cfg, pipeline
 

@@ -51,7 +51,7 @@ class RunConfig:
     def t_grid(self) -> np.ndarray:
         return _snapped_linspace(self.t_min, self.t_max, self.nt)
 
-    def make_pipeline(self, threads: int = 1) -> Pipeline:
+    def make_pipeline(self) -> Pipeline:
         return Pipeline(
             self.potential,
             self.s_grid(),
@@ -60,7 +60,6 @@ class RunConfig:
             steps_per_cell=self.steps_per_cell,
             thetas=self.thetas,
             initial_frame=self.initial_frame,
-            threads=threads,
         )
 
 
@@ -216,6 +215,8 @@ def load_config(source) -> RunConfig:
     )
 
 
+# The engine runs on one thread; this reader stays only because the benchmark
+# harness (perfbench/worker.py) imports it to report `threads`.
 def threads_from_env(default: int = 1) -> int:
     raw = os.environ.get("NILWEIER_THREADS", "")
     try:

@@ -68,7 +68,8 @@ class DegenerateMetric(NilWeierError):
 
 
 class GridTooCoarse(NilWeierError):
-    """Finite difference noise floor exceeds the residual being claimed."""
+    """Finite differences cannot resolve the claim: the noise floor exceeds
+    the residual, or no gridpoint has a hole-free neighborhood."""
 
 
 class ProjectionPole(NilWeierError):

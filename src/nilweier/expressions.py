@@ -125,7 +125,7 @@ class Expression:
         return out
 
     def pretty(self) -> str:
-        return _pretty(self.ast, 0)
+        return _pretty_prec(self.ast)[0]
 
     def __repr__(self):
         return f"Expression({self.pretty()!r}, variable={self.variable!r})"
@@ -174,10 +174,6 @@ def _pretty_prec(node) -> tuple[str, int]:
         right = f"({right})"
     joined = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
     return joined, prec
-
-
-def _pretty(node, _unused: int = 0) -> str:
-    return _pretty_prec(node)[0]
 
 
 class _Parser:

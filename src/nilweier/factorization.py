@@ -147,9 +147,7 @@ def _split_rows(w: np.ndarray, sign: int, fx: _Effects):
 _SIGNS = {"minus_star_plus": -1, "plus_star_minus": +1}
 
 
-def birkhoff_split(
-    w: TwistedLoop, order: str = "minus_star_plus", tail: TailAccumulator | None = None
-) -> BirkhoffResult:
+def birkhoff_split(w: TwistedLoop, order: str = "minus_star_plus") -> BirkhoffResult:
     """Split w into normalized-at-one-end factors; see module docstring.
 
     Raises OutsideBigCell when the coefficient system is singular; a condition
@@ -160,7 +158,7 @@ def birkhoff_split(
         raise ValueError(f"unknown order {order!r}")
     fx = _Effects(1)
     minus, plus, conds = _split_rows(w.c[None], _SIGNS[order], fx)
-    fx.play(0, tail)
+    fx.play(0, None)
     return BirkhoffResult(
         minus=TwistedLoop(w.N, minus[0], enforce_parity=False),
         plus=TwistedLoop(w.N, plus[0], enforce_parity=False),

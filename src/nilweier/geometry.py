@@ -103,15 +103,8 @@ def lie_bracket(X, Y) -> np.ndarray:
     return np.array([0.0 * X[0], 0.0 * X[0], X[0] * Y[1] - X[1] * Y[0]])
 
 
-def nil_metric_and_bracket(X, Y, at=None):
-    """(g(X,Y), {X,Y}) for vectors given in the left-invariant frame.
-
-    If `at` is provided the inputs are coordinate vectors at that point and
-    are left-translated first.
-    """
-    if at is not None:
-        X = nil_left_translate(at, X)
-        Y = nil_left_translate(at, Y)
+def nil_metric_and_bracket(X, Y):
+    """(g(X,Y), {X,Y}) for vectors given in the left-invariant frame."""
     return nil_metric(X, Y), sym_bracket(X, Y)
 
 
@@ -124,21 +117,21 @@ def _central(fn, x: float, h: float):
     return (np.asarray(fn(x + h)) - np.asarray(fn(x - h))) / (2.0 * h)
 
 
-def _richardson(estimate, h: float, levels: int):
-    """Extrapolate a second-order estimate(step) over the steps h, h/2, ..."""
-    table = [estimate(h / (2.0**k)) for k in range(levels)]
-    for m in range(1, levels):
+def _richardson(estimate, h: float):
+    """Extrapolate a second-order estimate(step) over the steps h, h/2, h/4."""
+    table = [estimate(h / (2.0**k)) for k in range(3)]
+    for m in range(1, 3):
         fac = 4.0**m
         table = [(fac * table[k + 1] - table[k]) / (fac - 1.0) for k in range(len(table) - 1)]
     return table[0]
 
 
-def richardson_d1(fn, x: float, h: float, levels: int = 2):
+def richardson_d1(fn, x: float, h: float):
     """Richardson-extrapolated first derivative of a vector-valued callable."""
-    return _richardson(lambda hh: _central(fn, x, hh), h, levels)
+    return _richardson(lambda hh: _central(fn, x, hh), h)
 
 
-def cross_d2(fn, s: float, t: float, h: float, levels: int = 2):
+def cross_d2(fn, s: float, t: float, h: float):
     """Richardson-extrapolated mixed derivative d^2/(ds dt) of fn(s, t)."""
 
     def estimate(hh):
@@ -149,7 +142,7 @@ def cross_d2(fn, s: float, t: float, h: float, levels: int = 2):
             + np.asarray(fn(s - hh, t - hh))
         ) / (4.0 * hh * hh)
 
-    return _richardson(estimate, h, levels)
+    return _richardson(estimate, h)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +388,8 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
         scale = math.sqrt(max(abs(eu), 1e-12))
         if min(abs(n1[0]), abs(n1[1])) > 1e-2 * scale:
             base = max(step, 2e-2)
-            dp = float(richardson_d1(lambda x: nulls(x, t)[2], s, base, levels=3))
-            dq = float(richardson_d1(lambda x: nulls(s, x)[3], t, base, levels=3))
+            dp = float(richardson_d1(lambda x: nulls(x, t)[2], s, base))
+            dq = float(richardson_d1(lambda x: nulls(s, x)[3], t, base))
             pot_p = -dp / n1[0]
             pot_q = -dq / n1[1]
             worst_repot = max(worst_repot, abs((pot_p + pot_q) / 2.0))
@@ -520,13 +513,14 @@ def gauss_from_spinors(psi1: ParaComplex, psi2: ParaComplex) -> ParaComplex:
 # ---------------------------------------------------------------------------
 
 
-def flatness_residual(h_fn, Q_fn, R_fn, points, thetas, step: float = 2e-2) -> float:
+def flatness_residual(h_fn, Q_fn, R_fn, points, thetas) -> float:
     """Residual of d alpha + alpha ^ alpha for the spectral connection family.
 
     alpha is assembled from the angle function h and the potential data
     (Q, R); its curvature U_zbar - V_z + [V, U] is evaluated slotwise in
     null coordinates at each theta.  First and mixed derivatives of log h
-    are Richardson extrapolated, so the result is FD-noise limited.
+    are Richardson extrapolated from step 2e-2, so the result is FD-noise
+    limited.
     """
     worst = 0.0
     for s, t in points:
@@ -541,9 +535,9 @@ def flatness_residual(h_fn, Q_fn, R_fn, points, thetas, step: float = 2e-2) -> f
         def logh_t(x):
             return math.log(h_fn(s, x))
 
-        a = float(richardson_d1(logh_s, s, step, levels=3))  # d_s log h
-        b = float(richardson_d1(logh_t, t, step, levels=3))  # d_t log h
-        m = float(cross_d2(lambda u, v: math.log(h_fn(u, v)), s, t, step, levels=3))
+        a = float(richardson_d1(logh_s, s, 2e-2))  # d_s log h
+        b = float(richardson_d1(logh_t, t, 2e-2))  # d_t log h
+        m = float(cross_d2(lambda u, v: math.log(h_fn(u, v)), s, t, 2e-2))
         h_s = a * h
         h_t = b * h
         for theta in thetas:

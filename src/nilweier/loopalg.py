@@ -369,20 +369,21 @@ def loop_inv(a: TwistedLoop, tail: TailAccumulator | None = None) -> TwistedLoop
     return out
 
 
-def loop_exp(x: TwistedLoop, tail: TailAccumulator | None = None, terms: int = 40) -> TwistedLoop:
-    """exp of an algebra loop by scaling and squaring over loop_mul."""
+def loop_exp(x: TwistedLoop) -> TwistedLoop:
+    """exp of an algebra loop by scaling and squaring over loop_mul (at most
+    40 Taylor terms)."""
     scale = x.norm()
     squarings = max(0, int(math.ceil(math.log2(scale / 0.25))) if scale > 0.25 else 0)
     xs = (1.0 / (2**squarings)) * x
     acc = TwistedLoop.identity(x.N)
     term = TwistedLoop.identity(x.N)
-    for k in range(1, terms + 1):
-        term = loop_mul(term, (1.0 / k) * xs, tail)
+    for k in range(1, 41):
+        term = loop_mul(term, (1.0 / k) * xs)
         acc = acc + term
         if term.norm() < 1e-18 * max(acc.norm(), 1.0):
             break
     for _ in range(squarings):
-        acc = loop_mul(acc, acc, tail)
+        acc = loop_mul(acc, acc)
     return acc
 
 
@@ -468,10 +469,10 @@ class LoopPair:
     def identity(N: int) -> "LoopPair":
         return LoopPair(TwistedLoop.identity(N), TwistedLoop.identity(N))
 
-    def mul(self, other: "LoopPair", tail: TailAccumulator | None = None) -> "LoopPair":
+    def mul(self, other: "LoopPair") -> "LoopPair":
         return LoopPair(
-            loop_mul(self.slot_s, other.slot_s, tail),
-            loop_mul(self.slot_t, other.slot_t, tail),
+            loop_mul(self.slot_s, other.slot_s),
+            loop_mul(self.slot_t, other.slot_t),
         )
 
 

@@ -23,7 +23,6 @@ frame along the coordinate axes and differentiates the normalized factors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,9 +76,8 @@ _VANISH_TOL = 1e-12
 class PotentialSpec:
     """Para-holomorphic potential in real-pair form.
 
-    The four coefficient functions are f(s), g(t), Q(s), R(t); `provenance`
-    records whether they came from normalized data (b, B) or were given
-    directly.  For normalized data f = Re b + Im b, g = Re b - Im b,
+    The four coefficient functions are f(s), g(t), Q(s), R(t).  For
+    normalized data (b, B) f = Re b + Im b, g = Re b - Im b,
     Q = 4(Re B + Im B), R = 4(Re B - Im B), all read on the real axis.
     """
 
@@ -87,7 +85,6 @@ class PotentialSpec:
     g: Expression
     Q: Expression
     R: Expression
-    provenance: str = "pair-direct"
 
     def xi_s(self, s: float) -> np.ndarray:
         fv = self.f.eval(s)
@@ -126,7 +123,6 @@ def translate_potential(b_re: str, b_im: str, B_re: str, B_im: str) -> Potential
         g=rename_variable(combine("-", bre, bim), "t"),
         Q=rename_variable(const_times(4.0, combine("+", Bre, Bim)), "s"),
         R=rename_variable(const_times(4.0, combine("-", Bre, Bim)), "t"),
-        provenance="normalized",
     )
 
 
@@ -136,7 +132,6 @@ def pair_potential(f: str, g: str, Q: str, R: str) -> PotentialSpec:
         g=parse_expression(g, "t"),
         Q=parse_expression(Q, "s"),
         R=parse_expression(R, "t"),
-        provenance="pair-direct",
     )
 
 
@@ -213,8 +208,14 @@ def solve_frame_ode(
     spu = steps_per_cell / min_cell
     flow_s = _AxisFlow(potential.xi_s, -1, trunc_n, spu, tail)
     flow_t = _AxisFlow(potential.xi_t, +1, trunc_n, spu, tail)
-    phi_s = [flow_s.at(s) for s in s_grid]
-    phi_t = [flow_t.at(t) for t in t_grid]
+    phi_s, phi_t = [], []
+    for flow, grid, out, axis in ((flow_s, s_grid, phi_s, 0), (flow_t, t_grid, phi_t, 1)):
+        for x in grid:
+            try:
+                out.append(flow.at(x))
+            except TruncationOverflow as exc:
+                point = (float(x), 0.0) if axis == 0 else (0.0, float(x))
+                raise _overflow_at(exc, point) from exc
     return phi_s, phi_t, flow_s, flow_t
 
 
@@ -309,17 +310,15 @@ def build_extended_frames(
     t_grid,
     initial: TwistedLoop | None = None,
     tail: TailAccumulator | None = None,
-    threads: int = 1,
 ) -> FrameGrid:
     """Per-gridpoint Iwasawa decomposition plus diagonal gauge normalization.
 
-    Each grid row is factorized as one batch that shares Phi_s (on
-    `threads` workers); the rows' tail records, warnings and errors then
-    take effect point by point in row order, exactly as point-by-point
-    factorization has them, so the sweep is deterministic for any thread
-    count.  Points outside the big cell (or with nonpositive angle function)
-    are recorded as holes, not fatal errors.  A TruncationOverflow is fatal
-    and names the gridpoint it arose at.
+    Each grid row is factorized as one batch that shares Phi_s; the row's
+    tail records, warnings and errors then take effect point by point,
+    exactly as point-by-point factorization has them.  Points outside the
+    big cell (or with nonpositive angle function) are recorded as holes, not
+    fatal errors.  A TruncationOverflow is fatal and names the gridpoint it
+    arose at.
     """
     s_grid = np.asarray(s_grid, float)
     t_grid = np.asarray(t_grid, float)
@@ -336,35 +335,31 @@ def build_extended_frames(
     phi_t = np.stack([loop.c for loop in phi_t_list])
     gridpoints = [[(float(s), float(t)) for t in t_grid] for s in s_grid]
 
-    def factor_row(i: int):
+    for i in range(ns):
         fx = _Effects(nt)
         frame, _, vminus, conds = _iwasawa_rows(phi_s_list[i], phi_t, fx)
         frame, h_row, log_row = _gauge_rows(
             frame, vminus, f_vals[i], g_vals, initial, fx, gridpoints[i]
         )
-        return fx, frame, h_row, log_row, conds
-
-    row_tails = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = pool.map(factor_row, range(ns)) if threads > 1 else map(factor_row, range(ns))
-        for i, (fx, frame, h_row, log_row, conds) in enumerate(rows):
-            row_tails.append(TailAccumulator(bound=tail.bound if tail is not None else 1e-9))
-            for j, gridpoint in enumerate(gridpoints[i]):
-                try:
-                    fx.play(j, row_tails[-1])
-                except TruncationOverflow as exc:
-                    raise _overflow_at(exc, gridpoint) from exc
-                except (OutsideBigCell, GaugeFailure) as exc:
-                    exc.gridpoint = gridpoint
-                    holes[i, j] = True
-                    hole_errors.append((i, j, type(exc).__name__, str(exc)))
-                    continue
-                frames[i, j] = TwistedLoop(N, frame[j], enforce_parity=False)
-                h[i, j] = h_row[j]
-                gauge_log[i, j] = log_row[j]
-                conditioning[i, j] = conds[j]
-    if tail is not None:
-        for row_tail in row_tails:
+        # Each row has its own account, merged in row order: the overflow
+        # check runs against the row's mass, and the merged sums are the
+        # manifest's tail_relative, so their order must not change.
+        row_tail = TailAccumulator(bound=tail.bound if tail is not None else 1e-9)
+        for j, gridpoint in enumerate(gridpoints[i]):
+            try:
+                fx.play(j, row_tail)
+            except TruncationOverflow as exc:
+                raise _overflow_at(exc, gridpoint) from exc
+            except (OutsideBigCell, GaugeFailure) as exc:
+                exc.gridpoint = gridpoint
+                holes[i, j] = True
+                hole_errors.append((i, j, type(exc).__name__, str(exc)))
+                continue
+            frames[i, j] = TwistedLoop(N, frame[j], enforce_parity=False)
+            h[i, j] = h_row[j]
+            gauge_log[i, j] = log_row[j]
+            conditioning[i, j] = conds[j]
+        if tail is not None:
             tail.merge(row_tail)
     return FrameGrid(
         s_grid=s_grid,
@@ -476,7 +471,6 @@ class Pipeline:
         steps_per_cell: int = 8,
         thetas=(0.0,),
         initial_frame: TwistedLoop | None = None,
-        threads: int = 1,
         tail_bound: float = 1e-9,
     ):
         self.potential = potential
@@ -485,7 +479,6 @@ class Pipeline:
         self.trunc_n = int(trunc_n)
         self.steps_per_cell = int(steps_per_cell)
         self.thetas = np.asarray(thetas, float)
-        self.threads = max(1, int(threads))
         self.tail = TailAccumulator(bound=tail_bound)
         self.point_tail = TailAccumulator(bound=tail_bound)
         if initial_frame is not None and initial_frame.N != self.trunc_n:
@@ -511,7 +504,6 @@ class Pipeline:
             self.t_grid,
             initial=self.initial_frame,
             tail=self.tail,
-            threads=self.threads,
         )
         fg = self.frame_grid
         for (i, j), loop in np.ndenumerate(fg.frames):
@@ -593,8 +585,10 @@ class ExtractedPotential:
     B_hat: list  # ParaComplex samples of (Q l + R lbar)/4
 
 
-def _log_derivative_loop(factor_fn, x: float, delta: float) -> TwistedLoop:
-    """A(x)^{-1} A'(x) by a 4th-order central stencil on the factor loops."""
+def _log_derivative_loop(factor_fn, x: float) -> TwistedLoop:
+    """A(x)^{-1} A'(x) by a 4th-order central stencil of step 1e-2 on the
+    factor loops."""
+    delta = 1e-2
     deriv = (1.0 / (12.0 * delta)) * (
         factor_fn(x - 2 * delta)
         + (-8.0) * factor_fn(x - delta)
@@ -604,9 +598,7 @@ def _log_derivative_loop(factor_fn, x: float, delta: float) -> TwistedLoop:
     return loop_mul(loop_inv(factor_fn(x)), deriv)
 
 
-def extract_normalized_potential(
-    pipeline: Pipeline, axis_values=None, fd_step: float = 1e-2
-) -> ExtractedPotential:
+def extract_normalized_potential(pipeline: Pipeline, axis_values=None) -> ExtractedPotential:
     """Recover the normalized potential data from the frame family.
 
     The frame at (s, 0) is Birkhoff-split with the minus factor normalized at
@@ -627,11 +619,11 @@ def extract_normalized_potential(
     f_rec, Q_rec, g_rec, R_rec = [], [], [], []
     for x in axis_values:
         xs = float(x)
-        xi_s = _log_derivative_loop(minus_factor, xs, fd_step).coeff(-1)
+        xi_s = _log_derivative_loop(minus_factor, xs).coeff(-1)
         fv = -4.0 * xi_s[0, 1]
         f_rec.append(fv)
         Q_rec.append(xi_s[1, 0] * fv)
-        xi_t = _log_derivative_loop(plus_factor, xs, fd_step).coeff(+1)
+        xi_t = _log_derivative_loop(plus_factor, xs).coeff(+1)
         gv = 4.0 * xi_t[1, 0]
         g_rec.append(gv)
         R_rec.append(-xi_t[0, 1] * gv)
@@ -671,11 +663,11 @@ def _phi_null(spinor_fn, s: float, t: float):
     return p, q
 
 
-def integrate_weierstrass_path(spinor_fn, waypoints, cells_per_unit: float = 10.0) -> np.ndarray:
+def integrate_weierstrass_path(spinor_fn, waypoints) -> np.ndarray:
     """Integrate the Weierstrass 1-form along an axis-aligned polyline.
 
     Each segment uses composite Simpson quadrature with at least one cell per
-    1/cells_per_unit of parameter length.  Returns the increment vector.
+    0.1 of parameter length.  Returns the increment vector.
     """
     total = np.zeros(3)
     for (s0, t0), (s1, t1) in zip(waypoints[:-1], waypoints[1:]):
@@ -685,7 +677,7 @@ def integrate_weierstrass_path(spinor_fn, waypoints, cells_per_unit: float = 10.
             continue
         along_s = t0 == t1
         a, b = (s0, s1) if along_s else (t0, t1)
-        ncells = max(1, int(math.ceil(abs(b - a) * cells_per_unit)))
+        ncells = max(1, int(math.ceil(abs(b - a) * 10.0)))
         xs = np.linspace(a, b, ncells + 1)
         comp = 0 if along_s else 1
         for x0, x1 in zip(xs[:-1], xs[1:]):
@@ -698,32 +690,18 @@ def integrate_weierstrass_path(spinor_fn, waypoints, cells_per_unit: float = 10.
     return total
 
 
-def weierstrass_integral_L3(
-    spinor_fn,
-    s_values,
-    t_values,
-    basepoint=(0.0, 0.0),
-    base_value=(0.0, 0.0, 0.0),
-    cells_per_unit: float = 10.0,
-) -> np.ndarray:
+def weierstrass_integral_L3(spinor_fn, s_values, t_values) -> np.ndarray:
     """Surface samples from path integration of the spinor 1-form.
 
-    Integrates from `basepoint` along the t = t_base row first, then up each
-    column; the 1-form is closed, so the path choice only matters through
-    quadrature error.
+    Integrates from the basepoint (0, 0) along the t = 0 row first, then up
+    each column; the 1-form is closed, so the path choice only matters
+    through quadrature error.
     """
-    s_values = np.asarray(s_values, float)
-    t_values = np.asarray(t_values, float)
-    s_base, t_base = float(basepoint[0]), float(basepoint[1])
     out = np.zeros((len(s_values), len(t_values), 3))
-    row = {}
-    for i, s in enumerate(s_values):
-        row[i] = np.asarray(base_value, float) + integrate_weierstrass_path(
-            spinor_fn, [(s_base, t_base), (float(s), t_base)], cells_per_unit
-        )
-    for i, s in enumerate(s_values):
-        for j, t in enumerate(t_values):
-            out[i, j] = row[i] + integrate_weierstrass_path(
-                spinor_fn, [(float(s), t_base), (float(s), float(t))], cells_per_unit
+    for i, s in enumerate(np.asarray(s_values, float)):
+        row = integrate_weierstrass_path(spinor_fn, [(0.0, 0.0), (float(s), 0.0)])
+        for j, t in enumerate(np.asarray(t_values, float)):
+            out[i, j] = row + integrate_weierstrass_path(
+                spinor_fn, [(float(s), 0.0), (float(s), float(t))]
             )
     return out

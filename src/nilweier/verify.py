@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateMetric
+from .errors import DegenerateMetric, GridTooCoarse
 from .geometry import (
     _xy_tangents,
     abresch_rosenberg,
@@ -31,8 +31,8 @@ __all__ = ["run_verification", "safe_points", "roundtrip_errors", "run_diagnosti
 _LAMBDA_THETAS = (0.0, 0.25, -0.25, 0.5, -0.5)
 
 
-def safe_points(pipeline: Pipeline, count: int = 9, margin: int = 2, nil_side: bool = False):
-    """Interior gridpoints with a hole-free neighborhood, downsampled.
+def safe_points(pipeline: Pipeline, count: int = 9, nil_side: bool = False):
+    """Interior gridpoints with a hole-free 5x5 neighborhood, downsampled.
 
     With nil_side=True, only points whose Heisenberg conformal factor e^u at
     the first spectral angle, read exactly from the sweep's spinors, lies
@@ -41,10 +41,9 @@ def safe_points(pipeline: Pipeline, count: int = 9, margin: int = 2, nil_side: b
     fg = pipeline.frame_grid
     ns, nt = len(fg.s_grid), len(fg.t_grid)
     candidates = []
-    for i in range(margin, ns - margin):
-        for j in range(margin, nt - margin):
-            block = fg.holes[i - margin : i + margin + 1, j - margin : j + margin + 1]
-            if block.any():
+    for i in range(2, ns - 2):
+        for j in range(2, nt - 2):
+            if fg.holes[i - 2 : i + 3, j - 2 : j + 3].any():
                 continue
             candidates.append((float(fg.s_grid[i]), float(fg.t_grid[j])))
     if nil_side and candidates:
@@ -140,6 +139,9 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     sg = pipeline.surface_grid
     checks = []
     pts = safe_points(pipeline)
+    # the Nil-side selection draws on the same candidates, so it is empty whenever this is
+    if not pts:
+        raise GridTooCoarse("no interior gridpoint has a hole-free 5x5 neighborhood to verify at")
     pts_nil = safe_points(pipeline, nil_side=True)
     theta0 = float(pipeline.thetas[0])
     thetas = [float(x) for x in pipeline.thetas]

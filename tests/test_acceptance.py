@@ -51,23 +51,23 @@ def _report(num, name, ok, detail):
 @pytest.fixture(scope="module")
 def cylinder_run():
     start = time.monotonic()
-    pipe = builtin_config("cylinder").make_pipeline(threads=1).run()
+    pipe = builtin_config("cylinder").make_pipeline().run()
     return pipe, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def hyperbolic_run():
-    return builtin_config("hyperbolic-cylinder").make_pipeline(threads=1).run()
+    return builtin_config("hyperbolic-cylinder").make_pipeline().run()
 
 
 @pytest.fixture(scope="module")
 def plane_run():
-    return builtin_config("horizontal-plane").make_pipeline(threads=1).run()
+    return builtin_config("horizontal-plane").make_pipeline().run()
 
 
 @pytest.fixture(scope="module")
 def bscroll_run():
-    return builtin_config("bscroll").make_pipeline(threads=1).run()
+    return builtin_config("bscroll").make_pipeline().run()
 
 
 def test_criterion_1_cylinder_oracle(cylinder_run):

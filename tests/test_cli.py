@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from nilweier import EmptyGrid
+from nilweier import EmptyGrid, GridTooCoarse
 from nilweier.cli import cmd_generate, cmd_list_builtins, cmd_roundtrip, cmd_verify, main
 from nilweier.config import load_config
 from nilweier.export import export_csv, export_obj
@@ -127,16 +127,15 @@ def test_generate_writes_meshes_and_manifest(tmp_path):
     assert np.abs(verts[:, 2] - verts[:, 0] * verts[:, 1] / 2.0).max() < 1e-6
 
 
-def test_generate_deterministic_across_threads(tmp_path, monkeypatch):
+def test_generate_is_deterministic(tmp_path):
     tmp_path = str(tmp_path)
     cfg = _small_cylinder_config(tmp_path)
     blobs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("NILWEIER_THREADS", threads)
-        out = os.path.join(tmp_path, f"out{threads}")
+    for run in ("a", "b"):
+        out = os.path.join(tmp_path, f"out-{run}")
         cmd_generate(cfg, out)
         blob = {}
-        for name in ("nil_00.obj", "l3_00.obj", "surfaces.csv"):
+        for name in ("nil_00.obj", "l3_00.obj", "surfaces.csv", "manifest.json"):
             blob[name] = open(os.path.join(out, name), "rb").read()
         blobs.append(blob)
     assert blobs[0] == blobs[1]
@@ -253,6 +252,20 @@ def test_main_exit_codes(tmp_path, capsys):
         domain={"sMin": -1.0, "sMax": 1.0, "tMin": -1.0, "tMax": 1.0, "ns": 5, "nt": 5},
     )
     assert main(["verify", "--config", bad]) == 2
+
+
+def test_verify_without_a_safe_point_is_a_typed_error(tmp_path, capsys):
+    """On a 5x5 plane grid every interior point has a hole within two cells,
+    so no check has a point to evaluate at."""
+    cfg = _small_cylinder_config(
+        str(tmp_path),
+        potential={"builtin": "horizontal-plane"},
+        domain={"sMin": -2.0, "sMax": 2.0, "tMin": -2.0, "tMax": 2.0, "ns": 5, "nt": 5},
+    )
+    with pytest.raises(GridTooCoarse, match="hole-free 5x5 neighborhood"):
+        cmd_verify(cfg)
+    assert main(["verify", "--config", cfg]) == 1
+    assert "hole-free 5x5 neighborhood" in capsys.readouterr().err
 
 
 def test_error_context_in_manifest(tmp_path):

@@ -125,6 +125,55 @@ def test_truncation_overflow_propagates():
         solve_frame_ode(pot, np.linspace(-3, 3, 13), np.linspace(-3, 3, 13), 8, trunc_n=4)
 
 
+@pytest.mark.parametrize(
+    "pot, first",
+    [
+        (translate_potential("1", "0", "0.0625", "0"), (-1.0, 0.0)),
+        # a nilpotent s-flow drops nothing, so the t axis overflows first
+        (pair_potential("1", "1", "0", "1"), (0.0, -1.0)),
+    ],
+    ids=["s-axis", "t-axis"],
+)
+def test_truncation_overflow_on_an_axis_names_its_point(pot, first):
+    grid = np.linspace(-1, 1, 5)
+    with pytest.raises(TruncationOverflow) as exc:
+        Pipeline(pot, grid, grid, trunc_n=8, steps_per_cell=4, tail_bound=1e-27)
+    assert exc.value.gridpoint == first
+    assert str(exc.value).endswith(f"at gridpoint (s={first[0]}, t={first[1]})")
+
+
+# -- measured convergence ---------------------------------------------------------
+
+
+def test_rk4_converges_at_fourth_order_in_steps_per_cell():
+    pot = translate_potential("1", "0", "0.0625", "0")
+    grid = np.linspace(-2, 2, 5)
+    K = np.array([[0.0, -0.25], [0.25, 0.0]])
+    exact = loop_exp(TwistedLoop.from_terms(20, {-1: 2.0 * K}))
+    errors = []
+    for steps in (1, 2, 4, 8):
+        phi_s, _, _, _ = solve_frame_ode(pot, grid, grid, steps_per_cell=steps, trunc_n=20)
+        errors.append((phi_s[-1] - exact).norm())
+    slopes = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert all(3.7 <= slope <= 4.3 for slope in slopes), (errors, slopes)
+
+
+def test_truncation_tail_tracks_the_closed_form_and_decays_geometrically():
+    """Phi_s(2) = exp(2 lam^-1 K) has degree -k coefficient (2K)^k / k!, of
+    Frobenius mass sqrt(2) (1/2)^k / k!; the axis ODE's relative tail stays within
+    a factor 2 of that frame's dropped/kept mass above degree N."""
+    pot = translate_potential("1", "0", "0.0625", "0")
+    grid = np.linspace(-2, 2, 5)
+    mass = [math.sqrt(2.0) * 0.5**k / math.factorial(k) for k in range(40)]
+    relative = []
+    for n in range(2, 7):
+        pipe = Pipeline(pot, grid, grid, trunc_n=n, steps_per_cell=8, tail_bound=math.inf)
+        relative.append(pipe.tail.relative())
+        closed = math.hypot(*mass[n + 1 :]) / math.hypot(*mass[: n + 1])
+        assert 0.5 <= relative[-1] / closed <= 2.0, (n, relative[-1], closed)
+    assert all(a >= 5.0 * b for a, b in zip(relative, relative[1:])), relative
+
+
 def _reference_sweep(phi_s, phi_t, pot, s_grid, t_grid, initial=None, bound=1e-9):
     """The sweep point by point: scalar `_frame_point` calls in row order, one
     tail account per row merged in row order.  Returns (frames, h, gauge_log,
@@ -201,8 +250,7 @@ def _near_boundary_warnings(caught):
 
 
 @pytest.mark.parametrize("initial", [False, True], ids=["plain", "umbrella"])
-@pytest.mark.parametrize("threads", [1, 4])
-def test_sweep_equals_point_by_point_reference(initial, threads, monkeypatch):
+def test_sweep_equals_point_by_point_reference(initial, monkeypatch):
     phi_s, phi_t, pot, s_grid, t_grid, initial = _near_boundary_plane(initial)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -219,9 +267,7 @@ def test_sweep_equals_point_by_point_reference(initial, threads, monkeypatch):
     tail = TailAccumulator()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fg = build_extended_frames(
-            phi_s, phi_t, pot, s_grid, t_grid, initial=initial, tail=tail, threads=threads
-        )
+        fg = build_extended_frames(phi_s, phi_t, pot, s_grid, t_grid, initial=initial, tail=tail)
     # Phi_s is inverted once per row, not once per gridpoint
     assert len(inversions) == len(s_grid)
     frames, h, gauge_log, cond, holes, errors, ref_tail = ref
@@ -562,16 +608,3 @@ def test_weierstrass_reproduces_sym_surface(cyl_pipe):
     diff = vals - sym_vals
     shift = diff[0, 0]
     assert np.abs(diff - shift).max() < 1e-7
-
-
-# -- determinism ------------------------------------------------------------------
-
-
-def test_run_is_deterministic_across_threads():
-    pot = translate_potential("1", "0", "0.0625", "0")
-    grids = (np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
-    a = Pipeline(pot, *grids, trunc_n=12, steps_per_cell=8, thetas=(0.0, 0.1), threads=1).run()
-    b = Pipeline(pot, *grids, trunc_n=12, steps_per_cell=8, thetas=(0.0, 0.1), threads=4).run()
-    assert np.array_equal(a.surface_grid.nil, b.surface_grid.nil)
-    assert np.array_equal(a.surface_grid.l3, b.surface_grid.l3)
-    assert np.array_equal(a.surface_grid.normals, b.surface_grid.normals)
