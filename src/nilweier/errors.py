@@ -22,12 +22,16 @@ class NoEpsilon(NilWeierError):
     """No unit in {+1, -1, +i', -i'} makes both factors admit square roots."""
 
 
-class TruncationOverflow(NilWeierError):
-    """Dropped Laurent tail mass exceeded the configured relative budget."""
+class _AtGridpoint(NilWeierError):
+    """An error that names the gridpoint (s, t) it arose at, when it has one."""
 
     def __init__(self, message, gridpoint=None):
         super().__init__(message)
         self.gridpoint = gridpoint
+
+
+class TruncationOverflow(_AtGridpoint):
+    """Dropped Laurent tail mass exceeded the configured relative budget."""
 
 
 class ParityViolation(NilWeierError):
@@ -47,15 +51,11 @@ class OutsideBigCell(NilWeierError):
         self.gridpoint = gridpoint
 
 
-class GaugeFailure(NilWeierError):
+class GaugeFailure(_AtGridpoint):
     """Diagonal gauge normalization impossible (angle function h <= 0)."""
 
-    def __init__(self, message, gridpoint=None):
-        super().__init__(message)
-        self.gridpoint = gridpoint
 
-
-class DegeneratePotential(NilWeierError):
+class DegeneratePotential(_AtGridpoint):
     """A potential coefficient function vanishes on the requested domain."""
 
 
@@ -87,7 +87,7 @@ class ParseError(NilWeierError):
         super().__init__(f"parse error at offset {offset}: expected {want}, found {found}")
 
 
-class EvalDomain(NilWeierError):
+class EvalDomain(_AtGridpoint):
     """Expression evaluation left the domain of a primitive function."""
 
 

@@ -161,15 +161,9 @@ class TwistedLoop:
 
     def shift_mul(self, A: np.ndarray, deg: int, tail: TailAccumulator | None = None) -> "TwistedLoop":
         """Right-multiply by the single-term loop lam^deg * A (exact, cheap)."""
-        out = np.zeros_like(self.c)
-        prod = np.einsum("kij,jl->kil", self.c, A)
-        n = 2 * self.N + 1
-        lo, hi = max(0, deg), min(n, n + deg)
-        out[lo:hi] = prod[lo - deg : hi - deg]
+        out, dropped, kept = _shift_mul(self.c, A, deg)
         if tail is not None:
-            kept = float(np.sqrt((out**2).sum()))
-            dropped_sq = (prod[: lo - deg] ** 2).sum() + (prod[hi - deg :] ** 2).sum()
-            tail.record(float(np.sqrt(dropped_sq)), kept)
+            tail.record(dropped, kept)
         return TwistedLoop(self.N, out, enforce_parity=False)
 
     def __add__(self, other: "TwistedLoop") -> "TwistedLoop":
@@ -244,6 +238,19 @@ class _Effects:
                     raise effect
                 finally:  # the traceback keeps this frame: drop its references to the error
                     del effect, effects
+
+
+def _shift_mul(c: np.ndarray, A: np.ndarray, deg: int) -> tuple[np.ndarray, float, float]:
+    """Product of one (2N+1, 2, 2) loop with lam^deg * A, truncated to
+    [-N, N]; returns (coefficients, dropped, kept) Frobenius tail masses."""
+    out = np.zeros_like(c)
+    prod = np.einsum("kij,jl->kil", c, A)
+    n = len(c)
+    lo, hi = max(0, deg), min(n, n + deg)
+    out[lo:hi] = prod[lo - deg : hi - deg]
+    kept = float(np.sqrt((out**2).sum()))
+    dropped_sq = (prod[: lo - deg] ** 2).sum() + (prod[hi - deg :] ** 2).sum()
+    return out, float(np.sqrt(dropped_sq)), kept
 
 
 def _scale_rows(c: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ frame along the coordinate axes and differentiates the normalized factors.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import (
     DegeneratePotential,
     DegenerateSpinors,
+    EvalDomain,
     GaugeFailure,
     OutsideBigCell,
     TruncationOverflow,
@@ -44,6 +46,7 @@ from .loopalg import (
     _Effects,
     _mul_rows,
     _scale_rows,
+    _shift_mul,
     loop_inv,
     loop_mul,
     pair_eval,
@@ -98,14 +101,6 @@ class PotentialSpec:
             raise DegeneratePotential(f"g vanishes at t={t}")
         return np.array([[0.0, -self.R.eval(t) / gv], [gv / 4.0, 0.0]])
 
-    def validate_on(self, s_values, t_values) -> None:
-        for s in s_values:
-            if abs(self.f.eval(float(s))) < _VANISH_TOL:
-                raise DegeneratePotential(f"f vanishes at sampled s={float(s)}")
-        for t in t_values:
-            if abs(self.g.eval(float(t))) < _VANISH_TOL:
-                raise DegeneratePotential(f"g vanishes at sampled t={float(t)}")
-
 
 def translate_potential(b_re: str, b_im: str, B_re: str, B_im: str) -> PotentialSpec:
     """Build the real-pair potential from normalized data b(z), B(z).
@@ -140,12 +135,29 @@ def pair_potential(f: str, g: str, Q: str, R: str) -> PotentialSpec:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _naming(gridpoint):
+    """Re-raise a truncation or potential error as one naming its gridpoint."""
+    try:
+        yield
+    except (TruncationOverflow, EvalDomain, DegeneratePotential) as exc:
+        s, t = gridpoint
+        raise type(exc)(f"{exc} at gridpoint (s={s}, t={t})", gridpoint=gridpoint) from exc
+
+
 class _AxisFlow:
     """RK4 flow of d Phi = Phi * (lam^deg A(x)) dx from the basepoint x = 0.
 
-    Every requested value integrates afresh from 0 with a step count fixed by
-    the per-unit density, so results are independent of evaluation order.
-    Dropped tail mass goes to `tail`, or to the flow's own account if None.
+    The value at x is n = ceil(|x| * steps_per_unit) RK4 steps of size
+    h = x / n from Phi(0) = id.  Step k evaluates A at k h, k h + h/2 and
+    (k + 1) h, so the state after m steps is a function of (h, m) alone, and
+    nodes that share h lie on one chain of states.  `integrate_nodes` runs
+    each chain once, to its longest node; `at` then replays the node's prefix
+    of the chain's tail records into the account, and integrates any other
+    abscissa on its own.  Either way every value and every tail record is
+    bit-identical to an integration from 0 at the call, so nothing depends on
+    evaluation order.  Dropped tail mass goes to `tail`, or to the flow's own
+    account if None.
     """
 
     def __init__(self, coeff_fn, deg: int, N: int, steps_per_unit: float, tail: TailAccumulator):
@@ -155,6 +167,54 @@ class _AxisFlow:
         self.spu = float(steps_per_unit)
         self.tail = tail
         self._cache: dict[float, TwistedLoop] = {0.0: TwistedLoop.identity(N)}
+        # node -> (state, its chain's tail records, how many of them it owns)
+        self._nodes: dict[float, tuple[np.ndarray, list, int]] = {}
+
+    def _steps(self, x: float) -> tuple[int, float]:
+        n = max(1, int(math.ceil(abs(x) * self.spu - 1e-12)))
+        return n, x / n
+
+    def _states(self, h: float, n: int, record):
+        """Yield the states after 1, ..., n steps of size h from the identity;
+        each product's tail masses go to record(dropped, kept) as they arise."""
+
+        def shift(c, A):
+            out, dropped, kept = _shift_mul(c, A, self.deg)
+            record(dropped, kept)
+            return out
+
+        phi, pos = self._cache[0.0].c, 0.0
+        for k in range(n):
+            a0 = self.coeff_fn(pos)
+            am = self.coeff_fn(pos + h / 2.0)
+            a1 = self.coeff_fn(pos + h)
+            k1 = shift(phi, a0)
+            k2 = shift(phi + (h / 2.0) * k1, am)
+            k3 = shift(phi + (h / 2.0) * k2, am)
+            k4 = shift(phi + h * k3, a1)
+            phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            pos = (k + 1) * h
+            yield phi
+
+    def integrate_nodes(self, xs) -> None:
+        """Run each chain of the abscissae xs once and keep only their states,
+        for `at` to return."""
+        chains: dict[float, dict[int, list[float]]] = {}
+        for x in map(float, xs):
+            if x not in self._cache:
+                n, h = self._steps(x)
+                chains.setdefault(h, {}).setdefault(n, []).append(x)
+        for h, stops in chains.items():
+            records: list[tuple[float, float]] = []
+            states = self._states(h, max(stops), lambda *masses: records.append(masses))
+            try:
+                for m, phi in enumerate(states, 1):
+                    for x in stops.get(m, ()):
+                        self._nodes[x] = (phi, records, len(records))
+            except (EvalDomain, DegeneratePotential):
+                # the nodes past this step are left to `at`, whose own
+                # integration then raises at this step
+                pass
 
     def at(self, x: float, tail: TailAccumulator | None = None) -> TwistedLoop:
         x = float(x)
@@ -162,22 +222,17 @@ class _AxisFlow:
         if hit is not None:
             return hit
         tail = self.tail if tail is None else tail
-        n = max(1, int(math.ceil(abs(x) * self.spu - 1e-12)))
-        h = x / n
-        phi = TwistedLoop.identity(self.N)
-        pos = 0.0
-        for k in range(n):
-            a0 = self.coeff_fn(pos)
-            am = self.coeff_fn(pos + h / 2.0)
-            a1 = self.coeff_fn(pos + h)
-            k1 = phi.shift_mul(a0, self.deg, tail)
-            k2 = (phi + (h / 2.0) * k1).shift_mul(am, self.deg, tail)
-            k3 = (phi + (h / 2.0) * k2).shift_mul(am, self.deg, tail)
-            k4 = (phi + h * k3).shift_mul(a1, self.deg, tail)
-            phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            pos = (k + 1) * h
-        self._cache[x] = phi
-        return phi
+        node = self._nodes.pop(x, None)
+        if node is None:
+            n, h = self._steps(x)
+            for phi in self._states(h, n, tail.record):
+                pass
+        else:
+            phi, records, count = node
+            for masses in records[:count]:
+                tail.record(*masses)
+        hit = self._cache[x] = TwistedLoop(self.N, phi, enforce_parity=False)
+        return hit
 
 
 def solve_frame_ode(
@@ -191,7 +246,11 @@ def solve_frame_ode(
     """Integrate the two holomorphic frame ODEs along the axes.
 
     Returns (phi_s list over s_grid, phi_t list over t_grid, flow_s, flow_t);
-    the flows evaluate off-grid points deterministically.
+    the flows evaluate off-grid points too.  Each axis integrates every chain
+    of its nodes once (see `_AxisFlow`) and records the nodes' tail masses in
+    grid order, s axis first.  Every frame and the tail account are
+    bit-identical to integrating each node from 0, and a truncation or
+    potential error names the node it arose at: (s, 0.0) or (0.0, t).
     """
     s_grid = np.asarray(s_grid, float)
     t_grid = np.asarray(t_grid, float)
@@ -203,30 +262,33 @@ def solve_frame_ode(
     if steps_per_cell < 1:
         raise ValueError("steps_per_cell must be >= 1")
     tail = tail if tail is not None else TailAccumulator()
-    potential.validate_on(s_grid, t_grid)
     min_cell = float(min(np.diff(s_grid).min(), np.diff(t_grid).min()))
     spu = steps_per_cell / min_cell
     flow_s = _AxisFlow(potential.xi_s, -1, trunc_n, spu, tail)
     flow_t = _AxisFlow(potential.xi_t, +1, trunc_n, spu, tail)
-    phi_s, phi_t = [], []
-    for flow, grid, out, axis in ((flow_s, s_grid, phi_s, 0), (flow_t, t_grid, phi_t, 1)):
-        for x in grid:
-            try:
-                out.append(flow.at(x))
-            except TruncationOverflow as exc:
-                point = (float(x), 0.0) if axis == 0 else (0.0, float(x))
-                raise _overflow_at(exc, point) from exc
-    return phi_s, phi_t, flow_s, flow_t
+    axes = (
+        (potential.f, flow_s, [(float(s), 0.0) for s in s_grid]),
+        (potential.g, flow_t, [(0.0, float(t)) for t in t_grid]),
+    )
+    for axis, (coeff, _, points) in enumerate(axes):
+        for point in points:
+            x = point[axis]
+            with _naming(point):
+                if abs(coeff.eval(x)) < _VANISH_TOL:
+                    name = "fg"[axis]
+                    raise DegeneratePotential(f"{name} vanishes at sampled {coeff.variable}={x}")
+    phi = ([], [])
+    for axis, (_, flow, points) in enumerate(axes):
+        flow.integrate_nodes(point[axis] for point in points)
+        for point in points:
+            with _naming(point):
+                phi[axis].append(flow.at(point[axis]))
+    return phi[0], phi[1], flow_s, flow_t
 
 
 # ---------------------------------------------------------------------------
 # Iwasawa + gauge normalization
 # ---------------------------------------------------------------------------
-
-
-def _overflow_at(exc: TruncationOverflow, gridpoint) -> TruncationOverflow:
-    s, t = gridpoint
-    return TruncationOverflow(f"{exc} at gridpoint (s={s}, t={t})", gridpoint=gridpoint)
 
 
 @dataclass
@@ -347,9 +409,8 @@ def build_extended_frames(
         row_tail = TailAccumulator(bound=tail.bound if tail is not None else 1e-9)
         for j, gridpoint in enumerate(gridpoints[i]):
             try:
-                fx.play(j, row_tail)
-            except TruncationOverflow as exc:
-                raise _overflow_at(exc, gridpoint) from exc
+                with _naming(gridpoint):
+                    fx.play(j, row_tail)
             except (OutsideBigCell, GaugeFailure) as exc:
                 exc.gridpoint = gridpoint
                 holes[i, j] = True
@@ -457,9 +518,11 @@ class Pipeline:
 
     Also serves as the exact point evaluator behind all finite-difference
     verification: `frame_at`, `surface_at` and `spinors_at` reuse the sweep's
-    gridpoint frames and recompute any other point from scratch
-    (deterministically, never by interpolation), accounting its dropped tail
-    mass in `point_tail`, never in the run's `tail`.
+    gridpoint frames and compute any other point exactly, never by
+    interpolation.  Its axis frames are bit-identical to an integration from
+    0, whatever was evaluated before; its dropped tail mass goes to
+    `point_tail`, never to the run's `tail`; and a truncation or potential
+    error names the point.
     """
 
     def __init__(
@@ -520,7 +583,7 @@ class Pipeline:
         hit = self._point_cache.get(key)
         if hit is None:
             tail = self.point_tail
-            try:
+            with _naming(key):
                 hit = _frame_point(
                     self._flow_s.at(s, tail),
                     self._flow_t.at(t, tail),
@@ -530,8 +593,6 @@ class Pipeline:
                     tail,
                     gridpoint=key,
                 )
-            except TruncationOverflow as exc:
-                raise _overflow_at(exc, key) from exc
             self._point_cache[key] = hit
         return hit
 

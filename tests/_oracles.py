@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from nilweier.errors import NilWeierError
 from nilweier.loopalg import TwistedLoop, loop_exp
 
 
@@ -96,6 +97,62 @@ def random_plus_star_loop(rng, N, decay=0.25, scale=0.35, band=2):
         k: _random_term(rng, k, scale * decay ** abs(k)) for k in range(1, min(band, N) + 1)
     }
     return loop_exp(TwistedLoop.from_terms(N, terms))
+
+
+# -- axis ODE integrated from 0 ------------------------------------------------
+
+
+class FromZeroAxisFlow:
+    """The axis ODE d Phi = Phi lam^deg A(x) dx, each abscissa integrated
+    afresh from 0 in TwistedLoop arithmetic, each value cached once computed:
+    the algorithm the engine's chained integration must reproduce bit for bit."""
+
+    def __init__(self, coeff_fn, deg, N, steps_per_unit, tail):
+        self.coeff_fn, self.deg, self.N = coeff_fn, deg, N
+        self.spu = float(steps_per_unit)
+        self.tail = tail
+        self.cache = {0.0: TwistedLoop.identity(N)}
+
+    def at(self, x, tail=None):
+        x = float(x)
+        if x in self.cache:
+            return self.cache[x]
+        tail = self.tail if tail is None else tail
+        n = max(1, int(math.ceil(abs(x) * self.spu - 1e-12)))
+        h = x / n
+        phi = TwistedLoop.identity(self.N)
+        pos = 0.0
+        for k in range(n):
+            a0 = self.coeff_fn(pos)
+            am = self.coeff_fn(pos + h / 2.0)
+            a1 = self.coeff_fn(pos + h)
+            k1 = phi.shift_mul(a0, self.deg, tail)
+            k2 = (phi + (h / 2.0) * k1).shift_mul(am, self.deg, tail)
+            k3 = (phi + (h / 2.0) * k2).shift_mul(am, self.deg, tail)
+            k4 = (phi + h * k3).shift_mul(a1, self.deg, tail)
+            phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            pos = (k + 1) * h
+        self.cache[x] = phi
+        return phi
+
+
+def solve_axes_from_zero(potential, s_grid, t_grid, steps_per_cell, trunc_n, tail):
+    """[((s, t), Phi)] over the axis nodes in grid order, s axis first, each
+    integrated from 0 into `tail`.  The list ends at the first node that
+    raises, with the error in place of Phi."""
+    spu = steps_per_cell / min(np.diff(s_grid).min(), np.diff(t_grid).min())
+    out = []
+    for axis, (coeff_fn, deg, grid) in enumerate(
+        ((potential.xi_s, -1, s_grid), (potential.xi_t, +1, t_grid))
+    ):
+        flow = FromZeroAxisFlow(coeff_fn, deg, trunc_n, spu, tail)
+        for x in grid:
+            point = (float(x), 0.0) if axis == 0 else (0.0, float(x))
+            try:
+                out.append((point, flow.at(x)))
+            except NilWeierError as exc:
+                return out + [(point, exc)]
+    return out
 
 
 # -- brute force convolution ---------------------------------------------------

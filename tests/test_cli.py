@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from nilweier import EmptyGrid, GridTooCoarse
+from nilweier import EmptyGrid, EvalDomain, GridTooCoarse
 from nilweier.cli import cmd_generate, cmd_list_builtins, cmd_roundtrip, cmd_verify, main
 from nilweier.config import load_config
 from nilweier.export import export_csv, export_obj
@@ -266,6 +266,25 @@ def test_verify_without_a_safe_point_is_a_typed_error(tmp_path, capsys):
         cmd_verify(cfg)
     assert main(["verify", "--config", cfg]) == 1
     assert "hole-free 5x5 neighborhood" in capsys.readouterr().err
+
+
+def test_potential_error_inside_an_axis_integration_names_its_node(tmp_path, capsys):
+    """f = 2 + sqrt(100 (s - 1/4)^2 - 1) has values at every node but none
+    for |s - 1/4| < 1/10, where the RK4 steps towards s = 0.5 evaluate it."""
+    b_re = "2 + sqrt(100*(z-0.25)^2 - 1)"
+    cfg = _small_cylinder_config(
+        str(tmp_path),
+        potential={"normalized": {"b_re": b_re, "b_im": "0", "B_re": "0", "B_im": "0"}},
+        domain={"sMin": -1.0, "sMax": 1.0, "tMin": -1.0, "tMax": 1.0, "ns": 5, "nt": 5},
+        stepsPerCell=4,
+    )
+    message = "at s=0.1875: math domain error at gridpoint (s=0.5, t=0.0)"
+    with pytest.raises(EvalDomain) as exc:
+        cmd_generate(cfg, str(tmp_path / "out"))
+    assert exc.value.gridpoint == (0.5, 0.0)
+    assert str(exc.value).endswith(message)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.rstrip().endswith(message)
 
 
 def test_error_context_in_manifest(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from nilweier import (
     DegeneratePotential,
+    EvalDomain,
     GaugeFailure,
     LoopPair,
     OutsideBigCell,
@@ -21,6 +22,7 @@ from nilweier import factorization
 from nilweier.loopalg import TailAccumulator
 from nilweier.pipeline import (
     Pipeline,
+    PotentialSpec,
     _AxisFlow,
     _frame_point,
     build_extended_frames,
@@ -33,12 +35,14 @@ from nilweier.pipeline import (
 )
 
 from _oracles import (
+    FromZeroAxisFlow,
     cylinder_frame,
     cylinder_nil,
     frame_error_mod_gauge,
     nil_translate_to,
     plane_frame,
     plane_nil,
+    solve_axes_from_zero,
 )
 from nilweier.geometry import nil_mul
 
@@ -75,8 +79,9 @@ def test_translate_balanced_B_kills_R():
 
 def test_degenerate_potential_rejected():
     pot = pair_potential("s", "1", "0", "0")  # f vanishes at s = 0
-    with pytest.raises(DegeneratePotential):
+    with pytest.raises(DegeneratePotential) as exc:
         solve_frame_ode(pot, np.linspace(-1, 1, 5), np.linspace(-1, 1, 5), 4, 8)
+    assert exc.value.gridpoint == (0.0, 0.0)
 
 
 # -- holomorphic frame ODE -----------------------------------------------------
@@ -108,6 +113,132 @@ def test_zero_one_form_integrates_to_identity():
     flow = _AxisFlow(lambda x: np.zeros((2, 2)), -1, 6, 16.0, TailAccumulator())
     for x in (0.0, 0.5, -1.2):
         assert (flow.at(x) - TwistedLoop.identity(6)).norm() == 0.0
+
+
+# a potential that varies along both axes, so every step position matters
+VARYING = translate_potential("1 + z^2/4", "z/8", "cos(z)/16", "z/32")
+UNIFORM_41 = np.linspace(-2, 2, 41)
+# every nonzero node has its own step size: no two share a chain
+DISTINCT_H = np.array([-1.17, -0.73, -0.31, 0.0, 0.29, 0.83, 1.37])
+
+
+def _chains(grid, steps_per_cell):
+    """{step size h: longest step count} over the nonzero nodes of a grid."""
+    spu = steps_per_cell / np.diff(grid).min()
+    chains = {}
+    for x in grid[grid != 0.0]:
+        n = max(1, math.ceil(abs(x) * spu - 1e-12))
+        chains[x / n] = max(chains.get(x / n, 0), n)
+    return chains
+
+
+@pytest.mark.parametrize(
+    "grid, n_chains", [(UNIFORM_41, 9), (DISTINCT_H, 6)], ids=["uniform", "distinct-h"]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_axis_flow_equals_from_zero_reference(grid, n_chains, seed):
+    """Chained node values and tail records equal the from-0 integration in any
+    evaluation order, with off-grid calls (into another account) in between."""
+    assert len(_chains(grid, 8)) == n_chains
+    spu = 8 / np.diff(grid).min()
+    rng = np.random.default_rng(seed)
+    for coeff_fn, deg in ((VARYING.xi_s, -1), (VARYING.xi_t, +1)):
+        flows = [
+            cls(coeff_fn, deg, 12, spu, TailAccumulator()) for cls in (_AxisFlow, FromZeroAxisFlow)
+        ]
+        point_tails = [TailAccumulator(), TailAccumulator()]
+        flows[0].integrate_nodes(grid)
+        calls = [(float(x), False) for x in rng.permutation(grid)]
+        for k, x in enumerate(rng.uniform(-2.0, 2.0, 8)):
+            calls.insert(int(rng.integers(0, len(calls) + 1)), (float(x), k % 2 == 0))
+        calls += calls[:5]  # cached values record nothing
+        for x, own_account in calls:
+            new, ref = (
+                flow.at(x, point_tail if own_account else None)
+                for flow, point_tail in zip(flows, point_tails)
+            )
+            assert np.array_equal(new.c, ref.c), x
+            for new_tail, ref_tail in ((flows[0].tail, flows[1].tail), point_tails):
+                assert (new_tail.dropped, new_tail.kept) == (ref_tail.dropped, ref_tail.kept)
+        assert flows[0].tail.kept > 0.0 and point_tails[0].kept > 0.0
+        assert flows[0]._nodes == {}  # every chain state was handed out once
+
+
+@pytest.mark.parametrize("grid", [UNIFORM_41, DISTINCT_H], ids=["uniform", "distinct-h"])
+def test_solve_frame_ode_equals_from_zero_reference(grid):
+    tail = TailAccumulator()
+    phi_s, phi_t, _, _ = solve_frame_ode(VARYING, grid, grid, 8, 12, tail)
+    ref_tail = TailAccumulator()
+    ref = solve_axes_from_zero(VARYING, grid, grid, 8, 12, ref_tail)
+    nodes = [(float(x), 0.0) for x in grid] + [(0.0, float(x)) for x in grid]
+    assert [point for point, _ in ref] == nodes
+    for new, (_, loop) in zip(phi_s + phi_t, ref, strict=True):
+        assert np.array_equal(new.c, loop.c)
+    assert (tail.dropped, tail.kept) == (ref_tail.dropped, ref_tail.kept)
+
+
+EXP_POTENTIAL = translate_potential("exp(3*z)", "0", "exp(3*z)/4", "0")
+
+
+@pytest.mark.parametrize(
+    "pot, grid, bound, node",
+    [
+        # the potential of test_truncation_overflow_propagates: the first node
+        # is its chain's longest, and the bound is crossed inside its records
+        (EXP_POTENTIAL, np.linspace(-3, 3, 13), 1e-9, (-3.0, 0.0)),
+        # the second node of the chain 0.5, 1.0, ..., 3.0 crosses the bound
+        (EXP_POTENTIAL, np.linspace(0, 3, 7), 1e-3, (1.0, 0.0)),
+        # f has no value at s = 0.15625, a mid-step of the chain 0.5, 1.0
+        (
+            translate_potential("2 + sqrt(100*(z-0.25)^2 - 1)", "0", "0", "0"),
+            np.linspace(-1, 1, 5),
+            1e-9,
+            (0.5, 0.0),
+        ),
+    ],
+    ids=["overflow-first-node", "overflow-second-node", "eval-domain-mid-step"],
+)
+def test_axis_errors_match_from_zero_reference(pot, grid, bound, node):
+    """An error inside a chain surfaces at the first node in grid order whose
+    own integration from 0 raises it, naming that node, with the same tail."""
+    ref_tail = TailAccumulator(bound)
+    ref_point, ref_exc = solve_axes_from_zero(pot, grid, grid, 8, 4, ref_tail)[-1]
+    assert isinstance(ref_exc, (TruncationOverflow, EvalDomain)) and ref_point == node
+    tail = TailAccumulator(bound)
+    with pytest.raises(type(ref_exc)) as exc:
+        solve_frame_ode(pot, grid, grid, 8, 4, tail)
+    assert exc.value.gridpoint == node
+    assert str(exc.value) == f"{ref_exc} at gridpoint (s={node[0]}, t={node[1]})"
+    assert (tail.dropped, tail.kept) == (ref_tail.dropped, ref_tail.kept)
+
+
+def test_potential_error_at_an_off_grid_point_names_it():
+    # f has no value for |s - 0.3| < 1e-3, between the grid's step positions
+    pot = translate_potential("2 + sqrt(1e6*(z-0.3)^2 - 1)", "0", "0", "0")
+    grid = np.linspace(-1, 1, 5)
+    pipe = Pipeline(pot, grid, grid, trunc_n=8, steps_per_cell=4).run()
+    with pytest.raises(EvalDomain) as exc:
+        pipe.frame_at(0.3, 0.5)
+    assert exc.value.gridpoint == (0.3, 0.5)
+    assert str(exc.value).endswith("at gridpoint (s=0.3, t=0.5)")
+
+
+def test_axis_ode_integrates_each_chain_once(monkeypatch):
+    """Each axis evaluates its potential 3 times per step of each chain's
+    longest node (824 steps on 41 nodes), not per step of every node (3,360)."""
+    calls = {"xi_s": 0, "xi_t": 0}
+    for name in calls:
+        original = getattr(PotentialSpec, name)
+
+        def counted(self, x, name=name, original=original):
+            calls[name] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(PotentialSpec, name, counted)
+    solve_frame_ode(VARYING, UNIFORM_41, UNIFORM_41, 8, 12)
+    steps = sum(_chains(UNIFORM_41, 8).values())
+    assert steps == 824
+    assert calls == {"xi_s": 3 * steps, "xi_t": 3 * steps}
 
 
 def test_det_drift_bounded():
