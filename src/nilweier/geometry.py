@@ -111,38 +111,82 @@ def nil_metric_and_bracket(X, Y):
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
+#
+# Each residual below reads its fields at the points of a stencil that is
+# listed once, here, in the order its arithmetic reads them.  The `*_stencil`
+# functions return a check's whole list, so that a caller can compute every
+# point the check reads as one batch before running it.
 
 
-def _central(fn, x: float, h: float):
-    return (np.asarray(fn(x + h)) - np.asarray(fn(x - h))) / (2.0 * h)
+def _richardson_steps(h: float) -> list[float]:
+    return [h / (2.0**k) for k in range(3)]
 
 
-def _richardson(estimate, h: float):
-    """Extrapolate a second-order estimate(step) over the steps h, h/2, h/4."""
-    table = [estimate(h / (2.0**k)) for k in range(3)]
+def _extrapolate(table):
+    """Richardson-extrapolate second-order estimates at the steps h, h/2, h/4."""
     for m in range(1, 3):
         fac = 4.0**m
         table = [(fac * table[k + 1] - table[k]) / (fac - 1.0) for k in range(len(table) - 1)]
     return table[0]
 
 
-def richardson_d1(fn, x: float, h: float):
-    """Richardson-extrapolated first derivative of a vector-valued callable."""
-    return _richardson(lambda hh: _central(fn, x, hh), h)
+def _cross(s: float, t: float, step: float) -> list:
+    """(s, t), then its neighbours for central differences in s and in t."""
+    return [(s, t), (s + step, t), (s - step, t), (s, t + step), (s, t - step)]
 
 
-def cross_d2(fn, s: float, t: float, h: float):
-    """Richardson-extrapolated mixed derivative d^2/(ds dt) of fn(s, t)."""
+def _xy_points(s: float, t: float, step: float, space: str) -> list:
+    """The diagonal neighbours giving the x and y tangents, then, on the Nil
+    side, (s, t) itself, where the tangents are left-translated."""
+    points = [(s + step, t + step), (s - step, t - step), (s + step, t - step), (s - step, t + step)]
+    return points + [(s, t)] if space == "nil" else points
 
-    def estimate(hh):
-        return (
-            np.asarray(fn(s + hh, t + hh))
-            - np.asarray(fn(s + hh, t - hh))
-            - np.asarray(fn(s - hh, t + hh))
-            + np.asarray(fn(s - hh, t - hh))
-        ) / (4.0 * hh * hh)
 
-    return _richardson(estimate, h)
+def _axis_richardson(s: float, t: float, h: float) -> list:
+    """Pairs (x + hh, x - hh) over the Richardson steps from h: along s, then along t."""
+    steps = _richardson_steps(h)
+    along_s = [p for hh in steps for p in ((s + hh, t), (s - hh, t))]
+    along_t = [p for hh in steps for p in ((s, t + hh), (s, t - hh))]
+    return along_s + along_t
+
+
+def _diagonals(s: float, t: float, h: float) -> list:
+    """Corners of the mixed-derivative estimates over the Richardson steps from h."""
+    return [
+        p
+        for hh in _richardson_steps(h)
+        for p in ((s + hh, t + hh), (s + hh, t - hh), (s - hh, t + hh), (s - hh, t - hh))
+    ]
+
+
+def _d1(values, h: float):
+    """Richardson first derivative from its values at the pairs of `_axis_richardson`."""
+    steps = _richardson_steps(h)
+    return _extrapolate(
+        [(values[2 * k] - values[2 * k + 1]) / (2.0 * hh) for k, hh in enumerate(steps)]
+    )
+
+
+def _d2(values, h: float):
+    """Richardson mixed derivative from its values at the corners of `_diagonals`."""
+    steps = _richardson_steps(h)
+    return _extrapolate(
+        [
+            (values[4 * k] - values[4 * k + 1] - values[4 * k + 2] + values[4 * k + 3])
+            / (4.0 * hh * hh)
+            for k, hh in enumerate(steps)
+        ]
+    )
+
+
+def _each(points, stencil, *args) -> list:
+    return [p for s, t in points for p in stencil(float(s), float(t), *args)]
+
+
+def xy_stencil(points, step: float, space: str) -> list:
+    """Points of `first_fundamental_form`, and of `mean_curvature_L3` with a
+    `normal_fn`, in the order they are read."""
+    return _each(points, _xy_points, step, space)
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +205,12 @@ class FundamentalFormResult:
 
 def _xy_tangents(surface_fn, s, t, step, space: str):
     """FD tangents in conformal coordinates x, y; s = x + y, t = x - y."""
-    fpp = np.asarray(surface_fn(s + step, t + step))
-    fmm = np.asarray(surface_fn(s - step, t - step))
-    fpm = np.asarray(surface_fn(s + step, t - step))
-    fmp = np.asarray(surface_fn(s - step, t + step))
-    f_x = (fpp - fmm) / (2.0 * step)
-    f_y = (fpm - fmp) / (2.0 * step)
+    values = [np.asarray(surface_fn(a, b)) for a, b in _xy_points(s, t, step, space)]
+    f_x = (values[0] - values[1]) / (2.0 * step)
+    f_y = (values[2] - values[3]) / (2.0 * step)
     if space == "nil":
-        base = np.asarray(surface_fn(s, t))
-        f_x = nil_left_translate(base, f_x)
-        f_y = nil_left_translate(base, f_y)
+        f_x = nil_left_translate(values[4], f_x)
+        f_y = nil_left_translate(values[4], f_y)
         signs = NIL_METRIC_SIGNS
     elif space == "l3":
         signs = L3_METRIC_SIGNS
@@ -217,18 +257,16 @@ class MinimalityResult:
 
 def _translated_null_derivs(surface_fn, s, t, step):
     """P = left-translated d_s f and Q = left-translated d_t f at (s, t)."""
-    base = np.asarray(surface_fn(s, t))
-    ds = (np.asarray(surface_fn(s + step, t)) - np.asarray(surface_fn(s - step, t))) / (2 * step)
-    dt = (np.asarray(surface_fn(s, t + step)) - np.asarray(surface_fn(s, t - step))) / (2 * step)
+    base, sp, sm, tp, tm = (np.asarray(surface_fn(a, b)) for a, b in _cross(s, t, step))
+    ds = (sp - sm) / (2 * step)
+    dt = (tp - tm) / (2 * step)
     return nil_left_translate(base, ds), nil_left_translate(base, dt)
 
 
 def _minimality_at(surface_fn, s, t, step):
-    P0, Q0 = _translated_null_derivs(surface_fn, s, t, step)
-    Psp, Qsp = _translated_null_derivs(surface_fn, s + step, t, step)
-    Psm, Qsm = _translated_null_derivs(surface_fn, s - step, t, step)
-    Ptp, Qtp = _translated_null_derivs(surface_fn, s, t + step, step)
-    Ptm, Qtm = _translated_null_derivs(surface_fn, s, t - step, step)
+    (P0, Q0), (Psp, Qsp), (Psm, Qsm), (Ptp, Qtp), (Ptm, Qtm) = (
+        _translated_null_derivs(surface_fn, a, b, step) for a, b in _cross(s, t, step)
+    )
     dP_dt = (Ptp - Ptm) / (2 * step)
     dQ_ds = (Qsp - Qsm) / (2 * step)
     # integrability: p slot of  Phi_zbar - conj(Phi)_z + [conj(Phi), Phi]
@@ -240,6 +278,15 @@ def _minimality_at(surface_fn, s, t, step):
     mc = max(np.abs(r_mc_p).max(), np.abs(r_mc_q).max())
     mini = max(np.abs(r_min_p).max(), np.abs(r_min_q).max())
     return mc, mini
+
+
+def _minimality_points(s, t, step):
+    return [p for hh in (step, 2.0 * step) for c in _cross(s, t, hh) for p in _cross(*c, hh)]
+
+
+def minimality_stencil(points, step: float = 1e-3) -> list:
+    """Points of `minimality_residual`, in the order they are read."""
+    return _each(points, _minimality_points, step)
 
 
 def minimality_residual(surface_fn, points, step: float = 1e-3, claim: float | None = None):
@@ -350,6 +397,30 @@ class SpinorField:
     dirac_potential_re: float
 
 
+def _resolves_dirac_potential(c1: ParaComplex, c2: ParaComplex) -> bool:
+    """Whether -d_z psi2 / psi1 is resolved at a point: both null components
+    of psi1 exceed 1e-2 of the spinor scale."""
+    n1 = _null(c1)
+    scale = math.sqrt(max(abs(conformal_factor_root(c1, c2)), 1e-12))
+    return min(abs(n1[0]), abs(n1[1])) > 1e-2 * scale
+
+
+def _dirac_potential_step(step: float) -> float:
+    return max(step, 2e-2)
+
+
+def dirac_stencil(points, step: float = 1e-3) -> list:
+    """Points of `spinors_and_dirac` apart from its Dirac-potential branch."""
+    return _each(points, _cross, step)
+
+
+def dirac_potential_stencil(spinor_fn, points, step: float = 1e-3) -> list:
+    """Points of the Dirac-potential branch of `spinors_and_dirac`: those of
+    the points where `spinor_fn` resolves the potential."""
+    resolved = [(s, t) for s, t in points if _resolves_dirac_potential(*spinor_fn(s, t))]
+    return _each(resolved, _axis_richardson, _dirac_potential_step(step))
+
+
 def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorField:
     """Evaluate spinors and the nonlinear Dirac residuals at each point.
 
@@ -357,9 +428,9 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
     function.  Derivatives are central differences at `step`.
     """
 
-    def nulls(s, t):
+    def nulls(point):
         """Null components (psi1_p, psi1_q, psi2_p, psi2_q), one evaluation."""
-        c1, c2 = spinor_fn(s, t)
+        c1, c2 = spinor_fn(*point)
         return np.concatenate((_null(c1), _null(c2)))
 
     psi1_out, psi2_out, h_out, eu_out = [], [], [], []
@@ -368,10 +439,11 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
     worst_repot = 0.0
     for s, t in points:
         s, t = float(s), float(t)
-        c1, c2 = spinor_fn(s, t)
-        h = float(h_fn(s, t))
-        d_s = _central(lambda x: nulls(x, t), s, step)
-        d_t = _central(lambda x: nulls(s, x), t, step)
+        base, sp, sm, tp, tm = _cross(s, t, step)
+        c1, c2 = spinor_fn(*base)
+        h = float(h_fn(*base))
+        d_s = (nulls(sp) - nulls(sm)) / (2.0 * step)
+        d_t = (nulls(tp) - nulls(tm)) / (2.0 * step)
         d1_s, d2_s = d_s[:2], d_s[2:]
         d1_t, d2_t = d_t[:2], d_t[2:]
         n1, n2 = _null(c1), _null(c2)
@@ -385,11 +457,11 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
         worst_hgap = max(worst_hgap, abs(h_spinor - h))
         # Dirac potential from the equation itself: -d_z psi2 / psi1; needs
         # Richardson-extrapolated derivatives to resolve Re U at the 1e-9 level
-        scale = math.sqrt(max(abs(eu), 1e-12))
-        if min(abs(n1[0]), abs(n1[1])) > 1e-2 * scale:
-            base = max(step, 2e-2)
-            dp = float(richardson_d1(lambda x: nulls(x, t)[2], s, base))
-            dq = float(richardson_d1(lambda x: nulls(s, x)[3], t, base))
+        if _resolves_dirac_potential(c1, c2):
+            rich = _dirac_potential_step(step)
+            values = [nulls(p) for p in _axis_richardson(s, t, rich)]
+            dp = float(_d1([v[2] for v in values[:6]], rich))
+            dq = float(_d1([v[3] for v in values[6:]], rich))
             pot_p = -dp / n1[0]
             pot_q = -dq / n1[1]
             worst_repot = max(worst_repot, abs((pot_p + pot_q) / 2.0))
@@ -417,13 +489,13 @@ def _hopf_B_at(spinor_fn, s: float, t: float, step: float) -> np.ndarray:
     and phi3 = 2 psi1 conj(psi2).
     """
 
-    def fields(ss, tt):
-        a, b = spinor_fn(ss, tt)
+    def fields(point):
+        a, b = spinor_fn(*point)
         return _null(a), _null(b.conj())
 
-    n1, n2b = fields(s, t)
-    d_s = _central(lambda x: np.concatenate(fields(x, t)), s, step)
-    d_t = _central(lambda x: np.concatenate(fields(s, x)), t, step)
+    (n1, n2b), sp, sm, tp, tm = (fields(p) for p in _cross(s, t, step))
+    d_s = (np.concatenate(sp) - np.concatenate(sm)) / (2.0 * step)
+    d_t = (np.concatenate(tp) - np.concatenate(tm)) / (2.0 * step)
     # d_z w has null components (d_s w_p, d_t w_q)
     d1 = np.array([d_s[0], d_t[1]])  # (psi1)_z
     d2b = np.array([d_s[2], d_t[3]])  # (conj psi2)_z
@@ -435,6 +507,30 @@ def _hopf_B_at(spinor_fn, s: float, t: float, step: float) -> np.ndarray:
     phi3sq = 4.0 * n1 * n1 * n2b * n2b
     B = -0.25 * iota * (A + iota * phi3sq)
     return B
+
+
+def _hopf_centers(s: float, t: float, step: float) -> list:
+    """Where `abresch_rosenberg` reads B at a point: the point, then its
+    neighbours for the central differences in t and in s."""
+    return [(s, t), (s, t + step), (s, t - step), (s + step, t), (s - step, t)]
+
+
+def _hopf_steps(step: float, richardson: bool) -> list[float]:
+    return [step, step / 2.0] if richardson else [step]
+
+
+def abresch_rosenberg_stencil(points, step: float = 1e-2, richardson: bool = True) -> list:
+    """Points of `abresch_rosenberg`, in the order they are read."""
+
+    def at(s, t):
+        return [
+            p
+            for c in _hopf_centers(s, t, step)
+            for hh in _hopf_steps(step, richardson)
+            for p in _cross(*c, hh)
+        ]
+
+    return _each(points, at)
 
 
 @dataclass
@@ -453,21 +549,17 @@ def abresch_rosenberg(
     is measured by differencing the B field.
     """
 
-    def B_at(s, t):
-        b1 = _hopf_B_at(spinor_fn, s, t, step)
-        if not richardson:
-            return b1
-        b2 = _hopf_B_at(spinor_fn, s, t, step / 2.0)
-        return (4.0 * b2 - b1) / 3.0
+    def B_at(point):
+        b1, *b2 = (_hopf_B_at(spinor_fn, *point, hh) for hh in _hopf_steps(step, richardson))
+        return (4.0 * b2[0] - b1) / 3.0 if b2 else b1
 
     values = []
     worst = 0.0
     for s, t in points:
-        s, t = float(s), float(t)
-        b = B_at(s, t)
+        b, t_plus, t_minus, s_plus, s_minus = map(B_at, _hopf_centers(float(s), float(t), step))
         values.append(ParaComplex.from_null(float(b[0]), float(b[1])))
-        dB_t = _central(lambda x: B_at(s, x), t, step)
-        dB_s = _central(lambda x: B_at(x, t), s, step)
+        dB_t = (t_plus - t_minus) / (2.0 * step)
+        dB_s = (s_plus - s_minus) / (2.0 * step)
         # d_zbar B has null components (d_t B_p, d_s B_q)
         worst = max(worst, abs(float(dB_t[0])), abs(float(dB_s[1])))
     return QuadraticDifferentialResult(B=values, dzbar_residual=worst)
@@ -513,6 +605,18 @@ def gauss_from_spinors(psi1: ParaComplex, psi2: ParaComplex) -> ParaComplex:
 # ---------------------------------------------------------------------------
 
 
+_FLATNESS_STEP = 2e-2
+
+
+def _flatness_points(s: float, t: float) -> list:
+    return [(s, t)] + _axis_richardson(s, t, _FLATNESS_STEP) + _diagonals(s, t, _FLATNESS_STEP)
+
+
+def flatness_stencil(points) -> list:
+    """Points of `flatness_residual`, in the order they are read."""
+    return _each(points, _flatness_points)
+
+
 def flatness_residual(h_fn, Q_fn, R_fn, points, thetas) -> float:
     """Residual of d alpha + alpha ^ alpha for the spectral connection family.
 
@@ -524,20 +628,14 @@ def flatness_residual(h_fn, Q_fn, R_fn, points, thetas) -> float:
     """
     worst = 0.0
     for s, t in points:
-        s, t = float(s), float(t)
+        (s, t), *around = _flatness_points(float(s), float(t))
         h = float(h_fn(s, t))
         Q = float(Q_fn(s))
         R = float(R_fn(t))
-
-        def logh_s(x):
-            return math.log(h_fn(x, t))
-
-        def logh_t(x):
-            return math.log(h_fn(s, x))
-
-        a = float(richardson_d1(logh_s, s, 2e-2))  # d_s log h
-        b = float(richardson_d1(logh_t, t, 2e-2))  # d_t log h
-        m = float(cross_d2(lambda u, v: math.log(h_fn(u, v)), s, t, 2e-2))
+        logh = [math.log(h_fn(*p)) for p in around]
+        a = float(_d1(logh[:6], _FLATNESS_STEP))  # d_s log h
+        b = float(_d1(logh[6:12], _FLATNESS_STEP))  # d_t log h
+        m = float(_d2(logh[12:], _FLATNESS_STEP))
         h_s = a * h
         h_t = b * h
         for theta in thetas:

@@ -161,10 +161,10 @@ class TwistedLoop:
 
     def shift_mul(self, A: np.ndarray, deg: int, tail: TailAccumulator | None = None) -> "TwistedLoop":
         """Right-multiply by the single-term loop lam^deg * A (exact, cheap)."""
-        out, dropped, kept = _shift_mul(self.c, A, deg)
+        out, dropped, kept = _shift_rows(self.c[None], np.asarray(A)[None], deg)
         if tail is not None:
-            tail.record(dropped, kept)
-        return TwistedLoop(self.N, out, enforce_parity=False)
+            tail.record(float(dropped[0]), float(kept[0]))
+        return TwistedLoop(self.N, out[0], enforce_parity=False)
 
     def __add__(self, other: "TwistedLoop") -> "TwistedLoop":
         _check_same_N(self, other)
@@ -240,17 +240,21 @@ class _Effects:
                     del effect, effects
 
 
-def _shift_mul(c: np.ndarray, A: np.ndarray, deg: int) -> tuple[np.ndarray, float, float]:
-    """Product of one (2N+1, 2, 2) loop with lam^deg * A, truncated to
-    [-N, N]; returns (coefficients, dropped, kept) Frobenius tail masses."""
+def _shift_rows(c: np.ndarray, A: np.ndarray, deg: int):
+    """Products of a (B, 2N+1, 2, 2) stack with the single-term loops
+    lam^deg * A[b], truncated to [-N, N]; returns (coefficients, dropped,
+    kept) with each item's Frobenius tail masses, in a batch of one's order.
+
+    Each 2x2 product is summed as `np.einsum("kij,jl->kil", ...)` sums one
+    loop: from +0.0, one term at a time, so even the signs of zeros agree.
+    A batched einsum would too, but it is several times slower."""
     out = np.zeros_like(c)
-    prod = np.einsum("kij,jl->kil", c, A)
-    n = len(c)
+    prod = (c[..., 0, None] * A[:, None, None, 0] + 0.0) + c[..., 1, None] * A[:, None, None, 1]
+    n = c.shape[1]
     lo, hi = max(0, deg), min(n, n + deg)
-    out[lo:hi] = prod[lo - deg : hi - deg]
-    kept = float(np.sqrt((out**2).sum()))
-    dropped_sq = (prod[: lo - deg] ** 2).sum() + (prod[hi - deg :] ** 2).sum()
-    return out, float(np.sqrt(dropped_sq)), kept
+    out[:, lo:hi] = prod[:, lo - deg : hi - deg]
+    dropped = np.sqrt(_sq_sum(prod[:, : lo - deg]) + _sq_sum(prod[:, hi - deg :]))
+    return out, dropped, np.sqrt(_sq_sum(out))
 
 
 def _scale_rows(c: np.ndarray, d: np.ndarray) -> np.ndarray:

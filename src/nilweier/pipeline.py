@@ -37,7 +37,11 @@ from .errors import (
     TruncationOverflow,
 )
 from .expressions import Expression, combine, const_times, parse_expression, rename_variable
-from .factorization import _iwasawa_rows, birkhoff_split, iwasawa_double
+from .factorization import (
+    _iwasawa_rows,
+    birkhoff_split,
+    iwasawa_double,  # noqa: F401  perfbench/tracer.py binds this name
+)
 from .loopalg import (
     SIGMA3,
     LoopPair,
@@ -46,7 +50,7 @@ from .loopalg import (
     _Effects,
     _mul_rows,
     _scale_rows,
-    _shift_mul,
+    _shift_rows,
     loop_inv,
     loop_mul,
     pair_eval,
@@ -151,13 +155,13 @@ class _AxisFlow:
     The value at x is n = ceil(|x| * steps_per_unit) RK4 steps of size
     h = x / n from Phi(0) = id.  Step k evaluates A at k h, k h + h/2 and
     (k + 1) h, so the state after m steps is a function of (h, m) alone, and
-    nodes that share h lie on one chain of states.  `integrate_nodes` runs
-    each chain once, to its longest node; `at` then replays the node's prefix
-    of the chain's tail records into the account, and integrates any other
-    abscissa on its own.  Either way every value and every tail record is
-    bit-identical to an integration from 0 at the call, so nothing depends on
-    evaluation order.  Dropped tail mass goes to `tail`, or to the flow's own
-    account if None.
+    abscissae that share h lie on one chain of states.  `integrate_nodes`
+    advances the chains of a set of abscissae as one stack, each chain to its
+    longest abscissa, and keeps every abscissa's state with its prefix of the
+    chain's tail records; `at` replays that prefix into the account.  Either
+    way every value and every tail record is bit-identical to an integration
+    from 0 at the call, so nothing depends on evaluation order.  Dropped tail
+    mass goes to `tail`, or to the flow's own account if None.
     """
 
     def __init__(self, coeff_fn, deg: int, N: int, steps_per_unit: float, tail: TailAccumulator):
@@ -167,70 +171,95 @@ class _AxisFlow:
         self.spu = float(steps_per_unit)
         self.tail = tail
         self._cache: dict[float, TwistedLoop] = {0.0: TwistedLoop.identity(N)}
-        # node -> (state, its chain's tail records, how many of them it owns)
-        self._nodes: dict[float, tuple[np.ndarray, list, int]] = {}
+        # abscissa -> (state or None, its chain's tail records, how many of
+        # them it owns, the positions of the step whose potential raised)
+        self._nodes: dict[float, tuple[np.ndarray | None, list, int, tuple]] = {}
 
     def _steps(self, x: float) -> tuple[int, float]:
         n = max(1, int(math.ceil(abs(x) * self.spu - 1e-12)))
         return n, x / n
 
-    def _states(self, h: float, n: int, record):
-        """Yield the states after 1, ..., n steps of size h from the identity;
-        each product's tail masses go to record(dropped, kept) as they arise."""
+    def _advance(self, chains) -> None:
+        """Step a stack of chains from the identity, one RK4 step at a time.
 
-        def shift(c, A):
-            out, dropped, kept = _shift_mul(c, A, self.deg)
-            record(dropped, kept)
-            return out
+        Chain b is (h, stops): it takes steps of size h up to its longest stop
+        and keeps the state after m steps for each abscissa in stops[m];
+        finished chains stop.  Each product's tail masses go to the chain's
+        records as they arise.  A chain whose potential raises at a step drops
+        out; its abscissae past that step keep the step instead of a state.
+        """
+        hs = np.array([h for h, _ in chains])
+        lengths = [max(stops) for _, stops in chains]
+        records: list[list] = [[] for _ in chains]
+        phi = np.repeat(self._cache[0.0].c[None], len(chains), axis=0)
+        live = list(range(len(chains)))
+        for k in range(max(lengths)):
+            stepping, coeffs = [], []
+            for b in live:
+                if k == lengths[b]:
+                    continue
+                h, stops = chains[b]
+                pos = k * h if k else 0.0
+                positions = (pos, pos + h / 2.0, pos + h)
+                try:
+                    coeffs.append([self.coeff_fn(x) for x in positions])
+                except (EvalDomain, DegeneratePotential):
+                    failed = (None, records[b], len(records[b]), positions)
+                    self._nodes.update((x, failed) for m, xs in stops.items() if m > k for x in xs)
+                    continue
+                stepping.append(b)
+            live = stepping
+            if not live:
+                break
 
-        phi, pos = self._cache[0.0].c, 0.0
-        for k in range(n):
-            a0 = self.coeff_fn(pos)
-            am = self.coeff_fn(pos + h / 2.0)
-            a1 = self.coeff_fn(pos + h)
-            k1 = shift(phi, a0)
-            k2 = shift(phi + (h / 2.0) * k1, am)
-            k3 = shift(phi + (h / 2.0) * k2, am)
-            k4 = shift(phi + h * k3, a1)
-            phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            pos = (k + 1) * h
-            yield phi
+            def shift(c, A):
+                out, dropped, kept = _shift_rows(c, A, self.deg)
+                for row, b in enumerate(live):
+                    records[b].append((float(dropped[row]), float(kept[row])))
+                return out
+
+            a0, am, a1 = (np.stack(a) for a in zip(*coeffs))
+            h = hs[live][:, None, None, None]
+            c = phi[live]
+            k1 = shift(c, a0)
+            k2 = shift(c + (h / 2.0) * k1, am)
+            k3 = shift(c + (h / 2.0) * k2, am)
+            k4 = shift(c + h * k3, a1)
+            phi[live] = c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            for row, b in enumerate(live):
+                for x in chains[b][1].get(k + 1, ()):
+                    self._nodes[x] = (c[row].copy(), records[b], len(records[b]), ())
 
     def integrate_nodes(self, xs) -> None:
-        """Run each chain of the abscissae xs once and keep only their states,
-        for `at` to return."""
+        """Advance the chains of the abscissae xs as one stack and keep the
+        states of those not yet cached or kept, for `at` to return."""
         chains: dict[float, dict[int, list[float]]] = {}
         for x in map(float, xs):
-            if x not in self._cache:
+            if x not in self._cache and x not in self._nodes:
                 n, h = self._steps(x)
                 chains.setdefault(h, {}).setdefault(n, []).append(x)
-        for h, stops in chains.items():
-            records: list[tuple[float, float]] = []
-            states = self._states(h, max(stops), lambda *masses: records.append(masses))
-            try:
-                for m, phi in enumerate(states, 1):
-                    for x in stops.get(m, ()):
-                        self._nodes[x] = (phi, records, len(records))
-            except (EvalDomain, DegeneratePotential):
-                # the nodes past this step are left to `at`, whose own
-                # integration then raises at this step
-                pass
+        if chains:
+            self._advance(list(chains.items()))
+
+    def state(self, x: float) -> np.ndarray | None:
+        """Coefficients at an abscissa that is cached or integrated but not
+        yet handed out, without replaying anything; None if it raises."""
+        hit = self._cache.get(x)
+        return hit.c if hit is not None else self._nodes[x][0]
 
     def at(self, x: float, tail: TailAccumulator | None = None) -> TwistedLoop:
         x = float(x)
         hit = self._cache.get(x)
         if hit is not None:
             return hit
+        if x not in self._nodes:
+            self.integrate_nodes([x])
+        phi, records, count, failed = self._nodes.pop(x)
         tail = self.tail if tail is None else tail
-        node = self._nodes.pop(x, None)
-        if node is None:
-            n, h = self._steps(x)
-            for phi in self._states(h, n, tail.record):
-                pass
-        else:
-            phi, records, count = node
-            for masses in records[:count]:
-                tail.record(*masses)
+        for masses in records[:count]:
+            tail.record(*masses)
+        for pos in failed:  # the potential raised at this step: raise it here
+            self.coeff_fn(pos)
         hit = self._cache[x] = TwistedLoop(self.N, phi, enforce_parity=False)
         return hit
 
@@ -299,11 +328,15 @@ class FramePoint:
     conditioning: float
 
 
-def _gauge_rows(frame, vminus, f_val, g_vals, initial, fx, gridpoints):
-    """Diagonal gauge normalization of a (B, 2N+1, 2, 2) stack of Iwasawa
-    frames sharing f, then the initial-frame product.  Returns (gauged
-    frames, h, gauge_log); a point with nonpositive angle function fails
-    with GaugeFailure."""
+def _frame_rows(phi_s: TwistedLoop, phi_t, f_val, g_vals, initial, gridpoints):
+    """Frames of a (B, 2N+1, 2, 2) stack of Phi_t sharing Phi_s and f: the
+    Iwasawa split, the diagonal gauge normalization and the initial-frame
+    product, as one batch.  Returns (effects, frames, h, gauge_log,
+    conditioning); each item's effects are a batch of one's, for
+    `_play_point`.  A point with nonpositive angle function fails with
+    GaugeFailure."""
+    fx = _Effects(len(phi_t))
+    frame, _, vminus, conds = _iwasawa_rows(phi_s, phi_t, fx)
     N = frame.shape[1] // 2
     h = np.full(len(frame), np.nan)
     gauge_log = np.full(len(frame), np.nan)
@@ -321,34 +354,25 @@ def _gauge_rows(frame, vminus, f_val, g_vals, initial, fx, gridpoints):
     frame = _scale_rows(frame, d)
     if initial is not None:
         frame = _mul_rows(initial.c, frame, fx)
-    return frame, h, gauge_log
+    return fx, frame, h, gauge_log, conds
 
 
-def _frame_point(
-    phi_s: TwistedLoop,
-    phi_t: TwistedLoop,
-    f_val: float,
-    g_val: float,
-    initial: TwistedLoop | None,
-    tail: TailAccumulator | None,
-    gridpoint=None,
-) -> FramePoint:
+def _value_or_none(expr: Expression, x: float) -> float | None:
+    """expr at x, or None outside its domain."""
     try:
-        res = iwasawa_double(phi_s, phi_t, tail)
-    except OutsideBigCell as exc:
+        return expr.eval(x)
+    except EvalDomain:
+        return None
+
+
+def _play_point(fx: _Effects, j: int, tail, gridpoint) -> None:
+    """Perform item j's effects into `tail`; its error names the gridpoint."""
+    try:
+        with _naming(gridpoint):
+            fx.play(j, tail)
+    except (OutsideBigCell, GaugeFailure) as exc:
         exc.gridpoint = gridpoint
         raise
-    fx = _Effects(1)
-    frame, h, gauge_log = _gauge_rows(
-        res.frame.c[None], res.vminus.c[None], f_val, [g_val], initial, fx, [gridpoint]
-    )
-    fx.play(0, tail)
-    return FramePoint(
-        TwistedLoop(phi_s.N, frame[0], enforce_parity=False),
-        float(h[0]),
-        float(gauge_log[0]),
-        res.conditioning,
-    )
 
 
 @dataclass
@@ -398,10 +422,8 @@ def build_extended_frames(
     gridpoints = [[(float(s), float(t)) for t in t_grid] for s in s_grid]
 
     for i in range(ns):
-        fx = _Effects(nt)
-        frame, _, vminus, conds = _iwasawa_rows(phi_s_list[i], phi_t, fx)
-        frame, h_row, log_row = _gauge_rows(
-            frame, vminus, f_vals[i], g_vals, initial, fx, gridpoints[i]
+        fx, frame, h_row, log_row, conds = _frame_rows(
+            phi_s_list[i], phi_t, f_vals[i], g_vals, initial, gridpoints[i]
         )
         # Each row has its own account, merged in row order: the overflow
         # check runs against the row's mass, and the merged sums are the
@@ -409,10 +431,8 @@ def build_extended_frames(
         row_tail = TailAccumulator(bound=tail.bound if tail is not None else 1e-9)
         for j, gridpoint in enumerate(gridpoints[i]):
             try:
-                with _naming(gridpoint):
-                    fx.play(j, row_tail)
+                _play_point(fx, j, row_tail, gridpoint)
             except (OutsideBigCell, GaugeFailure) as exc:
-                exc.gridpoint = gridpoint
                 holes[i, j] = True
                 hole_errors.append((i, j, type(exc).__name__, str(exc)))
                 continue
@@ -517,9 +537,9 @@ class Pipeline:
     """Owns one run: potential, axis flows, frame grid, surfaces.
 
     Also serves as the exact point evaluator behind all finite-difference
-    verification: `frame_at`, `surface_at` and `spinors_at` reuse the sweep's
-    gridpoint frames and compute any other point exactly, never by
-    interpolation.  Its axis frames are bit-identical to an integration from
+    verification: `frames_at`, `frame_at`, `surface_at` and `spinors_at` reuse
+    the sweep's gridpoint frames and compute any other point exactly, never by
+    interpolation, through the sweep's row kernels in batches.  Its axis frames are bit-identical to an integration from
     0, whatever was evaluated before; its dropped tail mass goes to
     `point_tail`, never to the run's `tail`; and a truncation or potential
     error names the point.
@@ -578,22 +598,77 @@ class Pipeline:
         return self
 
     # -- point evaluators -------------------------------------------------------
+    def frames_at(self, points) -> list[FramePoint]:
+        """`[self.frame_at(s, t) for s, t in points]`, with the misses computed
+        in batches.
+
+        Points the cache does not hold have their axis abscissae integrated as
+        one stack per axis and are split by rows of common s, through the
+        sweep's row kernels.  Each point's effects are then replayed in list
+        order, as the point-by-point loop has them: its s-axis and t-axis tail
+        records, then its split's tail records, warnings and error.  So the
+        frames, `point_tail`, the warnings and the first error are the loop's.
+        """
+        keys = [(float(s), float(t)) for s, t in points]
+        split = self._split_misses([key for key in keys if key not in self._point_cache])
+        return [self._replay(key, split) for key in keys]
+
     def frame_at(self, s: float, t: float) -> FramePoint:
-        key = (float(s), float(t))
+        """The frame at one point: `frames_at`'s batch of one."""
+        return self.frames_at([(s, t)])[0]
+
+    def _split_misses(self, misses) -> dict:
+        """Row-batched frames of the points `misses`, not yet replayed:
+        {point: (effects, item, (frames, h, gauge_log, conditioning))}.  A
+        point whose axis frame or potential value raises is left out, since
+        replaying it raises first."""
+        if not misses:
+            return {}
+        self._flow_s.integrate_nodes(s for s, _ in misses)
+        self._flow_t.integrate_nodes(t for _, t in misses)
+        rows: dict[float, dict[float, None]] = {}
+        for s, t in misses:
+            rows.setdefault(s, {})[t] = None
+        split = {}
+        for s, ts in rows.items():
+            phi_s = self._flow_s.state(s)
+            f_val = _value_or_none(self.potential.f, s)
+            items = [(t, self._flow_t.state(t), _value_or_none(self.potential.g, t)) for t in ts]
+            items = [item for item in items if item[1] is not None and item[2] is not None]
+            if phi_s is None or f_val is None or not items:
+                continue
+            gridpoints = [(s, t) for t, _, _ in items]
+            fx, *row = _frame_rows(
+                TwistedLoop(self.trunc_n, phi_s, enforce_parity=False),
+                np.stack([phi_t for _, phi_t, _ in items]),
+                f_val,
+                [g_val for _, _, g_val in items],
+                self.initial_frame,
+                gridpoints,
+            )
+            for j, key in enumerate(gridpoints):
+                split[key] = (fx, j, row)
+        return split
+
+    def _replay(self, key, split) -> FramePoint:
         hit = self._point_cache.get(key)
-        if hit is None:
-            tail = self.point_tail
-            with _naming(key):
-                hit = _frame_point(
-                    self._flow_s.at(s, tail),
-                    self._flow_t.at(t, tail),
-                    self.potential.f.eval(float(s)),
-                    self.potential.g.eval(float(t)),
-                    self.initial_frame,
-                    tail,
-                    gridpoint=key,
-                )
-            self._point_cache[key] = hit
+        if hit is not None:
+            return hit
+        s, t = key
+        tail = self.point_tail
+        with _naming(key):
+            self._flow_s.at(s, tail)
+            self._flow_t.at(t, tail)
+            self.potential.f.eval(s)
+            self.potential.g.eval(t)
+        fx, j, (frame, h, gauge_log, conds) = split.pop(key)
+        _play_point(fx, j, tail, key)
+        hit = self._point_cache[key] = FramePoint(
+            TwistedLoop(self.trunc_n, frame[j], enforce_parity=False),
+            float(h[j]),
+            float(gauge_log[j]),
+            float(conds[j]),
+        )
         return hit
 
     def h_at(self, s: float, t: float) -> float:
@@ -646,17 +721,20 @@ class ExtractedPotential:
     B_hat: list  # ParaComplex samples of (Q l + R lbar)/4
 
 
+def _log_derivative_abscissae(x: float) -> list[float]:
+    """Where `_log_derivative_loop` reads the factor: a 4th-order central
+    stencil of step 1e-2, then x itself."""
+    delta = 1e-2
+    return [x - 2 * delta, x - delta, x + delta, x + 2 * delta, x]
+
+
 def _log_derivative_loop(factor_fn, x: float) -> TwistedLoop:
     """A(x)^{-1} A'(x) by a 4th-order central stencil of step 1e-2 on the
     factor loops."""
     delta = 1e-2
-    deriv = (1.0 / (12.0 * delta)) * (
-        factor_fn(x - 2 * delta)
-        + (-8.0) * factor_fn(x - delta)
-        + 8.0 * factor_fn(x + delta)
-        + (-1.0) * factor_fn(x + 2 * delta)
-    )
-    return loop_mul(loop_inv(factor_fn(x)), deriv)
+    mm, m, p, pp, base = map(factor_fn, _log_derivative_abscissae(x))
+    deriv = (1.0 / (12.0 * delta)) * (mm + (-8.0) * m + 8.0 * p + (-1.0) * pp)
+    return loop_mul(loop_inv(base), deriv)
 
 
 def extract_normalized_potential(pipeline: Pipeline, axis_values=None) -> ExtractedPotential:
@@ -666,10 +744,19 @@ def extract_normalized_potential(pipeline: Pipeline, axis_values=None) -> Extrac
     infinity; its logarithmic s-derivative is the lam^{-1} potential matrix,
     giving f and Q.  Symmetrically the plus-normalized factor along (0, t)
     gives g and R.  Requires the axes inside the domain of the potential.
+    The frames of the whole stencil are computed as one `frames_at` batch.
     """
     if axis_values is None:
         axis_values = pipeline.s_grid
     axis_values = np.asarray(axis_values, float)
+    pipeline.frames_at(
+        [
+            point
+            for x in axis_values
+            for point in [(y, 0.0) for y in _log_derivative_abscissae(float(x))]
+            + [(0.0, y) for y in _log_derivative_abscissae(float(x))]
+        ]
+    )
 
     def minus_factor(s: float) -> TwistedLoop:
         return birkhoff_split(pipeline.frame_at(s, 0.0).loop, "minus_star_plus").minus

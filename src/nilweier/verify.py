@@ -16,12 +16,18 @@ from .errors import DegenerateMetric, GridTooCoarse
 from .geometry import (
     _xy_tangents,
     abresch_rosenberg,
+    abresch_rosenberg_stencil,
     conformal_factor_root,
+    dirac_potential_stencil,
+    dirac_stencil,
     first_fundamental_form,
     flatness_residual,
+    flatness_stencil,
     mean_curvature_L3,
     minimality_residual,
+    minimality_stencil,
     spinors_and_dirac,
+    xy_stencil,
 )
 from .loopalg import SIGMA3, LoopPair, PCMatrix2, pair_eval
 from .pipeline import Pipeline, _sym_point, extract_normalized_potential
@@ -133,6 +139,9 @@ def run_diagnostics(pipeline: Pipeline) -> dict:
 
 
 def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
+    """Every check on a run pipeline.  Before each finite-difference check, the
+    frames of its whole stencil are computed in one `frames_at` batch; the
+    check then reads them from the point cache."""
     if pipeline.frame_grid is None:
         pipeline.run()
     fg = pipeline.frame_grid
@@ -175,12 +184,13 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
 
     # spinors and Dirac system (the theta0 field serves the conformal factor)
     for th in sorted({theta0, max(thetas)}):
-        sp = spinors_and_dirac(
-            lambda a, b: pipeline.spinors_at(a, b, th)[:2],
-            pipeline.h_at,
-            pts_nil,
-            step=1e-3,
-        )
+
+        def spinors(a, b, th=th):
+            return pipeline.spinors_at(a, b, th)[:2]
+
+        pipeline.frames_at(dirac_stencil(pts_nil, 1e-3))
+        pipeline.frames_at(dirac_potential_stencil(spinors, pts_nil, 1e-3))
+        sp = spinors_and_dirac(spinors, pipeline.h_at, pts_nil, step=1e-3)
         tag = f"theta={th:g}"
         checks.append(_check(f"dirac_residual[{tag}]", sp.dirac, 1e-6))
         checks.append(_check(f"angle_function_spinor_gap[{tag}]", sp.h_gap, 1e-9))
@@ -191,9 +201,11 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
             sp0 = sp
 
     # conformality of the Heisenberg surface and conformal factor consistency
+    pipeline.frames_at(xy_stencil(pts_nil, 1e-3, "nil"))
     fff = first_fundamental_form(
         lambda a, b: pipeline.nil_at(a, b, theta0), pts_nil, step=1e-3, space="nil"
     )
+    pipeline.frames_at(xy_stencil(pts_nil, 2e-3, "nil"))
     fff_coarse = first_fundamental_form(
         lambda a, b: pipeline.nil_at(a, b, theta0), pts_nil, step=2e-3, space="nil"
     )
@@ -208,6 +220,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     checks.append(_check("conformal_factor_vs_spinors", eu_gap, 1e-5))
 
     # Minkowski side: conformal factor equals h^2, mean curvature 1/2
+    pipeline.frames_at(xy_stencil(pts, 1e-3, "l3"))
     fff_l3 = first_fundamental_form(
         lambda a, b: pipeline.l3_at(a, b, theta0), pts, step=1e-3, space="l3"
     )
@@ -220,6 +233,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
             1e-5,
         )
     )
+    pipeline.frames_at(xy_stencil(pts, 1e-3, "l3"))
     try:
         H = mean_curvature_L3(
             lambda a, b: pipeline.l3_at(a, b, theta0),
@@ -233,6 +247,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
 
     # normals: unit, orthogonal to FD tangents
     nn_err = orth_err = 0.0
+    pipeline.frames_at(xy_stencil(pts, 1e-4, "l3"))
     for s, t in pts:
         n = pipeline.normal_at(s, t, theta0)
         nn = n[0] ** 2 - n[1] ** 2 + n[2] ** 2
@@ -244,12 +259,14 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     checks.append(_check("normal_tangency", orth_err, 1e-6))
 
     # structure equations of the generated Heisenberg surface
+    pipeline.frames_at(minimality_stencil(pts_nil, 1e-3))
     mres = minimality_residual(
         lambda a, b: pipeline.nil_at(a, b, theta0), pts_nil, step=1e-3
     )
     checks.append(_check("minimality_residual", mres.residual, 1e-5, floor=mres.noise_floor))
 
     # quadratic differential: para-holomorphy and oracle value
+    pipeline.frames_at(abresch_rosenberg_stencil(pts_nil, 1e-2))
     ar = abresch_rosenberg(
         lambda a, b: pipeline.spinors_at(a, b, theta0)[:2], pts_nil, step=1e-2
     )
@@ -261,6 +278,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
         checks.append(_check(f"quadratic_differential_value[{oracle}]", b_err, 1e-7))
 
     # flat connection family
+    pipeline.frames_at(flatness_stencil(pts_nil))
     flat = flatness_residual(
         pipeline.h_at,
         pipeline.potential.Q.eval,

@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 
-from nilweier.errors import NilWeierError
-from nilweier.loopalg import TwistedLoop, loop_exp
+from nilweier.errors import GaugeFailure, NilWeierError, OutsideBigCell
+from nilweier.factorization import iwasawa_double
+from nilweier.loopalg import TwistedLoop, loop_exp, loop_mul
 
 
 # -- closed-form frames (real slot, spectral variable lam = e^theta) ---------
@@ -102,9 +103,22 @@ def random_plus_star_loop(rng, N, decay=0.25, scale=0.35, band=2):
 # -- axis ODE integrated from 0 ------------------------------------------------
 
 
+def shift_mul_reference(c, A, deg):
+    """One (2N+1, 2, 2) loop times lam^deg A by `np.einsum`, truncated to
+    [-N, N]; returns (coefficients, dropped, kept) Frobenius tail masses."""
+    prod = np.einsum("kij,jl->kil", c, A)
+    out = np.zeros_like(c)
+    n = len(c)
+    lo, hi = max(0, deg), min(n, n + deg)
+    out[lo:hi] = prod[lo - deg : hi - deg]
+    dropped = (prod[: lo - deg] ** 2).sum() + (prod[hi - deg :] ** 2).sum()
+    return out, float(np.sqrt(dropped)), float(np.sqrt((out**2).sum()))
+
+
 class FromZeroAxisFlow:
     """The axis ODE d Phi = Phi lam^deg A(x) dx, each abscissa integrated
-    afresh from 0 in TwistedLoop arithmetic, each value cached once computed:
+    afresh from 0 in TwistedLoop arithmetic with one `np.einsum` per product,
+    each value cached once computed:
     the algorithm the engine's chained integration must reproduce bit for bit."""
 
     def __init__(self, coeff_fn, deg, N, steps_per_unit, tail):
@@ -112,6 +126,11 @@ class FromZeroAxisFlow:
         self.spu = float(steps_per_unit)
         self.tail = tail
         self.cache = {0.0: TwistedLoop.identity(N)}
+
+    def _shift(self, phi, A, tail):
+        out, dropped, kept = shift_mul_reference(phi.c, A, self.deg)
+        tail.record(dropped, kept)
+        return TwistedLoop(self.N, out, enforce_parity=False)
 
     def at(self, x, tail=None):
         x = float(x)
@@ -126,10 +145,10 @@ class FromZeroAxisFlow:
             a0 = self.coeff_fn(pos)
             am = self.coeff_fn(pos + h / 2.0)
             a1 = self.coeff_fn(pos + h)
-            k1 = phi.shift_mul(a0, self.deg, tail)
-            k2 = (phi + (h / 2.0) * k1).shift_mul(am, self.deg, tail)
-            k3 = (phi + (h / 2.0) * k2).shift_mul(am, self.deg, tail)
-            k4 = (phi + h * k3).shift_mul(a1, self.deg, tail)
+            k1 = self._shift(phi, a0, tail)
+            k2 = self._shift(phi + (h / 2.0) * k1, am, tail)
+            k3 = self._shift(phi + (h / 2.0) * k2, am, tail)
+            k4 = self._shift(phi + h * k3, a1, tail)
             phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             pos = (k + 1) * h
         self.cache[x] = phi
@@ -153,6 +172,31 @@ def solve_axes_from_zero(potential, s_grid, t_grid, steps_per_cell, trunc_n, tai
             except NilWeierError as exc:
                 return out + [(point, exc)]
     return out
+
+
+# -- one gridpoint's frame, point by point ---------------------------------------
+
+
+def frame_point_reference(phi_s, phi_t, f_val, g_val, initial, tail, gridpoint):
+    """One point's frame the scalar way: `iwasawa_double`, then the diagonal
+    gauge and the initial-frame product in TwistedLoop arithmetic, each
+    performing its effects into `tail` as it goes.  Returns (frame, h,
+    gauge_log, conditioning); a hole's error names the gridpoint."""
+    try:
+        res = iwasawa_double(phi_s, phi_t, tail)
+    except OutsideBigCell as exc:
+        exc.gridpoint = gridpoint
+        raise
+    d22 = float(res.vminus.c[phi_s.N, 1, 1])
+    fg = f_val * g_val
+    if fg <= 0.0 or d22 <= 1e-13:
+        message = f"angle function not positive (f*g={fg:.3e}, d22={d22:.3e})"
+        raise GaugeFailure(message, gridpoint=gridpoint)
+    d = (f_val / (g_val * d22 * d22)) ** 0.25
+    frame = res.frame.scale_columns(d)
+    if initial is not None:
+        frame = loop_mul(initial, frame, tail)
+    return frame, math.sqrt(fg) * d22, math.log(d), res.conditioning
 
 
 # -- brute force convolution ---------------------------------------------------

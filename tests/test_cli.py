@@ -187,7 +187,7 @@ def _no_iwasawa(*args, **kwargs):
 
 def test_nil_side_selection_reads_the_sweep(tmp_path, plane_pipe, monkeypatch):
     small = load_config(_small_cylinder_config(str(tmp_path))).make_pipeline().run()
-    monkeypatch.setattr("nilweier.pipeline.iwasawa_double", _no_iwasawa)
+    monkeypatch.setattr("nilweier.pipeline._iwasawa_rows", _no_iwasawa)
     assert safe_points(small, nil_side=True) == [
         (0.0, 0.0), (-0.25, 0.0), (0.0, -0.25), (0.0, 0.25), (0.25, 0.0),
         (-0.5, 0.0), (-0.25, -0.25), (-0.25, 0.25), (0.0, -0.5),

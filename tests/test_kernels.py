@@ -14,9 +14,15 @@ from nilweier.loopalg import (
     _inv_rows,
     _mask,
     _mul_rows,
+    _shift_rows,
 )
 
-from _oracles import random_group_loop, random_minus_star_loop, random_plus_star_loop
+from _oracles import (
+    random_group_loop,
+    random_minus_star_loop,
+    random_plus_star_loop,
+    shift_mul_reference,
+)
 
 stacks = settings(max_examples=20, deadline=None)
 sizes = dict(
@@ -174,3 +180,21 @@ def test_birkhoff_factors_multiply_back(N, B, seed, sign):
         recon = loop_mul(TwistedLoop(N, left), TwistedLoop(N, right))
         loop = TwistedLoop(N, w[i])
         assert (recon - loop).norm() <= 1e-10 * loop.norm()
+
+
+@stacks
+@given(**sizes, deg=st.sampled_from([-1, 1]), dense=st.booleans())
+def test_shift_rows_equals_one_einsum_per_item(N, B, seed, deg, dense):
+    """Values, signs of zeros and tail masses of each item are those of one
+    `np.einsum` product; twisted loops and potential matrices carry many
+    zeros, some of them negative, and dense stacks make both terms count."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(B, 2 * N + 1, 2, 2)) if dense else _random_stack(seed, N, B)
+    c[rng.random(c.shape) < 0.2] *= -1.0
+    A = rng.normal(size=(B, 2, 2))
+    A[rng.random(A.shape) < 0.5] = -0.0
+    out, dropped, kept = _shift_rows(c, A, deg)
+    for b in range(B):
+        ref, ref_dropped, ref_kept = shift_mul_reference(c[b], A[b], deg)
+        assert np.array_equal(out[b], ref) and np.array_equal(np.signbit(out[b]), np.signbit(ref))
+        assert (dropped[b], kept[b]) == (ref_dropped, ref_kept)

@@ -18,13 +18,12 @@ from nilweier import (
     loop_mul,
     pair_eval,
 )
-from nilweier import factorization
+from nilweier import NilWeierError, factorization
 from nilweier.loopalg import TailAccumulator
 from nilweier.pipeline import (
     Pipeline,
     PotentialSpec,
     _AxisFlow,
-    _frame_point,
     build_extended_frames,
     extract_normalized_potential,
     integrate_weierstrass_path,
@@ -37,6 +36,7 @@ from nilweier.pipeline import (
 from _oracles import (
     FromZeroAxisFlow,
     cylinder_frame,
+    frame_point_reference,
     cylinder_nil,
     frame_error_mod_gauge,
     nil_translate_to,
@@ -241,6 +241,67 @@ def test_axis_ode_integrates_each_chain_once(monkeypatch):
     assert calls == {"xi_s": 3 * steps, "xi_t": 3 * steps}
 
 
+def _counted(coeff_fn, calls):
+    def counted(x):
+        calls.append(x)
+        return coeff_fn(x)
+
+    return counted
+
+
+def test_stacked_stepper_equals_from_zero_reference():
+    """One stack of the 41-node grid's chains and off-grid abscissae of other
+    h and n: every value and tail record equals the from-0 integration, each
+    chain steps once to its longest abscissa, and finished items stop."""
+    spu = 8 / np.diff(UNIFORM_41).min()
+    rng = np.random.default_rng(5)
+    off_grid = [float(x) for x in rng.uniform(-2.0, 2.0, 12)] + [0.013, -1.9999]
+    xs = [float(x) for x in UNIFORM_41] + off_grid
+    for coeff_fn, deg in ((VARYING.xi_s, -1), (VARYING.xi_t, +1)):
+        calls = []
+        flow = _AxisFlow(_counted(coeff_fn, calls), deg, 12, spu, TailAccumulator())
+        ref = FromZeroAxisFlow(coeff_fn, deg, 12, spu, TailAccumulator())
+        flow.integrate_nodes(xs)
+        lengths = {}
+        for x in xs:
+            if x != 0.0:
+                n = max(1, math.ceil(abs(x) * spu - 1e-12))
+                lengths[x / n] = max(lengths.get(x / n, 0), n)
+        assert len(calls) == 3 * sum(lengths.values())
+        for x in rng.permutation(xs):
+            new, old = flow.at(x), ref.at(x)
+            assert np.array_equal(new.c, old.c), x
+            assert (flow.tail.dropped, flow.tail.kept) == (ref.tail.dropped, ref.tail.kept)
+        assert flow._nodes == {} and len(calls) == 3 * sum(lengths.values())
+
+
+def test_stacked_stepper_drops_an_item_whose_potential_raises():
+    """f has no value for |s - 0.25| < 0.1: the items that step into that gap
+    drop out of the stack mid-way, `at` raises their error at the same step
+    after the same tail records, and the other items keep exact values."""
+    pot = translate_potential("2 + sqrt(100*(z-0.25)^2 - 1)", "0", "0", "0")
+    xs = [0.1, 0.149, 0.3, 0.6, 1.0, -0.2, -0.75, -1.5]
+    flow = _AxisFlow(pot.xi_s, -1, 8, 16.0, TailAccumulator())
+    ref = FromZeroAxisFlow(pot.xi_s, -1, 8, 16.0, TailAccumulator())
+    flow.integrate_nodes(xs)
+    raised = []
+    for x in [-1.5, 0.6, 0.1, 0.3, -0.75, 1.0, -0.2, 0.149, 0.6]:
+        outcomes = []
+        for f in (flow, ref):
+            try:
+                outcomes.append(f.at(x).c)
+            except EvalDomain as exc:
+                outcomes.append(str(exc))
+        new, old = outcomes
+        if isinstance(old, str):
+            raised.append(x)
+            assert new == old
+        else:
+            assert np.array_equal(new, old), x
+        assert (flow.tail.dropped, flow.tail.kept) == (ref.tail.dropped, ref.tail.kept)
+    assert raised == [0.6, 0.3, 1.0, 0.6] and flow.tail.kept > 0.0
+
+
 def test_det_drift_bounded():
     pot = translate_potential("1", "0", "0.0625", "0")
     phi_s, _, _, _ = solve_frame_ode(
@@ -306,7 +367,7 @@ def test_truncation_tail_tracks_the_closed_form_and_decays_geometrically():
 
 
 def _reference_sweep(phi_s, phi_t, pot, s_grid, t_grid, initial=None, bound=1e-9):
-    """The sweep point by point: scalar `_frame_point` calls in row order, one
+    """The sweep point by point: `frame_point_reference` calls in row order, one
     tail account per row merged in row order.  Returns (frames, h, gauge_log,
     conditioning, holes, hole_errors, tail); a TruncationOverflow names the
     gridpoint it arose at."""
@@ -320,9 +381,9 @@ def _reference_sweep(phi_s, phi_t, pot, s_grid, t_grid, initial=None, bound=1e-9
         for j, t in enumerate(t_grid):
             gridpoint = (float(s), float(t))
             try:
-                pt = _frame_point(
+                loop, h_ij, log_ij, cond_ij = frame_point_reference(
                     phi_s[i], phi_t[j], pot.f.eval(float(s)), pot.g.eval(float(t)), initial,
-                    row_tails[-1], gridpoint=gridpoint,
+                    row_tails[-1], gridpoint,
                 )
             except TruncationOverflow as exc:
                 raise TruncationOverflow(str(exc), gridpoint=gridpoint) from exc
@@ -330,8 +391,8 @@ def _reference_sweep(phi_s, phi_t, pot, s_grid, t_grid, initial=None, bound=1e-9
                 holes[i, j] = True
                 errors.append((i, j, type(exc).__name__, str(exc)))
                 continue
-            frames[i, j] = pt.loop
-            h[i, j], gauge_log[i, j], cond[i, j] = pt.h, pt.gauge_log, pt.conditioning
+            frames[i, j] = loop
+            h[i, j], gauge_log[i, j], cond[i, j] = h_ij, log_ij, cond_ij
     tail = TailAccumulator(bound)
     for row_tail in row_tails:
         tail.merge(row_tail)
@@ -355,6 +416,13 @@ def test_truncation_overflow_in_sweep_names_gridpoint():
         assert str(exc.value) == f"{ref.value} at gridpoint (s={s}, t={t})"
 
 
+def _umbrella_initial(N=12):
+    from nilweier.config import _umbrella_frame
+
+    A = _umbrella_frame(0.5)
+    return TwistedLoop.from_terms(N, {k: A.coeff(k) for k in range(-4, 5)})
+
+
 def _near_boundary_plane(initial):
     """Plane frames on a grid with both hole causes and two points whose
     factorization is near the big-cell boundary (cond above COND_WARN)."""
@@ -364,13 +432,7 @@ def _near_boundary_plane(initial):
     )
     s_grid = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
     t_grid = np.array([-2.0, -1.0, -0.999999999999, -0.5, -0.4999999999998, 0.0, 0.5, 1.0, 2.0])
-    if initial:
-        from nilweier.config import _umbrella_frame
-
-        A = _umbrella_frame(0.5)
-        initial = TwistedLoop.from_terms(12, {k: A.coeff(k) for k in range(-4, 5)})
-    else:
-        initial = None
+    initial = _umbrella_initial() if initial else None
     phi_s = [flow_s.at(s) for s in s_grid]
     phi_t = [flow_t.at(t) for t in t_grid]
     return phi_s, phi_t, pot, s_grid, t_grid, initial
@@ -483,7 +545,7 @@ def _no_iwasawa(*args, **kwargs):
 
 def test_frame_at_reuses_the_sweeps_gridpoint_frames(cyl_pipe, plane_pipe, monkeypatch):
     fg = cyl_pipe.frame_grid
-    monkeypatch.setattr("nilweier.pipeline.iwasawa_double", _no_iwasawa)
+    monkeypatch.setattr("nilweier.pipeline._iwasawa_rows", _no_iwasawa)
     for (i, j), loop in np.ndenumerate(fg.frames):
         if fg.holes[i, j]:
             continue
@@ -511,6 +573,131 @@ def test_point_evaluations_have_their_own_tail_account():
     assert exc.value.gridpoint == (0.25, 0.45)
     assert "gridpoint (s=0.25, t=0.45)" in str(exc.value)
     assert (pipe.tail.dropped, pipe.tail.kept) == (dropped, kept)
+
+
+def _fresh_plane(initial_frame=None, pot=None, grid=np.linspace(-2, 2, 9)):
+    """A plane pipeline with both hole causes: OutsideBigCell where s t = -1,
+    GaugeFailure where s t < -1."""
+    pot = pot or translate_potential("4", "0", "0", "0")
+    return Pipeline(
+        pot, grid, grid, trunc_n=12, steps_per_cell=4, initial_frame=initial_frame
+    ).run()
+
+
+def _evaluate(pipe, evaluate):
+    """(frames, point_tail, warnings, first error) of an evaluation."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            frames, error = evaluate(pipe), None
+        except NilWeierError as exc:
+            frames, error = None, (type(exc), str(exc), getattr(exc, "gridpoint", None))
+    if frames is not None:
+        frames = [(pt.loop.c, pt.h, pt.gauge_log, pt.conditioning) for pt in frames]
+    messages = [(w.category, str(w.message)) for w in caught]
+    return frames, (pipe.point_tail.dropped, pipe.point_tail.kept), messages, error
+
+
+def _assert_same(new, ref):
+    frames, tail, messages, error = new
+    assert (tail, messages, error) == ref[1:]
+    assert (frames is None) == (ref[0] is None)
+    for (c, *values), (ref_c, *ref_values) in zip(frames or [], ref[0] or [], strict=True):
+        assert np.array_equal(c, ref_c) and values == ref_values
+
+
+# off-grid points, some sharing s, one near the big-cell boundary (cond above
+# COND_WARN), sweep gridpoints and duplicates
+_PLANE_POINTS = [
+    (0.3, -0.7), (1.0, -0.999999999999), (0.3, 0.45), (-1.5, 0.5), (0.0, 0.25),
+    (0.5, 1.0), (1.0, 0.2), (0.3, -0.7), (-0.35, -0.35), (2.0, 2.0), (1.0, -0.4),
+]
+
+
+@pytest.mark.parametrize(
+    "make, points, errors",
+    [
+        (_fresh_plane, _PLANE_POINTS, ()),
+        (_fresh_plane, _PLANE_POINTS[:4] + [(1.0, -1.0)] + _PLANE_POINTS[4:], (OutsideBigCell,)),
+        (
+            _fresh_plane,
+            _PLANE_POINTS[:6] + [(1.5, -1.5), (1.0, -1.0)] + _PLANE_POINTS[6:],
+            (GaugeFailure, OutsideBigCell),
+        ),
+        (lambda: _fresh_plane(_umbrella_initial()), _PLANE_POINTS, ()),
+        (
+            # f has no value for |s - 0.3| < 1e-3
+            lambda: _fresh_plane(pot=translate_potential("2 + sqrt(1e6*(z-0.3)^2 - 1)", "0", "0", "0")),
+            [(0.1, 0.2), (0.7, 0.5), (0.3, 0.5), (0.2, 0.1)],
+            (EvalDomain,),
+        ),
+    ],
+    ids=["off-grid", "outside-big-cell", "gauge-failure", "umbrella", "eval-domain"],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_frames_at_equals_a_frame_at_loop(make, points, errors, seed):
+    """Frames, h, gauge_log, conditioning, point_tail, warnings and the first
+    error with its gridpoint are those of a frame_at loop, in any order; after
+    an error, the points left behind evaluate as the loop's do."""
+    rng = np.random.default_rng(seed)
+    points = [points[k] for k in rng.permutation(len(points))] if seed else points
+    pipes = make(), make()
+    new = _evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
+    ref = _evaluate(pipes[1], lambda pipe: [pipe.frame_at(s, t) for s, t in points])
+    _assert_same(new, ref)
+    if not errors:
+        assert ref[3] is None and any("near big-cell boundary" in m for _, m in ref[2])
+        return
+    assert ref[3][0] in errors and ref[3][2] in points
+    for point in points:
+        outcomes = [_evaluate(pipe, lambda pipe: [pipe.frame_at(*point)]) for pipe in pipes]
+        _assert_same(*outcomes)
+
+
+@pytest.mark.parametrize("initial", [False, True], ids=["plain", "umbrella"])
+def test_frames_at_equals_the_point_by_point_reference(initial):
+    """Against the scalar algorithm: each axis integrated from 0, then
+    `frame_point_reference`, all performing their effects into one account in
+    the order s axis, t axis, split."""
+    pot = translate_potential("1 + z/5", "0.1", "0.0625", "z/9")
+    grid = np.linspace(-1, 1, 5)
+    initial = _umbrella_initial() if initial else None
+    pipe = _fresh_plane(initial, pot=pot, grid=grid)
+    points = [(0.15, -0.35), (0.15, 0.4), (-0.6, 0.4), (0.5, 0.5), (0.15, -0.35), (0.7, -0.9)]
+    frames = pipe.frames_at(points)
+    spu = 4 / 0.5
+    ref_tail = TailAccumulator()
+    flows = [FromZeroAxisFlow(pot.xi_s, -1, 12, spu, ref_tail), FromZeroAxisFlow(pot.xi_t, +1, 12, spu, ref_tail)]
+    for flow in flows:
+        for x in grid:  # the sweep's nodes, which the point evaluator finds cached
+            flow.at(x, TailAccumulator())
+    # the sweep's gridpoints are read from the sweep, and each point is split once
+    done = {(float(s), float(t)) for s in grid for t in grid}
+    for (s, t), pt in zip(points, frames, strict=True):
+        if (s, t) in done:
+            continue
+        done.add((s, t))
+        phi_s, phi_t = flows[0].at(s), flows[1].at(t)
+        loop, h, gauge_log, cond = frame_point_reference(
+            phi_s, phi_t, pot.f.eval(s), pot.g.eval(t), initial, ref_tail, (s, t)
+        )
+        assert np.array_equal(pt.loop.c, loop.c) and pt.h == h
+        assert (pt.gauge_log, pt.conditioning) == (gauge_log, cond)
+        assert pipe.frame_at(s, t) is pt
+    assert (pipe.point_tail.dropped, pipe.point_tail.kept) == (ref_tail.dropped, ref_tail.kept)
+    assert ref_tail.dropped > 0.0
+
+
+def test_frames_at_names_a_point_tail_overflow():
+    cylinder = translate_potential("1", "0", "0.0625", "0")
+    pipes = [_fresh_plane(pot=cylinder, grid=np.linspace(-1, 1, 5)) for _ in range(2)]
+    for pipe in pipes:
+        pipe.point_tail.bound = 1e-300
+    points = [(0.0, 0.5), (0.15, -0.35), (0.25, 0.45)]
+    new = _evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
+    ref = _evaluate(pipes[1], lambda pipe: [pipe.frame_at(s, t) for s, t in points])
+    _assert_same(new, ref)
+    assert ref[3][0] is TruncationOverflow and ref[3][2] == (0.15, -0.35)
 
 
 def test_frame_det_and_reality_at_sampled_spectra(cyl_pipe):
