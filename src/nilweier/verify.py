@@ -140,7 +140,8 @@ def run_diagnostics(pipeline: Pipeline) -> dict:
 
 def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     """Every check on a run pipeline.  Before each finite-difference check, the
-    frames of its whole stencil are computed in one `frames_at` batch; the
+    frames of its whole stencil are computed in one `frames_at` batch (two for
+    the Dirac check, whose Richardson points depend on the spinor values); the
     check then reads them from the point cache."""
     if pipeline.frame_grid is None:
         pipeline.run()
