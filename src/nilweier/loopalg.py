@@ -63,7 +63,7 @@ class TailAccumulator:
     def record(self, dropped: float, kept: float) -> None:
         self.dropped += dropped
         self.kept += kept
-        if self.relative() > self.bound:
+        if not self.relative() <= self.bound:  # a NaN mass fails too
             raise TruncationOverflow(
                 f"relative Laurent tail mass {self.relative():.3e} exceeds bound {self.bound:.3e}"
             )
@@ -270,40 +270,83 @@ def _sq_sum(c: np.ndarray) -> np.ndarray:
     return (c**2).reshape(len(c), -1).sum(axis=1)
 
 
+def _check_parity(c: np.ndarray, N: int, fx: _Effects) -> None:
+    """Fail each item of a (B, 2N+1, 2, 2) stack whose off-parity mass exceeds
+    round-off of its own scale; one (2N+1, 2, 2) loop shared by all items
+    fails them all."""
+    items = c.reshape(-1, *c.shape[-3:])
+    scale = np.maximum(np.abs(items).reshape(len(items), -1).max(axis=1), 1e-300)
+    worst = np.abs(items[:, _mask(N)]).max(axis=1)
+    for b in np.flatnonzero(worst > _PARITY_TOL * scale):
+        message = f"twisting parity violated: off-parity mass {worst[b]:.3e} vs scale {scale[b]:.3e}"
+        exc = ParityViolation(message)
+        for item in range(len(fx.items)) if c.ndim == 3 else (b,):
+            fx.fail(item, exc)
+
+
 def _clean_parity(c: np.ndarray, N: int, fx: _Effects) -> np.ndarray:
     """Zero the off-parity entries of a (B, 2N+1, 2, 2) stack; an item whose
     off-parity mass exceeds round-off of its own scale fails."""
-    mask = _mask(N)
-    scale = np.maximum(np.abs(c).reshape(len(c), -1).max(axis=1), 1e-300)
-    worst = np.abs(c[:, mask]).max(axis=1)
-    for b in np.flatnonzero(worst > _PARITY_TOL * scale):
-        message = f"twisting parity violated: off-parity mass {worst[b]:.3e} vs scale {scale[b]:.3e}"
-        fx.fail(b, ParityViolation(message))
+    _check_parity(c, N, fx)
     out = c.copy()
-    out[:, mask] = 0.0
+    out[:, _mask(N)] = 0.0
     return out
+
+
+@functools.cache
+def _slots(L: int, lo: int) -> np.ndarray:
+    """Flat positions, in L 2x2 coefficients of degrees lo, lo+1, ..., of the
+    entries a twisted loop may hold: (X00, X11) at even degrees, (X01, X10)
+    at odd ones."""
+    odd = (np.arange(lo, lo + L) % 2 == 1)[:, None]
+    slots = (4 * np.arange(L)[:, None] + np.where(odd, [1, 2], [0, 3])).ravel()
+    slots.setflags(write=False)
+    return slots
+
+
+def _compact(c: np.ndarray, N: int, fx: _Effects) -> np.ndarray:
+    """The (..., 2N+1, 2) compact form of a (B, 2N+1, 2, 2) stack or of one
+    shared loop, read through the parity check: off-parity entries are
+    dropped, and an item whose off-parity mass is above round-off fails."""
+    _check_parity(c, N, fx)
+    lead = c.shape[:-3]
+    return c.reshape(*lead, -1)[..., _slots(2 * N + 1, -N)].reshape(*lead, 2 * N + 1, 2)
+
+
+def _expand(c: np.ndarray, lo: int) -> np.ndarray:
+    """The (B, L, 2, 2) loops of a compact (B, L, 2) stack whose first
+    coefficient has degree lo; off-parity entries are +0.0."""
+    B, L = c.shape[:2]
+    out = np.zeros((B, 4 * L))
+    out[:, _slots(L, lo)] = c.reshape(B, -1)
+    return out.reshape(B, L, 2, 2)
 
 
 def _mul_rows(a: np.ndarray, b: np.ndarray, fx: _Effects) -> np.ndarray:
     """Cauchy products truncated to [-N, N] of (B, 2N+1, 2, 2) stacks; `a`
     may also be one (2N+1, 2, 2) loop shared by all items.
 
-    Degrees accumulate in sequence, as a batch of one does; degrees of `a`
-    that vanish in every item are skipped, which is exact since adding a
-    signed zero never changes the sum.  Each item's dropped and kept tail
-    masses are recorded before its parity check.
+    The inputs are read in compact form (see `_compact`).  Each entry of the
+    2x2 product of two twisted coefficients has one term that can be
+    nonzero, so a_m b_j is the compact a_m times the compact b_j, swapped
+    when m is odd: one rounded product per entry, as the dense product has.
+    Degrees of `a` accumulate in sequence from +0.0, as a batch of one does;
+    degrees that vanish in every item are skipped, which is exact since
+    adding a signed zero never changes the sum.  The dropped and kept tail
+    masses are summed over the dense layout, zeros included.
     """
-    n = a.shape[-3]
+    n = b.shape[1]
     N = n // 2
-    full = np.zeros((len(b), 2 * n - 1, 2, 2))
-    b0, b1 = b[:, :, 0, None, :], b[:, :, 1, None, :]
-    for m in np.flatnonzero(a.reshape(-1, n, 4).any(axis=(0, 2))):
-        am = a[..., m, None, :, :]
-        full[..., m : m + n, :, :] += am[..., 0, None] * b0 + am[..., 1, None] * b1
+    ac, bc = _compact(a, N, fx), _compact(b, N, fx)
+    swapped = bc[..., ::-1]
+    full = np.zeros((len(b), 2 * n - 1, 2))
+    for m in np.flatnonzero(ac.reshape(-1, n, 2).any(axis=(0, 2))):
+        full[:, m : m + n] += ac[..., m, None, :] * (swapped if (m - N) % 2 else bc)
+    full = _expand(full, -2 * N)
     kept = full[:, N : N + n]
     dropped = np.sqrt(_sq_sum(full[:, :N]) + _sq_sum(full[:, N + n :]))
     fx.record(dropped, np.sqrt(_sq_sum(kept)))
-    return _clean_parity(kept, N, fx)
+    return kept
 
 
 def loop_mul(a: TwistedLoop, b: TwistedLoop, tail: TailAccumulator | None = None) -> TwistedLoop:
@@ -315,24 +358,43 @@ def loop_mul(a: TwistedLoop, b: TwistedLoop, tail: TailAccumulator | None = None
     return TwistedLoop(a.N, c[0], enforce_parity=False)
 
 
+@functools.cache
+def _inv_gathers(N: int) -> tuple[np.ndarray, ...]:
+    """For k = 1..N, the rows of [y_0..y_N, swapped y_0..y_N] that multiply
+    x_1..x_k in the degree-k coefficient of x * y: y_(k-j), swapped when j
+    is odd."""
+    js = np.arange(1, N + 1)
+    return tuple((k - js[:k]) + (N + 1) * (js[:k] % 2) for k in range(1, N + 1))
+
+
 def _inv_rows(x: np.ndarray, lower: bool, fx: _Effects) -> np.ndarray:
     """Exact inverses of a (B, 2N+1, 2, 2) stack of loops supported on [-N,0]
     (lower) or [0,N] (upper); raises SingularLoop if any degree-0
-    coefficient is singular."""
+    coefficient is singular.
+
+    Works on the compact form (see `_compact`), with degrees counted along
+    the half line: y_k = -y_0 (x_1 y_(k-1) + ... + x_k y_0), one step per k.
+    The k products are gathered at once and summed in sequence, as the dense
+    recursion sums them; y_0 = 1/x_0 entrywise is the LU inverse of a
+    diagonal 2x2, and each entry of -y_0 acc is one product which the dense
+    2x2 product adds to +0.0, so values and signs of zeros agree.
+    """
     N = x.shape[1] // 2
-    y = np.zeros_like(x)
-    try:
-        y0 = np.linalg.inv(x[:, N])
-    except np.linalg.LinAlgError as exc:
-        raise SingularLoop("degree-0 coefficient is singular") from exc
-    y[:, N] = y0
-    sign = -1 if lower else 1
-    for k in range(1, N + 1):
-        acc = np.zeros_like(y0)
-        for j in range(1, k + 1):
-            acc += x[:, N + sign * j] @ y[:, N + sign * (k - j)]
-        y[:, N + sign * k] = -y0 @ acc
-    return _clean_parity(y, N, fx)
+    half = N + (-1 if lower else 1) * np.arange(N + 1)
+    xc = _compact(x, N, fx)[:, half]
+    y0 = xc[:, 0]
+    if not y0.all():
+        raise SingularLoop("degree-0 coefficient is singular")
+    y0 = 1.0 / y0
+    y = np.zeros((len(x), 2 * N + 2, 2))  # y_0..y_N, then the same swapped
+    y[:, 0], y[:, N + 1] = y0, y0[:, ::-1]
+    for k, rows in enumerate(_inv_gathers(N), start=1):
+        acc = np.add.accumulate(xc[:, 1 : k + 1] * y[:, rows], axis=1)[:, -1]
+        y[:, k] = -y0 * acc + 0.0
+        y[:, N + 1 + k] = y[:, k, ::-1]
+    out = np.zeros((len(x), 2 * N + 1, 2))
+    out[:, half] = y[:, : N + 1]
+    return _expand(out, -N)
 
 
 def _inv_triangular(x: TwistedLoop, lower: bool) -> TwistedLoop:

@@ -2,6 +2,7 @@
 point-by-point algorithms they replace, bit for bit, on random twisted loops."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +116,49 @@ def test_triangular_inverse_batch_equals_batch_of_one(N, B, seed, lower):
         assert np.array_equal(out[i], one[0])
         assert np.array_equal(out[i], _reference_inv(x[i], lower))
         assert fx.items[i] == fx1.items[0] == []
+
+
+def _shear_stack(seed, N, B, lower):
+    """B products of diag(d, +-1/d) and up to three shears (I + a lam^k E),
+    k in sign*{1, 3}: inverses and products of such loops have exact zeros
+    on parity, whose signs the kernels must keep."""
+    rng = np.random.default_rng(seed)
+    E = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    sign = -1 if lower else 1
+    out = []
+    for _ in range(B):
+        d = rng.choice([-1.0, 1.0]) * np.exp(0.3 * rng.normal())
+        loop = TwistedLoop.from_terms(N, {0: np.diag([d, rng.choice([-1.0, 1.0]) / d])})
+        for _ in range(rng.integers(0, 4)):
+            shear = TwistedLoop.from_terms(N, {0: np.eye(2), sign: rng.normal() * E[rng.integers(2)]})
+            if N >= 3 and rng.random() < 0.5:
+                shear = TwistedLoop.from_terms(N, {0: np.eye(2), 3 * sign: rng.normal() * E[rng.integers(2)]})
+            loop = loop_mul(shear, loop) if rng.random() < 0.5 else loop_mul(loop, shear)
+        out.append(loop.c)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("N", [16, 20, 48])
+def test_kernels_at_the_workloads_truncations_equal_the_dense_references(N):
+    """At the truncations the workloads run, where the sums over j hold more
+    than 8 terms, the bytes (values and signs of zeros) of each item are
+    those of the point-by-point dense algorithms."""
+    for seed in range(2):
+        a = np.concatenate([_random_stack(seed, N, 4), _shear_stack(seed, N, 2, seed == 0)])
+        b = np.concatenate([_random_stack(seed + 7, N, 4), _shear_stack(seed + 7, N, 2, seed == 1)])
+        for left in (a, a[0]):
+            fx = _Effects(len(b))
+            out = _mul_rows(left, b, fx)
+            for i in range(len(b)):
+                ref, dropped, kept = _reference_mul(a[0] if left.ndim == 3 else a[i], b[i])
+                assert out[i].tobytes() == ref.tobytes()
+                assert fx.items[i] == [(dropped, kept)]
+        for lower in (True, False):
+            kind = "minus" if lower else "plus"
+            x = np.concatenate([_random_stack(seed, N, 3, kinds=(kind,)), _shear_stack(seed, N, 3, lower)])
+            out = _inv_rows(x, lower, _Effects(len(x)))
+            for i in range(len(x)):
+                assert out[i].tobytes() == _reference_inv(x[i], lower).tobytes()
 
 
 @stacks

@@ -19,7 +19,7 @@ from nilweier import (
     mu_log_derivative,
     pair_eval,
 )
-from nilweier.loopalg import star2
+from nilweier.loopalg import _mask, star2
 
 from _oracles import convolve_dense, cylinder_frame, random_group_loop
 
@@ -179,11 +179,33 @@ def test_parity_violation_survives_optimized_mode():
     assert out.stdout.strip() == "raised"
 
 
+def test_product_operands_are_read_through_the_parity_check():
+    rng = np.random.default_rng(21)
+    a, b = random_group_loop(rng, 6), random_group_loop(rng, 6)
+    noise = _mask(6) * rng.normal(size=a.c.shape)
+    loud = TwistedLoop(6, a.c + 1e-6 * noise, enforce_parity=False)
+    with pytest.raises(ParityViolation):
+        loop_mul(loud, b)
+    with pytest.raises(ParityViolation):
+        loop_mul(b, loud)
+    quiet = TwistedLoop(6, a.c + 1e-13 * noise, enforce_parity=False)
+    expected = loop_mul(a, b).c.tobytes()
+    assert loop_mul(quiet, b).c.tobytes() == expected
+    assert loop_mul(b, quiet).c.tobytes() == loop_mul(b, a).c.tobytes()
+
+
 def test_truncation_overflow():
     big = TwistedLoop.from_terms(2, {2: np.array([[1.0, 0.0], [0.0, 1.0]])})
     tail = TailAccumulator(bound=1e-9)
     with pytest.raises(TruncationOverflow):
         loop_mul(big, big, tail)
+
+
+@pytest.mark.parametrize("dropped, kept", [(math.inf, math.inf), (math.nan, 1.0)])
+def test_tail_account_rejects_a_nan_relative_mass(dropped, kept):
+    tail = TailAccumulator(bound=1e-9)
+    with pytest.raises(TruncationOverflow):
+        tail.record(dropped, kept)
 
 
 def test_det_preserved_at_sampled_lambda():
