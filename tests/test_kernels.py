@@ -130,9 +130,8 @@ def _shear_stack(seed, N, B, lower):
         d = rng.choice([-1.0, 1.0]) * np.exp(0.3 * rng.normal())
         loop = TwistedLoop.from_terms(N, {0: np.diag([d, rng.choice([-1.0, 1.0]) / d])})
         for _ in range(rng.integers(0, 4)):
-            shear = TwistedLoop.from_terms(N, {0: np.eye(2), sign: rng.normal() * E[rng.integers(2)]})
-            if N >= 3 and rng.random() < 0.5:
-                shear = TwistedLoop.from_terms(N, {0: np.eye(2), 3 * sign: rng.normal() * E[rng.integers(2)]})
+            k = sign * (3 if N >= 3 and rng.random() < 0.5 else 1)
+            shear = TwistedLoop.from_terms(N, {0: np.eye(2), k: rng.normal() * E[rng.integers(2)]})
             loop = loop_mul(shear, loop) if rng.random() < 0.5 else loop_mul(loop, shear)
         out.append(loop.c)
     return np.stack(out)
@@ -145,7 +144,9 @@ def test_kernels_at_the_workloads_truncations_equal_the_dense_references(N):
     those of the point-by-point dense algorithms."""
     for seed in range(2):
         a = np.concatenate([_random_stack(seed, N, 4), _shear_stack(seed, N, 2, seed == 0)])
-        b = np.concatenate([_random_stack(seed + 7, N, 4), _shear_stack(seed + 7, N, 2, seed == 1)])
+        b = np.concatenate(
+            [_random_stack(seed + 7, N, 4), _shear_stack(seed + 7, N, 2, seed == 1)]
+        )
         for left in (a, a[0]):
             fx = _Effects(len(b))
             out = _mul_rows(left, b, fx)
@@ -154,8 +155,10 @@ def test_kernels_at_the_workloads_truncations_equal_the_dense_references(N):
                 assert out[i].tobytes() == ref.tobytes()
                 assert fx.items[i] == [(dropped, kept)]
         for lower in (True, False):
-            kind = "minus" if lower else "plus"
-            x = np.concatenate([_random_stack(seed, N, 3, kinds=(kind,)), _shear_stack(seed, N, 3, lower)])
+            kinds = ("minus",) if lower else ("plus",)
+            x = np.concatenate(
+                [_random_stack(seed, N, 3, kinds=kinds), _shear_stack(seed, N, 3, lower)]
+            )
             out = _inv_rows(x, lower, _Effects(len(x)))
             for i in range(len(x)):
                 assert out[i].tobytes() == _reference_inv(x[i], lower).tobytes()
