@@ -37,7 +37,8 @@ for i, s in enumerate(fg.s_grid):
         phi_minus = TwistedLoop.from_terms(
             20, {0: [[1 / delta, 0], [0, delta]], -1: [[0, -s / 4], [0, 0]]}
         )
-        raw = fg.frames[i, j].scale_columns(math.exp(-fg.gauge_log[i, j]))
+        frame = TwistedLoop(20, fg.frames[i, j], enforce_parity=False)
+        raw = frame.scale_columns(math.exp(-fg.gauge_log[i, j]))
         worst = max(worst, float((raw - loop_mul(phi_t, phi_minus)).norm()))
 print("ruled-surface frame identity, worst coefficient error:", worst)
 print("c1(t=1) from the integrated frame:", pipe.phi_t[-1].coeff(1)[1, 0], "(= t/4)")

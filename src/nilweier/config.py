@@ -44,6 +44,8 @@ class RunConfig:
         for out in self.outputs:
             if out not in _ALLOWED_OUTPUTS:
                 raise ValueError(f"unknown output kind {out!r}")
+        if not self.thetas or not all(map(math.isfinite, self.thetas)):
+            raise ValueError("thetas must list at least one finite spectral angle")
 
     def s_grid(self) -> np.ndarray:
         return _snapped_linspace(self.s_min, self.s_max, self.ns)

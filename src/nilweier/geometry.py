@@ -387,9 +387,6 @@ class SpinorField:
     at each point.
     """
 
-    points: list
-    psi1: list
-    psi2: list
     h: np.ndarray
     eu: np.ndarray
     dirac: float
@@ -433,7 +430,7 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
         c1, c2 = spinor_fn(*point)
         return np.concatenate((_null(c1), _null(c2)))
 
-    psi1_out, psi2_out, h_out, eu_out = [], [], [], []
+    h_out, eu_out = [], []
     worst_dirac = 0.0
     worst_hgap = 0.0
     worst_repot = 0.0
@@ -465,14 +462,9 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
             pot_p = -dp / n1[0]
             pot_q = -dq / n1[1]
             worst_repot = max(worst_repot, abs((pot_p + pot_q) / 2.0))
-        psi1_out.append(c1)
-        psi2_out.append(c2)
         h_out.append(h)
         eu_out.append(eu)
     return SpinorField(
-        points=list(points),
-        psi1=psi1_out,
-        psi2=psi2_out,
         h=np.array(h_out),
         eu=np.array(eu_out),
         dirac=worst_dirac,

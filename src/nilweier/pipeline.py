@@ -326,6 +326,7 @@ class FramePoint:
     h: float
     gauge_log: float
     conditioning: float
+    sym: dict = field(default_factory=dict)  # theta -> read-only (nil, l3, normal)
 
 
 def _frame_rows(phi_s: TwistedLoop, phi_t, f_val, g_vals, initial, gridpoints):
@@ -380,7 +381,7 @@ class FrameGrid:
     s_grid: np.ndarray
     t_grid: np.ndarray
     trunc_n: int
-    frames: np.ndarray  # object array of TwistedLoop (or None at holes)
+    frames: np.ndarray  # (ns, nt, 2N+1, 2, 2) coefficients of F, zero at holes
     h: np.ndarray
     gauge_log: np.ndarray
     conditioning: np.ndarray
@@ -410,7 +411,7 @@ def build_extended_frames(
     t_grid = np.asarray(t_grid, float)
     ns, nt = len(s_grid), len(t_grid)
     N = phi_s_list[0].N
-    frames = np.empty((ns, nt), dtype=object)
+    frames = np.zeros((ns, nt, 2 * N + 1, 2, 2))
     h = np.full((ns, nt), np.nan)
     gauge_log = np.full((ns, nt), np.nan)
     conditioning = np.full((ns, nt), np.nan)
@@ -435,11 +436,9 @@ def build_extended_frames(
             except (OutsideBigCell, GaugeFailure) as exc:
                 holes[i, j] = True
                 hole_errors.append((i, j, type(exc).__name__, str(exc)))
-                continue
-            frames[i, j] = TwistedLoop(N, frame[j], enforce_parity=False)
-            h[i, j] = h_row[j]
-            gauge_log[i, j] = log_row[j]
-            conditioning[i, j] = conds[j]
+        kept = ~holes[i]
+        for out, row in ((frames, frame), (h, h_row), (gauge_log, log_row), (conditioning, conds)):
+            out[i, kept] = row[kept]
         if tail is not None:
             tail.merge(row_tail)
     return FrameGrid(
@@ -460,8 +459,9 @@ def build_extended_frames(
 # ---------------------------------------------------------------------------
 
 
-def _sym_point(frame: TwistedLoop, theta: float):
-    """Surface data at one gridpoint and spectral angle.
+def _sym_rows(c: np.ndarray, theta: float):
+    """Surface data of a C-contiguous (B, 2N+1, 2, 2) stack of frames at one
+    spectral angle: (nil, l3, normal), each of shape (B, 3).
 
     Everything is exact in the spectral parameter: with D = (lam dF) F^{-1},
     C = F s3 F^{-1}, E = (lam d)^2 F * F^{-1} evaluated at lam = e^theta, the
@@ -471,22 +471,34 @@ def _sym_point(frame: TwistedLoop, theta: float):
         L3:  (p, q, r) = (-(G01 + G10), G10 - G01, 2 G00)
         nil: (x1, x2, x3) = (G10 - G01, -(G01 + G10), -A00)
         normal: (-(C01 + C10)/2, (C10 - C01)/2, C00).
+
+    The lam-sums are one BLAS dot per item, as `np.tensordot` does them, and
+    the 2x2 products batched `@`: each item has the scalar evaluation's bits.
     """
+    B, L = c.shape[:2]
     lam = math.exp(theta)
-    M = frame.eval(lam)
-    M1 = frame.eval_log_deriv(lam, 1)
-    M2 = frame.eval_log_deriv(lam, 2)
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    Minv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+    ks = np.arange(-(L // 2), L // 2 + 1, dtype=float)
+    powers = lam**ks
+    flat = c.reshape(B, L, 4)
+    M, M1, M2 = (np.matmul(w, flat).reshape(B, 2, 2) for w in (powers, ks * powers, ks**2 * powers))
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    Minv = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]], axis=1)
+    Minv = Minv.reshape(B, 2, 2) / det[:, None, None]
     D = M1 @ Minv
     E = M2 @ Minv
     C = M @ SIGMA3 @ Minv
     G = -D - 0.5 * C
     A = -(E - D @ D) - 0.5 * (D @ C - C @ D)
-    l3 = np.array([-(G[0, 1] + G[1, 0]), G[1, 0] - G[0, 1], 2.0 * G[0, 0]])
-    nil = np.array([G[1, 0] - G[0, 1], -(G[0, 1] + G[1, 0]), -A[0, 0]])
-    normal = np.array([-(C[0, 1] + C[1, 0]) / 2.0, (C[1, 0] - C[0, 1]) / 2.0, C[0, 0]])
+    G, A, C = (x.transpose(1, 2, 0) for x in (G, A, C))  # entries first: G[0, 1] is (B,)
+    l3 = np.stack([-(G[0, 1] + G[1, 0]), G[1, 0] - G[0, 1], 2.0 * G[0, 0]], axis=1)
+    nil = np.stack([G[1, 0] - G[0, 1], -(G[0, 1] + G[1, 0]), -A[0, 0]], axis=1)
+    normal = np.stack([-(C[0, 1] + C[1, 0]) / 2.0, (C[1, 0] - C[0, 1]) / 2.0, C[0, 0]], axis=1)
     return nil, l3, normal
+
+
+def _sym_point(frame: TwistedLoop, theta: float):
+    """Surface data at one frame and spectral angle: `_sym_rows`' batch of one."""
+    return tuple(out[0] for out in _sym_rows(frame.c[None], theta))
 
 
 @dataclass
@@ -498,24 +510,19 @@ class SurfaceGrid:
     l3: np.ndarray
     normals: np.ndarray
     holes: np.ndarray  # (ns, nt) spectral-angle independent
-    frame_grid: FrameGrid | None = None
 
 
 def sym_map(fr: FrameGrid, thetas) -> SurfaceGrid:
+    """One `_sym_rows` call per angle on the frames outside the holes; NaN at holes."""
     thetas = np.asarray(thetas, float)
-    ns, nt = len(fr.s_grid), len(fr.t_grid)
-    shape = (len(thetas), ns, nt, 3)
+    shape = (len(thetas), *fr.holes.shape, 3)
     nil = np.full(shape, np.nan)
     l3 = np.full(shape, np.nan)
     normals = np.full(shape, np.nan)
+    kept = ~fr.holes
+    frames = fr.frames[kept]
     for k, theta in enumerate(thetas):
-        for i in range(ns):
-            for j in range(nt):
-                if fr.holes[i, j]:
-                    continue
-                nil[k, i, j], l3[k, i, j], normals[k, i, j] = _sym_point(
-                    fr.frames[i, j], float(theta)
-                )
+        nil[k, kept], l3[k, kept], normals[k, kept] = _sym_rows(frames, float(theta))
     return SurfaceGrid(
         thetas=thetas,
         s_grid=fr.s_grid,
@@ -524,7 +531,6 @@ def sym_map(fr: FrameGrid, thetas) -> SurfaceGrid:
         l3=l3,
         normals=normals,
         holes=fr.holes.copy(),
-        frame_grid=fr,
     )
 
 
@@ -539,10 +545,10 @@ class Pipeline:
     Also serves as the exact point evaluator behind all finite-difference
     verification: `frames_at`, `frame_at`, `surface_at` and `spinors_at` reuse
     the sweep's gridpoint frames and compute any other point exactly, never by
-    interpolation, through the sweep's row kernels in batches.  Its axis frames are bit-identical to an integration from
-    0, whatever was evaluated before; its dropped tail mass goes to
-    `point_tail`, never to the run's `tail`; and a truncation or potential
-    error names the point.
+    interpolation, through the sweep's row kernels in batches.  Its axis
+    frames are bit-identical to an integration from 0, whatever was evaluated
+    before; its dropped tail mass goes to `point_tail`, never to the run's
+    `tail`; and a truncation or potential error names the point.
     """
 
     def __init__(
@@ -589,11 +595,11 @@ class Pipeline:
             tail=self.tail,
         )
         fg = self.frame_grid
-        for (i, j), loop in np.ndenumerate(fg.frames):
-            if loop is not None:
-                self._point_cache[(float(fg.s_grid[i]), float(fg.t_grid[j]))] = FramePoint(
-                    loop, float(fg.h[i, j]), float(fg.gauge_log[i, j]), float(fg.conditioning[i, j])
-                )
+        for i, j in zip(*np.nonzero(~fg.holes)):
+            loop = TwistedLoop(self.trunc_n, fg.frames[i, j], enforce_parity=False)
+            self._point_cache[(float(fg.s_grid[i]), float(fg.t_grid[j]))] = FramePoint(
+                loop, float(fg.h[i, j]), float(fg.gauge_log[i, j]), float(fg.conditioning[i, j])
+            )
         self.surface_grid = sym_map(fg, self.thetas)
         return self
 
@@ -675,8 +681,14 @@ class Pipeline:
         return self.frame_at(s, t).h
 
     def surface_at(self, s: float, t: float, theta: float):
-        """(nil point, L3 point, unit normal) at an arbitrary parameter point."""
-        return _sym_point(self.frame_at(s, t).loop, float(theta))
+        """(nil point, L3 point, unit normal) at a parameter point, kept per angle."""
+        pt = self.frame_at(s, t)
+        hit = pt.sym.get(float(theta))
+        if hit is None:
+            hit = pt.sym[float(theta)] = _sym_point(pt.loop, float(theta))
+            for out in hit:
+                out.setflags(write=False)
+        return hit
 
     def nil_at(self, s, t, theta):
         return self.surface_at(s, t, theta)[0]

@@ -29,7 +29,7 @@ from .geometry import (
     spinors_and_dirac,
     xy_stencil,
 )
-from .loopalg import SIGMA3, LoopPair, PCMatrix2, pair_eval
+from .loopalg import SIGMA3, LoopPair, PCMatrix2, _mask, pair_eval
 from .pipeline import Pipeline, _sym_point, extract_normalized_potential
 
 __all__ = ["run_verification", "safe_points", "roundtrip_errors", "run_diagnostics"]
@@ -175,12 +175,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     checks.append(_check("frame_reality_condition", reality_err, 1e-10))
     checks.append(_check("angle_function_theta_independent", h_theta_err, 1e-9))
 
-    parity = max(
-        fg.frames[i, j].parity_error()
-        for i in range(len(fg.s_grid))
-        for j in range(len(fg.t_grid))
-        if not fg.holes[i, j]
-    )
+    parity = float(np.abs(fg.frames[~fg.holes][:, _mask(fg.trunc_n)]).max())
     checks.append(_check("frame_twisting_parity", parity, 1e-12))
 
     # spinors and Dirac system (the theta0 field serves the conformal factor)
@@ -293,9 +288,8 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     gauge_err = 0.0
     for s, t in pts:
         c = 0.3 * math.sin(s + 0.7) * math.cos(t - 0.3)
-        loop = pipeline.frame_at(s, t).loop
-        base = _sym_point(loop, theta0)
-        gauged = _sym_point(loop.scale_columns(math.exp(c)), theta0)
+        base = pipeline.surface_at(s, t, theta0)
+        gauged = _sym_point(pipeline.frame_at(s, t).loop.scale_columns(math.exp(c)), theta0)
         for u, v in zip(base, gauged):
             gauge_err = max(gauge_err, float(np.abs(u - v).max()))
     checks.append(_check("sym_gauge_invariance", gauge_err, 1e-12))

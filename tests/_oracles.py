@@ -10,7 +10,7 @@ import numpy as np
 
 from nilweier.errors import GaugeFailure, NilWeierError, OutsideBigCell
 from nilweier.factorization import iwasawa_double
-from nilweier.loopalg import TwistedLoop, loop_exp, loop_mul
+from nilweier.loopalg import SIGMA3, TwistedLoop, loop_exp, loop_mul
 
 
 # -- closed-form frames (real slot, spectral variable lam = e^theta) ---------
@@ -197,6 +197,38 @@ def frame_point_reference(phi_s, phi_t, f_val, g_val, initial, tail, gridpoint):
     if initial is not None:
         frame = loop_mul(initial, frame, tail)
     return frame, math.sqrt(fg) * d22, math.log(d), res.conditioning
+
+
+def grid_loop(fg, i, j):
+    """The sweep's frame at gridpoint (i, j) as a TwistedLoop; None at a hole."""
+    if fg.holes[i, j]:
+        return None
+    return TwistedLoop(fg.trunc_n, fg.frames[i, j], enforce_parity=False)
+
+
+# -- Sym formulas at one point -------------------------------------------------
+
+
+def sym_point_reference(frame, theta):
+    """(nil, l3, normal) at one frame and angle the scalar way: each of
+    M, (lam d)M and (lam d)^2 M by one `np.tensordot` over the degrees, then
+    2-D 2x2 products: the form whose bits `_sym_rows` must reproduce."""
+    lam = math.exp(theta)
+    ks = np.arange(-frame.N, frame.N + 1, dtype=float)
+    M = np.tensordot(lam**ks, frame.c, axes=1)
+    M1 = np.tensordot((ks**1) * lam**ks, frame.c, axes=1)
+    M2 = np.tensordot((ks**2) * lam**ks, frame.c, axes=1)
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    Minv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+    D = M1 @ Minv
+    E = M2 @ Minv
+    C = M @ SIGMA3 @ Minv
+    G = -D - 0.5 * C
+    A = -(E - D @ D) - 0.5 * (D @ C - C @ D)
+    l3 = np.array([-(G[0, 1] + G[1, 0]), G[1, 0] - G[0, 1], 2.0 * G[0, 0]])
+    nil = np.array([G[1, 0] - G[0, 1], -(G[0, 1] + G[1, 0]), -A[0, 0]])
+    normal = np.array([-(C[0, 1] + C[1, 0]) / 2.0, (C[1, 0] - C[0, 1]) / 2.0, C[0, 0]])
+    return nil, l3, normal
 
 
 # -- brute force convolution ---------------------------------------------------

@@ -34,6 +34,7 @@ from _oracles import (
     cylinder_frame,
     cylinder_nil,
     frame_error_mod_gauge,
+    grid_loop,
     plane_frame,
     random_group_loop,
     random_minus_star_loop,
@@ -80,7 +81,7 @@ def test_criterion_1_cylinder_oracle(cylinder_run):
         for j, t in enumerate(fg.t_grid):
             frame_err = max(
                 frame_err,
-                frame_error_mod_gauge(fg.frames[i, j], cylinder_frame, s, t, THETAS),
+                frame_error_mod_gauge(grid_loop(fg, i, j), cylinder_frame, s, t, THETAS),
             )
     nil_err = float(np.nanmax(np.abs(sg.nil[..., 2] - sg.nil[..., 0] * sg.nil[..., 1] / 2.0)))
     l3_err = float(np.nanmax(np.abs(sg.l3[..., 0] ** 2 + sg.l3[..., 2] ** 2 - 1.0)))
@@ -131,7 +132,7 @@ def test_criterion_3_horizontal_plane(plane_run):
             if not fg.holes[i, j]:
                 frame_err = max(
                     frame_err,
-                    frame_error_mod_gauge(fg.frames[i, j], plane_frame, s, t, THETAS),
+                    frame_error_mod_gauge(grid_loop(fg, i, j), plane_frame, s, t, THETAS),
                 )
     raised = False
     try:
@@ -236,7 +237,7 @@ def test_criterion_7_bscroll(bscroll_run):
             )
             expected = loop_mul(phi_t, phi_minus)
             d = math.exp(fg.gauge_log[i, j])
-            raw = fg.frames[i, j].scale_columns(1.0 / d)
+            raw = grid_loop(fg, i, j).scale_columns(1.0 / d)
             err = max(err, float(np.abs(raw.c - expected.c).max()))
     ok = fg.holes.sum() == 0 and err <= 1e-9
     _report(7, "B-scroll frame product identity", ok, f"max error={err:.2e} (<=1e-9)")
@@ -311,11 +312,11 @@ def test_criterion_9_property_suites(cylinder_run):
         j = int(rng.integers(0, len(fg.t_grid)))
         theta = float(rng.uniform(-0.3, 0.3))
         c = float(rng.uniform(-0.5, 0.5))
-        base = _sym_point(fg.frames[i, j], theta)
-        gauged = _sym_point(fg.frames[i, j].scale_columns(math.exp(c)), theta)
+        base = _sym_point(grid_loop(fg, i, j), theta)
+        gauged = _sym_point(grid_loop(fg, i, j).scale_columns(math.exp(c)), theta)
         for u, v in zip(base, gauged):
             worst_gauge = max(worst_gauge, float(np.abs(u - v).max()))
-        F = pair_eval(LoopPair(fg.frames[i, j], fg.frames[i, j]), theta)
+        F = pair_eval(LoopPair(grid_loop(fg, i, j), grid_loop(fg, i, j)), theta)
         f21, f22 = F.entry(1, 0), F.entry(1, 1)
         h_theta = fg.h[i, j] * (f22 * f22.conj() - f21 * f21.conj()).re
         worst_h = max(worst_h, abs(h_theta - fg.h[i, j]))

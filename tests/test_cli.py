@@ -329,4 +329,7 @@ def test_config_validation_errors():
         RunConfig("x", base.potential, -1, 1, -1, 1, ns=5, nt=5, trunc_n=2)
     with pytest.raises(ValueError):
         RunConfig("x", base.potential, 1, 2, -1, 1, ns=5, nt=5)
+    for thetas in ((), (float("nan"),)):
+        with pytest.raises(ValueError):
+            RunConfig("x", base.potential, -1, 1, -1, 1, ns=5, nt=5, thetas=thetas)
 

@@ -1,5 +1,6 @@
 """The batched loop kernels against their batch-of-one calls and against the
-point-by-point algorithms they replace, bit for bit, on random twisted loops."""
+point-by-point algorithms they replace, bit for bit, on random twisted loops
+and on a swept frame grid."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilweier import loop_mul
+from nilweier.config import load_config
 from nilweier.factorization import _normalized_factor_inverses, _split_rows
 from nilweier.loopalg import (
     TwistedLoop,
@@ -17,12 +19,15 @@ from nilweier.loopalg import (
     _mul_rows,
     _shift_rows,
 )
+from nilweier.pipeline import _sym_point
 
 from _oracles import (
+    grid_loop,
     random_group_loop,
     random_minus_star_loop,
     random_plus_star_loop,
     shift_mul_reference,
+    sym_point_reference,
 )
 
 stacks = settings(max_examples=20, deadline=None)
@@ -245,3 +250,33 @@ def test_shift_rows_equals_one_einsum_per_item(N, B, seed, deg, dense):
         ref, ref_dropped, ref_kept = shift_mul_reference(c[b], A[b], deg)
         assert np.array_equal(out[b], ref) and np.array_equal(np.signbit(out[b]), np.signbit(ref))
         assert (dropped[b], kept[b]) == (ref_dropped, ref_kept)
+
+
+@pytest.mark.parametrize("N", [16, 20, 48])
+@pytest.mark.parametrize("builtin, holes", [("horizontal-plane", 26), ("cylinder", 0)])
+def test_sym_map_equals_the_scalar_sym_formulas(builtin, holes, N):
+    """`sym_map`'s one `_sym_rows` call per angle gives, gridpoint by
+    gridpoint, the bytes of the scalar Sym evaluation, and NaN at the holes;
+    so does `_sym_point`, its batch of one.  The plane is that of the pinned
+    verify reports, with 26 holes; its frames have degrees -1..1 only, so the
+    cylinder, whose frames fill every degree, is what pins the order of the
+    lam-sums."""
+    thetas = [0.0, 0.1, -0.1, 0.19, -0.19]
+    config = {
+        "potential": {"builtin": builtin},
+        "domain": {"sMin": -2.0, "sMax": 2.0, "tMin": -2.0, "tMax": 2.0, "ns": 11, "nt": 11},
+        "truncationN": N,
+        "thetas": thetas,
+    }
+    pipe = load_config(config).make_pipeline().run()
+    fg, sg = pipe.frame_grid, pipe.surface_grid
+    assert fg.holes.sum() == holes
+    for k, theta in enumerate(thetas):
+        for (i, j), hole in np.ndenumerate(fg.holes):
+            got = [sg.nil[k, i, j], sg.l3[k, i, j], sg.normals[k, i, j]]
+            if hole:
+                assert [x.tobytes() for x in got] == [np.full(3, np.nan).tobytes()] * 3
+                continue
+            expected = sym_point_reference(grid_loop(fg, i, j), theta)
+            got += _sym_point(grid_loop(fg, i, j), theta)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in expected * 2]

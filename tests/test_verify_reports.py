@@ -1,4 +1,4 @@
-"""Verify reports pinned bit for bit.
+"""Verify reports and generated files pinned bit for bit.
 
 `data/verify_reports.json` holds, for three configs, the full `cmd_verify`
 report with every float written as `float.hex`: the 9x9 cylinder of
@@ -6,14 +6,17 @@ test_cli.py, an 11x11 horizontal plane with holes at two spectral angles, and
 the horizontal-umbrella builtin (a non-identity initial frame).  The reports
 were recorded before the point evaluators were batched; any change to how a
 check's frames are computed must leave every value unchanged.
+`data/generate_digests.json` pins, the same way, the files `cmd_generate`
+writes.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
-from nilweier.cli import cmd_verify
+from nilweier.cli import cmd_generate, cmd_verify
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "verify_reports.json")
 with open(DATA, encoding="utf-8") as _fh:
@@ -80,3 +83,22 @@ def test_each_check_reads_only_its_stencil_batch(name, monkeypatch):
             checks.append(set())
             expected.append(set())
     assert checks == expected and sum(map(len, expected)) > 100
+
+
+GENERATED = os.path.join(os.path.dirname(__file__), "data", "generate_digests.json")
+with open(GENERATED, encoding="utf-8") as _fh:
+    GENERATED_DIGESTS = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_DIGESTS))
+def test_generated_files_are_bit_identical(name, tmp_path):
+    """sha256 of every file `cmd_generate` writes (meshes of both spaces at
+    every angle, CSV, manifest) for the three configs above and a 9x9
+    cylinder at N = 48 with 7 angles, recorded before the frame grid became
+    one coefficient array."""
+    pinned = GENERATED_DIGESTS[name]
+    cmd_generate(pinned["config"], str(tmp_path))
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+    }
+    assert digests == pinned["files"]
