@@ -98,7 +98,8 @@ class TwistedLoop:
         if coeffs is None:
             c = np.zeros((2 * self.N + 1, 2, 2))
         else:
-            c = np.array(coeffs, dtype=float)
+            shared = isinstance(coeffs, np.ndarray) and not coeffs.flags.writeable
+            c = np.array(coeffs, dtype=float, copy=None if shared else True)  # nothing writes it
             if c.shape != (2 * self.N + 1, 2, 2):
                 raise ValueError(f"coefficient array must have shape {(2*self.N+1, 2, 2)}")
         if enforce_parity:

@@ -326,7 +326,7 @@ class FramePoint:
     h: float
     gauge_log: float
     conditioning: float
-    sym: dict = field(default_factory=dict)  # theta -> read-only (nil, l3, normal)
+    sym: dict = field(default_factory=dict)  # theta -> read-only rows (nil, l3, normal)
 
 
 def _frame_rows(phi_s: TwistedLoop, phi_t, f_val, g_vals, initial, gridpoints):
@@ -381,7 +381,7 @@ class FrameGrid:
     s_grid: np.ndarray
     t_grid: np.ndarray
     trunc_n: int
-    frames: np.ndarray  # (ns, nt, 2N+1, 2, 2) coefficients of F, zero at holes
+    frames: np.ndarray  # read-only (ns, nt, 2N+1, 2, 2) coefficients of F, zero at holes
     h: np.ndarray
     gauge_log: np.ndarray
     conditioning: np.ndarray
@@ -441,6 +441,7 @@ def build_extended_frames(
             out[i, kept] = row[kept]
         if tail is not None:
             tail.merge(row_tail)
+    frames.setflags(write=False)  # the point cache's loops share it
     return FrameGrid(
         s_grid=s_grid,
         t_grid=t_grid,
@@ -683,12 +684,10 @@ class Pipeline:
     def surface_at(self, s: float, t: float, theta: float):
         """(nil point, L3 point, unit normal) at a parameter point, kept per angle."""
         pt = self.frame_at(s, t)
-        hit = pt.sym.get(float(theta))
-        if hit is None:
-            hit = pt.sym[float(theta)] = _sym_point(pt.loop, float(theta))
-            for out in hit:
-                out.setflags(write=False)
-        return hit
+        if float(theta) not in pt.sym:
+            pt.sym[float(theta)] = np.array(_sym_point(pt.loop, float(theta)))
+            pt.sym[float(theta)].setflags(write=False)
+        return pt.sym[float(theta)]
 
     def nil_at(self, s, t, theta):
         return self.surface_at(s, t, theta)[0]

@@ -194,6 +194,19 @@ def test_product_operands_are_read_through_the_parity_check():
     assert loop_mul(b, quiet).c.tobytes() == loop_mul(b, a).c.tobytes()
 
 
+def test_constructor_shares_only_a_read_only_array():
+    """A writable input is copied, so the loop stays immutable; a read-only
+    one cannot change, so it is shared unless the parity check cleans it."""
+    rng = np.random.default_rng(22)
+    c = random_group_loop(rng, 4).c.copy()
+    owned = TwistedLoop(4, c, enforce_parity=False)
+    c[4, 0, 0] += 1.0  # degree 0, on parity
+    assert not np.shares_memory(owned.c, c) and not np.array_equal(owned.c, c)
+    c.setflags(write=False)
+    assert TwistedLoop(4, c, enforce_parity=False).c is c
+    assert not np.shares_memory(TwistedLoop(4, c).c, c)
+
+
 def test_truncation_overflow():
     big = TwistedLoop.from_terms(2, {2: np.array([[1.0, 0.0], [0.0, 1.0]])})
     tail = TailAccumulator(bound=1e-9)

@@ -19,6 +19,7 @@ from nilweier import (
     pair_eval,
 )
 from nilweier import NilWeierError, factorization
+from nilweier import pipeline as pipeline_module
 from nilweier.loopalg import TailAccumulator
 from nilweier.pipeline import (
     Pipeline,
@@ -542,6 +543,34 @@ def test_plane_big_cell_boundary(plane_pipe):
 
 def _no_iwasawa(*args, **kwargs):
     raise AssertionError("Iwasawa split after the sweep")
+
+
+def test_point_cache_shares_the_read_only_frame_grid(cyl_pipe):
+    fg = cyl_pipe.frame_grid
+    assert not fg.frames.flags.writeable
+    pt = cyl_pipe.frame_at(fg.s_grid[3], fg.t_grid[5])
+    assert np.shares_memory(pt.loop.c, fg.frames)
+
+
+def test_surface_at_keeps_each_angle_once(cyl_pipe, monkeypatch):
+    """nil_at, l3_at and normal_at at one point and angle run the Sym formulas
+    once; the kept rows are read-only and hold `_sym_point`'s bytes."""
+    real = pipeline_module._sym_point
+    calls = []
+
+    def counted(loop, theta):
+        calls.append(theta)
+        return real(loop, theta)
+
+    monkeypatch.setattr(pipeline_module, "_sym_point", counted)
+    s, t = 0.3125, -0.2175  # off the grid, read by no other test
+    nil = cyl_pipe.nil_at(s, t, 0.1)
+    l3, normal = cyl_pipe.l3_at(s, t, 0.1), cyl_pipe.normal_at(s, t, 0.1)
+    cyl_pipe.surface_at(s, t, -0.1)
+    assert calls == [0.1, -0.1]
+    expected = real(cyl_pipe.frame_at(s, t).loop, 0.1)
+    assert [x.tobytes() for x in (nil, l3, normal)] == [x.tobytes() for x in expected]
+    assert not any(x.flags.writeable for x in (nil, l3, normal))
 
 
 def test_frame_at_reuses_the_sweeps_gridpoint_frames(cyl_pipe, plane_pipe, monkeypatch):
