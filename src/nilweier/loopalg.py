@@ -99,7 +99,7 @@ class TwistedLoop:
             c = np.zeros((2 * self.N + 1, 2, 2))
         else:
             shared = isinstance(coeffs, np.ndarray) and not coeffs.flags.writeable
-            c = np.array(coeffs, dtype=float, copy=None if shared else True)  # nothing writes it
+            c = np.array(coeffs, dtype=float, copy=None if shared else True)
             if c.shape != (2 * self.N + 1, 2, 2):
                 raise ValueError(f"coefficient array must have shape {(2*self.N+1, 2, 2)}")
         if enforce_parity:
