@@ -41,13 +41,10 @@ from .loopalg import (
     pair_eval,
 )
 from .paracomplex import (
-    NullPair,
     ParaComplex,
     epsilon_for_sqrt,
     pc,
-    pc_arith,
     pc_exp,
-    pc_exp_log,
     pc_log,
     pc_sqrt,
 )

@@ -68,8 +68,7 @@ class DegenerateMetric(NilWeierError):
 
 
 class GridTooCoarse(NilWeierError):
-    """Finite differences cannot resolve the claim: the noise floor exceeds
-    the residual, or no gridpoint has a hole-free neighborhood."""
+    """No interior gridpoint has a hole-free neighborhood to verify at."""
 
 
 class ProjectionPole(NilWeierError):

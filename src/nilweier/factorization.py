@@ -33,7 +33,7 @@ from .loopalg import (
     _inv_triangular,
     _mul_rows,
     _sq_sum,
-    loop_inv,
+    loop_inv,  # noqa: F401  perfbench/tracer.py binds this name
     loop_mul,  # noqa: F401  perfbench/tracer.py binds this name
 )
 
@@ -169,15 +169,14 @@ def birkhoff_split(w: TwistedLoop, order: str = "minus_star_plus") -> BirkhoffRe
 
 def _iwasawa_rows(phi_s: TwistedLoop, phi_t: np.ndarray, fx: _Effects):
     """Iwasawa split of (Phi_s, Phi_t[b]) for a (B, 2N+1, 2, 2) stack of
-    Phi_t sharing one Phi_s, which is inverted once for the whole stack.
+    Phi_t sharing one Phi_s in Lambda^-, which is inverted once for the whole
+    stack by the triangular recursion; its positive degrees are not read.
 
     Returns (frame F, V+^{-1}, V-, conditioning) as stacks; an error while
-    inverting Phi_s ends every item, after the tail records a batch of one
-    makes before it.
+    inverting Phi_s ends every item.
     """
-    _, hi = phi_s.support()
     try:
-        s_inv = (_inv_triangular(phi_s, lower=True) if hi <= 0 else loop_inv(phi_s, fx)).c
+        s_inv = _inv_triangular(phi_s, lower=True).c
     except NilWeierError as exc:
         for b in range(len(phi_t)):
             fx.fail(b, exc)
@@ -193,9 +192,12 @@ def iwasawa_double(
     """Unitary-type frame from a pair of holomorphic frames.
 
     (Phi_s, Phi_t) = (F, F)(V+, V-) up to a constant diagonal gauge; the
-    returned frame uses the V+(0) = id normalization.
+    returned frame uses the V+(0) = id normalization.  Phi_s must lie in
+    Lambda^-: a nonzero positive-degree coefficient raises ValueError.
     """
     _check_same_N(phi_s, phi_t)
+    if phi_s.c[phi_s.N + 1 :].any():
+        raise ValueError("Phi_s has nonzero positive-degree coefficients; it must lie in Lambda^-")
     fx = _Effects(1)
     frame, vplus_inv, vminus, conds = _iwasawa_rows(phi_s, phi_t.c[None], fx)
     fx.play(0, tail)

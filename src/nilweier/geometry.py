@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetric, GridTooCoarse, ProjectionPole, ZeroDivisor
+from .errors import DegenerateMetric, ProjectionPole, ZeroDivisor
 from .paracomplex import ParaComplex
 
 __all__ = [
     "nil_mul",
     "nil_inv",
     "nil_left_translate",
-    "nil_metric_and_bracket",
     "nil_metric",
     "sym_bracket",
     "lie_bracket",
@@ -101,11 +100,6 @@ def lie_bracket(X, Y) -> np.ndarray:
     X = np.asarray(X)
     Y = np.asarray(Y)
     return np.array([0.0 * X[0], 0.0 * X[0], X[0] * Y[1] - X[1] * Y[0]])
-
-
-def nil_metric_and_bracket(X, Y):
-    """(g(X,Y), {X,Y}) for vectors given in the left-invariant frame."""
-    return nil_metric(X, Y), sym_bracket(X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +283,11 @@ def minimality_stencil(points, step: float = 1e-3) -> list:
     return _each(points, _minimality_points, step)
 
 
-def minimality_residual(surface_fn, points, step: float = 1e-3, claim: float | None = None):
+def minimality_residual(surface_fn, points, step: float = 1e-3):
     """Structure-equation residuals of a map into the Heisenberg group.
 
     Central differences at `step`; the noise floor is estimated by comparing
-    against the doubled step (second-order Richardson gap).  When `claim` is
-    given and the floor exceeds it, GridTooCoarse is raised.
+    against the doubled step (second-order Richardson gap).
     """
     mc1 = mini1 = mc2 = mini2 = 0.0
     for s, t in points:
@@ -304,10 +297,6 @@ def minimality_residual(surface_fn, points, step: float = 1e-3, claim: float | N
         mc2, mini2 = max(mc2, a2), max(mini2, b2)
     residual = max(mc1, mini1)
     noise_floor = abs(max(mc2, mini2) - residual) / 3.0 + 1e-13 / step**2 * 1e-3
-    if claim is not None and noise_floor > claim:
-        raise GridTooCoarse(
-            f"FD noise floor {noise_floor:.3e} exceeds claimed residual {claim:.3e}"
-        )
     return MinimalityResult(
         maurer_cartan=mc1, minimality=mini1, residual=residual, noise_floor=noise_floor
     )

@@ -19,7 +19,6 @@ mu = e^(i' theta) on the unit hyperbola corresponds to lam = e^theta.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -147,10 +146,10 @@ class TwistedLoop:
         ks = np.arange(-self.N, self.N + 1, dtype=float)
         return np.tensordot(lam**ks, self.c, axes=1)
 
-    def eval_log_deriv(self, lam: float, order: int = 1) -> np.ndarray:
-        """Evaluate (lam d/dlam)^order applied coefficientwise."""
+    def eval_log_deriv(self, lam: float) -> np.ndarray:
+        """Evaluate lam d/dlam applied coefficientwise."""
         ks = np.arange(-self.N, self.N + 1, dtype=float)
-        return np.tensordot((ks**order) * lam**ks, self.c, axes=1)
+        return np.tensordot(ks * lam**ks, self.c, axes=1)
 
     def det_at(self, lam: float) -> float:
         return float(np.linalg.det(self.eval(lam)))
@@ -183,14 +182,6 @@ class TwistedLoop:
         bad = np.abs(self.c[_mask(self.N)])
         return float(bad.max()) if bad.size else 0.0
 
-    def to_json(self) -> str:
-        entries = []
-        for k in range(-self.N, self.N + 1):
-            m = self.c[k + self.N]
-            if np.any(m != 0.0):
-                entries.append({"k": k, "m": m.tolist()})
-        return json.dumps({"N": self.N, "coeffs": entries})
-
     def __repr__(self):
         lo, hi = self.support()
         return f"TwistedLoop(N={self.N}, support=[{lo},{hi}], norm={self.norm():.3g})"
@@ -204,17 +195,14 @@ def _check_same_N(a: TwistedLoop, b: TwistedLoop) -> None:
 class _Effects:
     """Side effects of a batch of loop operations, kept per item in the order
     a batch of one has them: tail records (dropped, kept), near-boundary
-    warnings, and the error that ends the item.  Anything with `record` is a
-    tail account, so an `_Effects` can stand for one; its records then go to
-    every live item.  `play(b, tail)` performs item b's effects."""
+    warnings, and the error that ends the item.  `play(b, tail)` performs
+    item b's effects."""
 
     def __init__(self, size: int):
         self.items: list[list] = [[] for _ in range(size)]
         self.alive = np.ones(size, dtype=bool)
 
-    def record(self, dropped, kept) -> None:
-        dropped = np.broadcast_to(dropped, self.alive.shape)
-        kept = np.broadcast_to(kept, self.alive.shape)
+    def record(self, dropped: np.ndarray, kept: np.ndarray) -> None:
         for b in np.flatnonzero(self.alive):
             self.items[b].append((float(dropped[b]), float(kept[b])))
 
@@ -407,40 +395,15 @@ def _inv_triangular(x: TwistedLoop, lower: bool) -> TwistedLoop:
     return TwistedLoop(x.N, y[0], enforce_parity=False)
 
 
-def loop_inv(a: TwistedLoop, tail: TailAccumulator | None = None) -> TwistedLoop:
-    """Loop inverse within the truncation.
-
-    Loops supported on a half line with invertible constant term invert by an
-    exact triangular recursion; the general case solves the block-Toeplitz
-    system  project(a * x) = id  over degrees [-N, N].
-    """
-    N = a.N
+def loop_inv(a: TwistedLoop) -> TwistedLoop:
+    """Exact inverse of a loop supported on a half line whose degree-0
+    coefficient is invertible, by the triangular recursion; a loop with
+    nonzero coefficients at negative and at positive degrees raises
+    ValueError."""
     lo, hi = a.support()
-    if lo >= 0:
-        return _inv_triangular(a, lower=False)
-    if hi <= 0:
-        return _inv_triangular(a, lower=True)
-    n = 2 * N + 1
-    big = np.zeros((n, 2, n, 2))
-    for k in range(n):
-        for m in range(max(0, k - N), min(n, k + N + 1)):
-            big[k, :, m, :] = a.c[k - m + N]
-    big = big.reshape(2 * n, 2 * n)
-    rhs = np.zeros((2 * n, 2))
-    rhs[2 * N : 2 * N + 2] = np.eye(2)
-    try:
-        sol = np.linalg.solve(big, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLoop("coefficient system for the inverse is singular") from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularLoop("coefficient system for the inverse is singular")
-    x = sol.reshape(n, 2, 2)
-    out = TwistedLoop(N, x)
-    check = loop_mul(a, out, tail)
-    resid = check - TwistedLoop.identity(N)
-    if resid.norm() > 1e-6 * max(1.0, a.norm()):
-        raise SingularLoop(f"inverse residual {resid.norm():.3e} too large")
-    return out
+    if lo < 0 < hi:
+        raise ValueError(f"loop is supported on [{lo}, {hi}], not on a half line")
+    return _inv_triangular(a, lower=lo < 0)
 
 
 def loop_exp(x: TwistedLoop) -> TwistedLoop:
@@ -543,12 +506,6 @@ class LoopPair:
     def identity(N: int) -> "LoopPair":
         return LoopPair(TwistedLoop.identity(N), TwistedLoop.identity(N))
 
-    def mul(self, other: "LoopPair") -> "LoopPair":
-        return LoopPair(
-            loop_mul(self.slot_s, other.slot_s),
-            loop_mul(self.slot_t, other.slot_t),
-        )
-
 
 def pair_eval(P: LoopPair, theta: float) -> PCMatrix2:
     """Evaluate the para-complex loop at mu = e^(i' theta).
@@ -573,7 +530,7 @@ def mu_log_derivative(P: LoopPair, theta: float) -> PCMatrix2:
     out = []
     for slot in (P.slot_s, P.slot_t):
         M = slot.eval(lam)
-        M1 = slot.eval_log_deriv(lam, 1)
+        M1 = slot.eval_log_deriv(lam)
         try:
             D = np.linalg.solve(M.T, M1.T).T
         except np.linalg.LinAlgError as exc:

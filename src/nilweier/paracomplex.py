@@ -23,26 +23,17 @@ from .errors import DomainError, NoEpsilon, ZeroDivisor
 
 __all__ = [
     "ParaComplex",
-    "NullPair",
     "ONE",
-    "ZERO",
     "I_PRIME",
     "pc",
-    "pc_arith",
     "pc_sqrt",
     "pc_exp",
     "pc_log",
-    "pc_exp_log",
     "admits_sqrt",
     "epsilon_for_sqrt",
 ]
 
 _NULL_TOL = 0.0  # exact zero test on p*q; callers pre-screen near-null values
-
-
-def _check_finite(x: float, y: float) -> None:
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("para-complex components must be finite")
 
 
 @dataclass(frozen=True)
@@ -53,7 +44,8 @@ class ParaComplex:
     im: float
 
     def __post_init__(self):
-        _check_finite(self.re, self.im)
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise ValueError("para-complex components must be finite")
 
     # -- null (light cone) coordinates -------------------------------------
     @property
@@ -69,9 +61,6 @@ class ParaComplex:
     @staticmethod
     def from_null(p: float, q: float) -> "ParaComplex":
         return ParaComplex((p + q) / 2.0, (p - q) / 2.0)
-
-    def null(self) -> "NullPair":
-        return NullPair(self.p, self.q)
 
     # -- involutions and norms ---------------------------------------------
     def conj(self) -> "ParaComplex":
@@ -134,31 +123,6 @@ class ParaComplex:
         return f"{self.re:g} {sign} {abs(self.im):g}i'"
 
 
-@dataclass(frozen=True)
-class NullPair:
-    """Light-cone coordinates (p, q) of a para-complex number.
-
-    Multiplication is componentwise; the round trip with ParaComplex is exact
-    up to one floating add/halve per component.
-    """
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        _check_finite(self.p, self.q)
-
-    def to_pc(self) -> ParaComplex:
-        return ParaComplex.from_null(self.p, self.q)
-
-    def __mul__(self, other: "NullPair") -> "NullPair":
-        return NullPair(self.p * other.p, self.q * other.q)
-
-    def __add__(self, other: "NullPair") -> "NullPair":
-        return NullPair(self.p + other.p, self.q + other.q)
-
-
-ZERO = ParaComplex(0.0, 0.0)
 ONE = ParaComplex(1.0, 0.0)
 I_PRIME = ParaComplex(0.0, 1.0)
 
@@ -167,23 +131,7 @@ def pc(value) -> ParaComplex:
     """Coerce a real number or ParaComplex to ParaComplex."""
     if isinstance(value, ParaComplex):
         return value
-    if isinstance(value, NullPair):
-        return value.to_pc()
     return ParaComplex(float(value), 0.0)
-
-
-def pc_arith(a, b, op: str) -> ParaComplex:
-    """Field operation dispatch: op in {'add','sub','mul','div'}."""
-    a, b = pc(a), pc(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def admits_sqrt(z) -> bool:
@@ -217,14 +165,6 @@ def pc_log(z) -> ParaComplex:
     if z.p <= 0.0 or z.q <= 0.0:
         raise DomainError(f"{z} is not in the image of the para-complex exp")
     return ParaComplex.from_null(math.log(z.p), math.log(z.q))
-
-
-def pc_exp_log(z, op: str) -> ParaComplex:
-    if op == "exp":
-        return pc_exp(z)
-    if op == "log":
-        return pc_log(z)
-    raise ValueError(f"unknown op {op!r}")
 
 
 _EPSILON_CANDIDATES = (ONE, -ONE, I_PRIME, -I_PRIME)

@@ -324,8 +324,6 @@ def solve_frame_ode(
 class FramePoint:
     loop: TwistedLoop  # gauge-normalized frame F; its para-complex pair is (F, F)
     h: float
-    gauge_log: float
-    conditioning: float
     sym: dict = field(default_factory=dict)  # theta -> read-only rows (nil, l3, normal)
 
 
@@ -599,7 +597,7 @@ class Pipeline:
         for i, j in zip(*np.nonzero(~fg.holes)):
             loop = TwistedLoop(self.trunc_n, fg.frames[i, j], enforce_parity=False)
             self._point_cache[(float(fg.s_grid[i]), float(fg.t_grid[j]))] = FramePoint(
-                loop, float(fg.h[i, j]), float(fg.gauge_log[i, j]), float(fg.conditioning[i, j])
+                loop, float(fg.h[i, j])
             )
         self.surface_grid = sym_map(fg, self.thetas)
         return self
@@ -668,13 +666,10 @@ class Pipeline:
             self._flow_t.at(t, tail)
             self.potential.f.eval(s)
             self.potential.g.eval(t)
-        fx, j, (frame, h, gauge_log, conds) = split.pop(key)
+        fx, j, (frame, h, _, _) = split.pop(key)
         _play_point(fx, j, tail, key)
         hit = self._point_cache[key] = FramePoint(
-            TwistedLoop(self.trunc_n, frame[j], enforce_parity=False),
-            float(h[j]),
-            float(gauge_log[j]),
-            float(conds[j]),
+            TwistedLoop(self.trunc_n, frame[j], enforce_parity=False), float(h[j])
         )
         return hit
 

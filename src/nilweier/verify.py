@@ -229,7 +229,6 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
             1e-5,
         )
     )
-    pipeline.frames_at(xy_stencil(pts, 1e-3, "l3"))
     try:
         H = mean_curvature_L3(
             lambda a, b: pipeline.l3_at(a, b, theta0),

@@ -1,6 +1,8 @@
-"""Every exported name resolves, and so does every binding the benchmark traces."""
+"""Every exported name resolves, and so does every binding the benchmark
+traces; no invariant of the package rests on `assert`."""
 
 import ast
+import glob
 import importlib
 import importlib.util
 import os
@@ -54,3 +56,13 @@ def test_benchmark_bindings_resolve():
 
 def test_benchmark_worker_imports_resolve():
     assert callable(_resolve("nilweier.config", "threads_from_env"))
+
+
+def test_package_has_no_assert_statements():
+    """`python -O` strips assert statements, so no check in the package may be one."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(nilweier.__file__), "*.py"))):
+        tree = ast.parse(open(path, encoding="utf-8").read(), filename=path)
+        name = os.path.basename(path)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"

@@ -113,6 +113,16 @@ def test_iwasawa_outside_big_cell():
         iwasawa_double(phi_s, phi_t)
 
 
+def test_iwasawa_rejects_a_phi_s_outside_the_minus_group():
+    N = 6
+    phi_s = TwistedLoop.from_terms(N, {0: np.eye(2), -1: [[0.0, -1.0], [0.0, 0.0]]})
+    phi_t = TwistedLoop.from_terms(N, {0: np.eye(2), 1: [[0.0, 0.0], [0.5, 0.0]]})
+    iwasawa_double(phi_s, phi_t)
+    bad = phi_s + TwistedLoop.from_terms(N, {1: [[0.0, 1e-3], [0.0, 0.0]]})
+    with pytest.raises(ValueError, match="positive-degree"):
+        iwasawa_double(bad, phi_t)
+
+
 def test_iwasawa_reconstruction_randomized():
     rng = np.random.default_rng(22)
     for _ in range(100):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nilweier import GridTooCoarse, ParaComplex, ProjectionPole
+from nilweier import ParaComplex, ProjectionPole
 from nilweier.geometry import (
     abresch_rosenberg,
     first_fundamental_form,
@@ -15,7 +15,6 @@ from nilweier.geometry import (
     nil_inv,
     nil_left_translate,
     nil_metric,
-    nil_metric_and_bracket,
     nil_mul,
     pi_l3_minus,
     pi_l3_minus_inv,
@@ -50,8 +49,7 @@ def test_group_associativity_randomized():
 
 def test_metric_and_brackets():
     e1, e2, e3 = np.eye(3)
-    g, br = nil_metric_and_bracket(e1, e1)
-    assert g == -1.0 and np.allclose(br, 0.0)
+    assert nil_metric(e1, e1) == -1.0 and np.allclose(sym_bracket(e1, e1), 0.0)
     assert nil_metric(e2, e2) == 1.0 and nil_metric(e3, e3) == 1.0
     assert np.allclose(sym_bracket(e3, e3), 0.0)
     assert np.allclose(sym_bracket(e2, e3), -e1)
@@ -95,13 +93,6 @@ def test_perturbed_surface_detected():
     base = minimality_residual(lambda s, t: cylinder_nil(s, t, 0.0), PTS, step=1e-3)
     bad = minimality_residual(perturbed, PTS, step=1e-3)
     assert bad.residual >= 10.0 * max(base.residual, 1e-7)
-
-
-def test_grid_too_coarse_raised():
-    with pytest.raises(GridTooCoarse):
-        minimality_residual(
-            lambda s, t: cylinder_nil(s, t, 0.0), PTS[:2], step=1e-3, claim=1e-30
-        )
 
 
 # -- mean curvature ------------------------------------------------------------------

@@ -623,7 +623,7 @@ def _evaluate(pipe, evaluate):
         except NilWeierError as exc:
             frames, error = None, (type(exc), str(exc), getattr(exc, "gridpoint", None))
     if frames is not None:
-        frames = [(pt.loop.c, pt.h, pt.gauge_log, pt.conditioning) for pt in frames]
+        frames = [(pt.loop.c, pt.h) for pt in frames]
     messages = [(w.category, str(w.message)) for w in caught]
     return frames, (pipe.point_tail.dropped, pipe.point_tail.kept), messages, error
 
@@ -666,9 +666,9 @@ _PLANE_POINTS = [
 )
 @pytest.mark.parametrize("seed", [0, 1])
 def test_frames_at_equals_a_frame_at_loop(make, points, errors, seed):
-    """Frames, h, gauge_log, conditioning, point_tail, warnings and the first
-    error with its gridpoint are those of a frame_at loop, in any order; after
-    an error, the points left behind evaluate as the loop's do."""
+    """Frames, h, point_tail, warnings and the first error with its gridpoint
+    are those of a frame_at loop, in any order; after an error, the points
+    left behind evaluate as the loop's do."""
     rng = np.random.default_rng(seed)
     points = [points[k] for k in rng.permutation(len(points))] if seed else points
     pipes = make(), make()
@@ -708,11 +708,10 @@ def test_frames_at_equals_the_point_by_point_reference(initial):
             continue
         done.add((s, t))
         phi_s, phi_t = flows[0].at(s), flows[1].at(t)
-        loop, h, gauge_log, cond = frame_point_reference(
+        loop, h, _, _ = frame_point_reference(
             phi_s, phi_t, pot.f.eval(s), pot.g.eval(t), initial, ref_tail, (s, t)
         )
         assert np.array_equal(pt.loop.c, loop.c) and pt.h == h
-        assert (pt.gauge_log, pt.conditioning) == (gauge_log, cond)
         assert pipe.frame_at(s, t) is pt
     assert (pipe.point_tail.dropped, pipe.point_tail.kept) == (ref_tail.dropped, ref_tail.kept)
     assert ref_tail.dropped > 0.0

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from nilweier.cli import cmd_generate, cmd_verify
@@ -102,3 +103,34 @@ def test_generated_files_are_bit_identical(name, tmp_path):
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
     }
     assert digests == pinned["files"]
+
+
+def test_twisting_parity_check_can_fail():
+    """The parity check reads the frame grid, whose off-parity entries the
+    engine always writes as zero, so the pinned reports hold 0 for it.  An
+    off-parity entry of 1e-6 at one node of a copied grid must fail it, and
+    change no other value of the report."""
+    from dataclasses import replace
+
+    from nilweier.config import load_config
+    from nilweier.loopalg import _mask
+    from nilweier.verify import run_verification
+
+    pinned = PINNED["cylinder-9x9"]
+    cfg = load_config(pinned["config"])
+    pipeline = cfg.make_pipeline().run()
+    fg = pipeline.frame_grid
+    i, j = np.argwhere(~fg.holes)[0]
+    frames = fg.frames.copy()
+    k, a, b = np.argwhere(_mask(fg.trunc_n))[0]
+    frames[i, j, k, a, b] = 1e-6
+    pipeline.frame_grid = replace(fg, frames=frames)
+    report = run_verification(pipeline, oracle=cfg.oracle)
+    parity = next(c for c in report["checks"] if c["check"] == "frame_twisting_parity")
+    assert parity["value"] == 1e-6 and parity["pass"] is False
+    assert report["passed"] is False
+    expected = dict(pinned["report"], passed=False)
+    expected["checks"] = [
+        hexed(parity) if c["check"] == "frame_twisting_parity" else c for c in expected["checks"]
+    ]
+    assert hexed(report) == expected
