@@ -9,7 +9,11 @@ L3 carries the (+,-,+) metric throughout.
 All differential checks are finite-difference based with explicit error
 budgets: central differences of order 2, optionally Richardson-extrapolated,
 and every residual can report the estimated FD noise floor next to the
-value.  Null coordinates (s, t) are used everywhere: for a para-complex
+value.  A check's stencil is defined once, by its `*_stencil` function; the
+check reads each field there once, through one sampler (`_sample`, or its
+null-component twin for spinor fields), and computes on the resulting
+arrays.  Its worst-value reductions propagate NaN, so a NaN field fails its
+check.  Null coordinates (s, t) are used everywhere: for a para-complex
 field w = w_p l + w_q lbar one has (d_z w)_p = d_s w_p, (d_z w)_q = d_t w_q
 and the conjugate swaps slots, so all Cauchy-Riemann style operators become
 componentwise cross-derivatives.
@@ -67,11 +71,11 @@ def nil_inv(a) -> np.ndarray:
 
 
 def nil_left_translate(x, v) -> np.ndarray:
-    """Coordinate tangent vector v at the point x, expressed in the
-    left-invariant frame (E1, E2, E3)."""
-    x = np.asarray(x, float)
-    v = np.asarray(v, float)
-    return np.array([v[0], v[1], v[2] + 0.5 * (x[1] * v[0] - x[0] * v[1])])
+    """Coordinate tangent vectors v at the points x, expressed in the
+    left-invariant frame (E1, E2, E3); both are (..., 3) arrays."""
+    x0, x1, _ = np.moveaxis(np.asarray(x, float), -1, 0)
+    v0, v1, v2 = np.moveaxis(np.asarray(v, float), -1, 0)
+    return np.stack([v0, v1, v2 + 0.5 * (x1 * v0 - x0 * v1)], axis=-1)
 
 
 def nil_metric(X, Y) -> float:
@@ -82,34 +86,52 @@ def nil_metric(X, Y) -> float:
 
 
 def sym_bracket(X, Y) -> np.ndarray:
-    """Symmetrized connection bracket {X,Y} = nabla_X Y + nabla_Y X on frame
-    components; nonzero entries: {e1,e3} = -e2, {e2,e3} = -e1."""
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-    return np.array(
-        [
-            -(X[1] * Y[2] + X[2] * Y[1]),
-            -(X[0] * Y[2] + X[2] * Y[0]),
-            0.0 * X[0],
-        ]
-    )
+    """Symmetrized connection bracket {X,Y} = nabla_X Y + nabla_Y X on (..., 3)
+    frame components; nonzero entries: {e1,e3} = -e2, {e2,e3} = -e1."""
+    x0, x1, x2 = np.moveaxis(np.asarray(X), -1, 0)
+    y0, y1, y2 = np.moveaxis(np.asarray(Y), -1, 0)
+    return np.stack([-(x1 * y2 + x2 * y1), -(x0 * y2 + x2 * y0), 0.0 * x0], axis=-1)
 
 
 def lie_bracket(X, Y) -> np.ndarray:
-    """[e1, e2] = e3 and cyclic-zero otherwise (tau = 1/2)."""
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-    return np.array([0.0 * X[0], 0.0 * X[0], X[0] * Y[1] - X[1] * Y[0]])
+    """[e1, e2] = e3 and cyclic-zero otherwise (tau = 1/2), on (..., 3) arrays."""
+    x0, x1, _ = np.moveaxis(np.asarray(X), -1, 0)
+    y0, y1, _ = np.moveaxis(np.asarray(Y), -1, 0)
+    return np.stack([0.0 * x0, 0.0 * x0, x0 * y1 - x1 * y0], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 #
-# Each residual below reads its fields at the points of a stencil that is
-# listed once, here, in the order its arithmetic reads them.  The `*_stencil`
-# functions return a check's whole list, so that a caller can compute every
-# point the check reads as one batch before running it.
+# The per-point helpers below list each stencil once; the `*_stencil`
+# functions return a check's whole list, which a caller can compute as one
+# batch before running the check.
+
+
+def _sample(fn, stencil: list, count: int) -> np.ndarray:
+    """`fn(s, t)` at each point of `stencil`, the `*_stencil` list of a check
+    at `count` points, in order: shape (count, K, ...) with K stencil points
+    per check point."""
+    values = np.array([fn(s, t) for s, t in stencil], float)
+    return values.reshape(count, -1, *values.shape[1:])
+
+
+def _sample_null(spinor_fn, stencil: list, count: int) -> np.ndarray:
+    """`_sample` of a spinor field as null components (psi1_p, psi1_q, psi2_p, psi2_q)."""
+    return _sample(lambda s, t: [c for z in spinor_fn(s, t) for c in (z.p, z.q)], stencil, count)
+
+
+def _worst(*arrays) -> float:
+    """The largest absolute entry of `arrays` (0.0 when they are empty); NaN
+    when any entry is NaN, so that a NaN field fails its check."""
+    return float(np.max([np.max(np.abs(a), initial=0.0) for a in arrays], initial=0.0))
+
+
+def _mat2(a, b, c, d) -> np.ndarray:
+    """The 2x2 matrices [[a, b], [c, d]] of broadcastable entries: (..., 2, 2)."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.stack([a, b, c, d], axis=-1).reshape(*a.shape, 2, 2)
 
 
 def _richardson_steps(h: float) -> list[float]:
@@ -197,14 +219,14 @@ class FundamentalFormResult:
     residual: float  # max(|E + G|, |F|)
 
 
-def _xy_tangents(surface_fn, s, t, step, space: str):
-    """FD tangents in conformal coordinates x, y; s = x + y, t = x - y."""
-    values = [np.asarray(surface_fn(a, b)) for a, b in _xy_points(s, t, step, space)]
-    f_x = (values[0] - values[1]) / (2.0 * step)
-    f_y = (values[2] - values[3]) / (2.0 * step)
+def _xy_tangents(values, step, space: str):
+    """FD tangents in conformal coordinates x, y (s = x + y, t = x - y) from
+    (..., K, 3) values at the points of `_xy_points`; (..., 3) each."""
+    f_x = (values[..., 0, :] - values[..., 1, :]) / (2.0 * step)
+    f_y = (values[..., 2, :] - values[..., 3, :]) / (2.0 * step)
     if space == "nil":
-        f_x = nil_left_translate(values[4], f_x)
-        f_y = nil_left_translate(values[4], f_y)
+        f_x = nil_left_translate(values[..., 4, :], f_x)
+        f_y = nil_left_translate(values[..., 4, :], f_y)
         signs = NIL_METRIC_SIGNS
     elif space == "l3":
         signs = L3_METRIC_SIGNS
@@ -218,22 +240,19 @@ def first_fundamental_form(surface_fn, points, step: float = 1e-3, space: str = 
 
     Returns per-point arrays of <f_x,f_x>, <f_y,f_y>, <f_x,f_y> and the peak
     conformality residual max(|<f_x,f_x> + <f_y,f_y>|, |<f_x,f_y>|).
-    Raises DegenerateMetric when the form collapses at a point.
+    Raises DegenerateMetric at the first point where the form collapses, but
+    only after reading the field at the whole stencil, whose errors come first.
     """
-    Es, Gs, Fs = [], [], []
-    for s, t in points:
-        f_x, f_y, signs = _xy_tangents(surface_fn, float(s), float(t), step, space)
-        E = float((signs * f_x * f_x).sum())
-        G = float((signs * f_y * f_y).sum())
-        F = float((signs * f_x * f_y).sum())
-        if abs(E) < 1e-14 and abs(G) < 1e-14:
-            raise DegenerateMetric(f"first fundamental form vanishes at (s={s}, t={t})")
-        Es.append(E)
-        Gs.append(G)
-        Fs.append(F)
-    Es, Gs, Fs = np.array(Es), np.array(Gs), np.array(Fs)
-    residual = float(max(np.abs(Es + Gs).max(), np.abs(Fs).max()))
-    return FundamentalFormResult(E=Es, G=Gs, F=Fs, conformal_factor=Es, residual=residual)
+    values = _sample(surface_fn, xy_stencil(points, step, space), len(points))
+    f_x, f_y, signs = _xy_tangents(values, step, space)
+    E = (signs * f_x * f_x).sum(axis=-1)
+    G = (signs * f_y * f_y).sum(axis=-1)
+    F = (signs * f_x * f_y).sum(axis=-1)
+    vanishes = (np.abs(E) < 1e-14) & (np.abs(G) < 1e-14)
+    if vanishes.any():
+        s, t = points[int(np.argmax(vanishes))]
+        raise DegenerateMetric(f"first fundamental form vanishes at (s={s}, t={t})")
+    return FundamentalFormResult(E=E, G=G, F=F, conformal_factor=E, residual=_worst(E + G, F))
 
 
 # ---------------------------------------------------------------------------
@@ -247,31 +266,6 @@ class MinimalityResult:
     minimality: float  # max residual of the zero-mean-curvature equation
     residual: float
     noise_floor: float
-
-
-def _translated_null_derivs(surface_fn, s, t, step):
-    """P = left-translated d_s f and Q = left-translated d_t f at (s, t)."""
-    base, sp, sm, tp, tm = (np.asarray(surface_fn(a, b)) for a, b in _cross(s, t, step))
-    ds = (sp - sm) / (2 * step)
-    dt = (tp - tm) / (2 * step)
-    return nil_left_translate(base, ds), nil_left_translate(base, dt)
-
-
-def _minimality_at(surface_fn, s, t, step):
-    (P0, Q0), (Psp, Qsp), (Psm, Qsm), (Ptp, Qtp), (Ptm, Qtm) = (
-        _translated_null_derivs(surface_fn, a, b, step) for a, b in _cross(s, t, step)
-    )
-    dP_dt = (Ptp - Ptm) / (2 * step)
-    dQ_ds = (Qsp - Qsm) / (2 * step)
-    # integrability: p slot of  Phi_zbar - conj(Phi)_z + [conj(Phi), Phi]
-    r_mc_p = dP_dt - dQ_ds + lie_bracket(Q0, P0)
-    r_mc_q = dQ_ds - dP_dt + lie_bracket(P0, Q0)
-    # zero mean curvature: Phi_zbar + conj(Phi)_z + {Phi, conj(Phi)}
-    r_min_p = dP_dt + dQ_ds + sym_bracket(P0, Q0)
-    r_min_q = dQ_ds + dP_dt + sym_bracket(Q0, P0)
-    mc = max(np.abs(r_mc_p).max(), np.abs(r_mc_q).max())
-    mini = max(np.abs(r_min_p).max(), np.abs(r_min_q).max())
-    return mc, mini
 
 
 def _minimality_points(s, t, step):
@@ -289,14 +283,26 @@ def minimality_residual(surface_fn, points, step: float = 1e-3):
     Central differences at `step`; the noise floor is estimated by comparing
     against the doubled step (second-order Richardson gap).
     """
-    mc1 = mini1 = mc2 = mini2 = 0.0
-    for s, t in points:
-        a, b = _minimality_at(surface_fn, float(s), float(t), step)
-        mc1, mini1 = max(mc1, a), max(mini1, b)
-        a2, b2 = _minimality_at(surface_fn, float(s), float(t), 2.0 * step)
-        mc2, mini2 = max(mc2, a2), max(mini2, b2)
-    residual = max(mc1, mini1)
-    noise_floor = abs(max(mc2, mini2) - residual) / 3.0 + 1e-13 / step**2 * 1e-3
+    # axes: point, step (h, 2h), centre of the outer cross, point of the
+    # inner cross around it, coordinate
+    values = _sample(surface_fn, minimality_stencil(points, step), len(points))
+    base, sp, sm, tp, tm = np.moveaxis(values.reshape(len(points), 2, 5, 5, 3), 3, 0)
+    hh = np.array([step, 2.0 * step])[:, None]
+    P = nil_left_translate(base, (sp - sm) / (2 * hh[:, None]))  # left-translated d_s f
+    Q = nil_left_translate(base, (tp - tm) / (2 * hh[:, None]))  # left-translated d_t f
+    P0, Q0 = P[:, :, 0], Q[:, :, 0]
+    dP_dt = (P[:, :, 3] - P[:, :, 4]) / (2 * hh)
+    dQ_ds = (Q[:, :, 1] - Q[:, :, 2]) / (2 * hh)
+    # integrability: p slot of  Phi_zbar - conj(Phi)_z + [conj(Phi), Phi]
+    r_mc_p = dP_dt - dQ_ds + lie_bracket(Q0, P0)
+    r_mc_q = dQ_ds - dP_dt + lie_bracket(P0, Q0)
+    # zero mean curvature: Phi_zbar + conj(Phi)_z + {Phi, conj(Phi)}
+    r_min_p = dP_dt + dQ_ds + sym_bracket(P0, Q0)
+    r_min_q = dQ_ds + dP_dt + sym_bracket(Q0, P0)
+    mc1, mc2 = (_worst(r_mc_p[:, k], r_mc_q[:, k]) for k in (0, 1))
+    mini1, mini2 = (_worst(r_min_p[:, k], r_min_q[:, k]) for k in (0, 1))
+    residual = _worst(mc1, mini1)
+    noise_floor = abs(_worst(mc2, mini2) - residual) / 3.0 + 1e-13 / step**2 * 1e-3
     return MinimalityResult(
         maurer_cartan=mc1, minimality=mini1, residual=residual, noise_floor=noise_floor
     )
@@ -308,14 +314,13 @@ def minimality_residual(surface_fn, points, step: float = 1e-3):
 
 
 def _auto_normal(f_x, f_y):
+    """Unit normals to (..., 3) tangents, oriented with positive third component."""
     v = L3_METRIC_SIGNS * np.cross(f_x, f_y)
-    nn = float((L3_METRIC_SIGNS * v * v).sum())
-    if nn <= 1e-20:
+    nn = (L3_METRIC_SIGNS * v * v).sum(axis=-1, keepdims=True)
+    if (nn <= 1e-20).any():
         raise DegenerateMetric("surface normal is not spacelike")
-    n = v / math.sqrt(nn)
-    if n[2] < 0:
-        n = -n
-    return n
+    n = v / np.sqrt(nn)
+    return np.where(n[..., 2:] < 0, -n, n)
 
 
 def mean_curvature_L3(surface_fn, points, step: float = 1e-3, normal_fn=None) -> np.ndarray:
@@ -323,32 +328,34 @@ def mean_curvature_L3(surface_fn, points, step: float = 1e-3, normal_fn=None) ->
 
     H = tr(II I^{-1})/2 with II = -<df, dN>.  When `normal_fn` is omitted the
     normal is the normalized Lorentzian cross product oriented with positive
-    third component (the orientation of the engine's Gauss maps).
+    third component (the orientation of the engine's Gauss maps), taken at
+    each stencil point from the surface around it.  Raises DegenerateMetric
+    when that normal is not spacelike, or, naming the first such point, when
+    the first fundamental form is singular; the fields are read at the whole
+    stencil first, so an error they raise comes before either.
     """
+    stencil = xy_stencil(points, step, "l3")
+    f_x, f_y, signs = _xy_tangents(_sample(surface_fn, stencil, len(points)), step, "l3")
     if normal_fn is None:
-
-        def normal_fn(s, t):
-            f_x, f_y, _ = _xy_tangents(surface_fn, s, t, step, "l3")
-            return _auto_normal(f_x, f_y)
-
-    out = []
-    for s, t in points:
-        s, t = float(s), float(t)
-        f_x, f_y, signs = _xy_tangents(surface_fn, s, t, step, "l3")
-        n_x, n_y, _ = _xy_tangents(normal_fn, s, t, step, "l3")
-        E = float((signs * f_x * f_x).sum())
-        F = float((signs * f_x * f_y).sum())
-        G = float((signs * f_y * f_y).sum())
-        det = E * G - F * F
-        if abs(det) < 1e-12 * max(E * E + G * G + F * F, 1e-30):
-            raise DegenerateMetric(f"first fundamental form singular at (s={s}, t={t})")
-        II_xx = -float((signs * f_x * n_x).sum())
-        II_yy = -float((signs * f_y * n_y).sum())
-        II_xy = -0.5 * float((signs * (f_x * n_y + f_y * n_x)).sum())
-        I_mat = np.array([[E, F], [F, G]])
-        II_mat = np.array([[II_xx, II_xy], [II_xy, II_yy]])
-        out.append(0.5 * float(np.trace(II_mat @ np.linalg.inv(I_mat))))
-    return np.array(out)
+        around = _sample(surface_fn, xy_stencil(stencil, step, "l3"), len(stencil))
+        normals = _auto_normal(*_xy_tangents(around, step, "l3")[:2]).reshape(len(points), -1, 3)
+    else:
+        normals = _sample(normal_fn, stencil, len(points))
+    n_x, n_y, _ = _xy_tangents(normals, step, "l3")
+    E = (signs * f_x * f_x).sum(axis=-1)
+    F = (signs * f_x * f_y).sum(axis=-1)
+    G = (signs * f_y * f_y).sum(axis=-1)
+    det = E * G - F * F
+    singular = np.abs(det) < 1e-12 * np.maximum(E * E + G * G + F * F, 1e-30)
+    if singular.any():
+        s, t = (float(x) for x in points[int(np.argmax(singular))])
+        raise DegenerateMetric(f"first fundamental form singular at (s={s}, t={t})")
+    II_xx = -(signs * f_x * n_x).sum(axis=-1)
+    II_yy = -(signs * f_y * n_y).sum(axis=-1)
+    II_xy = -0.5 * (signs * (f_x * n_y + f_y * n_x)).sum(axis=-1)
+    I_mat = _mat2(E, F, F, G)
+    II_mat = _mat2(II_xx, II_xy, II_xy, II_yy)
+    return 0.5 * np.trace(II_mat @ np.linalg.inv(I_mat), axis1=-2, axis2=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +363,11 @@ def mean_curvature_L3(surface_fn, points, step: float = 1e-3, normal_fn=None) ->
 # ---------------------------------------------------------------------------
 
 
-def _null(z: ParaComplex) -> np.ndarray:
-    return np.array([z.p, z.q])
-
-
-def conformal_factor_root(psi1: ParaComplex, psi2: ParaComplex) -> float:
-    """Spinor expression 2(psi2 conj(psi2) + psi1 conj(psi1)); its square is
-    the conformal factor e^u of the Heisenberg surface."""
-    return 2.0 * (psi2.p * psi2.q + psi1.p * psi1.q)
+def conformal_factor_root(n):
+    """Spinor expression 2(psi2 conj(psi2) + psi1 conj(psi1)) of (..., 4) null
+    components (psi1_p, psi1_q, psi2_p, psi2_q); its square is the conformal
+    factor e^u of the Heisenberg surface."""
+    return 2.0 * (n[..., 2] * n[..., 3] + n[..., 0] * n[..., 1])
 
 
 @dataclass
@@ -383,16 +387,19 @@ class SpinorField:
     dirac_potential_re: float
 
 
-def _resolves_dirac_potential(c1: ParaComplex, c2: ParaComplex) -> bool:
-    """Whether -d_z psi2 / psi1 is resolved at a point: both null components
-    of psi1 exceed 1e-2 of the spinor scale."""
-    n1 = _null(c1)
-    scale = math.sqrt(max(abs(conformal_factor_root(c1, c2)), 1e-12))
-    return min(abs(n1[0]), abs(n1[1])) > 1e-2 * scale
+def _resolves_dirac_potential(n) -> np.ndarray:
+    """Whether -d_z psi2 / psi1 is resolved at points with (..., 4) null
+    components: both null components of psi1 exceed 1e-2 of the spinor scale."""
+    scale = np.sqrt(np.maximum(np.abs(conformal_factor_root(n)), 1e-12))
+    return np.minimum(np.abs(n[..., 0]), np.abs(n[..., 1])) > 1e-2 * scale
 
 
 def _dirac_potential_step(step: float) -> float:
     return max(step, 2e-2)
+
+
+def _dirac_potential_points(resolved, step: float) -> list:
+    return _each(resolved, _axis_richardson, _dirac_potential_step(step))
 
 
 def dirac_stencil(points, step: float = 1e-3) -> list:
@@ -403,8 +410,9 @@ def dirac_stencil(points, step: float = 1e-3) -> list:
 def dirac_potential_stencil(spinor_fn, points, step: float = 1e-3) -> list:
     """Points of the Dirac-potential branch of `spinors_and_dirac`: those of
     the points where `spinor_fn` resolves the potential."""
-    resolved = [(s, t) for s, t in points if _resolves_dirac_potential(*spinor_fn(s, t))]
-    return _each(resolved, _axis_richardson, _dirac_potential_step(step))
+    centres = [(float(s), float(t)) for s, t in points]
+    resolved = _resolves_dirac_potential(_sample_null(spinor_fn, centres, len(points))[:, 0])
+    return _dirac_potential_points([p for p, ok in zip(points, resolved) if ok], step)
 
 
 def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorField:
@@ -413,81 +421,36 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
     spinor_fn(s, t) -> (psi1, psi2) para-complex; h_fn(s, t) -> angle
     function.  Derivatives are central differences at `step`.
     """
-
-    def nulls(point):
-        """Null components (psi1_p, psi1_q, psi2_p, psi2_q), one evaluation."""
-        c1, c2 = spinor_fn(*point)
-        return np.concatenate((_null(c1), _null(c2)))
-
-    h_out, eu_out = [], []
-    worst_dirac = 0.0
-    worst_hgap = 0.0
+    centres = [(float(s), float(t)) for s, t in points]
+    h = _sample(h_fn, centres, len(points))[:, 0]
+    values = _sample_null(spinor_fn, dirac_stencil(points, step), len(points))
+    base, sp, sm, tp, tm = np.moveaxis(values, 1, 0)
+    d_s = (sp - sm) / (2.0 * step)
+    d_t = (tp - tm) / (2.0 * step)
+    n1, n2 = base[:, :2], base[:, 2:]
+    # d_z psi2 + (i'/4) h psi1 : null components (d_s p, d_t q)
+    r1 = [d_s[:, 2] + 0.25 * h * n1[:, 0], d_t[:, 3] - 0.25 * h * n1[:, 1]]
+    # -d_zbar psi1 + (i'/4) h psi2 : d_zbar has components (d_t p, d_s q)
+    r2 = [-d_t[:, 0] + 0.25 * h * n2[:, 0], -d_s[:, 1] - 0.25 * h * n2[:, 1]]
+    h_spinor = 2.0 * (n2[:, 0] * n2[:, 1] - n1[:, 0] * n1[:, 1])
+    # Dirac potential from the equation itself: -d_z psi2 / psi1; needs
+    # Richardson-extrapolated derivatives to resolve Re U at the 1e-9 level
+    resolved = _resolves_dirac_potential(base)
     worst_repot = 0.0
-    for s, t in points:
-        s, t = float(s), float(t)
-        base, sp, sm, tp, tm = _cross(s, t, step)
-        c1, c2 = spinor_fn(*base)
-        h = float(h_fn(*base))
-        d_s = (nulls(sp) - nulls(sm)) / (2.0 * step)
-        d_t = (nulls(tp) - nulls(tm)) / (2.0 * step)
-        d1_s, d2_s = d_s[:2], d_s[2:]
-        d1_t, d2_t = d_t[:2], d_t[2:]
-        n1, n2 = _null(c1), _null(c2)
-        # d_z psi2 + (i'/4) h psi1 : null components (d_s p, d_t q)
-        r1 = np.array([d2_s[0] + 0.25 * h * n1[0], d2_t[1] - 0.25 * h * n1[1]])
-        # -d_zbar psi1 + (i'/4) h psi2 : d_zbar has components (d_t p, d_s q)
-        r2 = np.array([-d1_t[0] + 0.25 * h * n2[0], -d1_s[1] - 0.25 * h * n2[1]])
-        worst_dirac = max(worst_dirac, float(np.abs(r1).max()), float(np.abs(r2).max()))
-        h_spinor = 2.0 * (n2[0] * n2[1] - n1[0] * n1[1])
-        eu = conformal_factor_root(c1, c2)
-        worst_hgap = max(worst_hgap, abs(h_spinor - h))
-        # Dirac potential from the equation itself: -d_z psi2 / psi1; needs
-        # Richardson-extrapolated derivatives to resolve Re U at the 1e-9 level
-        if _resolves_dirac_potential(c1, c2):
-            rich = _dirac_potential_step(step)
-            values = [nulls(p) for p in _axis_richardson(s, t, rich)]
-            dp = float(_d1([v[2] for v in values[:6]], rich))
-            dq = float(_d1([v[3] for v in values[6:]], rich))
-            pot_p = -dp / n1[0]
-            pot_q = -dq / n1[1]
-            worst_repot = max(worst_repot, abs((pot_p + pot_q) / 2.0))
-        h_out.append(h)
-        eu_out.append(eu)
+    if resolved.any():
+        kept = [p for p, ok in zip(centres, resolved) if ok]
+        around = _sample_null(spinor_fn, _dirac_potential_points(kept, step), len(kept))
+        rich = _dirac_potential_step(step)
+        pot_p = -_d1(around[:, :6, 2].T, rich) / n1[resolved, 0]
+        pot_q = -_d1(around[:, 6:, 3].T, rich) / n1[resolved, 1]
+        worst_repot = _worst((pot_p + pot_q) / 2.0)
     return SpinorField(
-        h=np.array(h_out),
-        eu=np.array(eu_out),
-        dirac=worst_dirac,
-        h_gap=worst_hgap,
+        h=h,
+        eu=conformal_factor_root(base),
+        dirac=_worst(*r1, *r2),
+        h_gap=_worst(h_spinor - h),
         dirac_potential_re=worst_repot,
     )
-
-
-def _hopf_B_at(spinor_fn, s: float, t: float, step: float) -> np.ndarray:
-    """Null components of the quadratic-differential coefficient B at (s,t).
-
-    B = -(i'/4) (A + i' phi3^2) with the Hopf coefficient
-    A = 2(psi1 (conj psi2)_z - conj(psi2) (psi1)_z) - 4 i' psi1^2 conj(psi2)^2
-    and phi3 = 2 psi1 conj(psi2).
-    """
-
-    def fields(point):
-        a, b = spinor_fn(*point)
-        return _null(a), _null(b.conj())
-
-    (n1, n2b), sp, sm, tp, tm = (fields(p) for p in _cross(s, t, step))
-    d_s = (np.concatenate(sp) - np.concatenate(sm)) / (2.0 * step)
-    d_t = (np.concatenate(tp) - np.concatenate(tm)) / (2.0 * step)
-    # d_z w has null components (d_s w_p, d_t w_q)
-    d1 = np.array([d_s[0], d_t[1]])  # (psi1)_z
-    d2b = np.array([d_s[2], d_t[3]])  # (conj psi2)_z
-    term = 2.0 * (n1 * d2b - n2b * d1)
-    quart = n1 * n1 * n2b * n2b
-    # i' has null form (1, -1)
-    iota = np.array([1.0, -1.0])
-    A = term - 4.0 * iota * quart
-    phi3sq = 4.0 * n1 * n1 * n2b * n2b
-    B = -0.25 * iota * (A + iota * phi3sq)
-    return B
 
 
 def _hopf_centers(s: float, t: float, step: float) -> list:
@@ -525,25 +488,41 @@ def abresch_rosenberg(
 ) -> QuadraticDifferentialResult:
     """Quadratic-differential coefficient B and its para-holomorphy defect.
 
-    The H = 0 branch: B = -(i'/4)(A + i' phi3^2).  `richardson` extrapolates
-    the step once for fourth-order accuracy of B itself; the d_zbar residual
-    is measured by differencing the B field.
+    The H = 0 branch: B = -(i'/4)(A + i' phi3^2) with the Hopf coefficient
+    A = 2(psi1 (conj psi2)_z - conj(psi2) (psi1)_z) - 4 i' psi1^2 conj(psi2)^2
+    and phi3 = 2 psi1 conj(psi2).  `richardson` extrapolates the step once
+    for fourth-order accuracy of B itself; the d_zbar residual is measured by
+    differencing the B field.
     """
-
-    def B_at(point):
-        b1, *b2 = (_hopf_B_at(spinor_fn, *point, hh) for hh in _hopf_steps(step, richardson))
-        return (4.0 * b2[0] - b1) / 3.0 if b2 else b1
-
-    values = []
-    worst = 0.0
-    for s, t in points:
-        b, t_plus, t_minus, s_plus, s_minus = map(B_at, _hopf_centers(float(s), float(t), step))
-        values.append(ParaComplex.from_null(float(b[0]), float(b[1])))
-        dB_t = (t_plus - t_minus) / (2.0 * step)
-        dB_s = (s_plus - s_minus) / (2.0 * step)
-        # d_zbar B has null components (d_t B_p, d_s B_q)
-        worst = max(worst, abs(float(dB_t[0])), abs(float(dB_s[1])))
-    return QuadraticDifferentialResult(B=values, dzbar_residual=worst)
+    steps = _hopf_steps(step, richardson)
+    stencil = abresch_rosenberg_stencil(points, step, richardson)
+    # axes: point, centre of `_hopf_centers`, step, point of the cross around
+    # it, null components of (psi1, conj psi2): conj swaps psi2's pair
+    values = _sample_null(spinor_fn, stencil, len(points))
+    values = values.reshape(len(points), 5, len(steps), 5, 4)[..., [0, 1, 3, 2]]
+    base, sp, sm, tp, tm = np.moveaxis(values, 3, 0)
+    d_s = (sp - sm) / (2.0 * np.array(steps)[:, None])
+    d_t = (tp - tm) / (2.0 * np.array(steps)[:, None])
+    n1, n2b = base[..., :2], base[..., 2:]
+    # d_z w has null components (d_s w_p, d_t w_q)
+    d1 = np.stack([d_s[..., 0], d_t[..., 1]], axis=-1)  # (psi1)_z
+    d2b = np.stack([d_s[..., 2], d_t[..., 3]], axis=-1)  # (conj psi2)_z
+    term = 2.0 * (n1 * d2b - n2b * d1)
+    quart = n1 * n1 * n2b * n2b
+    # i' has null form (1, -1)
+    iota = np.array([1.0, -1.0])
+    A = term - 4.0 * iota * quart
+    phi3sq = 4.0 * n1 * n1 * n2b * n2b
+    B = -0.25 * iota * (A + iota * phi3sq)
+    B = (4.0 * B[:, :, 1] - B[:, :, 0]) / 3.0 if richardson else B[:, :, 0]
+    b, t_plus, t_minus, s_plus, s_minus = np.moveaxis(B, 1, 0)
+    dB_t = (t_plus - t_minus) / (2.0 * step)
+    dB_s = (s_plus - s_minus) / (2.0 * step)
+    # d_zbar B has null components (d_t B_p, d_s B_q)
+    return QuadraticDifferentialResult(
+        B=[ParaComplex.from_null(p, q) for p, q in b.tolist()],
+        dzbar_residual=_worst(dB_t[:, 0], dB_s[:, 1]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -607,30 +586,30 @@ def flatness_residual(h_fn, Q_fn, R_fn, points, thetas) -> float:
     are Richardson extrapolated from step 2e-2, so the result is FD-noise
     limited.
     """
-    worst = 0.0
-    for s, t in points:
-        (s, t), *around = _flatness_points(float(s), float(t))
-        h = float(h_fn(s, t))
-        Q = float(Q_fn(s))
-        R = float(R_fn(t))
-        logh = [math.log(h_fn(*p)) for p in around]
-        a = float(_d1(logh[:6], _FLATNESS_STEP))  # d_s log h
-        b = float(_d1(logh[6:12], _FLATNESS_STEP))  # d_t log h
-        m = float(_d2(logh[12:], _FLATNESS_STEP))
-        h_s = a * h
-        h_t = b * h
-        for theta in thetas:
-            ep = math.exp(float(theta))
-            em = math.exp(-float(theta))
-            Up = np.array([[a / 2.0, -h * em / 4.0], [Q * em / h, -a / 2.0]])
-            Uq = np.array([[b / 2.0, h * ep / 4.0], [-R * ep / h, -b / 2.0]])
-            Vp = np.array([[-b / 2.0, -R * ep / h], [h * ep / 4.0, b / 2.0]])
-            Vq = np.array([[-a / 2.0, Q * em / h], [-h * em / 4.0, a / 2.0]])
-            dUp_t = np.array([[m / 2.0, -h_t * em / 4.0], [-Q * em * h_t / h**2, -m / 2.0]])
-            dVp_s = np.array([[-m / 2.0, R * ep * h_s / h**2], [ep * h_s / 4.0, m / 2.0]])
-            dUq_s = np.array([[m / 2.0, h_s * ep / 4.0], [R * ep * h_s / h**2, -m / 2.0]])
-            dVq_t = np.array([[-m / 2.0, -Q * em * h_t / h**2], [-em * h_t / 4.0, m / 2.0]])
-            flat_p = dUp_t - dVp_s + Vp @ Up - Up @ Vp
-            flat_q = dUq_s - dVq_t + Vq @ Uq - Uq @ Vq
-            worst = max(worst, float(np.abs(flat_p).max()), float(np.abs(flat_q).max()))
-    return worst
+    values = _sample(h_fn, flatness_stencil(points), len(points))
+    h = values[:, 0]
+    # math.log and h**2 (libm pow) per value, as the scalar form has them:
+    # numpy's log and an array's square may differ from them in the last bit
+    logh = np.array([[math.log(x) for x in row] for row in values[:, 1:].tolist()])
+    h2 = np.array([x**2 for x in h.tolist()])
+    Q = np.array([float(Q_fn(float(s))) for s, _ in points])
+    R = np.array([float(R_fn(float(t))) for _, t in points])
+    a = _d1(logh[:, :6].T, _FLATNESS_STEP)  # d_s log h
+    b = _d1(logh[:, 6:12].T, _FLATNESS_STEP)  # d_t log h
+    m = _d2(logh[:, 12:].T, _FLATNESS_STEP)
+    h_s = a * h
+    h_t = b * h
+    # axes: theta, point
+    ep = np.array([math.exp(float(theta)) for theta in thetas])[:, None]
+    em = np.array([math.exp(-float(theta)) for theta in thetas])[:, None]
+    Up = _mat2(a / 2.0, -h * em / 4.0, Q * em / h, -a / 2.0)
+    Uq = _mat2(b / 2.0, h * ep / 4.0, -R * ep / h, -b / 2.0)
+    Vp = _mat2(-b / 2.0, -R * ep / h, h * ep / 4.0, b / 2.0)
+    Vq = _mat2(-a / 2.0, Q * em / h, -h * em / 4.0, a / 2.0)
+    dUp_t = _mat2(m / 2.0, -h_t * em / 4.0, -Q * em * h_t / h2, -m / 2.0)
+    dVp_s = _mat2(-m / 2.0, R * ep * h_s / h2, ep * h_s / 4.0, m / 2.0)
+    dUq_s = _mat2(m / 2.0, h_s * ep / 4.0, R * ep * h_s / h2, -m / 2.0)
+    dVq_t = _mat2(-m / 2.0, -Q * em * h_t / h2, -em * h_t / 4.0, m / 2.0)
+    flat_p = dUp_t - dVp_s + Vp @ Up - Up @ Vp
+    flat_q = dUq_s - dVq_t + Vq @ Uq - Uq @ Vq
+    return _worst(flat_p, flat_q)

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import DegenerateMetric, GridTooCoarse
 from .geometry import (
+    _sample,
+    _sample_null,
+    _worst,
     _xy_tangents,
     abresch_rosenberg,
     abresch_rosenberg_stencil,
@@ -54,10 +57,10 @@ def safe_points(pipeline: Pipeline, count: int = 9, nil_side: bool = False):
             candidates.append((float(fg.s_grid[i]), float(fg.t_grid[j])))
     if nil_side and candidates:
         theta0 = float(pipeline.thetas[0])
-        vals = [
-            conformal_factor_root(*pipeline.spinors_at(s, t, theta0)[:2]) ** 2
-            for s, t in candidates
-        ]
+        nulls = _sample_null(
+            lambda s, t: pipeline.spinors_at(s, t, theta0)[:2], candidates, len(candidates)
+        )
+        vals = [v**2 for v in conformal_factor_root(nulls[:, 0]).tolist()]
         positives = sorted(v for v in vals if v > 0.0)
         med = positives[len(positives) // 2] if positives else 0.0
         # keep points whose induced metric sits in a moderate band around the
@@ -97,16 +100,6 @@ def _check(name, value, threshold, floor=None):
 _ORACLE_B = {"cylinder": 1.0 / 16.0, "hyperbolic-cylinder": -1.0 / 16.0, "horizontal-plane": 0.0}
 
 
-def _surface_relation(oracle: str, v: np.ndarray) -> float:
-    if oracle == "cylinder":
-        return abs(v[2] - v[0] * v[1] / 2.0)
-    if oracle == "hyperbolic-cylinder":
-        return abs(v[2] + v[0] * v[1] / 2.0)
-    if oracle in ("horizontal-plane",):
-        return abs(v[2])
-    return 0.0
-
-
 def roundtrip_errors(pipeline: Pipeline, axis_values) -> tuple[list[dict], float]:
     """Recover the normalized potential along `axis_values` and compare it
     with the pipeline's own: per-sample f, g, Q, R errors and the worst b/B
@@ -114,7 +107,6 @@ def roundtrip_errors(pipeline: Pipeline, axis_values) -> tuple[list[dict], float
     rec = extract_normalized_potential(pipeline, axis_values=axis_values)
     pot = pipeline.potential
     rows = []
-    worst = 0.0
     for k, x in enumerate(rec.axis_values):
         x = float(x)
         errs = {
@@ -123,9 +115,8 @@ def roundtrip_errors(pipeline: Pipeline, axis_values) -> tuple[list[dict], float
             "Q": abs(rec.Q[k] - pot.Q.eval(x)),
             "R": abs(rec.R[k] - pot.R.eval(x)),
         }
-        worst = max(worst, errs["f"], errs["g"], errs["Q"] / 4.0, errs["R"] / 4.0)
         rows.append({"x": x, **{name: float(v) for name, v in errs.items()}})
-    return rows, worst
+    return rows, _worst(*([r["f"], r["g"], r["Q"] / 4.0, r["R"] / 4.0] for r in rows))
 
 
 def run_diagnostics(pipeline: Pipeline) -> dict:
@@ -157,23 +148,23 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     thetas = [float(x) for x in pipeline.thetas]
 
     # frame quality: det, para-unitarity, angle function stability in theta
-    det_err = reality_err = h_theta_err = 0.0
+    det_err, reality_err, h_theta_err = [], [], []
+    s3 = PCMatrix2.from_real(SIGMA3)
     for s, t in pts:
         pt = pipeline.frame_at(s, t)
         pair = LoopPair(pt.loop, pt.loop)
         for th in _LAMBDA_THETAS:
             F = pair_eval(pair, th)
             d = F.det()
-            det_err = max(det_err, abs(d.re - 1.0), abs(d.im))
+            det_err += [d.re - 1.0, d.im]
             inv = F.conj().transpose().inverse()
-            s3 = PCMatrix2.from_real(SIGMA3)
-            reality_err = max(reality_err, ((s3 @ inv @ s3) - F).max_abs())
+            reality_err.append(((s3 @ inv @ s3) - F).max_abs())
             f21, f22 = F.entry(1, 0), F.entry(1, 1)
             h_theta = pt.h * (f22 * f22.conj() - f21 * f21.conj()).re
-            h_theta_err = max(h_theta_err, abs(h_theta - pt.h))
-    checks.append(_check("frame_det_unit", det_err, 1e-10))
-    checks.append(_check("frame_reality_condition", reality_err, 1e-10))
-    checks.append(_check("angle_function_theta_independent", h_theta_err, 1e-9))
+            h_theta_err.append(h_theta - pt.h)
+    checks.append(_check("frame_det_unit", _worst(det_err), 1e-10))
+    checks.append(_check("frame_reality_condition", _worst(reality_err), 1e-10))
+    checks.append(_check("angle_function_theta_independent", _worst(h_theta_err), 1e-9))
 
     parity = float(np.abs(fg.frames[~fg.holes][:, _mask(fg.trunc_n)]).max())
     checks.append(_check("frame_twisting_parity", parity, 1e-12))
@@ -240,18 +231,17 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     except DegenerateMetric:
         checks.append(_check("l3_mean_curvature_half", float("inf"), 1e-3))
 
-    # normals: unit, orthogonal to FD tangents
-    nn_err = orth_err = 0.0
-    pipeline.frames_at(xy_stencil(pts, 1e-4, "l3"))
-    for s, t in pts:
-        n = pipeline.normal_at(s, t, theta0)
-        nn = n[0] ** 2 - n[1] ** 2 + n[2] ** 2
-        nn_err = max(nn_err, abs(nn - 1.0))
-        fx, fy, _ = _xy_tangents(lambda a, b: pipeline.l3_at(a, b, theta0), s, t, 1e-4, "l3")
-        for v in (fx, fy):
-            orth_err = max(orth_err, abs(n[0] * v[0] - n[1] * v[1] + n[2] * v[2]))
-    checks.append(_check("normal_unit_length", nn_err, 1e-8))
-    checks.append(_check("normal_tangency", orth_err, 1e-6))
+    # normals: unit, orthogonal to FD tangents; the squares stay numpy-scalar
+    # powers (libm pow), which an array's square may differ from in the last bit
+    stencil = xy_stencil(pts, 1e-4, "l3")
+    pipeline.frames_at(stencil)
+    n = np.array([pipeline.normal_at(s, t, theta0) for s, t in pts])
+    nn_err = [v[0] ** 2 - v[1] ** 2 + v[2] ** 2 - 1.0 for v in n]
+    l3 = _sample(lambda a, b: pipeline.l3_at(a, b, theta0), stencil, len(pts))
+    fx, fy, _ = _xy_tangents(l3, 1e-4, "l3")
+    orth_err = [n[:, 0] * v[:, 0] - n[:, 1] * v[:, 1] + n[:, 2] * v[:, 2] for v in (fx, fy)]
+    checks.append(_check("normal_unit_length", _worst(nn_err), 1e-8))
+    checks.append(_check("normal_tangency", _worst(*orth_err), 1e-6))
 
     # structure equations of the generated Heisenberg surface
     pipeline.frames_at(minimality_stencil(pts_nil, 1e-3))
@@ -267,9 +257,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     )
     checks.append(_check("quadratic_differential_dzbar", ar.dzbar_residual, 1e-6))
     if oracle in _ORACLE_B and theta0 == 0.0:
-        b_err = max(
-            max(abs(b.re - _ORACLE_B[oracle]), abs(b.im)) for b in ar.B
-        )
+        b_err = _worst([b.re - _ORACLE_B[oracle] for b in ar.B], [b.im for b in ar.B])
         checks.append(_check(f"quadratic_differential_value[{oracle}]", b_err, 1e-7))
 
     # flat connection family
@@ -284,14 +272,12 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     checks.append(_check("flat_connection_residual", flat, 1e-8))
 
     # Sym gauge invariance under a mu-independent diagonal field
-    gauge_err = 0.0
+    gauge_err = []
     for s, t in pts:
         c = 0.3 * math.sin(s + 0.7) * math.cos(t - 0.3)
-        base = pipeline.surface_at(s, t, theta0)
         gauged = _sym_point(pipeline.frame_at(s, t).loop.scale_columns(math.exp(c)), theta0)
-        for u, v in zip(base, gauged):
-            gauge_err = max(gauge_err, float(np.abs(u - v).max()))
-    checks.append(_check("sym_gauge_invariance", gauge_err, 1e-12))
+        gauge_err.append(pipeline.surface_at(s, t, theta0) - gauged)
+    checks.append(_check("sym_gauge_invariance", _worst(*gauge_err), 1e-12))
 
     # round trip through the normalized potential; with a non-identity
     # initial frame the surface's own normalized data differs from the
@@ -301,17 +287,14 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
         checks.append(_check("normalized_potential_roundtrip", rt_err, 1e-7))
 
     # oracle surface relations
-    if oracle is not None and oracle in ("cylinder", "hyperbolic-cylinder", "horizontal-plane"):
-        rel_err = 0.0
-        for k in range(len(sg.thetas)):
-            for i in range(len(sg.s_grid)):
-                for j in range(len(sg.t_grid)):
-                    if sg.holes[i, j]:
-                        continue
-                    s, t = sg.s_grid[i], sg.t_grid[j]
-                    if oracle == "horizontal-plane" and not (-1.0 < s * t < 1.0):
-                        continue
-                    rel_err = max(rel_err, _surface_relation(oracle, sg.nil[k, i, j]))
+    if oracle in _ORACLE_B:
+        x, y, z = np.moveaxis(sg.nil, -1, 0)
+        rel = {"cylinder": z - x * y / 2.0, "hyperbolic-cylinder": z + x * y / 2.0}.get(oracle, z)
+        kept = ~sg.holes
+        if oracle == "horizontal-plane":  # only on its strip -1 < st < 1
+            st = np.multiply.outer(sg.s_grid, sg.t_grid)
+            kept &= (-1.0 < st) & (st < 1.0)
+        rel_err = float(np.max(np.abs(rel), where=kept, initial=0.0))
         tol = 1e-8 if oracle == "horizontal-plane" else 1e-6
         checks.append(_check(f"surface_relation[{oracle}]", rel_err, tol))
         if oracle == "cylinder":

@@ -272,3 +272,245 @@ def nil_translate_to(reference, value):
     from nilweier.geometry import nil_inv, nil_mul
 
     return nil_mul(reference, nil_inv(value))
+
+
+# -- finite-difference residuals point by point ----------------------------------
+#
+# The scalar bodies the array forms in `nilweier.geometry` replaced: each
+# calls its field once per stencil point, in stencil order, and computes one
+# point at a time.  Their results are the bits the array forms must keep.
+
+
+def _translate_scalar(x, v):
+    x = np.asarray(x, float)
+    v = np.asarray(v, float)
+    return np.array([v[0], v[1], v[2] + 0.5 * (x[1] * v[0] - x[0] * v[1])])
+
+
+def _sym_bracket_scalar(X, Y):
+    return np.array([-(X[1] * Y[2] + X[2] * Y[1]), -(X[0] * Y[2] + X[2] * Y[0]), 0.0 * X[0]])
+
+
+def _lie_bracket_scalar(X, Y):
+    return np.array([0.0 * X[0], 0.0 * X[0], X[0] * Y[1] - X[1] * Y[0]])
+
+
+def xy_tangents_reference(surface_fn, s, t, step, space):
+    from nilweier.geometry import L3_METRIC_SIGNS, NIL_METRIC_SIGNS, _xy_points
+
+    values = [np.asarray(surface_fn(a, b)) for a, b in _xy_points(s, t, step, space)]
+    f_x = (values[0] - values[1]) / (2.0 * step)
+    f_y = (values[2] - values[3]) / (2.0 * step)
+    if space == "nil":
+        f_x = _translate_scalar(values[4], f_x)
+        f_y = _translate_scalar(values[4], f_y)
+        return f_x, f_y, NIL_METRIC_SIGNS
+    return f_x, f_y, L3_METRIC_SIGNS
+
+
+def first_fundamental_form_reference(surface_fn, points, step=1e-3, space="nil"):
+    from nilweier.geometry import FundamentalFormResult
+
+    Es, Gs, Fs = [], [], []
+    for s, t in points:
+        f_x, f_y, signs = xy_tangents_reference(surface_fn, float(s), float(t), step, space)
+        Es.append(float((signs * f_x * f_x).sum()))
+        Gs.append(float((signs * f_y * f_y).sum()))
+        Fs.append(float((signs * f_x * f_y).sum()))
+    Es, Gs, Fs = np.array(Es), np.array(Gs), np.array(Fs)
+    residual = float(max(np.abs(Es + Gs).max(), np.abs(Fs).max()))
+    return FundamentalFormResult(E=Es, G=Gs, F=Fs, conformal_factor=Es, residual=residual)
+
+
+def _minimality_at(surface_fn, s, t, step):
+    from nilweier.geometry import _cross
+
+    def translated_null_derivs(a, b):
+        base, sp, sm, tp, tm = (np.asarray(surface_fn(*p)) for p in _cross(a, b, step))
+        ds = (sp - sm) / (2 * step)
+        dt = (tp - tm) / (2 * step)
+        return _translate_scalar(base, ds), _translate_scalar(base, dt)
+
+    (P0, Q0), (Psp, Qsp), (Psm, Qsm), (Ptp, Qtp), (Ptm, Qtm) = (
+        translated_null_derivs(a, b) for a, b in _cross(s, t, step)
+    )
+    dP_dt = (Ptp - Ptm) / (2 * step)
+    dQ_ds = (Qsp - Qsm) / (2 * step)
+    r_mc_p = dP_dt - dQ_ds + _lie_bracket_scalar(Q0, P0)
+    r_mc_q = dQ_ds - dP_dt + _lie_bracket_scalar(P0, Q0)
+    r_min_p = dP_dt + dQ_ds + _sym_bracket_scalar(P0, Q0)
+    r_min_q = dQ_ds + dP_dt + _sym_bracket_scalar(Q0, P0)
+    mc = max(np.abs(r_mc_p).max(), np.abs(r_mc_q).max())
+    mini = max(np.abs(r_min_p).max(), np.abs(r_min_q).max())
+    return mc, mini
+
+
+def minimality_residual_reference(surface_fn, points, step=1e-3):
+    from nilweier.geometry import MinimalityResult
+
+    mc1 = mini1 = mc2 = mini2 = 0.0
+    for s, t in points:
+        a, b = _minimality_at(surface_fn, float(s), float(t), step)
+        mc1, mini1 = max(mc1, a), max(mini1, b)
+        a2, b2 = _minimality_at(surface_fn, float(s), float(t), 2.0 * step)
+        mc2, mini2 = max(mc2, a2), max(mini2, b2)
+    residual = max(mc1, mini1)
+    noise_floor = abs(max(mc2, mini2) - residual) / 3.0 + 1e-13 / step**2 * 1e-3
+    return MinimalityResult(
+        maurer_cartan=mc1, minimality=mini1, residual=residual, noise_floor=noise_floor
+    )
+
+
+def mean_curvature_L3_reference(surface_fn, points, step=1e-3, normal_fn=None):
+    from nilweier.geometry import L3_METRIC_SIGNS
+
+    if normal_fn is None:
+
+        def normal_fn(s, t):
+            f_x, f_y, _ = xy_tangents_reference(surface_fn, s, t, step, "l3")
+            v = L3_METRIC_SIGNS * np.cross(f_x, f_y)
+            n = v / math.sqrt(float((L3_METRIC_SIGNS * v * v).sum()))
+            return -n if n[2] < 0 else n
+
+    out = []
+    for s, t in points:
+        s, t = float(s), float(t)
+        f_x, f_y, signs = xy_tangents_reference(surface_fn, s, t, step, "l3")
+        n_x, n_y, _ = xy_tangents_reference(normal_fn, s, t, step, "l3")
+        E = float((signs * f_x * f_x).sum())
+        F = float((signs * f_x * f_y).sum())
+        G = float((signs * f_y * f_y).sum())
+        II_xx = -float((signs * f_x * n_x).sum())
+        II_yy = -float((signs * f_y * n_y).sum())
+        II_xy = -0.5 * float((signs * (f_x * n_y + f_y * n_x)).sum())
+        I_mat = np.array([[E, F], [F, G]])
+        II_mat = np.array([[II_xx, II_xy], [II_xy, II_yy]])
+        out.append(0.5 * float(np.trace(II_mat @ np.linalg.inv(I_mat))))
+    return np.array(out)
+
+
+def _null(z):
+    return np.array([z.p, z.q])
+
+
+def resolves_dirac_potential_reference(c1, c2):
+    """The scalar test: both null components of psi1 exceed 1e-2 of the spinor scale."""
+    eu = 2.0 * (c2.p * c2.q + c1.p * c1.q)
+    n1 = _null(c1)
+    return min(abs(n1[0]), abs(n1[1])) > 1e-2 * math.sqrt(max(abs(eu), 1e-12))
+
+
+def spinors_and_dirac_reference(spinor_fn, h_fn, points, step=1e-3):
+    from nilweier.geometry import SpinorField, _axis_richardson, _cross, _d1
+
+    def nulls(point):
+        c1, c2 = spinor_fn(*point)
+        return np.concatenate((_null(c1), _null(c2)))
+
+    h_out, eu_out = [], []
+    worst_dirac = worst_hgap = worst_repot = 0.0
+    for s, t in points:
+        s, t = float(s), float(t)
+        base, sp, sm, tp, tm = _cross(s, t, step)
+        c1, c2 = spinor_fn(*base)
+        h = float(h_fn(*base))
+        d_s = (nulls(sp) - nulls(sm)) / (2.0 * step)
+        d_t = (nulls(tp) - nulls(tm)) / (2.0 * step)
+        d1_s, d2_s = d_s[:2], d_s[2:]
+        d1_t, d2_t = d_t[:2], d_t[2:]
+        n1, n2 = _null(c1), _null(c2)
+        r1 = np.array([d2_s[0] + 0.25 * h * n1[0], d2_t[1] - 0.25 * h * n1[1]])
+        r2 = np.array([-d1_t[0] + 0.25 * h * n2[0], -d1_s[1] - 0.25 * h * n2[1]])
+        worst_dirac = max(worst_dirac, float(np.abs(r1).max()), float(np.abs(r2).max()))
+        h_spinor = 2.0 * (n2[0] * n2[1] - n1[0] * n1[1])
+        worst_hgap = max(worst_hgap, abs(h_spinor - h))
+        if resolves_dirac_potential_reference(c1, c2):
+            rich = max(step, 2e-2)
+            values = [nulls(p) for p in _axis_richardson(s, t, rich)]
+            dp = float(_d1([v[2] for v in values[:6]], rich))
+            dq = float(_d1([v[3] for v in values[6:]], rich))
+            worst_repot = max(worst_repot, abs((-dp / n1[0] + -dq / n1[1]) / 2.0))
+        h_out.append(h)
+        eu_out.append(2.0 * (c2.p * c2.q + c1.p * c1.q))
+    return SpinorField(
+        h=np.array(h_out),
+        eu=np.array(eu_out),
+        dirac=worst_dirac,
+        h_gap=worst_hgap,
+        dirac_potential_re=worst_repot,
+    )
+
+
+def _hopf_B_at(spinor_fn, s, t, step):
+    from nilweier.geometry import _cross
+
+    def fields(point):
+        a, b = spinor_fn(*point)
+        return _null(a), _null(b.conj())
+
+    (n1, n2b), sp, sm, tp, tm = (fields(p) for p in _cross(s, t, step))
+    d_s = (np.concatenate(sp) - np.concatenate(sm)) / (2.0 * step)
+    d_t = (np.concatenate(tp) - np.concatenate(tm)) / (2.0 * step)
+    d1 = np.array([d_s[0], d_t[1]])
+    d2b = np.array([d_s[2], d_t[3]])
+    term = 2.0 * (n1 * d2b - n2b * d1)
+    quart = n1 * n1 * n2b * n2b
+    iota = np.array([1.0, -1.0])
+    A = term - 4.0 * iota * quart
+    phi3sq = 4.0 * n1 * n1 * n2b * n2b
+    return -0.25 * iota * (A + iota * phi3sq)
+
+
+def abresch_rosenberg_reference(spinor_fn, points, step=1e-2, richardson=True):
+    from nilweier.geometry import (
+        QuadraticDifferentialResult,
+        _hopf_centers,
+        _hopf_steps,
+    )
+    from nilweier.paracomplex import ParaComplex
+
+    def B_at(point):
+        b1, *b2 = (_hopf_B_at(spinor_fn, *point, hh) for hh in _hopf_steps(step, richardson))
+        return (4.0 * b2[0] - b1) / 3.0 if b2 else b1
+
+    values = []
+    worst = 0.0
+    for s, t in points:
+        b, t_plus, t_minus, s_plus, s_minus = map(B_at, _hopf_centers(float(s), float(t), step))
+        values.append(ParaComplex.from_null(float(b[0]), float(b[1])))
+        dB_t = (t_plus - t_minus) / (2.0 * step)
+        dB_s = (s_plus - s_minus) / (2.0 * step)
+        worst = max(worst, abs(float(dB_t[0])), abs(float(dB_s[1])))
+    return QuadraticDifferentialResult(B=values, dzbar_residual=worst)
+
+
+def flatness_residual_reference(h_fn, Q_fn, R_fn, points, thetas):
+    from nilweier.geometry import _FLATNESS_STEP, _d1, _d2, _flatness_points
+
+    worst = 0.0
+    for s, t in points:
+        (s, t), *around = _flatness_points(float(s), float(t))
+        h = float(h_fn(s, t))
+        Q = float(Q_fn(s))
+        R = float(R_fn(t))
+        logh = [math.log(h_fn(*p)) for p in around]
+        a = float(_d1(logh[:6], _FLATNESS_STEP))
+        b = float(_d1(logh[6:12], _FLATNESS_STEP))
+        m = float(_d2(logh[12:], _FLATNESS_STEP))
+        h_s = a * h
+        h_t = b * h
+        for theta in thetas:
+            ep = math.exp(float(theta))
+            em = math.exp(-float(theta))
+            Up = np.array([[a / 2.0, -h * em / 4.0], [Q * em / h, -a / 2.0]])
+            Uq = np.array([[b / 2.0, h * ep / 4.0], [-R * ep / h, -b / 2.0]])
+            Vp = np.array([[-b / 2.0, -R * ep / h], [h * ep / 4.0, b / 2.0]])
+            Vq = np.array([[-a / 2.0, Q * em / h], [-h * em / 4.0, a / 2.0]])
+            dUp_t = np.array([[m / 2.0, -h_t * em / 4.0], [-Q * em * h_t / h**2, -m / 2.0]])
+            dVp_s = np.array([[-m / 2.0, R * ep * h_s / h**2], [ep * h_s / 4.0, m / 2.0]])
+            dUq_s = np.array([[m / 2.0, h_s * ep / 4.0], [R * ep * h_s / h**2, -m / 2.0]])
+            dVq_t = np.array([[-m / 2.0, -Q * em * h_t / h**2], [-em * h_t / 4.0, m / 2.0]])
+            flat_p = dUp_t - dVp_s + Vp @ Up - Up @ Vp
+            flat_q = dUq_s - dVq_t + Vq @ Uq - Uq @ Vq
+            worst = max(worst, float(np.abs(flat_p).max()), float(np.abs(flat_q).max()))
+    return worst

@@ -1,17 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nilweier import ParaComplex, ProjectionPole
+from nilweier import DegenerateMetric, ParaComplex, ProjectionPole
 from nilweier.geometry import (
     abresch_rosenberg,
     first_fundamental_form,
     flatness_residual,
+    flatness_stencil,
     gauss_from_spinors,
     lie_bracket,
     mean_curvature_L3,
     minimality_residual,
+    minimality_stencil,
     nil_inv,
     nil_left_translate,
     nil_metric,
@@ -21,10 +24,23 @@ from nilweier.geometry import (
     pi_nil_plus,
     spinors_and_dirac,
     sym_bracket,
+    xy_stencil,
 )
 from nilweier.pipeline import Pipeline, translate_potential
 
-from _oracles import cylinder_nil, hyperbolic_nil, plane_nil
+from _oracles import (
+    abresch_rosenberg_reference,
+    cylinder_l3,
+    cylinder_nil,
+    first_fundamental_form_reference,
+    flatness_residual_reference,
+    hyperbolic_nil,
+    mean_curvature_L3_reference,
+    minimality_residual_reference,
+    plane_nil,
+    resolves_dirac_potential_reference,
+    spinors_and_dirac_reference,
+)
 
 PTS = [(0.3, -0.2), (0.0, 0.45), (-0.35, 0.15), (0.25, 0.25), (-0.1, -0.3)]
 
@@ -290,3 +306,155 @@ def test_hyperbolic_surface_relation(hyp_pipe):
         for i, s in enumerate(sg.s_grid):
             for j, t in enumerate(sg.t_grid):
                 assert np.allclose(sg.nil[k, i, j], hyperbolic_nil(s, t, float(theta)), atol=1e-9)
+
+
+# -- array forms against the point-by-point bodies ---------------------------------
+#
+# Each residual samples its stencil once and computes on arrays; the scalar
+# bodies it replaced, kept in _oracles.py, fix the bits it must reproduce.
+
+
+def hexed(value):
+    """Every float of a result as float.hex: dataclass fields (para-complex
+    values included), arrays and lists entry by entry."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: hexed(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [hexed(v) for v in value]
+    return float(value).hex()
+
+
+def _surfaces(pipe, space):
+    """A closed-form field and an engine field in `space`, off theta = 0."""
+    if space == "nil":
+        return [lambda s, t: hyperbolic_nil(s, t, 0.2), lambda s, t: pipe.nil_at(s, t, 0.1)]
+    return [lambda s, t: cylinder_l3(s, t, 0.2), lambda s, t: pipe.l3_at(s, t, 0.1)]
+
+
+def _spinors(s, t):
+    return (
+        ParaComplex(0.3 * math.sin(s + 2.0 * t), 0.2 + 0.1 * s * t),
+        ParaComplex(1.0 + 0.2 * math.cos(s - t), 0.3 * t),
+    )
+
+
+def _angle(s, t):
+    return 1.0 + 0.2 * math.sin(s) * math.cos(t)
+
+
+@pytest.mark.parametrize("space", ["nil", "l3"])
+def test_first_fundamental_form_keeps_the_point_by_point_bits(cyl_pipe, space):
+    for field in _surfaces(cyl_pipe, space):
+        for step in (1e-3, 2e-4):
+            got = first_fundamental_form(field, PTS, step=step, space=space)
+            assert hexed(got) == hexed(first_fundamental_form_reference(field, PTS, step, space))
+
+
+def test_minimality_residual_keeps_the_point_by_point_bits(cyl_pipe):
+    for field in _surfaces(cyl_pipe, "nil"):
+        got = minimality_residual(field, PTS, step=1e-3)
+        assert hexed(got) == hexed(minimality_residual_reference(field, PTS, 1e-3))
+
+
+def test_mean_curvature_keeps_the_point_by_point_bits(cyl_pipe):
+    for field in _surfaces(cyl_pipe, "l3"):
+        for normal_fn in (None, lambda s, t: cyl_pipe.normal_at(s, t, 0.1)):
+            got = mean_curvature_L3(field, PTS, step=1e-3, normal_fn=normal_fn)
+            expected = mean_curvature_L3_reference(field, PTS, 1e-3, normal_fn)
+            assert hexed(got) == hexed(expected)
+
+
+def test_spinors_and_dirac_keeps_the_point_by_point_bits(cyl_pipe):
+    # the cylinder leaves the Dirac potential unresolved on s = -t
+    pts = PTS + [(0.0, 0.0), (0.2, -0.2)]
+
+    def engine(s, t):
+        return cyl_pipe.spinors_at(s, t, 0.1)[:2]
+
+    resolved = [resolves_dirac_potential_reference(*engine(s, t)) for s, t in pts]
+    assert any(resolved) and not all(resolved)
+    for spinor_fn, h_fn in ((_spinors, _angle), (engine, cyl_pipe.h_at)):
+        for subset in [pts] + [[p] for p in pts]:
+            got = spinors_and_dirac(spinor_fn, h_fn, subset, step=1e-3)
+            expected = spinors_and_dirac_reference(spinor_fn, h_fn, subset, 1e-3)
+            assert hexed(got) == hexed(expected)
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_abresch_rosenberg_keeps_the_point_by_point_bits(cyl_pipe, richardson):
+    for spinor_fn in (_spinors, lambda s, t: cyl_pipe.spinors_at(s, t, 0.1)[:2]):
+        got = abresch_rosenberg(spinor_fn, PTS, richardson=richardson)
+        expected = abresch_rosenberg_reference(spinor_fn, PTS, richardson=richardson)
+        assert hexed(got) == hexed(expected)
+
+
+def test_flatness_residual_keeps_the_point_by_point_bits(cyl_pipe):
+    pot = cyl_pipe.potential
+    thetas = (0.0, 0.25, -0.25, 0.5, -0.5)
+    closed_form = (_angle, lambda s: 0.1 * s, lambda t: 0.2 - t)
+    # one point and one angle at a time too, where fewer entries compete for the max
+    runs = [(PTS, thetas)] + [([p], [th]) for p in PTS for th in thetas]
+    for fields in (closed_form, (cyl_pipe.h_at, pot.Q.eval, pot.R.eval)):
+        for pts, ths in runs:
+            got = flatness_residual(*fields, pts, ths)
+            assert got.hex() == flatness_residual_reference(*fields, pts, ths).hex()
+
+
+# -- a NaN field value fails the check -------------------------------------------------
+
+
+def _nan_at(field, point):
+    """`field`, but NaN at `point`."""
+
+    def f(s, t):
+        value = np.asarray(field(s, t), float)
+        return value * np.nan if (s, t) == point else value
+
+    return f
+
+
+def test_a_nan_field_value_makes_the_residual_nan():
+    """`max(worst, nan)` keeps `worst`, so a NaN at one stencil point once
+    left the minimality and flatness residuals finite; each residual that a
+    NaN can reach (spinor fields cannot hold one) now returns NaN."""
+    nil, l3 = (lambda s, t: cylinder_nil(s, t, 0.0)), (lambda s, t: cylinder_l3(s, t, 0.0))
+    point = xy_stencil(PTS, 1e-3, "nil")[7]
+    assert math.isnan(first_fundamental_form(_nan_at(nil, point), PTS).residual)
+    for k in (7, 30):  # read at step h, and at step 2h only
+        res = minimality_residual(_nan_at(nil, minimality_stencil(PTS)[k]), PTS)
+        assert math.isnan(res.residual if k < 25 else res.noise_floor)
+    H = mean_curvature_L3(_nan_at(l3, xy_stencil(PTS, 1e-3, "l3")[6]), PTS)
+    assert np.isnan(H[1]) and not np.isnan(np.delete(H, 1)).any()
+    pot = translate_potential("1", "0", "0.0625", "0")
+    h_fn = _nan_at(_angle, flatness_stencil(PTS)[40])
+    assert math.isnan(flatness_residual(h_fn, pot.Q.eval, pot.R.eval, PTS, (0.0, 0.3)))
+
+
+# -- DegenerateMetric names the first bad point -------------------------------------------
+
+
+def test_vanishing_first_fundamental_form_names_the_first_such_point():
+    # constant for s < -0.2, so at PTS[2] = (-0.35, 0.15) and at no earlier point
+    def field(s, t):
+        return np.zeros(3) if s < -0.2 else np.array([s, 0.0, t])
+
+    with pytest.raises(DegenerateMetric) as err:
+        first_fundamental_form(field, PTS, space="l3")
+    assert str(err.value) == "first fundamental form vanishes at (s=-0.35, t=0.15)"
+
+
+def test_singular_first_fundamental_form_names_the_first_such_point():
+    # of rank 1 for s < -0.2: f = (2x, 0, 0) in the conformal coordinates
+    def field(s, t):
+        return np.array([s + t, 0.0, 0.0]) if s < -0.2 else np.array([s, t, 0.0])
+
+    with pytest.raises(DegenerateMetric) as err:
+        mean_curvature_L3(field, PTS, normal_fn=lambda s, t: np.array([0.0, 0.0, 1.0]))
+    assert str(err.value) == "first fundamental form singular at (s=-0.35, t=0.15)"
+
+
+def test_a_timelike_automatic_normal_raises():
+    # a spacelike plane: its Lorentzian normal e2 is timelike
+    with pytest.raises(DegenerateMetric) as err:
+        mean_curvature_L3(lambda s, t: np.array([s, 0.0, t]), PTS)
+    assert str(err.value) == "surface normal is not spacelike"
