@@ -39,16 +39,13 @@ def cmd_generate(config_source, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     files = []
     for k, theta in enumerate(sg.thetas):
-        if "obj-nil" in cfg.outputs:
-            name = f"nil_{k:02d}.obj"
+        for space in ("nil", "l3"):
+            if f"obj-{space}" not in cfg.outputs:
+                continue
+            name = f"{space}_{k:02d}.obj"
             with open(os.path.join(out_dir, name), "wb") as fh:
-                fh.write(export_obj(sg, k, "nil"))
-            files.append({"file": name, "theta": float(theta), "space": "nil"})
-        if "obj-l3" in cfg.outputs:
-            name = f"l3_{k:02d}.obj"
-            with open(os.path.join(out_dir, name), "wb") as fh:
-                fh.write(export_obj(sg, k, "l3"))
-            files.append({"file": name, "theta": float(theta), "space": "l3"})
+                fh.write(export_obj(sg, k, space))
+            files.append({"file": name, "theta": float(theta), "space": space})
     if "csv" in cfg.outputs:
         with open(os.path.join(out_dir, "surfaces.csv"), "wb") as fh:
             fh.write(export_csv(sg))
@@ -127,10 +124,7 @@ def main(argv=None) -> int:
             for name in cmd_list_builtins():
                 print(name)
             return 0
-    except NilWeierError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (NilWeierError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ __all__ = ["RunConfig", "BUILTINS", "builtin_config", "load_config", "threads_fr
 _ALLOWED_OUTPUTS = ("obj-nil", "obj-l3", "csv")
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     name: str
     potential: PotentialSpec
@@ -86,82 +86,46 @@ def _umbrella_frame(a: float) -> TwistedLoop:
     )
 
 
-def _builtin_specs() -> dict:
-    return {
-        "cylinder": dict(
-            potential=translate_potential("1", "0", "0.0625", "0"),
-            domain=(-2.0, 2.0, -2.0, 2.0, 41, 41),
-            trunc_n=20,
-            thetas=(0.0, 0.1, -0.1),
-        ),
-        "hyperbolic-cylinder": dict(
-            potential=translate_potential("1", "0", "-0.0625", "0"),
-            domain=(-2.0, 2.0, -2.0, 2.0, 41, 41),
-            trunc_n=20,
-            thetas=(0.0, 0.1, -0.1),
-        ),
-        "horizontal-plane": dict(
-            potential=translate_potential("4", "0", "0", "0"),
-            domain=(-2.0, 2.0, -2.0, 2.0, 41, 41),
-            trunc_n=16,
-            thetas=(0.0, 0.1, -0.1),
-        ),
-        "bscroll": dict(
-            potential=pair_potential("1", "1", "0", "t"),
-            domain=(-1.0, 1.0, -1.0, 1.0, 41, 41),
-            trunc_n=20,
-            thetas=(0.0,),
-        ),
-        "horizontal-umbrella": dict(
-            potential=translate_potential("4", "0", "0", "0"),
-            domain=(-0.6, 0.6, -0.6, 0.6, 25, 25),
-            trunc_n=16,
-            thetas=(0.0,),
-            initial_frame=_umbrella_frame(0.5),
-        ),
-    }
+_WIDE = (-2.0, 2.0, -2.0, 2.0, 41, 41)
+_ANGLES = (0.0, 0.1, -0.1)
 
+# name -> RunConfig, built once: builtin_config hands out copies
+_BUILTIN_CONFIGS = {
+    name: RunConfig(name, potential, *domain, oracle=name, **fields)
+    for name, potential, domain, fields in (
+        ("cylinder", translate_potential("1", "0", "0.0625", "0"), _WIDE,
+         dict(trunc_n=20, thetas=_ANGLES)),
+        ("hyperbolic-cylinder", translate_potential("1", "0", "-0.0625", "0"), _WIDE,
+         dict(trunc_n=20, thetas=_ANGLES)),
+        ("horizontal-plane", translate_potential("4", "0", "0", "0"), _WIDE,
+         dict(trunc_n=16, thetas=_ANGLES)),
+        ("bscroll", pair_potential("1", "1", "0", "t"), (-1.0, 1.0, -1.0, 1.0, 41, 41),
+         dict(trunc_n=20)),
+        ("horizontal-umbrella", translate_potential("4", "0", "0", "0"),
+         (-0.6, 0.6, -0.6, 0.6, 25, 25), dict(trunc_n=16, initial_frame=_umbrella_frame(0.5))),
+    )
+}
 
-BUILTINS = tuple(sorted(_builtin_specs().keys()))
+BUILTINS = tuple(sorted(_BUILTIN_CONFIGS))
 
 
 def builtin_config(name: str) -> RunConfig:
-    specs = _builtin_specs()
-    if name not in specs:
+    if name not in _BUILTIN_CONFIGS:
         raise ValueError(f"unknown builtin {name!r}; have {', '.join(BUILTINS)}")
-    spec = specs[name]
-    s0, s1, t0, t1, ns, nt = spec["domain"]
-    return RunConfig(
-        name=name,
-        potential=spec["potential"],
-        s_min=s0,
-        s_max=s1,
-        t_min=t0,
-        t_max=t1,
-        ns=ns,
-        nt=nt,
-        trunc_n=spec.get("trunc_n", 24),
-        steps_per_cell=spec.get("steps_per_cell", 8),
-        thetas=tuple(spec.get("thetas", (0.0,))),
-        initial_frame=spec.get("initial_frame"),
-        outputs=_ALLOWED_OUTPUTS,
-        oracle=name,
-    )
+    return dataclasses.replace(_BUILTIN_CONFIGS[name])
 
 
-def _potential_from_dict(d: dict) -> tuple[PotentialSpec, str | None]:
+def _potential_from_dict(d: dict) -> tuple[PotentialSpec, str | None, TwistedLoop | None]:
+    """(potential, oracle, initial frame) of a config's "potential" entry."""
     if "builtin" in d:
         cfg = builtin_config(d["builtin"])
-        return cfg.potential, d["builtin"]
+        return cfg.potential, cfg.oracle, cfg.initial_frame
     if "pair" in d:
         p = d["pair"]
-        return pair_potential(p["f"], p["g"], p["Q"], p["R"]), None
+        return pair_potential(p["f"], p["g"], p["Q"], p["R"]), None, None
     if "normalized" in d:
         p = d["normalized"]
-        return (
-            translate_potential(p["b_re"], p["b_im"], p["B_re"], p["B_im"]),
-            None,
-        )
+        return translate_potential(p["b_re"], p["b_im"], p["B_re"], p["B_im"]), None, None
     raise ValueError("potential must specify one of: builtin, pair, normalized")
 
 
@@ -173,8 +137,43 @@ def _initial_frame_from_dict(d: dict | None) -> TwistedLoop | None:
     return TwistedLoop.from_terms(n, terms)
 
 
+# JSON key -> (RunConfig field, reader); an absent key takes RunConfig's default
+_OPTIONAL_KEYS = {
+    "truncationN": ("trunc_n", int),
+    "stepsPerCell": ("steps_per_cell", int),
+    "thetas": ("thetas", lambda xs: tuple(float(x) for x in xs)),
+    "outputs": ("outputs", tuple),
+}
+
+
+def _config_from_dict(data: dict) -> RunConfig:
+    if "builtin" in data and set(data) <= {"builtin"}:
+        return builtin_config(data["builtin"])
+    potential, oracle, frame = _potential_from_dict(data["potential"])
+    dom = data["domain"]
+    optional = {
+        field: read(data[key]) for key, (field, read) in _OPTIONAL_KEYS.items() if key in data
+    }
+    return RunConfig(
+        name=data.get("name", oracle or "run"),
+        potential=potential,
+        s_min=float(dom["sMin"]),
+        s_max=float(dom["sMax"]),
+        t_min=float(dom["tMin"]),
+        t_max=float(dom["tMax"]),
+        ns=int(dom["ns"]),
+        nt=int(dom["nt"]),
+        initial_frame=_initial_frame_from_dict(data.get("initialFrame")) or frame,
+        oracle=oracle,
+        **optional,
+    )
+
+
 def load_config(source) -> RunConfig:
-    """RunConfig from a JSON file path, a JSON string, or a builtin name."""
+    """RunConfig from a JSON file path, a JSON string, or a builtin name.
+
+    A key missing from the config, or a value of the wrong type, raises
+    ValueError."""
     if isinstance(source, dict):
         data = source
     else:
@@ -191,30 +190,12 @@ def load_config(source) -> RunConfig:
                 f"config {text!r} is neither a builtin name ({', '.join(BUILTINS)}), "
                 "an existing JSON file, nor inline JSON"
             )
-    if "builtin" in data and set(data) <= {"builtin"}:
-        return builtin_config(data["builtin"])
-    potential, oracle = _potential_from_dict(data["potential"])
-    dom = data["domain"]
-    base = None
-    if "potential" in data and "builtin" in data["potential"]:
-        base = builtin_config(data["potential"]["builtin"])
-    return RunConfig(
-        name=data.get("name", oracle or "run"),
-        potential=potential,
-        s_min=float(dom["sMin"]),
-        s_max=float(dom["sMax"]),
-        t_min=float(dom["tMin"]),
-        t_max=float(dom["tMax"]),
-        ns=int(dom["ns"]),
-        nt=int(dom["nt"]),
-        trunc_n=int(data.get("truncationN", 24)),
-        steps_per_cell=int(data.get("stepsPerCell", 8)),
-        thetas=tuple(float(x) for x in data.get("thetas", (0.0,))),
-        initial_frame=_initial_frame_from_dict(data.get("initialFrame"))
-        or (base.initial_frame if base else None),
-        outputs=tuple(data.get("outputs", _ALLOWED_OUTPUTS)),
-        oracle=oracle,
-    )
+    try:
+        return _config_from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"config has no key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"config has a value of the wrong type: {exc}") from None
 
 
 # The engine runs on one thread; this reader stays only because the benchmark

@@ -9,16 +9,14 @@ hole are omitted, CSV rows at holes are skipped.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import EmptyGrid
 from .pipeline import SurfaceGrid
 
 __all__ = ["export_obj", "export_csv"]
 
 _SPACES = {"nil": "nil", "l3": "l3", "normal": "normals"}
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 def export_obj(sg: SurfaceGrid, theta_index: int, space: str = "nil") -> bytes:
@@ -28,22 +26,17 @@ def export_obj(sg: SurfaceGrid, theta_index: int, space: str = "nil") -> bytes:
         raise EmptyGrid("no gridpoints to export")
     if sg.holes.all():
         raise EmptyGrid("every gridpoint is a hole")
-    values = getattr(sg, _SPACES[space])[theta_index]
-    lines = []
-    for j in range(nt):
-        for i in range(ns):
-            if sg.holes[i, j]:
-                lines.append("v 0 0 0")
-            else:
-                x = values[i, j]
-                lines.append(f"v {_fmt(x[0])} {_fmt(x[1])} {_fmt(x[2])}")
-    for j in range(nt - 1):
-        for i in range(ns - 1):
-            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-            if any(sg.holes[a, b] for a, b in corners):
-                continue
-            idx = [b * ns + a + 1 for a, b in corners]
-            lines.append("f {} {} {} {}".format(*idx))
+    # [j, i] order: the t-index outer, the s-index fastest
+    values = getattr(sg, _SPACES[space])[theta_index].swapaxes(0, 1).reshape(-1, 3).tolist()
+    lines = [
+        "v 0 0 0" if hole else "v %.17g %.17g %.17g" % tuple(x)
+        for x, hole in zip(values, sg.holes.T.ravel().tolist())
+    ]
+    h = sg.holes
+    solid = ~(h[:-1, :-1] | h[1:, :-1] | h[1:, 1:] | h[:-1, 1:])  # cells with no hole corner
+    for j, i in np.argwhere(solid.T).tolist():
+        a = j * ns + i + 1
+        lines.append("f %d %d %d %d" % (a, a + 1, a + ns + 1, a + ns))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -52,27 +45,14 @@ def export_csv(sg: SurfaceGrid) -> bytes:
     ns, nt = len(sg.s_grid), len(sg.t_grid)
     if ns == 0 or nt == 0:
         raise EmptyGrid("no gridpoints to export")
+    j, i = np.nonzero(~sg.holes.T)  # the t-index outer, the s-index fastest
+    st = list(zip(sg.s_grid[i].tolist(), sg.t_grid[j].tolist()))
     rows = ["s,t,theta,space,x1,x2,x3"]
     for k, theta in enumerate(sg.thetas):
         for space in ("nil", "l3", "normal"):
-            values = getattr(sg, _SPACES[space])[k]
-            for j in range(nt):
-                for i in range(ns):
-                    if sg.holes[i, j]:
-                        continue
-                    x = values[i, j]
-                    rows.append(
-                        ",".join(
-                            [
-                                _fmt(sg.s_grid[i]),
-                                _fmt(sg.t_grid[j]),
-                                _fmt(theta),
-                                space,
-                                _fmt(x[0]),
-                                _fmt(x[1]),
-                                _fmt(x[2]),
-                            ]
-                        )
-                    )
+            values = getattr(sg, _SPACES[space])[k][i, j].tolist()
+            rows += [
+                "%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g" % (s, t, theta, space, *x)
+                for (s, t), x in zip(st, values)
+            ]
     return ("\n".join(rows) + "\n").encode()
-

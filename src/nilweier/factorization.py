@@ -90,17 +90,14 @@ def _normalized_factor_inverses(w: np.ndarray, sign: int, fx: _Effects):
     if N == 0:
         return u, conds
     ks = sign * np.arange(1, N + 1)
-    ms = sign * np.arange(1, N + 1)
-    diff = ks[:, None] - ms[None, :]
-    inside = (np.abs(diff) <= N)[:, :, None, None]
+    lags = ks[:, None] - ks[None, :] + N  # |k - m| <= N - 1, so every lag is a stored degree
 
     def fail(b, message):
         fx.fail(b, OutsideBigCell(message, conditioning=float(conds[b])))
 
     for b in np.flatnonzero(fx.alive):
-        blocks = np.where(inside, w[b, np.clip(diff + N, 0, 2 * N)], 0.0)
         # row (k, J), column (m, K): coefficient w_{k-m}[K, J]
-        system = blocks.transpose(0, 3, 1, 2).reshape(2 * N, 2 * N)
+        system = w[b, lags].transpose(0, 3, 1, 2).reshape(2 * N, 2 * N)
         rhs = -w[b, ks + N].transpose(0, 2, 1).reshape(2 * N, 2)  # columns indexed by row I of U
         try:
             cond = float(np.linalg.cond(system))
@@ -120,7 +117,7 @@ def _normalized_factor_inverses(w: np.ndarray, sign: int, fx: _Effects):
         if not np.all(np.isfinite(sol)):
             fail(b, "block-Toeplitz solve produced non-finite values")
             continue
-        u[b, ms + N] = sol.reshape(N, 2, 2).transpose(0, 2, 1)
+        u[b, ks + N] = sol.reshape(N, 2, 2).transpose(0, 2, 1)
     return _clean_parity(u, N, fx), conds
 
 

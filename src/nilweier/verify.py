@@ -83,7 +83,7 @@ def safe_points(pipeline: Pipeline, count: int = 9, nil_side: bool = False):
 def _check(name, value, threshold, floor=None):
     """A residual passes when below threshold, or, for FD-based checks with a
     noise floor, when it does not exceed that floor by more than 10x (then
-    there is no evidence of a genuine violation)."""
+    there is no evidence of a genuine violation).  A NaN value or floor fails."""
     ok = bool(value <= threshold)
     entry = {
         "check": name,
@@ -92,7 +92,7 @@ def _check(name, value, threshold, floor=None):
     }
     if floor is not None:
         entry["noise_floor"] = float(floor)
-        ok = ok or bool(value <= 10.0 * floor)
+        ok = (ok or bool(value <= 10.0 * floor)) and not math.isnan(floor)
     entry["pass"] = ok
     return entry
 

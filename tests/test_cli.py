@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from nilweier import EmptyGrid, EvalDomain, GridTooCoarse
 from nilweier.cli import cmd_generate, cmd_list_builtins, cmd_roundtrip, cmd_verify, main
-from nilweier.config import load_config
+from nilweier.config import RunConfig, builtin_config, load_config
 from nilweier.export import export_csv, export_obj
 from nilweier.pipeline import SurfaceGrid
 from nilweier.verify import roundtrip_errors, run_diagnostics, run_verification, safe_points
@@ -74,6 +75,77 @@ def test_csv_17_digit_roundtrip():
     row = data.strip().split("\n")[1].split(",")
     assert float(row[4]) == 1.0 / 3.0
     assert row[4] == "0.33333333333333331"
+
+
+def _non_square_grid(hole=True):
+    """ns = 4, nt = 3; point (i, j) sits at Nil coordinates (i + 1/2, j - 1/4,
+    10 i + j), and, with `hole`, (1, 1) is a hole, NaN as `sym_map` leaves it."""
+    i, j = np.meshgrid(np.arange(4.0), np.arange(3.0), indexing="ij")
+    nil = np.stack([i + 0.5, j - 0.25, 10 * i + j], axis=-1)[None]
+    holes = np.zeros((4, 3), dtype=bool)
+    holes[1, 1] = hole
+    nil[0, holes] = np.nan
+    return SurfaceGrid(
+        thetas=np.array([0.25]),
+        s_grid=np.array([-1.5, -0.5, 0.5, 1.5]),
+        t_grid=np.array([-1.0, 0.0, 2.0]),
+        nil=nil,
+        l3=nil + [0.0, 0.0, 100.0],
+        normals=nil * [-1.0, -1.0, 1.0] + [0.0, 0.0, 0.5],
+        holes=holes,
+    )
+
+
+def test_obj_and_csv_on_a_non_square_grid():
+    """Every square grid reads the same with s and t swapped; this one does not."""
+    assert export_obj(_non_square_grid(hole=False), 0, "nil").decode().splitlines()[5:] == [
+        "v 1.5 0.75 11", "v 2.5 0.75 21", "v 3.5 0.75 31",
+        "v 0.5 1.75 2", "v 1.5 1.75 12", "v 2.5 1.75 22", "v 3.5 1.75 32",
+        "f 1 2 6 5", "f 2 3 7 6", "f 3 4 8 7", "f 5 6 10 9", "f 6 7 11 10", "f 7 8 12 11",
+    ]
+    sg = _non_square_grid()
+    assert export_obj(sg, 0, "l3").decode().splitlines() == [
+        "v 0.5 -0.25 100", "v 1.5 -0.25 110", "v 2.5 -0.25 120", "v 3.5 -0.25 130",
+        "v 0.5 0.75 101", "v 0 0 0", "v 2.5 0.75 121", "v 3.5 0.75 131",
+        "v 0.5 1.75 102", "v 1.5 1.75 112", "v 2.5 1.75 122", "v 3.5 1.75 132",
+        "f 3 4 8 7", "f 7 8 12 11",
+    ]
+    assert export_csv(sg).decode().splitlines() == [
+        "s,t,theta,space,x1,x2,x3",
+        "-1.5,-1,0.25,nil,0.5,-0.25,0",
+        "-0.5,-1,0.25,nil,1.5,-0.25,10",
+        "0.5,-1,0.25,nil,2.5,-0.25,20",
+        "1.5,-1,0.25,nil,3.5,-0.25,30",
+        "-1.5,0,0.25,nil,0.5,0.75,1",
+        "0.5,0,0.25,nil,2.5,0.75,21",
+        "1.5,0,0.25,nil,3.5,0.75,31",
+        "-1.5,2,0.25,nil,0.5,1.75,2",
+        "-0.5,2,0.25,nil,1.5,1.75,12",
+        "0.5,2,0.25,nil,2.5,1.75,22",
+        "1.5,2,0.25,nil,3.5,1.75,32",
+        "-1.5,-1,0.25,l3,0.5,-0.25,100",
+        "-0.5,-1,0.25,l3,1.5,-0.25,110",
+        "0.5,-1,0.25,l3,2.5,-0.25,120",
+        "1.5,-1,0.25,l3,3.5,-0.25,130",
+        "-1.5,0,0.25,l3,0.5,0.75,101",
+        "0.5,0,0.25,l3,2.5,0.75,121",
+        "1.5,0,0.25,l3,3.5,0.75,131",
+        "-1.5,2,0.25,l3,0.5,1.75,102",
+        "-0.5,2,0.25,l3,1.5,1.75,112",
+        "0.5,2,0.25,l3,2.5,1.75,122",
+        "1.5,2,0.25,l3,3.5,1.75,132",
+        "-1.5,-1,0.25,normal,-0.5,0.25,0.5",
+        "-0.5,-1,0.25,normal,-1.5,0.25,10.5",
+        "0.5,-1,0.25,normal,-2.5,0.25,20.5",
+        "1.5,-1,0.25,normal,-3.5,0.25,30.5",
+        "-1.5,0,0.25,normal,-0.5,-0.75,1.5",
+        "0.5,0,0.25,normal,-2.5,-0.75,21.5",
+        "1.5,0,0.25,normal,-3.5,-0.75,31.5",
+        "-1.5,2,0.25,normal,-0.5,-1.75,2.5",
+        "-0.5,2,0.25,normal,-1.5,-1.75,12.5",
+        "0.5,2,0.25,normal,-2.5,-1.75,22.5",
+        "1.5,2,0.25,normal,-3.5,-1.75,32.5",
+    ]
 
 
 def test_list_builtins():
@@ -333,3 +405,77 @@ def test_config_validation_errors():
         with pytest.raises(ValueError):
             RunConfig("x", base.potential, -1, 1, -1, 1, ns=5, nt=5, thetas=thetas)
 
+
+def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys):
+    domain = {"sMin": -1, "sMax": 1, "tMin": -1, "tMax": 1, "ns": 5, "nt": 5}
+    cases = {
+        "no-domain": ({"potential": {"builtin": "cylinder"}}, "config has no key 'domain'"),
+        "no-g": (
+            {"potential": {"pair": {"f": "1", "Q": "0", "R": "t"}}, "domain": domain},
+            "config has no key 'g'",
+        ),
+        "scalar-thetas": (
+            {"potential": {"builtin": "cylinder"}, "domain": domain, "thetas": 0.5},
+            "config has a value of the wrong type: 'float' object is not iterable",
+        ),
+        "builtin-with-a-field": (
+            {"builtin": "cylinder", "thetas": [0.0]}, "config has no key 'potential'"
+        ),
+    }
+    for name, (config, message) in cases.items():
+        path = os.path.join(str(tmp_path), f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        assert main(["generate", "--config", path, "--out", str(tmp_path / name)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", name
+
+
+def _umbrella_json(**overrides):
+    c, s = math.cosh(0.5), math.sinh(0.5)
+    config = {
+        "potential": {"normalized": {"b_re": "4", "b_im": "0", "B_re": "0", "B_im": "0"}},
+        "domain": {"sMin": -0.6, "sMax": 0.6, "tMin": -0.6, "tMax": 0.6, "ns": 25, "nt": 25},
+        "truncationN": 16,
+        "initialFrame": {
+            "coeffs": [
+                {"k": 0, "m": [[c, 0.0], [0.0, c]]},
+                {"k": -3, "m": [[0.0, s], [0.0, 0.0]]},
+                {"k": 3, "m": [[0.0, 0.0], [s, 0.0]]},
+            ]
+        },
+    }
+    config.update(overrides)
+    return json.dumps(config)
+
+
+def test_initial_frame_from_json_matches_the_umbrella_builtin(tmp_path):
+    outputs = {}
+    for name, source in (("builtin", "horizontal-umbrella"), ("json", _umbrella_json())):
+        out = str(tmp_path / name)
+        cmd_generate(source, out)
+        outputs[name] = [
+            open(os.path.join(out, f), "rb").read()
+            for f in ("nil_00.obj", "l3_00.obj", "surfaces.csv")
+        ]
+    assert outputs["json"] == outputs["builtin"]
+
+
+def test_a_builtin_potential_brings_its_oracle_and_initial_frame_only():
+    umbrella = builtin_config("horizontal-umbrella")
+    domain = {"sMin": -0.5, "sMax": 0.5, "tMin": -0.5, "tMax": 0.5, "ns": 5, "nt": 5}
+    cfg = load_config({"potential": {"builtin": "horizontal-umbrella"}, "domain": domain})
+    assert cfg.oracle == "horizontal-umbrella"
+    assert np.array_equal(cfg.initial_frame.c, umbrella.initial_frame.c)
+    assert (cfg.name, cfg.ns, cfg.s_max) == ("horizontal-umbrella", 5, 0.5)
+    defaults = RunConfig("x", cfg.potential, -1, 1, -1, 1, 5, 5)
+    for field in ("trunc_n", "steps_per_cell", "thetas", "outputs"):
+        assert getattr(cfg, field) == getattr(defaults, field), field
+
+
+def test_builtin_configs_are_independent():
+    first = builtin_config("cylinder")
+    first.ns, first.thetas, first.oracle = 3, (0.5,), None
+    second = builtin_config("cylinder")
+    assert (second.ns, second.thetas, second.oracle) == (41, (0.0, 0.1, -0.1), "cylinder")
+    assert second is not builtin_config("cylinder")

@@ -27,6 +27,7 @@ from nilweier.geometry import (
     xy_stencil,
 )
 from nilweier.pipeline import Pipeline, translate_potential
+from nilweier.verify import _check
 
 from _oracles import (
     abresch_rosenberg_reference,
@@ -428,6 +429,19 @@ def test_a_nan_field_value_makes_the_residual_nan():
     pot = translate_potential("1", "0", "0.0625", "0")
     h_fn = _nan_at(_angle, flatness_stencil(PTS)[40])
     assert math.isnan(flatness_residual(h_fn, pot.Q.eval, pot.R.eval, PTS, (0.0, 0.3)))
+
+
+def test_a_nan_noise_floor_fails_the_check():
+    """`value <= 10 * nan` is False, so a NaN floor once let the check pass on
+    `value <= threshold` alone; a NaN that only the 2h sub-stencil reads
+    leaves the minimality residual finite and its floor NaN."""
+    assert _check("minimality_residual", 1e-7, 1e-5, floor=math.nan)["pass"] is False
+    assert _check("minimality_residual", 1e-7, 1e-5, floor=0.0)["pass"] is True
+    nil = lambda s, t: cylinder_nil(s, t, 0.0)  # noqa: E731
+    res = minimality_residual(_nan_at(nil, minimality_stencil(PTS)[30]), PTS)
+    assert math.isfinite(res.residual) and math.isnan(res.noise_floor)
+    check = _check("minimality_residual", res.residual, 1e-5, floor=res.noise_floor)
+    assert check["pass"] is False
 
 
 # -- DegenerateMetric names the first bad point -------------------------------------------
