@@ -129,20 +129,37 @@ def _potential_from_dict(d: dict) -> tuple[PotentialSpec, str | None, TwistedLoo
     raise ValueError("potential must specify one of: builtin, pair, normalized")
 
 
+def _integer(key: str, value) -> int:
+    """A JSON integer, or a whole float such as 16.0, but not a boolean."""
+    if isinstance(value, (bool, str)) or not float(value).is_integer():
+        raise ValueError(f"config key {key!r} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _entries(key: str, value):
+    """A JSON list, which a string, read character by character, is not."""
+    if isinstance(value, str):
+        raise ValueError(f"config key {key!r} must be a list, not the string {value!r}")
+    return value
+
+
 def _initial_frame_from_dict(d: dict | None) -> TwistedLoop | None:
     if d is None:
         return None
-    terms = {int(e["k"]): np.asarray(e["m"], float) for e in d["coeffs"]}
+    coeffs = _entries("coeffs", d["coeffs"])
+    if not coeffs:
+        raise ValueError("config key 'coeffs' must list at least one term")
+    terms = {_integer("k", e["k"]): np.asarray(e["m"], float) for e in coeffs}
     n = max(4, max(abs(k) for k in terms))
     return TwistedLoop.from_terms(n, terms)
 
 
 # JSON key -> (RunConfig field, reader); an absent key takes RunConfig's default
 _OPTIONAL_KEYS = {
-    "truncationN": ("trunc_n", int),
-    "stepsPerCell": ("steps_per_cell", int),
-    "thetas": ("thetas", lambda xs: tuple(float(x) for x in xs)),
-    "outputs": ("outputs", tuple),
+    "truncationN": ("trunc_n", _integer),
+    "stepsPerCell": ("steps_per_cell", _integer),
+    "thetas": ("thetas", lambda key, xs: tuple(float(x) for x in _entries(key, xs))),
+    "outputs": ("outputs", lambda key, xs: tuple(_entries(key, xs))),
 }
 
 
@@ -152,7 +169,7 @@ def _config_from_dict(data: dict) -> RunConfig:
     potential, oracle, frame = _potential_from_dict(data["potential"])
     dom = data["domain"]
     optional = {
-        field: read(data[key]) for key, (field, read) in _OPTIONAL_KEYS.items() if key in data
+        field: read(key, data[key]) for key, (field, read) in _OPTIONAL_KEYS.items() if key in data
     }
     return RunConfig(
         name=data.get("name", oracle or "run"),
@@ -161,8 +178,8 @@ def _config_from_dict(data: dict) -> RunConfig:
         s_max=float(dom["sMax"]),
         t_min=float(dom["tMin"]),
         t_max=float(dom["tMax"]),
-        ns=int(dom["ns"]),
-        nt=int(dom["nt"]),
+        ns=_integer("ns", dom["ns"]),
+        nt=_integer("nt", dom["nt"]),
         initial_frame=_initial_frame_from_dict(data.get("initialFrame")) or frame,
         oracle=oracle,
         **optional,

@@ -9,7 +9,7 @@ L3 carries the (+,-,+) metric throughout.
 All differential checks are finite-difference based with explicit error
 budgets: central differences of order 2, optionally Richardson-extrapolated,
 and every residual can report the estimated FD noise floor next to the
-value.  A check's stencil is defined once, by its `*_stencil` function; the
+value.  A check's stencil is listed once, by the per-point helpers below; the
 check reads each field there once, through one sampler (`_sample`, or its
 null-component twin for spinor fields), and computes on the resulting
 arrays.  Its worst-value reductions propagate NaN, so a NaN field fails its
@@ -104,22 +104,25 @@ def lie_bracket(X, Y) -> np.ndarray:
 # finite differences
 # ---------------------------------------------------------------------------
 #
-# The per-point helpers below list each stencil once; the `*_stencil`
-# functions return a check's whole list, which a caller can compute as one
-# batch before running the check.
+# The per-point helpers below list each stencil once, and `_each` (or a
+# `*_stencil` function) makes a check's whole list.  `_sample` hands that list
+# to a field with a `batch` hook, which can then compute its values there as
+# one batch, before it reads the field point by point.
 
 
-def _sample(fn, stencil: list, count: int) -> np.ndarray:
-    """`fn(s, t)` at each point of `stencil`, the `*_stencil` list of a check
-    at `count` points, in order: shape (count, K, ...) with K stencil points
-    per check point."""
-    values = np.array([fn(s, t) for s, t in stencil], float)
+def _sample(fn, stencil: list, count: int, read=None) -> np.ndarray:
+    """`fn(s, t)`, or `read(fn(s, t))`, at each point of `stencil`, a check's
+    list at `count` points, in order: shape (count, K, ...) with K stencil
+    points per check point.  A field with a `batch` hook gets `fn.batch(stencil)` first."""
+    if hasattr(fn, "batch"):
+        fn.batch(stencil)
+    values = np.array([fn(s, t) if read is None else read(fn(s, t)) for s, t in stencil], float)
     return values.reshape(count, -1, *values.shape[1:])
 
 
 def _sample_null(spinor_fn, stencil: list, count: int) -> np.ndarray:
     """`_sample` of a spinor field as null components (psi1_p, psi1_q, psi2_p, psi2_q)."""
-    return _sample(lambda s, t: [c for z in spinor_fn(s, t) for c in (z.p, z.q)], stencil, count)
+    return _sample(spinor_fn, stencil, count, lambda pair: [c for z in pair for c in (z.p, z.q)])
 
 
 def _worst(*arrays) -> float:
@@ -394,36 +397,17 @@ def _resolves_dirac_potential(n) -> np.ndarray:
     return np.minimum(np.abs(n[..., 0]), np.abs(n[..., 1])) > 1e-2 * scale
 
 
-def _dirac_potential_step(step: float) -> float:
-    return max(step, 2e-2)
-
-
-def _dirac_potential_points(resolved, step: float) -> list:
-    return _each(resolved, _axis_richardson, _dirac_potential_step(step))
-
-
-def dirac_stencil(points, step: float = 1e-3) -> list:
-    """Points of `spinors_and_dirac` apart from its Dirac-potential branch."""
-    return _each(points, _cross, step)
-
-
-def dirac_potential_stencil(spinor_fn, points, step: float = 1e-3) -> list:
-    """Points of the Dirac-potential branch of `spinors_and_dirac`: those of
-    the points where `spinor_fn` resolves the potential."""
-    centres = [(float(s), float(t)) for s, t in points]
-    resolved = _resolves_dirac_potential(_sample_null(spinor_fn, centres, len(points))[:, 0])
-    return _dirac_potential_points([p for p, ok in zip(points, resolved) if ok], step)
-
-
 def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorField:
     """Evaluate spinors and the nonlinear Dirac residuals at each point.
 
     spinor_fn(s, t) -> (psi1, psi2) para-complex; h_fn(s, t) -> angle
-    function.  Derivatives are central differences at `step`.
+    function.  Derivatives are central differences at `step`; the Dirac
+    potential's are Richardson-extrapolated from max(step, 2e-2), at the
+    points where `_resolves_dirac_potential` holds.
     """
     centres = [(float(s), float(t)) for s, t in points]
     h = _sample(h_fn, centres, len(points))[:, 0]
-    values = _sample_null(spinor_fn, dirac_stencil(points, step), len(points))
+    values = _sample_null(spinor_fn, _each(points, _cross, step), len(points))
     base, sp, sm, tp, tm = np.moveaxis(values, 1, 0)
     d_s = (sp - sm) / (2.0 * step)
     d_t = (tp - tm) / (2.0 * step)
@@ -439,8 +423,8 @@ def spinors_and_dirac(spinor_fn, h_fn, points, step: float = 1e-3) -> SpinorFiel
     worst_repot = 0.0
     if resolved.any():
         kept = [p for p, ok in zip(centres, resolved) if ok]
-        around = _sample_null(spinor_fn, _dirac_potential_points(kept, step), len(kept))
-        rich = _dirac_potential_step(step)
+        rich = max(step, 2e-2)
+        around = _sample_null(spinor_fn, _each(kept, _axis_richardson, rich), len(kept))
         pot_p = -_d1(around[:, :6, 2].T, rich) / n1[resolved, 0]
         pot_q = -_d1(around[:, 6:, 3].T, rich) / n1[resolved, 1]
         worst_repot = _worst((pot_p + pot_q) / 2.0)

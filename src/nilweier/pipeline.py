@@ -268,8 +268,8 @@ def solve_frame_ode(
     potential: PotentialSpec,
     s_grid,
     t_grid,
-    steps_per_cell: int = 8,
-    trunc_n: int = 24,
+    steps_per_cell: int,
+    trunc_n: int,
     tail: TailAccumulator | None = None,
 ):
     """Integrate the two holomorphic frame ODEs along the axes.
@@ -415,6 +415,7 @@ def build_extended_frames(
     conditioning = np.full((ns, nt), np.nan)
     holes = np.zeros((ns, nt), dtype=bool)
     hole_errors: list = []
+    tail = tail if tail is not None else TailAccumulator()
     f_vals = [potential.f.eval(float(s)) for s in s_grid]
     g_vals = [potential.g.eval(float(t)) for t in t_grid]
     phi_t = np.stack([loop.c for loop in phi_t_list])
@@ -427,7 +428,7 @@ def build_extended_frames(
         # Each row has its own account, merged in row order: the overflow
         # check runs against the row's mass, and the merged sums are the
         # manifest's tail_relative, so their order must not change.
-        row_tail = TailAccumulator(bound=tail.bound if tail is not None else 1e-9)
+        row_tail = TailAccumulator(tail.bound)
         for j, gridpoint in enumerate(gridpoints[i]):
             try:
                 _play_point(fx, j, row_tail, gridpoint)
@@ -437,8 +438,7 @@ def build_extended_frames(
         kept = ~holes[i]
         for out, row in ((frames, frame), (h, h_row), (gauge_log, log_row), (conditioning, conds)):
             out[i, kept] = row[kept]
-        if tail is not None:
-            tail.merge(row_tail)
+        tail.merge(row_tail)
     frames.setflags(write=False)  # the point cache's loops share it
     return FrameGrid(
         s_grid=s_grid,
@@ -555,11 +555,11 @@ class Pipeline:
         potential: PotentialSpec,
         s_grid,
         t_grid,
-        trunc_n: int = 24,
-        steps_per_cell: int = 8,
+        trunc_n: int,
+        steps_per_cell: int,
         thetas=(0.0,),
         initial_frame: TwistedLoop | None = None,
-        tail_bound: float = 1e-9,
+        tail_bound: float | None = None,
     ):
         self.potential = potential
         self.s_grid = np.asarray(s_grid, float)
@@ -567,8 +567,8 @@ class Pipeline:
         self.trunc_n = int(trunc_n)
         self.steps_per_cell = int(steps_per_cell)
         self.thetas = np.asarray(thetas, float)
-        self.tail = TailAccumulator(bound=tail_bound)
-        self.point_tail = TailAccumulator(bound=tail_bound)
+        self.tail = TailAccumulator() if tail_bound is None else TailAccumulator(tail_bound)
+        self.point_tail = TailAccumulator(self.tail.bound)
         if initial_frame is not None and initial_frame.N != self.trunc_n:
             initial_frame = TwistedLoop.from_terms(
                 self.trunc_n,

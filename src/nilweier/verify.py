@@ -19,16 +19,11 @@ from .geometry import (
     _worst,
     _xy_tangents,
     abresch_rosenberg,
-    abresch_rosenberg_stencil,
     conformal_factor_root,
-    dirac_potential_stencil,
-    dirac_stencil,
     first_fundamental_form,
     flatness_residual,
-    flatness_stencil,
     mean_curvature_L3,
     minimality_residual,
-    minimality_stencil,
     spinors_and_dirac,
     xy_stencil,
 )
@@ -38,6 +33,19 @@ from .pipeline import Pipeline, _sym_point, extract_normalized_potential
 __all__ = ["run_verification", "safe_points", "roundtrip_errors", "run_diagnostics"]
 
 _LAMBDA_THETAS = (0.0, 0.25, -0.25, 0.5, -0.5)
+
+
+def _batched(pipeline: Pipeline, fn):
+    """The field `fn(s, t)` of `pipeline`, with the `batch` hook through which
+    a check's sampler computes the frames of the check's whole stencil in one
+    `frames_at` batch before it reads the field point by point."""
+    fn.batch = pipeline.frames_at
+    return fn
+
+
+def _spinor_field(pipeline: Pipeline, theta: float):
+    """The generating spinor pair (psi1, psi2) at spectral angle `theta`."""
+    return _batched(pipeline, lambda s, t: pipeline.spinors_at(s, t, theta)[:2])
 
 
 def safe_points(pipeline: Pipeline, count: int = 9, nil_side: bool = False):
@@ -56,10 +64,8 @@ def safe_points(pipeline: Pipeline, count: int = 9, nil_side: bool = False):
                 continue
             candidates.append((float(fg.s_grid[i]), float(fg.t_grid[j])))
     if nil_side and candidates:
-        theta0 = float(pipeline.thetas[0])
-        nulls = _sample_null(
-            lambda s, t: pipeline.spinors_at(s, t, theta0)[:2], candidates, len(candidates)
-        )
+        spinors = _spinor_field(pipeline, float(pipeline.thetas[0]))
+        nulls = _sample_null(spinors, candidates, len(candidates))
         vals = [v**2 for v in conformal_factor_root(nulls[:, 0]).tolist()]
         positives = sorted(v for v in vals if v > 0.0)
         med = positives[len(positives) // 2] if positives else 0.0
@@ -130,10 +136,11 @@ def run_diagnostics(pipeline: Pipeline) -> dict:
 
 
 def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
-    """Every check on a run pipeline.  Before each finite-difference check, the
-    frames of its whole stencil are computed in one `frames_at` batch (two for
-    the Dirac check, whose Richardson points depend on the spinor values); the
-    check then reads them from the point cache."""
+    """Every check on a run pipeline.  The finite-difference checks read the
+    pipeline's fields through `_batched`, so each stencil a check samples has
+    its frames computed in one `frames_at` batch (the Dirac check's Richardson
+    points, which depend on the spinor values, form a batch of their own);
+    the check then reads them from the point cache."""
     if pipeline.frame_grid is None:
         pipeline.run()
     fg = pipeline.frame_grid
@@ -146,6 +153,11 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     pts_nil = safe_points(pipeline, nil_side=True)
     theta0 = float(pipeline.thetas[0])
     thetas = [float(x) for x in pipeline.thetas]
+    nil = _batched(pipeline, lambda s, t: pipeline.nil_at(s, t, theta0))
+    l3 = _batched(pipeline, lambda s, t: pipeline.l3_at(s, t, theta0))
+    normal = _batched(pipeline, lambda s, t: pipeline.normal_at(s, t, theta0))
+    h = _batched(pipeline, lambda s, t: pipeline.h_at(s, t))
+    spinors = {th: _spinor_field(pipeline, th) for th in sorted({theta0, max(thetas)})}
 
     # frame quality: det, para-unitarity, angle function stability in theta
     det_err, reality_err, h_theta_err = [], [], []
@@ -170,14 +182,8 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     checks.append(_check("frame_twisting_parity", parity, 1e-12))
 
     # spinors and Dirac system (the theta0 field serves the conformal factor)
-    for th in sorted({theta0, max(thetas)}):
-
-        def spinors(a, b, th=th):
-            return pipeline.spinors_at(a, b, th)[:2]
-
-        pipeline.frames_at(dirac_stencil(pts_nil, 1e-3))
-        pipeline.frames_at(dirac_potential_stencil(spinors, pts_nil, 1e-3))
-        sp = spinors_and_dirac(spinors, pipeline.h_at, pts_nil, step=1e-3)
+    for th, spinor_fn in spinors.items():
+        sp = spinors_and_dirac(spinor_fn, h, pts_nil, step=1e-3)
         tag = f"theta={th:g}"
         checks.append(_check(f"dirac_residual[{tag}]", sp.dirac, 1e-6))
         checks.append(_check(f"angle_function_spinor_gap[{tag}]", sp.h_gap, 1e-9))
@@ -188,14 +194,8 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
             sp0 = sp
 
     # conformality of the Heisenberg surface and conformal factor consistency
-    pipeline.frames_at(xy_stencil(pts_nil, 1e-3, "nil"))
-    fff = first_fundamental_form(
-        lambda a, b: pipeline.nil_at(a, b, theta0), pts_nil, step=1e-3, space="nil"
-    )
-    pipeline.frames_at(xy_stencil(pts_nil, 2e-3, "nil"))
-    fff_coarse = first_fundamental_form(
-        lambda a, b: pipeline.nil_at(a, b, theta0), pts_nil, step=2e-3, space="nil"
-    )
+    fff = first_fundamental_form(nil, pts_nil, step=1e-3, space="nil")
+    fff_coarse = first_fundamental_form(nil, pts_nil, step=2e-3, space="nil")
     conf_scale = max(1.0, float(np.abs(fff.E).max()))
     conf_res = fff.residual / conf_scale
     conf_floor = abs(fff_coarse.residual / conf_scale - conf_res) / 3.0
@@ -207,10 +207,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     checks.append(_check("conformal_factor_vs_spinors", eu_gap, 1e-5))
 
     # Minkowski side: conformal factor equals h^2, mean curvature 1/2
-    pipeline.frames_at(xy_stencil(pts, 1e-3, "l3"))
-    fff_l3 = first_fundamental_form(
-        lambda a, b: pipeline.l3_at(a, b, theta0), pts, step=1e-3, space="l3"
-    )
+    fff_l3 = first_fundamental_form(l3, pts, step=1e-3, space="l3")
     h_vals = np.array([pipeline.h_at(s, t) for s, t in pts])
     l3_scale = max(1.0, float((h_vals**2).max()))
     checks.append(
@@ -221,49 +218,34 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
         )
     )
     try:
-        H = mean_curvature_L3(
-            lambda a, b: pipeline.l3_at(a, b, theta0),
-            pts,
-            step=1e-3,
-            normal_fn=lambda a, b: pipeline.normal_at(a, b, theta0),
-        )
+        H = mean_curvature_L3(l3, pts, step=1e-3, normal_fn=normal)
         checks.append(_check("l3_mean_curvature_half", float(np.abs(H - 0.5).max()), 1e-3))
     except DegenerateMetric:
         checks.append(_check("l3_mean_curvature_half", float("inf"), 1e-3))
 
     # normals: unit, orthogonal to FD tangents; the squares stay numpy-scalar
     # powers (libm pow), which an array's square may differ from in the last bit
-    stencil = xy_stencil(pts, 1e-4, "l3")
-    pipeline.frames_at(stencil)
-    n = np.array([pipeline.normal_at(s, t, theta0) for s, t in pts])
+    n = _sample(normal, pts, len(pts))[:, 0]
     nn_err = [v[0] ** 2 - v[1] ** 2 + v[2] ** 2 - 1.0 for v in n]
-    l3 = _sample(lambda a, b: pipeline.l3_at(a, b, theta0), stencil, len(pts))
-    fx, fy, _ = _xy_tangents(l3, 1e-4, "l3")
+    fx, fy, _ = _xy_tangents(_sample(l3, xy_stencil(pts, 1e-4, "l3"), len(pts)), 1e-4, "l3")
     orth_err = [n[:, 0] * v[:, 0] - n[:, 1] * v[:, 1] + n[:, 2] * v[:, 2] for v in (fx, fy)]
     checks.append(_check("normal_unit_length", _worst(nn_err), 1e-8))
     checks.append(_check("normal_tangency", _worst(*orth_err), 1e-6))
 
     # structure equations of the generated Heisenberg surface
-    pipeline.frames_at(minimality_stencil(pts_nil, 1e-3))
-    mres = minimality_residual(
-        lambda a, b: pipeline.nil_at(a, b, theta0), pts_nil, step=1e-3
-    )
+    mres = minimality_residual(nil, pts_nil, step=1e-3)
     checks.append(_check("minimality_residual", mres.residual, 1e-5, floor=mres.noise_floor))
 
     # quadratic differential: para-holomorphy and oracle value
-    pipeline.frames_at(abresch_rosenberg_stencil(pts_nil, 1e-2))
-    ar = abresch_rosenberg(
-        lambda a, b: pipeline.spinors_at(a, b, theta0)[:2], pts_nil, step=1e-2
-    )
+    ar = abresch_rosenberg(spinors[theta0], pts_nil, step=1e-2)
     checks.append(_check("quadratic_differential_dzbar", ar.dzbar_residual, 1e-6))
     if oracle in _ORACLE_B and theta0 == 0.0:
         b_err = _worst([b.re - _ORACLE_B[oracle] for b in ar.B], [b.im for b in ar.B])
         checks.append(_check(f"quadratic_differential_value[{oracle}]", b_err, 1e-7))
 
     # flat connection family
-    pipeline.frames_at(flatness_stencil(pts_nil))
     flat = flatness_residual(
-        pipeline.h_at,
+        h,
         pipeline.potential.Q.eval,
         pipeline.potential.R.eval,
         pts_nil,

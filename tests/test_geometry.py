@@ -472,3 +472,72 @@ def test_a_timelike_automatic_normal_raises():
     with pytest.raises(DegenerateMetric) as err:
         mean_curvature_L3(lambda s, t: np.array([s, 0.0, t]), PTS)
     assert str(err.value) == "surface normal is not spacelike"
+
+
+# -- a field with a batch hook is handed each stencil before it is read ---------------
+
+
+class _Recorder:
+    """`fn`, logging each read as ("read", name, point) into `log`; when
+    `hooked`, it has a `batch` hook that logs ("batch", name, stencil)."""
+
+    def __init__(self, fn, name, log, hooked):
+        self.fn, self.name, self.log = fn, name, log
+        if hooked:
+            self.batch = lambda stencil: log.append(("batch", name, _floats(stencil)))
+
+    def __call__(self, s, t):
+        self.log.append(("read", self.name, (float(s), float(t))))
+        return self.fn(s, t)
+
+
+def _floats(points):
+    return [(float(s), float(t)) for s, t in points]
+
+
+_RESIDUALS = {
+    "first_fundamental_form": lambda f: first_fundamental_form(
+        f("nil", lambda s, t: hyperbolic_nil(s, t, 0.2)), PTS
+    ),
+    "minimality_residual": lambda f: minimality_residual(
+        f("nil", lambda s, t: hyperbolic_nil(s, t, 0.2)), PTS
+    ),
+    "mean_curvature_L3": lambda f: mean_curvature_L3(
+        f("l3", lambda s, t: cylinder_l3(s, t, 0.2)), PTS
+    ),
+    "mean_curvature_L3 with normal_fn": lambda f: mean_curvature_L3(
+        f("l3", lambda s, t: cylinder_l3(s, t, 0.2)),
+        PTS,
+        normal_fn=f("normal", lambda s, t: np.array([0.0, 0.0, 1.0])),
+    ),
+    # the Dirac potential is resolved at some of these points and not at the last
+    "spinors_and_dirac": lambda f: spinors_and_dirac(
+        f("spinors", _spinors), f("h", _angle), PTS + [(0.0, -1.0 / 3.0)]
+    ),
+    "abresch_rosenberg": lambda f: abresch_rosenberg(f("spinors", _spinors), PTS),
+    "flatness_residual": lambda f: flatness_residual(
+        f("h", _angle), lambda s: 0.1 * s, lambda t: 0.2 - t, PTS, (0.0, 0.3)
+    ),
+}
+
+
+@pytest.mark.parametrize("residual", sorted(_RESIDUALS))
+def test_a_hooked_field_is_handed_each_stencil_before_its_reads(residual):
+    """Each sampler call hands a field with a `batch` hook its whole stencil
+    once, then reads the field there, in order; a plain callable is read at
+    the same points, in the same order, with the same result."""
+    logs, results = {}, {}
+    for hooked in (True, False):
+        log = logs[hooked] = []
+        results[hooked] = _RESIDUALS[residual](
+            lambda name, fn: _Recorder(fn, name, log, hooked)  # noqa: B023
+        )
+    hooked_log, plain_log = logs[True], logs[False]
+    batches = [entry for entry in hooked_log if entry[0] == "batch"]
+    assert len(batches) >= 1
+    assert hooked_log == [
+        e for _, name, stencil in batches
+        for e in [("batch", name, stencil)] + [("read", name, p) for p in stencil]
+    ]
+    assert plain_log == [entry for entry in hooked_log if entry[0] == "read"]
+    assert hexed(results[True]) == hexed(results[False])

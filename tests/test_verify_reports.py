@@ -13,6 +13,7 @@ writes.
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,33 @@ def test_each_check_reads_only_its_stencil_batch(name, monkeypatch):
             checks.append(set())
             expected.append(set())
     assert checks == expected and sum(map(len, expected)) > 100
+
+
+# After `run_verification` of each pinned config: the pipeline's `point_tail`
+# (dropped, kept) as float.hex, and the count of near-boundary warnings it
+# raised; recorded before the checks requested their own stencil batches.
+POINT_EFFECTS = {
+    "cylinder-9x9": (("0x1.7fca88a932689p-87", "0x1.3843cddbd5e76p+12"), 0),
+    "horizontal-plane-11x11": (("0x0.0p+0", "0x1.3479d14ef3fc0p+13"), 0),
+    "horizontal-umbrella": (("0x0.0p+0", "0x1.44793957e7b8ep+14"), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_EFFECTS))
+def test_point_evaluator_effects_are_pinned(name):
+    """The point evaluator's side effects, which the report does not show:
+    every tail record in the same order, and the same warnings."""
+    from nilweier.config import load_config
+    from nilweier.verify import run_verification
+
+    cfg = load_config(PINNED[name]["config"])
+    pipeline = cfg.make_pipeline().run()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_verification(pipeline, oracle=cfg.oracle)
+    near = [w for w in caught if str(w.message).startswith("factorization near big-cell boundary")]
+    tail = (pipeline.point_tail.dropped.hex(), pipeline.point_tail.kept.hex())
+    assert (tail, len(near)) == POINT_EFFECTS[name]
 
 
 GENERATED = os.path.join(os.path.dirname(__file__), "data", "generate_digests.json")
