@@ -129,6 +129,13 @@ def _potential_from_dict(d: dict) -> tuple[PotentialSpec, str | None, TwistedLoo
     raise ValueError("potential must specify one of: builtin, pair, normalized")
 
 
+def _number(key: str, value) -> float:
+    """A JSON number, which neither a boolean nor a string is."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"config key {key!r} must be a number, not {value!r}")
+    return float(value)
+
+
 def _integer(key: str, value) -> int:
     """A JSON integer, or a whole float such as 16.0, but not a boolean."""
     if isinstance(value, (bool, str)) or not float(value).is_integer():
@@ -158,7 +165,7 @@ def _initial_frame_from_dict(d: dict | None) -> TwistedLoop | None:
 _OPTIONAL_KEYS = {
     "truncationN": ("trunc_n", _integer),
     "stepsPerCell": ("steps_per_cell", _integer),
-    "thetas": ("thetas", lambda key, xs: tuple(float(x) for x in _entries(key, xs))),
+    "thetas": ("thetas", lambda key, xs: tuple(_number(key, x) for x in _entries(key, xs))),
     "outputs": ("outputs", lambda key, xs: tuple(_entries(key, xs))),
 }
 
@@ -174,10 +181,10 @@ def _config_from_dict(data: dict) -> RunConfig:
     return RunConfig(
         name=data.get("name", oracle or "run"),
         potential=potential,
-        s_min=float(dom["sMin"]),
-        s_max=float(dom["sMax"]),
-        t_min=float(dom["tMin"]),
-        t_max=float(dom["tMax"]),
+        s_min=_number("sMin", dom["sMin"]),
+        s_max=_number("sMax", dom["sMax"]),
+        t_min=_number("tMin", dom["tMin"]),
+        t_max=_number("tMax", dom["tMax"]),
         ns=_integer("ns", dom["ns"]),
         nt=_integer("nt", dom["nt"]),
         initial_frame=_initial_frame_from_dict(data.get("initialFrame")) or frame,
@@ -213,6 +220,8 @@ def load_config(source) -> RunConfig:
         raise ValueError(f"config has no key {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ValueError(f"config has a value of the wrong type: {exc}") from None
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"config has a number out of range: {exc}") from None
 
 
 # The engine runs on one thread; this reader stays only because the benchmark

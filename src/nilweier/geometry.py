@@ -113,7 +113,8 @@ def lie_bracket(X, Y) -> np.ndarray:
 def _sample(fn, stencil: list, count: int, read=None) -> np.ndarray:
     """`fn(s, t)`, or `read(fn(s, t))`, at each point of `stencil`, a check's
     list at `count` points, in order: shape (count, K, ...) with K stencil
-    points per check point.  A field with a `batch` hook gets `fn.batch(stencil)` first."""
+    points per check point.  A field with a `batch` hook is first handed the
+    whole list, `fn.batch(stencil)`."""
     if hasattr(fn, "batch"):
         fn.batch(stencil)
     values = np.array([fn(s, t) if read is None else read(fn(s, t)) for s, t in stencil], float)

@@ -425,13 +425,20 @@ def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys):
     cylinder = {"potential": {"builtin": "cylinder"}, "domain": domain}
     for key, value, message in (
         ("thetas", "12", "config key 'thetas' must be a list, not the string '12'"),
+        ("thetas", [0.0, True], "config key 'thetas' must be a number, not True"),
         ("outputs", "csv", "config key 'outputs' must be a list, not the string 'csv'"),
         ("domain", dict(domain, ns=5.9), "config key 'ns' must be an integer, not 5.9"),
+        ("domain", dict(domain, sMax="1"), "config key 'sMax' must be a number, not '1'"),
+        (
+            "domain",
+            dict(domain, sMin=-(10**400)),
+            "config has a number out of range: int too large to convert to float",
+        ),
         ("truncationN", 8.7, "config key 'truncationN' must be an integer, not 8.7"),
         ("stepsPerCell", True, "config key 'stepsPerCell' must be an integer, not True"),
         ("initialFrame", {"coeffs": []}, "config key 'coeffs' must list at least one term"),
     ):
-        cases[f"bad-{key}"] = (dict(cylinder, **{key: value}), message)
+        cases[f"bad-{key}-{len(cases)}"] = (dict(cylinder, **{key: value}), message)
     for name, (config, message) in cases.items():
         path = os.path.join(str(tmp_path), f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:

@@ -100,7 +100,8 @@ POINT_EFFECTS = {
 @pytest.mark.parametrize("name", sorted(POINT_EFFECTS))
 def test_point_evaluator_effects_are_pinned(name):
     """The point evaluator's side effects, which the report does not show:
-    every tail record in the same order, and the same warnings."""
+    the sum of its tail records, whose bits follow the order of the records,
+    and its near-boundary warnings."""
     from nilweier.config import load_config
     from nilweier.verify import run_verification
 
