@@ -9,7 +9,12 @@ per call.  For w in the big cell,
 The solver finds the inverse of the normalized factor directly from the
 linear conditions "the forbidden degrees of U*w vanish", then recovers the
 factor by an exact triangular recursion.  Singularity of the system is the
-numerical manifestation of leaving the big cell.
+numerical manifestation of leaving the big cell.  A stack's systems are
+built by one gather and solved as one stacked np.linalg.solve.  The twisting
+parity makes each 2N x 2N system block diagonal in two N x N blocks, so its
+condition number comes from the singular values of the two blocks; the full
+SVD (np.linalg.cond) runs only where that value may exceed COND_WARN, so
+every near-boundary warning, failure and printed value is the full SVD's.
 
 The Iwasawa decomposition of a pair (Phi_s, Phi_t) = (F, F)(V+, V-) computes
 W = Phi_s^{-1} Phi_t, splits W = V+^{-1} V- with V+(0) = id (all constant
@@ -31,6 +36,7 @@ from .loopalg import (
     _Effects,
     _inv_rows,
     _inv_triangular,
+    _mask,
     _mul_rows,
     _sq_sum,
     loop_inv,  # noqa: F401  perfbench/tracer.py binds this name
@@ -42,6 +48,11 @@ __all__ = ["BirkhoffResult", "IwasawaResult", "birkhoff_split", "iwasawa_double"
 COND_WARN = 1e12
 COND_FAIL = 1e14
 _RESID_TOL = 1e-8
+# `_cond_slack`'s constant.  The largest |1/h - 1/c| / (n*eps) measured is
+# 1.06, over the 16,605 systems (n = 32 to 96, cond up to 2.8e15) that
+# `generate` and `verify` split for the five builtins and the three benchmark
+# workloads, at one BLAS thread and at the default.
+_COND_K = 4.0
 
 
 @dataclass(frozen=True)
@@ -75,12 +86,118 @@ class IwasawaResult:
         return _inv_triangular(self.vplus_inv, lower=False)
 
 
+def _systems(w: np.ndarray, sign: int):
+    """The block-Toeplitz systems of a (B, 2N+1, 2, 2) stack, one gather:
+    row (k, J), column (m, K) holds w_{k-m}[K, J] for k, m in sign*[1, N],
+    and the right-hand side's column I holds -w_k[I, J] (row I of U)."""
+    N = w.shape[1] // 2
+    ks = sign * np.arange(1, N + 1)
+    lags = ks[:, None] - ks[None, :] + N  # |k - m| <= N - 1, so every lag is a stored degree
+    J = np.arange(2 * N) % 2
+    systems = w[:, np.repeat(np.repeat(lags, 2, axis=0), 2, axis=1), J[None, :], J[:, None]]
+    rhs = -w[:, np.repeat(ks + N, 2)[:, None], np.arange(2)[None, :], J[:, None]]
+    return systems, rhs
+
+
+def _cond(system: np.ndarray) -> float:
+    """np.linalg.cond of one system; inf where its SVD fails (a NaN entry)."""
+    try:
+        return float(np.linalg.cond(system))
+    except np.linalg.LinAlgError:
+        return float("inf")
+
+
+def _full_conds(w: np.ndarray, sign: int) -> np.ndarray:
+    """np.linalg.cond of the system of each item of a (B, 2N+1, 2, 2) stack."""
+    return np.array([_cond(system) for system in _systems(w, sign)[0]])
+
+
+def _half_conds(w: np.ndarray, sign: int) -> np.ndarray:
+    """Condition numbers of the systems of a (B, 2N+1, 2, 2) stack from their
+    two parity blocks.  w_d is diagonal for even d and off-diagonal for odd d,
+    so w_{k-m}[K, J] vanishes unless k + J = m + K (mod 2): each system is
+    block diagonal in the N rows and N columns of either parity, and its
+    singular values are those of the two N x N blocks together.  NaN where an
+    item has an entry off that parity, where a block's SVD fails, and where
+    both its extreme singular values are 0."""
+    N = w.shape[1] // 2
+    ks = sign * np.arange(1, N + 1)
+    lags = ks[:, None] - ks[None, :] + N
+    sv = []
+    for parity in (0, 1):
+        J = (ks + parity) % 2  # the one J (and K) of each k in this block
+        block = w[:, lags, J[None, :], J[:, None]]
+        try:
+            sv.append(np.linalg.svd(block, compute_uv=False))
+        except np.linalg.LinAlgError:  # one NaN item fails the whole stack
+            sv.append(np.stack([_svd_or_nan(item) for item in block]))
+        del block
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = np.maximum(sv[0][:, 0], sv[1][:, 0]) / np.minimum(sv[0][:, -1], sv[1][:, -1])
+    conds[w[:, _mask(N)].any(axis=1)] = np.nan
+    return conds
+
+
+def _svd_or_nan(matrix: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.svd(matrix, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return np.full(len(matrix), np.nan)
+
+
+def _cond_slack(n: int) -> float:
+    """Bound on |1/h - 1/c| between the half-block value h and
+    np.linalg.cond's c of one n x n system: both SVDs find the smallest
+    singular value to within about n*eps*sigma_max (the largest to within
+    eps relative), so the reciprocals, sigma_min/sigma_max, differ by at most
+    _COND_K*n*eps.  Equivalently |h - c| <= _COND_K*n*eps*h*c."""
+    return _COND_K * n * np.finfo(float).eps
+
+
+def _conditioning(w: np.ndarray, sign: int) -> np.ndarray:
+    """Each item's half-block condition number, or np.linalg.cond's where
+    that may exceed COND_WARN: where the half value is non-finite or above
+    1/(1/COND_WARN + slack).  Every COND_WARN and COND_FAIL decision and
+    every printed value is then the full SVD's; the rule reads the item
+    alone, so a batch of one has the same values."""
+    conds = _half_conds(w, sign)
+    n = w.shape[1] - 1  # the systems' size 2N
+    cutoff = 1.0 / (1.0 / COND_WARN + _cond_slack(n))
+    exact = ~(conds <= cutoff)
+    conds[exact] = _full_conds(w[exact], sign)
+    return conds
+
+
+def _near_max(conds: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the items whose np.linalg.cond may be the largest, given each
+    item's conditioning (half-block or full) of an n x n system: those with
+    1/c <= 1/max(conds) + 2*slack."""
+    return 1.0 / conds <= 1.0 / conds.max() + 2.0 * _cond_slack(n)
+
+
+def _solve(systems: np.ndarray, rhs: np.ndarray):
+    """One stacked solve; where a singular item fails the stack, one solve
+    per item.  Returns (solutions, singular mask)."""
+    singular = np.zeros(len(systems), dtype=bool)
+    try:
+        return np.linalg.solve(systems, rhs), singular
+    except np.linalg.LinAlgError:
+        sol = np.zeros_like(rhs)
+        for b in range(len(systems)):
+            try:
+                sol[b] = np.linalg.solve(systems[b], rhs[b])
+            except np.linalg.LinAlgError:
+                singular[b] = True
+        return sol, singular
+
+
 def _normalized_factor_inverses(w: np.ndarray, sign: int, fx: _Effects):
     """For each item of a (B, 2N+1, 2, 2) stack solve for U with U_0 = id
     supported on sign*[0,N] such that (U*w)_k = 0 for k in sign*[1,N].
     sign=-1 gives U = M^{-1} (minus order), sign=+1 gives U = P^{-1} (plus
-    order).  Returns (U, conditioning).  The block-Toeplitz system is built,
-    conditioned and solved one item at a time; an item that fails keeps
+    order).  Returns (U, conditioning), see `_conditioning`.  The live items'
+    block-Toeplitz systems are built by one gather and solved as one stack,
+    with each item's bits of its own solve; an item that fails keeps
     U = id."""
     B, n = w.shape[:2]
     N = n // 2
@@ -89,35 +206,30 @@ def _normalized_factor_inverses(w: np.ndarray, sign: int, fx: _Effects):
     conds = np.ones(B)
     if N == 0:
         return u, conds
-    ks = sign * np.arange(1, N + 1)
-    lags = ks[:, None] - ks[None, :] + N  # |k - m| <= N - 1, so every lag is a stored degree
+    live = np.flatnonzero(fx.alive)
+    conds[live] = _conditioning(w[live], sign)
 
     def fail(b, message):
         fx.fail(b, OutsideBigCell(message, conditioning=float(conds[b])))
 
-    for b in np.flatnonzero(fx.alive):
-        # row (k, J), column (m, K): coefficient w_{k-m}[K, J]
-        system = w[b, lags].transpose(0, 3, 1, 2).reshape(2 * N, 2 * N)
-        rhs = -w[b, ks + N].transpose(0, 2, 1).reshape(2 * N, 2)  # columns indexed by row I of U
-        try:
-            cond = float(np.linalg.cond(system))
-        except np.linalg.LinAlgError:
-            cond = float("inf")
-        conds[b] = cond
+    solvable = []
+    for b in live:
+        cond = float(conds[b])
         if not np.isfinite(cond) or cond > COND_FAIL:
             fail(b, f"block-Toeplitz system is singular (cond={cond:.3e})")
             continue
         if cond > COND_WARN:
             fx.warn(b, f"factorization near big-cell boundary: cond={cond:.3e}")
-        try:
-            sol = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
+        solvable.append(b)
+    sol, singular = _solve(*_systems(w[solvable], sign))
+    ks = sign * np.arange(1, N + 1)
+    for i, b in enumerate(solvable):
+        if singular[i]:
             fail(b, "block-Toeplitz system is singular")
-            continue
-        if not np.all(np.isfinite(sol)):
+        elif not np.all(np.isfinite(sol[i])):
             fail(b, "block-Toeplitz solve produced non-finite values")
-            continue
-        u[b, ks + N] = sol.reshape(N, 2, 2).transpose(0, 2, 1)
+        else:
+            u[b, ks + N] = sol[i].reshape(N, 2, 2).transpose(0, 2, 1)
     return _clean_parity(u, N, fx), conds
 
 
@@ -169,8 +281,9 @@ def _iwasawa_rows(phi_s: TwistedLoop, phi_t: np.ndarray, fx: _Effects):
     Phi_t sharing one Phi_s in Lambda^-, which is inverted once for the whole
     stack by the triangular recursion; its positive degrees are not read.
 
-    Returns (frame F, V+^{-1}, V-, conditioning) as stacks; an error while
-    inverting Phi_s ends every item.
+    Returns (frame F, V+^{-1}, V-, conditioning, W) as stacks, W = Phi_s^{-1}
+    Phi_t being the split loops; an error while inverting Phi_s ends every
+    item.
     """
     try:
         s_inv = _inv_triangular(phi_s, lower=True).c
@@ -180,7 +293,7 @@ def _iwasawa_rows(phi_s: TwistedLoop, phi_t: np.ndarray, fx: _Effects):
         s_inv = TwistedLoop.identity(phi_s.N).c
     w = _mul_rows(s_inv, phi_t, fx)
     vminus, vplus_inv, conds = _split_rows(w, +1, fx)
-    return _mul_rows(phi_s.c, vplus_inv, fx), vplus_inv, vminus, conds
+    return _mul_rows(phi_s.c, vplus_inv, fx), vplus_inv, vminus, conds, w
 
 
 def iwasawa_double(
@@ -196,7 +309,7 @@ def iwasawa_double(
     if phi_s.c[phi_s.N + 1 :].any():
         raise ValueError("Phi_s has nonzero positive-degree coefficients; it must lie in Lambda^-")
     fx = _Effects(1)
-    frame, vplus_inv, vminus, conds = _iwasawa_rows(phi_s, phi_t.c[None], fx)
+    frame, vplus_inv, vminus, conds, _ = _iwasawa_rows(phi_s, phi_t.c[None], fx)
     fx.play(0, tail)
     return IwasawaResult(
         frame=TwistedLoop(phi_s.N, frame[0], enforce_parity=False),

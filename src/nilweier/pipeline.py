@@ -38,7 +38,9 @@ from .errors import (
 )
 from .expressions import Expression, combine, const_times, parse_expression, rename_variable
 from .factorization import (
+    _full_conds,
     _iwasawa_rows,
+    _near_max,
     birkhoff_split,
     iwasawa_double,  # noqa: F401  perfbench/tracer.py binds this name
 )
@@ -325,17 +327,18 @@ class FramePoint:
     loop: TwistedLoop  # gauge-normalized frame F; its para-complex pair is (F, F)
     h: float
     sym: dict = field(default_factory=dict)  # theta -> read-only rows (nil, l3, normal)
+    spinors: dict = field(default_factory=dict)  # theta -> (chi1, chi2, h)
 
 
 def _frame_rows(phi_s: TwistedLoop, phi_t, f_val, g_vals, initial, gridpoints):
     """Frames of a (B, 2N+1, 2, 2) stack of Phi_t sharing Phi_s and f: the
     Iwasawa split, the diagonal gauge normalization and the initial-frame
     product, as one batch.  Returns (effects, frames, h, gauge_log,
-    conditioning); each item's effects are a batch of one's, for
-    `_play_point`.  A point with nonpositive angle function fails with
-    GaugeFailure."""
+    conditioning, W) with W = Phi_s^{-1} Phi_t; each item's effects are a
+    batch of one's, for `_play_point`.  A point with nonpositive angle
+    function fails with GaugeFailure."""
     fx = _Effects(len(phi_t))
-    frame, _, vminus, conds = _iwasawa_rows(phi_s, phi_t, fx)
+    frame, _, vminus, conds, w = _iwasawa_rows(phi_s, phi_t, fx)
     N = frame.shape[1] // 2
     h = np.full(len(frame), np.nan)
     gauge_log = np.full(len(frame), np.nan)
@@ -353,7 +356,7 @@ def _frame_rows(phi_s: TwistedLoop, phi_t, f_val, g_vals, initial, gridpoints):
     frame = _scale_rows(frame, d)
     if initial is not None:
         frame = _mul_rows(initial.c, frame, fx)
-    return fx, frame, h, gauge_log, conds
+    return fx, frame, h, gauge_log, conds, w
 
 
 def _value_or_none(expr: Expression, x: float) -> float | None:
@@ -382,9 +385,12 @@ class FrameGrid:
     frames: np.ndarray  # read-only (ns, nt, 2N+1, 2, 2) coefficients of F, zero at holes
     h: np.ndarray
     gauge_log: np.ndarray
+    # per point, the split's conditioning: the half-block value, or
+    # np.linalg.cond's above the cutoff (factorization._conditioning)
     conditioning: np.ndarray
     holes: np.ndarray  # bool mask
     hole_errors: list = field(default_factory=list)
+    max_conditioning: float | None = None  # np.linalg.cond's largest kept value
 
 
 def build_extended_frames(
@@ -403,7 +409,9 @@ def build_extended_frames(
     exactly as point-by-point factorization has them.  Points outside the
     big cell (or with nonpositive angle function) are recorded as holes, not
     fatal errors.  A TruncationOverflow is fatal and names the gridpoint it
-    arose at.
+    arose at.  `max_conditioning` is the largest np.linalg.cond over the kept
+    points, taken among those whose conditioning is within the half-block
+    values' slack of the largest (factorization._near_max).
     """
     s_grid = np.asarray(s_grid, float)
     t_grid = np.asarray(t_grid, float)
@@ -420,9 +428,11 @@ def build_extended_frames(
     g_vals = [potential.g.eval(float(t)) for t in t_grid]
     phi_t = np.stack([loop.c for loop in phi_t_list])
     gridpoints = [[(float(s), float(t)) for t in t_grid] for s in s_grid]
+    # the kept points whose np.linalg.cond may be the largest, and their W
+    near_conds, near_w = np.empty(0), np.empty((0, 2 * N + 1, 2, 2))
 
     for i in range(ns):
-        fx, frame, h_row, log_row, conds = _frame_rows(
+        fx, frame, h_row, log_row, conds, w = _frame_rows(
             phi_s_list[i], phi_t, f_vals[i], g_vals, initial, gridpoints[i]
         )
         # Each row has its own account, merged in row order: the overflow
@@ -439,6 +449,11 @@ def build_extended_frames(
         for out, row in ((frames, frame), (h, h_row), (gauge_log, log_row), (conditioning, conds)):
             out[i, kept] = row[kept]
         tail.merge(row_tail)
+        if kept.any():
+            near_conds = np.concatenate([near_conds, conds[kept]])
+            near_w = np.concatenate([near_w, w[kept]])
+            near = _near_max(near_conds, 2 * N)
+            near_conds, near_w = near_conds[near], near_w[near]
     frames.setflags(write=False)  # the point cache's loops share it
     return FrameGrid(
         s_grid=s_grid,
@@ -450,6 +465,7 @@ def build_extended_frames(
         conditioning=conditioning,
         holes=holes,
         hole_errors=hole_errors,
+        max_conditioning=float(_full_conds(near_w, +1).max()) if len(near_w) else None,
     )
 
 
@@ -624,9 +640,8 @@ class Pipeline:
 
     def _split_misses(self, misses) -> dict:
         """Row-batched frames of the points `misses`, not yet replayed:
-        {point: (effects, item, (frames, h, gauge_log, conditioning))}.  A
-        point whose axis frame or potential value raises is left out, since
-        replaying it raises first."""
+        {point: (effects, item, frames, h)}.  A point whose axis frame or
+        potential value raises is left out, since replaying it raises first."""
         if not misses:
             return {}
         self._flow_s.integrate_nodes(s for s, _ in misses)
@@ -643,7 +658,7 @@ class Pipeline:
             if phi_s is None or f_val is None or not items:
                 continue
             gridpoints = [(s, t) for t, _, _ in items]
-            fx, *row = _frame_rows(
+            fx, frame, h, *_ = _frame_rows(
                 TwistedLoop(self.trunc_n, phi_s, enforce_parity=False),
                 np.stack([phi_t for _, phi_t, _ in items]),
                 f_val,
@@ -652,7 +667,7 @@ class Pipeline:
                 gridpoints,
             )
             for j, key in enumerate(gridpoints):
-                split[key] = (fx, j, row)
+                split[key] = (fx, j, frame, h)
         return split
 
     def _replay(self, key, split) -> FramePoint:
@@ -666,7 +681,7 @@ class Pipeline:
             self._flow_t.at(t, tail)
             self.potential.f.eval(s)
             self.potential.g.eval(t)
-        fx, j, (frame, h, _, _) = split.pop(key)
+        fx, j, frame, h = split.pop(key)
         _play_point(fx, j, tail, key)
         hit = self._point_cache[key] = FramePoint(
             TwistedLoop(self.trunc_n, frame[j], enforce_parity=False), float(h[j])
@@ -694,21 +709,25 @@ class Pipeline:
         return self.surface_at(s, t, theta)[2]
 
     def spinors_at(self, s: float, t: float, theta: float):
-        """Generating spinor pair (chi1, chi2) and angle function h.
+        """Generating spinor pair (chi1, chi2) and angle function h, kept per
+        angle.
 
         The pair is gauged by mu^{-1/2}, mu^{+1/2} so that it satisfies the
         plain nonlinear Dirac system with potential (i'/4) h at every
         spectral angle, matching the surface produced by the Sym formulas.
         """
         pt = self.frame_at(s, t)
-        F = pair_eval(LoopPair(pt.loop, pt.loop), float(theta))
-        root = math.sqrt(pt.h / 2.0)
-        half = float(theta) / 2.0
-        mu_m = ParaComplex.from_null(math.exp(-half), math.exp(half))  # mu^{-1/2}
-        mu_p = ParaComplex.from_null(math.exp(half), math.exp(-half))  # mu^{+1/2}
-        chi1 = mu_m * F.entry(1, 0) * root
-        chi2 = mu_p * F.entry(1, 1) * root
-        return chi1, chi2, pt.h
+        theta = float(theta)
+        if theta not in pt.spinors:
+            F = pair_eval(LoopPair(pt.loop, pt.loop), theta)
+            root = math.sqrt(pt.h / 2.0)
+            half = theta / 2.0
+            mu_m = ParaComplex.from_null(math.exp(-half), math.exp(half))  # mu^{-1/2}
+            mu_p = ParaComplex.from_null(math.exp(half), math.exp(-half))  # mu^{+1/2}
+            chi1 = mu_m * F.entry(1, 0) * root
+            chi2 = mu_p * F.entry(1, 1) * root
+            pt.spinors[theta] = (chi1, chi2, pt.h)
+        return pt.spinors[theta]
 
 
 # ---------------------------------------------------------------------------

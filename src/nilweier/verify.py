@@ -126,11 +126,10 @@ def roundtrip_errors(pipeline: Pipeline, axis_values) -> tuple[list[dict], float
 
 
 def run_diagnostics(pipeline: Pipeline) -> dict:
-    """Worst factorization conditioning (None when every point is a hole) and
-    the relative Laurent tail mass of a run pipeline."""
-    cond = pipeline.frame_grid.conditioning
+    """Worst factorization conditioning, np.linalg.cond's (None when every
+    point is a hole), and the relative Laurent tail mass of a run pipeline."""
     return {
-        "max_conditioning": float(np.nanmax(cond)) if not np.isnan(cond).all() else None,
+        "max_conditioning": pipeline.frame_grid.max_conditioning,
         "tail_relative": pipeline.tail.relative(),
     }
 

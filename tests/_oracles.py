@@ -100,6 +100,55 @@ def random_plus_star_loop(rng, N, decay=0.25, scale=0.35, band=2):
     return loop_exp(TwistedLoop.from_terms(N, terms))
 
 
+# -- one block-Toeplitz system, entry by entry -----------------------------------
+
+
+def block_toeplitz_reference(w, sign):
+    """The system and right-hand side that give U = M^{-1} (sign = -1) or
+    U = P^{-1} (sign = +1) of one (2N+1, 2, 2) loop: row (k, J), column (m, K)
+    holds w_{k-m}[K, J] and the right-hand side's column I holds -w_k[I, J],
+    for k, m in sign*[1, N]."""
+    N = len(w) // 2
+    ks = [sign * k for k in range(1, N + 1)]
+    system = np.zeros((2 * N, 2 * N))
+    rhs = np.zeros((2 * N, 2))
+    for i, k in enumerate(ks):
+        for J in range(2):
+            for j, m in enumerate(ks):
+                for K in range(2):
+                    system[2 * i + J, 2 * j + K] = w[N + k - m][K, J]
+            for I in range(2):
+                rhs[2 * i + J, I] = -w[N + k][I, J]
+    return system, rhs
+
+
+def full_cond(system):
+    """np.linalg.cond, inf where its SVD fails."""
+    try:
+        return float(np.linalg.cond(system))
+    except np.linalg.LinAlgError:
+        return math.inf
+
+
+def normalized_factor_inverse_reference(w, sign):
+    """U of one loop the point-by-point way: np.linalg.cond of the system,
+    then one np.linalg.solve, off-parity entries zeroed.  Returns (U, cond),
+    U = id where the system's cond is non-finite or above COND_FAIL."""
+    from nilweier.factorization import COND_FAIL
+    from nilweier.loopalg import _mask
+
+    N = len(w) // 2
+    system, rhs = block_toeplitz_reference(w, sign)
+    cond = full_cond(system)
+    u = np.zeros_like(w)
+    u[N] = np.eye(2)
+    if math.isfinite(cond) and cond <= COND_FAIL:
+        ks = sign * np.arange(1, N + 1)
+        u[ks + N] = np.linalg.solve(system, rhs).reshape(N, 2, 2).transpose(0, 2, 1)
+    u[_mask(N)] = 0.0
+    return u, cond
+
+
 # -- axis ODE integrated from 0 ------------------------------------------------
 
 

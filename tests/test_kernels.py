@@ -2,6 +2,8 @@
 point-by-point algorithms they replace, bit for bit, on random twisted loops
 and on a swept frame grid."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,14 @@ from hypothesis import strategies as st
 
 from nilweier import loop_mul
 from nilweier.config import load_config
-from nilweier.factorization import _normalized_factor_inverses, _split_rows
+from nilweier.factorization import (
+    COND_FAIL,
+    COND_WARN,
+    _cond_slack,
+    _normalized_factor_inverses,
+    _solve,
+    _split_rows,
+)
 from nilweier.loopalg import (
     TwistedLoop,
     _clean_parity,
@@ -22,7 +31,9 @@ from nilweier.loopalg import (
 from nilweier.pipeline import _sym_point
 
 from _oracles import (
+    block_toeplitz_reference,
     grid_loop,
+    normalized_factor_inverse_reference,
     random_group_loop,
     random_minus_star_loop,
     random_plus_star_loop,
@@ -197,6 +208,112 @@ def test_normalized_factor_inverse_batch_equals_batch_of_one(N, B, seed, sign):
         assert np.array_equal(u[i], u1[0])
         assert conds[i] == c1[0]
         assert _effects(fx, i) == _effects(fx1, 0)
+
+
+def _nearly_singular(rng, delta, N):
+    """A twisted loop whose block-Toeplitz systems have cond of order 1/delta:
+    w_0 = diag(a, delta*b), and the J = 1 row of every other allowed entry
+    scaled by delta."""
+    r = lambda: 0.3 * rng.normal()  # noqa: E731
+    w = np.zeros((2 * N + 1, 2, 2))
+    w[N] = np.diag([1.0 + r(), delta * (1.0 + r())])
+    for k in (-1, 1):
+        w[N + k] = [[0.0, delta * r()], [delta * r(), 0.0]]
+    for k in (-2, 2):
+        w[N + k] = np.diag([r(), delta * r()])
+    return w
+
+
+def _mixed_stack(N=4):
+    """Healthy loops between items that fail or warn, each in its own way.
+    Returns (stack, {index: kind})."""
+    rng = np.random.default_rng(5)
+    healthy = [random_group_loop(rng, N).c for _ in range(4)]
+    nan = healthy[0].copy()
+    nan[N + 1, 0, 1] = np.nan
+    zero = np.zeros((2 * N + 1, 2, 2))
+    singular = np.zeros((2 * N + 1, 2, 2))
+    singular[N] = np.diag([1.0, 0.0])
+    above_fail = _nearly_singular(rng, 1e-15, N)
+    above_warn = _nearly_singular(rng, 1e-12, N)
+    off_parity = healthy[2].copy()
+    off_parity[N, 0, 1] = 1e-3
+    items = [
+        healthy[0], nan, healthy[1], zero, singular, healthy[2], above_fail, above_warn,
+        healthy[3], off_parity,
+    ]
+    kinds = {1: "nan", 3: "zero", 4: "singular", 6: "above_fail", 7: "above_warn", 9: "off_parity"}
+    return np.stack(items), kinds
+
+
+# the effects of the mixed stack's items, recorded with one np.linalg.cond and
+# one np.linalg.solve per item, before the systems were conditioned from their
+# parity blocks and solved as one stack
+_SINGULAR_INF = [("OutsideBigCell", "block-Toeplitz system is singular (cond=inf)")]
+_MIXED_EFFECTS = {
+    -1: {
+        "nan": _SINGULAR_INF,
+        "zero": _SINGULAR_INF,
+        "singular": _SINGULAR_INF,
+        "above_fail": [("OutsideBigCell", "block-Toeplitz system is singular (cond=1.512e+15)")],
+        "above_warn": ["factorization near big-cell boundary: cond=2.821e+12"],
+        "off_parity": [
+            ("ParityViolation", "twisting parity violated: off-parity mass 7.694e-06 vs scale 1.000e+00")
+        ],
+    },
+    +1: {
+        "nan": _SINGULAR_INF,
+        "zero": _SINGULAR_INF,
+        "singular": _SINGULAR_INF,
+        "above_fail": [("OutsideBigCell", "block-Toeplitz system is singular (cond=1.533e+15)")],
+        "above_warn": ["factorization near big-cell boundary: cond=2.821e+12"],
+        "off_parity": [
+            ("ParityViolation", "twisting parity violated: off-parity mass 4.384e-05 vs scale 1.000e+00")
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_failing_items_leave_the_stack_as_their_batches_of_one(sign):
+    """A NaN item fails a stacked SVD, a singular one a stacked solve, and a
+    zero block's half-block ratio is 0/0: none of them may change another
+    item, and each keeps the effects one np.linalg.cond per item gave."""
+    w, kinds = _mixed_stack()
+    n = w.shape[1] - 1
+    fx = _Effects(len(w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from 0/0 or inf
+        u, conds = _normalized_factor_inverses(w, sign, fx)
+    for i, ((u1, c1), fx1) in enumerate(
+        _one_by_one(lambda v, f: _normalized_factor_inverses(v, sign, f), w)
+    ):
+        assert u[i].tobytes() == u1[0].tobytes()
+        assert conds[i] == c1[0]
+        assert _effects(fx, i) == _effects(fx1, 0)
+        ref_u, ref_cond = normalized_factor_inverse_reference(w[i], sign)
+        if i in kinds:
+            assert _effects(fx, i) == _MIXED_EFFECTS[sign][kinds[i]]
+            assert conds[i] == ref_cond  # np.linalg.cond's own value
+        else:
+            assert _effects(fx, i) == []
+            assert abs(1.0 / conds[i] - 1.0 / ref_cond) <= _cond_slack(n)
+        if not _effects(fx, i) or kinds.get(i) == "above_warn":
+            assert u[i].tobytes() == ref_u.tobytes()
+    assert COND_WARN < conds[7] < COND_FAIL < conds[6] < np.inf
+
+
+def test_a_singular_item_does_not_fail_the_stacked_solve():
+    rng = np.random.default_rng(2)
+    loops = [random_group_loop(rng, 3).c for _ in range(3)]
+    systems, rhs = map(np.stack, zip(*(block_toeplitz_reference(w, -1) for w in loops)))
+    systems[1, :, 0] = 0.0  # exactly singular
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(systems, rhs)
+    sol, singular = _solve(systems, rhs)
+    assert singular.tolist() == [False, True, False]
+    for b in (0, 2):
+        assert sol[b].tobytes() == np.linalg.solve(systems[b], rhs[b]).tobytes()
 
 
 def _factorable_stack(seed, N, B):

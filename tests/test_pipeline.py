@@ -36,6 +36,8 @@ from nilweier.pipeline import (
 
 from _oracles import (
     FromZeroAxisFlow,
+    block_toeplitz_reference,
+    full_cond,
     cylinder_frame,
     frame_point_reference,
     cylinder_nil,
@@ -479,6 +481,64 @@ def test_sweep_equals_point_by_point_reference(initial, monkeypatch):
     assert fg.hole_errors == errors
     assert (tail.dropped, tail.kept) == (ref_tail.dropped, ref_tail.kept)
     assert _near_boundary_warnings(caught) == ref_warnings
+
+
+def _conditioning_case(name):
+    """(Phi_s list, Phi_t list, potential, s grid, t grid) of the cylinder on
+    the grids of the sweep-cylinder and deep-trunc benchmark workloads, or of
+    `_near_boundary_plane`."""
+    if name == "near-boundary-plane":
+        return _near_boundary_plane(False)[:5]
+    from nilweier.config import load_config
+
+    side, trunc_n = {"sweep-cylinder": (15, 20), "deep-trunc": (9, 48)}[name]
+    domain = {"sMin": -2.0, "sMax": 2.0, "tMin": -2.0, "tMax": 2.0, "ns": side, "nt": side}
+    config = {"potential": {"builtin": "cylinder"}, "domain": domain, "truncationN": trunc_n}
+    pipe = load_config(config).make_pipeline()
+    return pipe.phi_s, pipe.phi_t, pipe.potential, pipe.s_grid, pipe.t_grid
+
+
+@pytest.mark.parametrize("name", ["sweep-cylinder", "deep-trunc", "near-boundary-plane"])
+def test_frame_grid_conditioning_against_the_full_svd(name, monkeypatch):
+    """np.linalg.cond runs on the assembled system of every point whose
+    half-block value is above the cutoff.  Each kept point's conditioning is
+    np.linalg.cond's value there, and within the stated slack of it below;
+    the grid's max_conditioning is np.linalg.cond's largest value exactly."""
+    phi_s, phi_t, pot, s_grid, t_grid = _conditioning_case(name)
+    conditioned = set()
+    real_cond = np.linalg.cond
+
+    def spy(system):
+        conditioned.add(system.tobytes())
+        return real_cond(system)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fg = build_extended_frames(phi_s, phi_t, pot, s_grid, t_grid)
+    monkeypatch.undo()
+    slack = factorization._cond_slack(2 * fg.trunc_n)
+    cutoff = 1.0 / (1.0 / factorization.COND_WARN + slack)
+    full, above = [], 0
+    for (i, j), hole in np.ndenumerate(fg.holes):
+        w = loop_mul(factorization._inv_triangular(phi_s[i], lower=True), phi_t[j])
+        system = block_toeplitz_reference(w.c, +1)[0]
+        c = full_cond(system)
+        if not factorization._half_conds(w.c[None], +1)[0] <= cutoff:
+            assert system.tobytes() in conditioned
+            above += 1
+        if hole:
+            assert np.isnan(fg.conditioning[i, j])
+            continue
+        h = fg.conditioning[i, j]
+        if h > cutoff:
+            assert h == c
+        else:
+            assert abs(1.0 / h - 1.0 / c) <= slack
+        full.append(c)
+    assert fg.max_conditioning == max(full)
+    # the plane's two near-boundary points and its six singular systems
+    assert above == {"near-boundary-plane": 2 + 6}.get(name, 0)
 
 
 def test_holes_leave_no_reference_cycles(plane_pipe):

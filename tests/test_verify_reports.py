@@ -115,6 +115,51 @@ def test_point_evaluator_effects_are_pinned(name):
     assert (tail, len(near)) == POINT_EFFECTS[name]
 
 
+# the verify-plane benchmark workload at seed 0
+VERIFY_PLANE = {
+    "potential": {"builtin": "horizontal-plane"},
+    "domain": {"sMin": -2.0, "sMax": 2.0, "tMin": -2.0, "tMax": 2.0, "ns": 25, "nt": 25},
+    "truncationN": 16,
+    "stepsPerCell": 8,
+    "thetas": [0.0, 0.149751, -0.021456],
+}
+
+
+def test_spinors_are_evaluated_once_per_point_and_angle(monkeypatch):
+    """One verification reads spinors 891 times at 668 distinct (s, t, theta);
+    the frame pair is evaluated once for each distinct one.  `point_tail` and
+    the report's sha256 were recorded when every read evaluated the pair."""
+    from nilweier import pipeline as pipeline_module
+    from nilweier.config import load_config
+    from nilweier.pipeline import Pipeline
+    from nilweier.verify import run_verification
+
+    cfg = load_config(VERIFY_PLANE)
+    pipeline = cfg.make_pipeline().run()
+    reads, evaluations = [], []
+    real_spinors, real_eval = Pipeline.spinors_at, pipeline_module.pair_eval
+
+    def spinors_at(self, s, t, theta):
+        reads.append((float(s), float(t), float(theta)))
+        return real_spinors(self, s, t, theta)
+
+    def pair_eval(pair, theta):
+        evaluations.append(theta)
+        return real_eval(pair, theta)
+
+    monkeypatch.setattr(Pipeline, "spinors_at", spinors_at)
+    monkeypatch.setattr(pipeline_module, "pair_eval", pair_eval)
+    report = run_verification(pipeline, oracle=cfg.oracle)
+    monkeypatch.undo()
+    assert (len(reads), len(set(reads)), len(evaluations)) == (891, 668, 668)
+    tail = (pipeline.point_tail.dropped.hex(), pipeline.point_tail.kept.hex())
+    assert tail == ("0x0.0p+0", "0x1.57e44803ab0e6p+14")
+    text = json.dumps(report, indent=2, sort_keys=True)  # as cmd_verify writes it
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2bdf09a1e77aed92da9b46131f6dd29ab69d7ef20b446e26c3c7910425532b61"
+    )
+
+
 GENERATED = os.path.join(os.path.dirname(__file__), "data", "generate_digests.json")
 with open(GENERATED, encoding="utf-8") as _fh:
     GENERATED_DIGESTS = json.load(_fh)
