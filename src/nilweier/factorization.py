@@ -49,9 +49,9 @@ COND_WARN = 1e12
 COND_FAIL = 1e14
 _RESID_TOL = 1e-8
 # `_cond_slack`'s constant.  The largest |1/h - 1/c| / (n*eps) measured is
-# 1.06, over the 16,605 systems (n = 32 to 96, cond up to 2.8e15) that
-# `generate` and `verify` split for the five builtins and the three benchmark
-# workloads, at one BLAS thread and at the default.
+# 1.06, over the 16,605 splits (n = 32 to 96, cond up to 2.8e15) that
+# `generate` and `verify` make for the five builtins and the three benchmark
+# workloads at seeds 0 and 7, at one BLAS thread and at the default.
 _COND_K = 4.0
 
 
@@ -59,7 +59,7 @@ _COND_K = 4.0
 class BirkhoffResult:
     minus: TwistedLoop
     plus: TwistedLoop
-    conditioning: float
+    conditioning: float  # half-block value, or np.linalg.cond's above the cutoff
     order: str
 
     def factors(self) -> tuple[TwistedLoop, TwistedLoop]:
@@ -79,7 +79,7 @@ class IwasawaResult:
     frame: TwistedLoop
     vplus_inv: TwistedLoop
     vminus: TwistedLoop
-    conditioning: float
+    conditioning: float  # as BirkhoffResult's
 
     @property
     def vplus(self) -> TwistedLoop:

@@ -212,8 +212,8 @@ def test_normalized_factor_inverse_batch_equals_batch_of_one(N, B, seed, sign):
 
 def _nearly_singular(rng, delta, N):
     """A twisted loop whose block-Toeplitz systems have cond of order 1/delta:
-    w_0 = diag(a, delta*b), and the J = 1 row of every other allowed entry
-    scaled by delta."""
+    w_0 = diag(a, delta*b), w_{+-2} = diag(c, delta*d) and w_{+-1} of size
+    delta, so that every row (k, J = 1) of a system is of size delta."""
     r = lambda: 0.3 * rng.normal()  # noqa: E731
     w = np.zeros((2 * N + 1, 2, 2))
     w[N] = np.diag([1.0 + r(), delta * (1.0 + r())])
