@@ -18,12 +18,15 @@ set of tokens that would have been accepted.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EvalDomain, ParseError
 
-__all__ = ["Expression", "parse_expression", "FUNCTIONS"]
+__all__ = ["Expression", "parse_expression", "eval_rows", "FUNCTIONS"]
 
 FUNCTIONS = {
     "sin": math.sin,
@@ -105,24 +108,40 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
 class Expression:
-    """Parsed expression with a single declared free variable."""
+    """Parsed expression with a single declared free variable, compiled once
+    into a scalar evaluator and a row evaluator (see `_compile`)."""
 
     def __init__(self, ast, variable: str, source: str):
         self.ast = ast
         self.variable = variable
         self.source = source
+        self._scalar, self._row = _compile(ast)
 
     def __call__(self, value: float) -> float:
         return self.eval(value)
 
     def eval(self, value: float) -> float:
         try:
-            out = _eval(self.ast, value)
+            out = self._scalar(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise EvalDomain(f"cannot evaluate {self.source!r} at {self.variable}={value}: {exc}") from exc
         if not math.isfinite(out):
             raise EvalDomain(f"{self.source!r} is not finite at {self.variable}={value}")
         return out
+
+    def rows(self, xs: np.ndarray):
+        """The values at the items of a float64 array, with `eval`'s bits: a
+        float if the expression does not read its variable, else an array;
+        None if `eval` raises at any item."""
+        try:
+            if self._row is None:
+                out = self._scalar(0.0)
+                return out if math.isfinite(out) else None
+            with np.errstate(all="ignore"):  # Python's float arithmetic never warns
+                out = self._row(xs)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return None
+        return out if np.isfinite(out).all() else None
 
     def pretty(self) -> str:
         return _pretty_prec(self.ast)[0]
@@ -131,25 +150,93 @@ class Expression:
         return f"Expression({self.pretty()!r}, variable={self.variable!r})"
 
 
-def _eval(node, x: float) -> float:
+def eval_rows(exprs, xs) -> np.ndarray:
+    """`[[e.eval(x) for x in xs] for e in exprs]` as a (len(exprs), len(xs))
+    array, evaluated item by item in the order `for x in xs: for e in exprs`:
+    the row forms where no item raises, else that loop, so the values and
+    the first error are the loop's."""
+    xs = np.asarray(xs, float)
+    rows = [e.rows(xs) for e in exprs]
+    if any(row is None for row in rows):
+        items = [[e.eval(x) for e in exprs] for x in xs.tolist()]
+        return np.array(items).reshape(len(xs), len(exprs)).T
+    return np.array([np.broadcast_to(row, xs.shape) for row in rows])
+
+
+# -- compilation ---------------------------------------------------------------
+#
+# Row operations take float64 arrays or floats, and give each item the bits of
+# the scalar operation.  + - * / and unary minus are correctly rounded in
+# numpy as in Python, and so is sqrt; the other functions and ^ (math.pow)
+# stay per-item math calls, since numpy's may differ by an ulp.  Where the
+# scalar operation raises for some item (division by zero, sqrt of a
+# negative), the row operation raises for the whole row.
+
+_SCALAR_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+}
+
+
+def _map_rows(fn, a: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, a.tolist()), float, a.size)
+
+
+def _pow_rows(a, b) -> np.ndarray:
+    a, b = np.broadcast_arrays(a, b)
+    return np.fromiter(map(math.pow, a.tolist(), b.tolist()), float, a.size)
+
+
+def _div_rows(a, b):
+    if not np.all(b):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+def _sqrt_rows(a):
+    if np.any(a < 0.0):
+        raise ValueError("math domain error")
+    return np.sqrt(a)
+
+
+_ROW_OPS = {**_SCALAR_OPS, "/": _div_rows, "^": _pow_rows}
+
+
+def _compile(node):
+    """(scalar, row) evaluators of an AST, each a function of the variable's
+    value(s) that visits the nodes in the same order, children left to right;
+    row is None where the AST does not read its variable.  A subtree that
+    does not read it is evaluated by its scalar function in the row too."""
     if isinstance(node, _Num):
-        return node.value
+        value = node.value
+        return (lambda x: value), None
     if isinstance(node, _Var):
-        return x
+        return (lambda x: x), (lambda x: x)
     if isinstance(node, _Neg):
-        return -_eval(node.arg, x)
+        arg, arg_row = _compile(node.arg)
+        row = None if arg_row is None else (lambda x: -arg_row(x))
+        return (lambda x: -arg(x)), row
     if isinstance(node, _Call):
-        return FUNCTIONS[node.func](_eval(node.arg, x))
-    a, b = _eval(node.left, x), _eval(node.right, x)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        return a / b
-    return math.pow(a, b)
+        fn = FUNCTIONS[node.func]
+        arg, arg_row = _compile(node.arg)
+        if arg_row is None:
+            row = None
+        elif node.func == "sqrt":
+            row = lambda x: _sqrt_rows(arg_row(x))  # noqa: E731
+        else:
+            row = lambda x: _map_rows(fn, arg_row(x))  # noqa: E731
+        return (lambda x: fn(arg(x))), row
+    op = _SCALAR_OPS[node.op]
+    (left, left_row), (right, right_row) = _compile(node.left), _compile(node.right)
+    scalar = lambda x: op(left(x), right(x))  # noqa: E731
+    if left_row is None and right_row is None:
+        return scalar, None
+    row_op = _ROW_OPS[node.op]
+    left_row, right_row = left_row or left, right_row or right
+    return scalar, (lambda x: row_op(left_row(x), right_row(x)))
 
 
 def _pretty_prec(node) -> tuple[str, int]:

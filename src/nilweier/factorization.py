@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NilWeierError, OutsideBigCell
+from .errors import OutsideBigCell
 from .loopalg import (
     TailAccumulator,
     TwistedLoop,
@@ -248,7 +248,7 @@ def _split_rows(w: np.ndarray, sign: int, fx: _Effects):
     tol = _RESID_TOL * np.maximum(np.sqrt(_sq_sum(w)), 1.0)
     for b in np.flatnonzero(fx.alive & (removed > tol)):
         message = f"factorization residual {removed[b]:.3e} exceeds tolerance; outside big cell"
-        fx.fail(b, OutsideBigCell(message))
+        fx.fail(b, OutsideBigCell(message, conditioning=float(conds[b])))
     other[:, outside] = 0.0
     return (normalized, other, conds) if sign < 0 else (other, normalized, conds)
 
@@ -276,24 +276,25 @@ def birkhoff_split(w: TwistedLoop, order: str = "minus_star_plus") -> BirkhoffRe
     )
 
 
-def _iwasawa_rows(phi_s: TwistedLoop, phi_t: np.ndarray, fx: _Effects):
-    """Iwasawa split of (Phi_s, Phi_t[b]) for a (B, 2N+1, 2, 2) stack of
-    Phi_t sharing one Phi_s in Lambda^-, which is inverted once for the whole
-    stack by the triangular recursion; its positive degrees are not read.
+def _iwasawa_rows(phi_s: np.ndarray, index: np.ndarray, phi_t: np.ndarray, fx: _Effects):
+    """Iwasawa split of (Phi_s[index[b]], Phi_t[b]) for a (B, 2N+1, 2, 2)
+    stack of Phi_t and a (P, 2N+1, 2, 2) stack of distinct Phi_s in
+    Lambda^-, which are inverted once as one stack by the triangular
+    recursion; their positive degrees are not read.  The grid sweep is the
+    case P = 1.
 
     Returns (frame F, V+^{-1}, V-, conditioning, W) as stacks, W = Phi_s^{-1}
-    Phi_t being the split loops; an error while inverting Phi_s ends every
-    item.
+    Phi_t being the split loops; an error while inverting a Phi_s ends every
+    item that shares it.
     """
-    try:
-        s_inv = _inv_triangular(phi_s, lower=True).c
-    except NilWeierError as exc:
-        for b in range(len(phi_t)):
-            fx.fail(b, exc)
-        s_inv = TwistedLoop.identity(phi_s.N).c
-    w = _mul_rows(s_inv, phi_t, fx)
+    inverted = _Effects(len(phi_s))
+    s_inv = _inv_rows(phi_s, True, inverted)
+    for p in np.flatnonzero(~inverted.alive):
+        for b in np.flatnonzero(index == p):
+            fx.fail(b, inverted.items[p][-1])
+    w = _mul_rows(s_inv[index], phi_t, fx)
     vminus, vplus_inv, conds = _split_rows(w, +1, fx)
-    return _mul_rows(phi_s.c, vplus_inv, fx), vplus_inv, vminus, conds, w
+    return _mul_rows(phi_s[index], vplus_inv, fx), vplus_inv, vminus, conds, w
 
 
 def iwasawa_double(
@@ -309,7 +310,9 @@ def iwasawa_double(
     if phi_s.c[phi_s.N + 1 :].any():
         raise ValueError("Phi_s has nonzero positive-degree coefficients; it must lie in Lambda^-")
     fx = _Effects(1)
-    frame, vplus_inv, vminus, conds, _ = _iwasawa_rows(phi_s, phi_t.c[None], fx)
+    frame, vplus_inv, vminus, conds, _ = _iwasawa_rows(
+        phi_s.c[None], np.zeros(1, int), phi_t.c[None], fx
+    )
     fx.play(0, tail)
     return IwasawaResult(
         frame=TwistedLoop(phi_s.N, frame[0], enforce_parity=False),

@@ -358,8 +358,9 @@ def _inv_gathers(N: int) -> tuple[np.ndarray, ...]:
 
 def _inv_rows(x: np.ndarray, lower: bool, fx: _Effects) -> np.ndarray:
     """Exact inverses of a (B, 2N+1, 2, 2) stack of loops supported on [-N,0]
-    (lower) or [0,N] (upper); raises SingularLoop if any degree-0
-    coefficient is singular.
+    (lower) or [0,N] (upper).  An item whose degree-0 coefficient is singular
+    fails with SingularLoop, before any parity check, and is inverted as the
+    identity.
 
     Works on the compact form (see `_compact`), with degrees counted along
     the half line: y_k = -y_0 (x_1 y_(k-1) + ... + x_k y_0), one step per k.
@@ -369,12 +370,14 @@ def _inv_rows(x: np.ndarray, lower: bool, fx: _Effects) -> np.ndarray:
     2x2 product adds to +0.0, so values and signs of zeros agree.
     """
     N = x.shape[1] // 2
+    singular = ~x[:, N, (0, 1), (0, 1)].all(axis=1)  # the even degree 0 is diagonal
+    if singular.any():
+        for b in np.flatnonzero(singular):
+            fx.fail(b, SingularLoop("degree-0 coefficient is singular"))
+        x = np.where(singular[:, None, None, None], TwistedLoop.identity(N).c, x)
     half = N + (-1 if lower else 1) * np.arange(N + 1)
     xc = _compact(x, N, fx)[:, half]
-    y0 = xc[:, 0]
-    if not y0.all():
-        raise SingularLoop("degree-0 coefficient is singular")
-    y0 = 1.0 / y0
+    y0 = 1.0 / xc[:, 0]
     y = np.zeros((len(x), 2 * N + 2, 2))  # y_0..y_N, then the same swapped
     y[:, 0], y[:, N + 1] = y0, y0[:, ::-1]
     for k, rows in enumerate(_inv_gathers(N), start=1):

@@ -36,7 +36,14 @@ from .errors import (
     OutsideBigCell,
     TruncationOverflow,
 )
-from .expressions import Expression, combine, const_times, parse_expression, rename_variable
+from .expressions import (
+    Expression,
+    combine,
+    const_times,
+    eval_rows,
+    parse_expression,
+    rename_variable,
+)
 from .factorization import (
     _full_conds,
     _iwasawa_rows,
@@ -107,6 +114,29 @@ class PotentialSpec:
             raise DegeneratePotential(f"g vanishes at t={t}")
         return np.array([[0.0, -self.R.eval(t) / gv], [gv / 4.0, 0.0]])
 
+    def xi_s_rows(self, xs: np.ndarray) -> np.ndarray:
+        """`np.stack([self.xi_s(x) for x in xs])` for a float64 array xs, from
+        the row forms of f and Q: the same bits, and the same first error."""
+        return _xi_rows(xs, self.f, self.Q, self.xi_s, lambda f, q: (-f / 4.0, q / f))
+
+    def xi_t_rows(self, xs: np.ndarray) -> np.ndarray:
+        """`np.stack([self.xi_t(x) for x in xs])`, as `xi_s_rows`."""
+        return _xi_rows(xs, self.g, self.R, self.xi_t, lambda g, r: (-r / g, g / 4.0))
+
+
+def _xi_rows(xs, lead: Expression, other: Expression, xi, entries) -> np.ndarray:
+    """The (L, 2, 2) stack of `xi` at xs, whose off-diagonal entries are
+    `entries` of the row values of the leading coefficient and the other one;
+    the loop of `xi` where a row value is missing or the leading one
+    vanishes, since an item's `xi` then raises."""
+    lead_vals, other_vals = lead.rows(xs), other.rows(xs)
+    if lead_vals is None or other_vals is None or not np.all(np.abs(lead_vals) >= _VANISH_TOL):
+        return np.stack([xi(x) for x in xs.tolist()])
+    out = np.zeros((len(xs), 2, 2))
+    with np.errstate(over="ignore"):  # Python's float division overflows quietly
+        out[:, 0, 1], out[:, 1, 0] = entries(lead_vals, other_vals)
+    return out
+
 
 def translate_potential(b_re: str, b_im: str, B_re: str, B_im: str) -> PotentialSpec:
     """Build the real-pair potential from normalized data b(z), B(z).
@@ -162,12 +192,14 @@ class _AxisFlow:
     longest abscissa, and keeps every abscissa's state with its prefix of the
     chain's tail records; `at` replays that prefix into the account.  Either
     way every value and every tail record is bit-identical to an integration
-    from 0 at the call, so nothing depends on evaluation order.  Dropped tail
-    mass goes to `tail`, or to the flow's own account if None.
+    from 0 at the call, so nothing depends on evaluation order.  A is read
+    through `coeff_rows`, which maps a float64 array of abscissae to the
+    (L, 2, 2) stack of their A, as `PotentialSpec.xi_s_rows` does.  Dropped
+    tail mass goes to `tail`, or to the flow's own account if None.
     """
 
-    def __init__(self, coeff_fn, deg: int, N: int, steps_per_unit: float, tail: TailAccumulator):
-        self.coeff_fn = coeff_fn
+    def __init__(self, coeff_rows, deg: int, N: int, steps_per_unit: float, tail: TailAccumulator):
+        self.coeff_rows = coeff_rows
         self.deg = deg
         self.N = N
         self.spu = float(steps_per_unit)
@@ -175,7 +207,7 @@ class _AxisFlow:
         self._cache: dict[float, TwistedLoop] = {0.0: TwistedLoop.identity(N)}
         # abscissa -> (state or None, its chain's tail records, how many of
         # them it owns, the positions of the step whose potential raised)
-        self._nodes: dict[float, tuple[np.ndarray | None, list, int, tuple]] = {}
+        self._nodes: dict[float, tuple[np.ndarray | None, list, int, np.ndarray | None]] = {}
 
     def _steps(self, x: float) -> tuple[int, float]:
         n = max(1, int(math.ceil(abs(x) * self.spu - 1e-12)))
@@ -186,51 +218,58 @@ class _AxisFlow:
 
         Chain b is (h, stops): it takes steps of size h up to its longest stop
         and keeps the state after m steps for each abscissa in stops[m];
-        finished chains stop.  Each product's tail masses go to the chain's
-        records as they arise.  A chain whose potential raises at a step drops
-        out; its abscissae past that step keep the step instead of a state.
+        finished chains stop.  Each step reads the potential at the three
+        positions of every live chain as one row.  Each product's tail masses
+        go to the chain's records as they arise.  A chain whose potential
+        raises at a step drops out; its abscissae past that step keep the
+        step's positions instead of a state.
         """
         hs = np.array([h for h, _ in chains])
-        lengths = [max(stops) for _, stops in chains]
+        lengths = np.array([max(stops) for _, stops in chains])
         records: list[list] = [[] for _ in chains]
         phi = np.repeat(self._cache[0.0].c[None], len(chains), axis=0)
-        live = list(range(len(chains)))
-        for k in range(max(lengths)):
-            stepping, coeffs = [], []
-            for b in live:
-                if k == lengths[b]:
-                    continue
-                h, stops = chains[b]
-                pos = k * h if k else 0.0
-                positions = (pos, pos + h / 2.0, pos + h)
-                try:
-                    coeffs.append([self.coeff_fn(x) for x in positions])
-                except (EvalDomain, DegeneratePotential):
-                    failed = (None, records[b], len(records[b]), positions)
-                    self._nodes.update((x, failed) for m, xs in stops.items() if m > k for x in xs)
-                    continue
-                stepping.append(b)
-            live = stepping
-            if not live:
+        live = np.arange(len(chains))
+        for k in range(lengths.max()):
+            live = live[lengths[live] > k]
+            if not len(live):
                 break
+            h = hs[live]
+            pos = k * h if k else np.zeros(len(live))
+            positions = np.stack([pos, pos + h / 2.0, pos + h], axis=1)
+            try:
+                coeffs = self.coeff_rows(positions.ravel()).reshape(len(live), 3, 2, 2)
+            except (EvalDomain, DegeneratePotential):  # find the chains that raise
+                coeffs, stepping = [], []
+                for row, b in enumerate(live.tolist()):
+                    try:
+                        coeffs.append(self.coeff_rows(positions[row]))
+                    except (EvalDomain, DegeneratePotential):
+                        failed = (None, records[b], len(records[b]), positions[row])
+                        stops = chains[b][1]
+                        self._nodes.update((x, failed) for m, xs in stops.items() if m > k for x in xs)
+                        continue
+                    stepping.append(row)
+                live, h = live[stepping], h[stepping]
+                if not len(live):
+                    break
+                coeffs = np.stack(coeffs)
 
             def shift(c, A):
                 out, dropped, kept = _shift_rows(c, A, self.deg)
-                for row, b in enumerate(live):
+                for row, b in enumerate(live.tolist()):
                     records[b].append((float(dropped[row]), float(kept[row])))
                 return out
 
-            a0, am, a1 = (np.stack(a) for a in zip(*coeffs))
-            h = hs[live][:, None, None, None]
+            h = h[:, None, None, None]
             c = phi[live]
-            k1 = shift(c, a0)
-            k2 = shift(c + (h / 2.0) * k1, am)
-            k3 = shift(c + (h / 2.0) * k2, am)
-            k4 = shift(c + h * k3, a1)
+            k1 = shift(c, coeffs[:, 0])
+            k2 = shift(c + (h / 2.0) * k1, coeffs[:, 1])
+            k3 = shift(c + (h / 2.0) * k2, coeffs[:, 1])
+            k4 = shift(c + h * k3, coeffs[:, 2])
             phi[live] = c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            for row, b in enumerate(live):
+            for row, b in enumerate(live.tolist()):
                 for x in chains[b][1].get(k + 1, ()):
-                    self._nodes[x] = (c[row].copy(), records[b], len(records[b]), ())
+                    self._nodes[x] = (c[row].copy(), records[b], len(records[b]), None)
 
     def integrate_nodes(self, xs) -> None:
         """Advance the chains of the abscissae xs as one stack and keep the
@@ -260,8 +299,8 @@ class _AxisFlow:
         tail = self.tail if tail is None else tail
         for masses in records[:count]:
             tail.record(*masses)
-        for pos in failed:  # the potential raised at this step: raise it here
-            self.coeff_fn(pos)
+        if failed is not None:  # the potential raised at this step: raise it here
+            self.coeff_rows(failed)
         hit = self._cache[x] = TwistedLoop(self.N, phi, enforce_parity=False)
         return hit
 
@@ -295,14 +334,17 @@ def solve_frame_ode(
     tail = tail if tail is not None else TailAccumulator()
     min_cell = float(min(np.diff(s_grid).min(), np.diff(t_grid).min()))
     spu = steps_per_cell / min_cell
-    flow_s = _AxisFlow(potential.xi_s, -1, trunc_n, spu, tail)
-    flow_t = _AxisFlow(potential.xi_t, +1, trunc_n, spu, tail)
+    flow_s = _AxisFlow(potential.xi_s_rows, -1, trunc_n, spu, tail)
+    flow_t = _AxisFlow(potential.xi_t_rows, +1, trunc_n, spu, tail)
     axes = (
         (potential.f, flow_s, [(float(s), 0.0) for s in s_grid]),
         (potential.g, flow_t, [(0.0, float(t)) for t in t_grid]),
     )
     for axis, (coeff, _, points) in enumerate(axes):
-        for point in points:
+        values = coeff.rows(np.array([point[axis] for point in points]))
+        if values is not None and np.all(np.abs(values) >= _VANISH_TOL):
+            continue
+        for point in points:  # raise the first node's error, naming it
             x = point[axis]
             with _naming(point):
                 if abs(coeff.eval(x)) < _VANISH_TOL:
@@ -330,28 +372,29 @@ class FramePoint:
     spinors: dict = field(default_factory=dict)  # theta -> (chi1, chi2, h)
 
 
-def _frame_rows(phi_s: TwistedLoop, phi_t, f_val, g_vals, initial, gridpoints):
-    """Frames of a (B, 2N+1, 2, 2) stack of Phi_t sharing Phi_s and f: the
-    Iwasawa split, the diagonal gauge normalization and the initial-frame
-    product, as one batch.  Returns (effects, frames, h, gauge_log,
-    conditioning, W) with W = Phi_s^{-1} Phi_t; each item's effects are a
-    batch of one's, for `_play_point`.  A point with nonpositive angle
-    function fails with GaugeFailure."""
+def _frame_rows(phi_s, index, phi_t, f_vals, g_vals, initial, gridpoints):
+    """Frames of a (B, 2N+1, 2, 2) stack of Phi_t, item b paired with
+    Phi_s[index[b]] of a (P, 2N+1, 2, 2) stack of distinct Phi_s and with the
+    values f_vals[b] and g_vals[b]: the Iwasawa split, the diagonal gauge
+    normalization and the initial-frame product, as one batch.  Returns
+    (effects, frames, h, gauge_log, conditioning, W) with W = Phi_s^{-1}
+    Phi_t; each item's effects are a batch of one's, for `_play_point`.  A
+    point with nonpositive angle function fails with GaugeFailure."""
     fx = _Effects(len(phi_t))
-    frame, _, vminus, conds, w = _iwasawa_rows(phi_s, phi_t, fx)
+    frame, _, vminus, conds, w = _iwasawa_rows(phi_s, index, phi_t, fx)
     N = frame.shape[1] // 2
     h = np.full(len(frame), np.nan)
     gauge_log = np.full(len(frame), np.nan)
     d = np.ones(len(frame))
     for b in np.flatnonzero(fx.alive):
         d22 = float(vminus[b, N, 1, 1])
-        fg = f_val * g_vals[b]
+        fg = f_vals[b] * g_vals[b]
         if fg <= 0.0 or d22 <= 1e-13:
             message = f"angle function not positive (f*g={fg:.3e}, d22={d22:.3e})"
             fx.fail(b, GaugeFailure(message, gridpoint=gridpoints[b]))
             continue
         h[b] = math.sqrt(fg) * d22
-        d[b] = (f_val / (g_vals[b] * d22 * d22)) ** 0.25
+        d[b] = (f_vals[b] / (g_vals[b] * d22 * d22)) ** 0.25
         gauge_log[b] = math.log(d[b])
     frame = _scale_rows(frame, d)
     if initial is not None:
@@ -424,8 +467,8 @@ def build_extended_frames(
     holes = np.zeros((ns, nt), dtype=bool)
     hole_errors: list = []
     tail = tail if tail is not None else TailAccumulator()
-    f_vals = [potential.f.eval(float(s)) for s in s_grid]
-    g_vals = [potential.g.eval(float(t)) for t in t_grid]
+    f_vals = eval_rows([potential.f], s_grid)[0].tolist()
+    g_vals = eval_rows([potential.g], t_grid)[0].tolist()
     phi_t = np.stack([loop.c for loop in phi_t_list])
     gridpoints = [[(float(s), float(t)) for t in t_grid] for s in s_grid]
     # the kept points whose np.linalg.cond may be the largest, and their W
@@ -433,7 +476,13 @@ def build_extended_frames(
 
     for i in range(ns):
         fx, frame, h_row, log_row, conds, w = _frame_rows(
-            phi_s_list[i], phi_t, f_vals[i], g_vals, initial, gridpoints[i]
+            phi_s_list[i].c[None],
+            np.zeros(nt, int),
+            phi_t,
+            [f_vals[i]] * nt,
+            g_vals,
+            initial,
+            gridpoints[i],
         )
         # Each row has its own account, merged in row order: the overflow
         # check runs against the row's mass, and the merged sums are the
@@ -624,11 +673,12 @@ class Pipeline:
         in batches.
 
         Points the cache does not hold have their axis abscissae integrated as
-        one stack per axis and are split by rows of common s, through the
-        sweep's row kernels.  Each point's effects are then replayed in list
-        order, as the point-by-point loop has them: its s-axis and t-axis tail
-        records, then its split's tail records, warnings and error.  So the
-        frames, `point_tail`, the warnings and the first error are the loop's.
+        one stack per axis and are split across their rows in chunks of one
+        grid row's size, through the sweep's row kernels (`_split_misses`).
+        Each point's effects are then replayed in list order, as the
+        point-by-point loop has them: its s-axis and t-axis tail records, then
+        its split's tail records, warnings and error.  So the frames,
+        `point_tail`, the warnings and the first error are the loop's.
         """
         keys = [(float(s), float(t)) for s, t in points]
         split = self._split_misses([key for key in keys if key not in self._point_cache])
@@ -639,9 +689,11 @@ class Pipeline:
         return self.frames_at([(s, t)])[0]
 
     def _split_misses(self, misses) -> dict:
-        """Row-batched frames of the points `misses`, not yet replayed:
-        {point: (effects, item, frames, h)}.  A point whose axis frame or
-        potential value raises is left out, since replaying it raises first."""
+        """Frames of the points `misses`, not yet replayed: {point: (effects,
+        item, frames, h)}.  The points of all rows are split together, in
+        chunks of one grid row's size (the sweep's batch), each with the
+        distinct Phi_s of its rows.  A point whose axis frame or potential
+        value raises is left out, since replaying it raises first."""
         if not misses:
             return {}
         self._flow_s.integrate_nodes(s for s, _ in misses)
@@ -649,24 +701,31 @@ class Pipeline:
         rows: dict[float, dict[float, None]] = {}
         for s, t in misses:
             rows.setdefault(s, {})[t] = None
-        split = {}
+        items = []  # (point, phi_t, f, g)
         for s, ts in rows.items():
-            phi_s = self._flow_s.state(s)
             f_val = _value_or_none(self.potential.f, s)
-            items = [(t, self._flow_t.state(t), _value_or_none(self.potential.g, t)) for t in ts]
-            items = [item for item in items if item[1] is not None and item[2] is not None]
-            if phi_s is None or f_val is None or not items:
+            if self._flow_s.state(s) is None or f_val is None:
                 continue
-            gridpoints = [(s, t) for t, _, _ in items]
+            for t in ts:
+                phi_t, g_val = self._flow_t.state(t), _value_or_none(self.potential.g, t)
+                if phi_t is not None and g_val is not None:
+                    items.append(((s, t), phi_t, f_val, g_val))
+        split = {}
+        size = len(self.t_grid)
+        for lo in range(0, len(items), size):
+            points, phi_t, f_vals, g_vals = zip(*items[lo : lo + size])
+            distinct: dict[float, int] = {}
+            index = np.array([distinct.setdefault(s, len(distinct)) for s, _ in points])
             fx, frame, h, *_ = _frame_rows(
-                TwistedLoop(self.trunc_n, phi_s, enforce_parity=False),
-                np.stack([phi_t for _, phi_t, _ in items]),
-                f_val,
-                [g_val for _, _, g_val in items],
+                np.stack([self._flow_s.state(s) for s in distinct]),
+                index,
+                np.stack(phi_t),
+                f_vals,
+                g_vals,
                 self.initial_frame,
-                gridpoints,
+                points,
             )
-            for j, key in enumerate(gridpoints):
+            for j, key in enumerate(points):
                 split[key] = (fx, j, frame, h)
         return split
 

@@ -27,6 +27,7 @@ from .geometry import (
     spinors_and_dirac,
     xy_stencil,
 )
+from .expressions import eval_rows
 from .loopalg import SIGMA3, LoopPair, PCMatrix2, _mask, pair_eval
 from .pipeline import Pipeline, _sym_point, extract_normalized_potential
 
@@ -112,16 +113,12 @@ def roundtrip_errors(pipeline: Pipeline, axis_values) -> tuple[list[dict], float
     error max(f, g, Q/4, R/4)."""
     rec = extract_normalized_potential(pipeline, axis_values=axis_values)
     pot = pipeline.potential
-    rows = []
-    for k, x in enumerate(rec.axis_values):
-        x = float(x)
-        errs = {
-            "f": abs(rec.f[k] - pot.f.eval(x)),
-            "g": abs(rec.g[k] - pot.g.eval(x)),
-            "Q": abs(rec.Q[k] - pot.Q.eval(x)),
-            "R": abs(rec.R[k] - pot.R.eval(x)),
-        }
-        rows.append({"x": x, **{name: float(v) for name, v in errs.items()}})
+    values = eval_rows([pot.f, pot.g, pot.Q, pot.R], rec.axis_values)
+    errs = {name: np.abs(getattr(rec, name) - v) for name, v in zip("fgQR", values)}
+    rows = [
+        {"x": float(x), **{name: float(v[k]) for name, v in errs.items()}}
+        for k, x in enumerate(rec.axis_values)
+    ]
     return rows, _worst(*([r["f"], r["g"], r["Q"] / 4.0, r["R"] / 4.0] for r in rows))
 
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from nilweier.errors import GaugeFailure, NilWeierError, OutsideBigCell
+from nilweier.expressions import FUNCTIONS, _Call, _Neg, _Num, _Var
 from nilweier.factorization import iwasawa_double
 from nilweier.loopalg import SIGMA3, TwistedLoop, loop_exp, loop_mul
 
@@ -147,6 +148,33 @@ def normalized_factor_inverse_reference(w, sign):
         u[ks + N] = np.linalg.solve(system, rhs).reshape(N, 2, 2).transpose(0, 2, 1)
     u[_mask(N)] = 0.0
     return u, cond
+
+
+# -- expression tree walked node by node -----------------------------------------
+
+
+def expression_reference(node, x):
+    """An expression AST's value at x by a recursive walk, children left to
+    right, in Python float arithmetic and `math` calls: the scalar algorithm
+    that `Expression`'s compiled evaluators must reproduce bit for bit."""
+    if isinstance(node, _Num):
+        return node.value
+    if isinstance(node, _Var):
+        return x
+    if isinstance(node, _Neg):
+        return -expression_reference(node.arg, x)
+    if isinstance(node, _Call):
+        return FUNCTIONS[node.func](expression_reference(node.arg, x))
+    a, b = expression_reference(node.left, x), expression_reference(node.right, x)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    if node.op == "/":
+        return a / b
+    return math.pow(a, b)
 
 
 # -- axis ODE integrated from 0 ------------------------------------------------

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from nilweier import loop_mul
 from nilweier.config import load_config
+from nilweier import factorization
 from nilweier.factorization import (
     COND_FAIL,
     COND_WARN,
     _cond_slack,
+    _iwasawa_rows,
     _normalized_factor_inverses,
     _solve,
     _split_rows,
@@ -314,6 +316,42 @@ def test_a_singular_item_does_not_fail_the_stacked_solve():
     assert singular.tolist() == [False, True, False]
     for b in (0, 2):
         assert sol[b].tobytes() == np.linalg.solve(systems[b], rhs[b]).tobytes()
+
+
+def test_iwasawa_rows_pair_each_item_with_its_own_phi_s():
+    """Nine Phi_t against four distinct Phi_s, indexed per item: every output
+    and effect of an item equals its batch of one, the four are inverted as
+    one stack, and an inverse that fails (a singular degree-0 coefficient,
+    an off-parity entry) fails exactly the items that share that Phi_s."""
+    rng = np.random.default_rng(3)
+    N = 4
+    phi_s = np.stack([random_minus_star_loop(rng, N).c for _ in range(4)])
+    phi_s[1, N, 0, 0] = 0.0
+    phi_s[2, N - 1, 0, 0] = 1e-3  # odd degrees hold no diagonal entry
+    phi_t = np.stack([random_plus_star_loop(rng, N).c for _ in range(9)])
+    index = np.array([0, 1, 2, 3, 1, 0, 2, 3, 0])
+    inversions = []
+
+    def counted(x, lower, fx):
+        if lower:
+            inversions.append(len(x))
+        return _inv_rows(x, lower, fx)
+
+    fx = _Effects(len(phi_t))
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("error")
+        mp.setattr(factorization, "_inv_rows", counted)
+        stacked = _iwasawa_rows(phi_s, index, phi_t, fx)
+    assert inversions == [4]
+    for b, p in enumerate(index):
+        one = _Effects(1)
+        alone = _iwasawa_rows(phi_s[p : p + 1], np.zeros(1, int), phi_t[b : b + 1], one)
+        assert [x[b].tobytes() for x in stacked] == [x[0].tobytes() for x in alone]
+        assert _effects(fx, b) == _effects(one, 0)
+    failed = {b: _effects(fx, b)[-1][0] for b in np.flatnonzero(~fx.alive)}
+    assert failed == {
+        1: "SingularLoop", 4: "SingularLoop", 2: "ParityViolation", 6: "ParityViolation"
+    }
 
 
 def _factorable_stack(seed, N, B):

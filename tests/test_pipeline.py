@@ -114,7 +114,7 @@ def test_ode_nilpotent_case_exact():
 
 
 def test_zero_one_form_integrates_to_identity():
-    flow = _AxisFlow(lambda x: np.zeros((2, 2)), -1, 6, 16.0, TailAccumulator())
+    flow = _AxisFlow(lambda xs: np.zeros((len(xs), 2, 2)), -1, 6, 16.0, TailAccumulator())
     for x in (0.0, 0.5, -1.2):
         assert (flow.at(x) - TwistedLoop.identity(6)).norm() == 0.0
 
@@ -146,9 +146,13 @@ def test_axis_flow_equals_from_zero_reference(grid, n_chains, seed):
     assert len(_chains(grid, 8)) == n_chains
     spu = 8 / np.diff(grid).min()
     rng = np.random.default_rng(seed)
-    for coeff_fn, deg in ((VARYING.xi_s, -1), (VARYING.xi_t, +1)):
+    for coeff_rows, coeff_fn, deg in (
+        (VARYING.xi_s_rows, VARYING.xi_s, -1),
+        (VARYING.xi_t_rows, VARYING.xi_t, +1),
+    ):
         flows = [
-            cls(coeff_fn, deg, 12, spu, TailAccumulator()) for cls in (_AxisFlow, FromZeroAxisFlow)
+            _AxisFlow(coeff_rows, deg, 12, spu, TailAccumulator()),
+            FromZeroAxisFlow(coeff_fn, deg, 12, spu, TailAccumulator()),
         ]
         point_tails = [TailAccumulator(), TailAccumulator()]
         flows[0].integrate_nodes(grid)
@@ -228,27 +232,33 @@ def test_potential_error_at_an_off_grid_point_names_it():
 
 
 def test_axis_ode_integrates_each_chain_once(monkeypatch):
-    """Each axis evaluates its potential 3 times per step of each chain's
-    longest node (824 steps on 41 nodes), not per step of every node (3,360)."""
-    calls = {"xi_s": 0, "xi_t": 0}
+    """Each axis evaluates its potential at 3 positions per step of each
+    chain's longest node (824 steps on 41 nodes), not per step of every node
+    (3,360), through one row call per step of the longest chain and no
+    scalar `xi` call."""
+    calls = {name: [] for name in ("xi_s", "xi_t", "xi_s_rows", "xi_t_rows")}
     for name in calls:
         original = getattr(PotentialSpec, name)
 
         def counted(self, x, name=name, original=original):
-            calls[name] += 1
+            calls[name].append(np.size(x))
             return original(self, x)
 
         monkeypatch.setattr(PotentialSpec, name, counted)
     solve_frame_ode(VARYING, UNIFORM_41, UNIFORM_41, 8, 12)
-    steps = sum(_chains(UNIFORM_41, 8).values())
+    chains = _chains(UNIFORM_41, 8)
+    steps = sum(chains.values())
     assert steps == 824
-    assert calls == {"xi_s": 3 * steps, "xi_t": 3 * steps}
+    assert calls["xi_s"] == calls["xi_t"] == []
+    for name in ("xi_s_rows", "xi_t_rows"):
+        assert sum(calls[name]) == 3 * steps
+        assert len(calls[name]) == max(chains.values())
 
 
-def _counted(coeff_fn, calls):
-    def counted(x):
-        calls.append(x)
-        return coeff_fn(x)
+def _counted(coeff_rows, calls):
+    def counted(xs):
+        calls.extend(xs.tolist())
+        return coeff_rows(xs)
 
     return counted
 
@@ -256,14 +266,18 @@ def _counted(coeff_fn, calls):
 def test_stacked_stepper_equals_from_zero_reference():
     """One stack of the 41-node grid's chains and off-grid abscissae of other
     h and n: every value and tail record equals the from-0 integration, each
-    chain steps once to its longest abscissa, and finished items stop."""
+    chain steps once to its longest abscissa, at the from-0 positions (+0.0
+    first, for either sign of h), and finished items stop."""
     spu = 8 / np.diff(UNIFORM_41).min()
     rng = np.random.default_rng(5)
     off_grid = [float(x) for x in rng.uniform(-2.0, 2.0, 12)] + [0.013, -1.9999]
     xs = [float(x) for x in UNIFORM_41] + off_grid
-    for coeff_fn, deg in ((VARYING.xi_s, -1), (VARYING.xi_t, +1)):
+    for coeff_rows, coeff_fn, deg in (
+        (VARYING.xi_s_rows, VARYING.xi_s, -1),
+        (VARYING.xi_t_rows, VARYING.xi_t, +1),
+    ):
         calls = []
-        flow = _AxisFlow(_counted(coeff_fn, calls), deg, 12, spu, TailAccumulator())
+        flow = _AxisFlow(_counted(coeff_rows, calls), deg, 12, spu, TailAccumulator())
         ref = FromZeroAxisFlow(coeff_fn, deg, 12, spu, TailAccumulator())
         flow.integrate_nodes(xs)
         lengths = {}
@@ -271,7 +285,12 @@ def test_stacked_stepper_equals_from_zero_reference():
             if x != 0.0:
                 n = max(1, math.ceil(abs(x) * spu - 1e-12))
                 lengths[x / n] = max(lengths.get(x / n, 0), n)
-        assert len(calls) == 3 * sum(lengths.values())
+        positions = []
+        for h, n in lengths.items():
+            for k in range(n):
+                pos = k * h if k else 0.0
+                positions += [pos, pos + h / 2.0, pos + h]
+        assert sorted(x.hex() for x in calls) == sorted(x.hex() for x in positions)
         for x in rng.permutation(xs):
             new, old = flow.at(x), ref.at(x)
             assert np.array_equal(new.c, old.c), x
@@ -285,7 +304,7 @@ def test_stacked_stepper_drops_an_item_whose_potential_raises():
     after the same tail records, and the other items keep exact values."""
     pot = translate_potential("2 + sqrt(100*(z-0.25)^2 - 1)", "0", "0", "0")
     xs = [0.1, 0.149, 0.3, 0.6, 1.0, -0.2, -0.75, -1.5]
-    flow = _AxisFlow(pot.xi_s, -1, 8, 16.0, TailAccumulator())
+    flow = _AxisFlow(pot.xi_s_rows, -1, 8, 16.0, TailAccumulator())
     ref = FromZeroAxisFlow(pot.xi_s, -1, 8, 16.0, TailAccumulator())
     flow.integrate_nodes(xs)
     raised = []
@@ -454,19 +473,20 @@ def test_sweep_equals_point_by_point_reference(initial, monkeypatch):
         ref = _reference_sweep(phi_s, phi_t, pot, s_grid, t_grid, initial)
     ref_warnings = _near_boundary_warnings(caught)
     inversions = []
-    real_inv = factorization._inv_triangular
+    real_inv = factorization._inv_rows
 
-    def counted_inv(x, lower):
-        inversions.append(x)
-        return real_inv(x, lower)
+    def counted_inv(x, lower, fx):
+        if lower:  # the split's own inverses are upper
+            inversions.append(len(x))
+        return real_inv(x, lower, fx)
 
-    monkeypatch.setattr(factorization, "_inv_triangular", counted_inv)
+    monkeypatch.setattr(factorization, "_inv_rows", counted_inv)
     tail = TailAccumulator()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fg = build_extended_frames(phi_s, phi_t, pot, s_grid, t_grid, initial=initial, tail=tail)
     # Phi_s is inverted once per row, not once per gridpoint
-    assert len(inversions) == len(s_grid)
+    assert inversions == [1] * len(s_grid)
     frames, h, gauge_log, cond, holes, errors, ref_tail = ref
     assert {e[2] for e in errors} == {"OutsideBigCell", "GaugeFailure"}
     assert len(ref_warnings) == 2
@@ -631,6 +651,28 @@ def test_surface_at_keeps_each_angle_once(cyl_pipe, monkeypatch):
     expected = real(cyl_pipe.frame_at(s, t).loop, 0.1)
     assert [x.tobytes() for x in (nil, l3, normal)] == [x.tobytes() for x in expected]
     assert not any(x.flags.writeable for x in (nil, l3, normal))
+
+
+def test_a_residual_hole_carries_its_conditioning():
+    """Near the big-cell boundary of a dense frame (s = 1, t ~ -1.0426 for
+    this potential) points fail the factorization residual check at a
+    conditioning far below COND_WARN; such a hole reports that conditioning,
+    as the cond failures do."""
+    pot = translate_potential("4", "0", "0.3", "0")
+    grid = np.linspace(-2, 2, 9)
+    pipe = Pipeline(pot, grid, grid, trunc_n=12, steps_per_cell=8).run()
+    residual = []
+    for t in -1.0425682930934575 + np.linspace(-2e-9, 2e-9, 41):
+        try:
+            pipe.frame_at(1.0, float(t))
+        except OutsideBigCell as exc:
+            if "factorization residual" in str(exc):
+                residual.append(exc)
+        except GaugeFailure:
+            pass
+    assert residual
+    for exc in residual:
+        assert 1.0 <= exc.conditioning < factorization.COND_WARN
 
 
 def test_frame_at_reuses_the_sweeps_gridpoint_frames(cyl_pipe, plane_pipe, monkeypatch):

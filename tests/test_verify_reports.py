@@ -160,6 +160,38 @@ def test_spinors_are_evaluated_once_per_point_and_angle(monkeypatch):
     )
 
 
+def test_frames_at_splits_its_misses_in_grid_row_chunks(monkeypatch):
+    """Each `frames_at` call of one verification splits its misses, across
+    rows of common s, in at most ceil(misses / nt) `_frame_rows` calls: 30 in
+    all, where one call per row of common s made 168."""
+    from nilweier import pipeline as pipeline_module
+    from nilweier.config import load_config
+    from nilweier.pipeline import Pipeline
+    from nilweier.verify import run_verification
+
+    cfg = load_config(VERIFY_PLANE)
+    pipeline = cfg.make_pipeline().run()
+    nt = len(pipeline.t_grid)
+    splits, calls = [], []
+    real_split, real_rows = Pipeline._split_misses, pipeline_module._frame_rows
+
+    def split_misses(self, misses):
+        before = len(calls)
+        out = real_split(self, misses)
+        splits.append((len(misses), len(calls) - before))
+        return out
+
+    def frame_rows(*args):
+        calls.append(len(args[2]))
+        return real_rows(*args)
+
+    monkeypatch.setattr(Pipeline, "_split_misses", split_misses)
+    monkeypatch.setattr(pipeline_module, "_frame_rows", frame_rows)
+    run_verification(pipeline, oracle=cfg.oracle)
+    assert all(made <= -(-misses // nt) for misses, made in splits)
+    assert len(calls) == 30 and max(calls) <= nt
+
+
 GENERATED = os.path.join(os.path.dirname(__file__), "data", "generate_digests.json")
 with open(GENERATED, encoding="utf-8") as _fh:
     GENERATED_DIGESTS = json.load(_fh)
