@@ -17,6 +17,7 @@ set of tokens that would have been accepted.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -186,18 +187,19 @@ def _map_rows(fn, a: np.ndarray) -> np.ndarray:
 
 
 def _pow_rows(a, b) -> np.ndarray:
-    a, b = np.broadcast_arrays(a, b)
-    return np.fromiter(map(math.pow, a.tolist(), b.tolist()), float, a.size)
+    size = (a if isinstance(a, np.ndarray) else b).size
+    columns = (x.tolist() if isinstance(x, np.ndarray) else itertools.repeat(x) for x in (a, b))
+    return np.fromiter(map(math.pow, *columns), float, size)
 
 
 def _div_rows(a, b):
-    if not np.all(b):
+    if not (b.all() if isinstance(b, np.ndarray) else b):
         raise ZeroDivisionError("float division by zero")
     return a / b
 
 
-def _sqrt_rows(a):
-    if np.any(a < 0.0):
+def _sqrt_rows(a: np.ndarray) -> np.ndarray:
+    if (a < 0.0).any():
         raise ValueError("math domain error")
     return np.sqrt(a)
 

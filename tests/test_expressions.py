@@ -207,9 +207,11 @@ def test_a_raising_item_sends_the_row_to_the_item_loop():
     """Rows with one raising or vanishing item among healthy ones: no row
     value, and the loop's first error, of the first such item."""
     # the scalar evaluation raises where a row of IEEE operations would go on
-    # to a finite value: 1/(1/0), 1/inf after an overflowing power, nan^0
+    # to a finite value: 1/(1/0), 1/(1/0) by a constant divisor, 1/inf after
+    # an overflowing power, nan^0
     for src, xs, message in (
         ("1/(1/s)", [1.0, 0.0], "at s=0.0: float division by zero"),
+        ("1/(s/0)", [1.0, 2.0], "at s=1.0: float division by zero"),
         ("1/s^400", [0.5, 10.0], "at s=10.0: math range error"),
         ("sqrt(s)^0", [1.0, -1.0], "at s=-1.0: math domain error"),
     ):
