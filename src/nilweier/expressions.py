@@ -17,7 +17,6 @@ set of tokens that would have been accepted.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -110,13 +109,13 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 class Expression:
     """Parsed expression with a single declared free variable, compiled once
-    into a scalar evaluator and a row evaluator (see `_compile`)."""
+    into a closure (see `_compile`)."""
 
     def __init__(self, ast, variable: str, source: str):
         self.ast = ast
         self.variable = variable
         self.source = source
-        self._scalar, self._row = _compile(ast)
+        self._scalar, self._reads = _compile(ast)
 
     def __call__(self, value: float) -> float:
         return self.eval(value)
@@ -135,11 +134,10 @@ class Expression:
         float if the expression does not read its variable, else an array;
         None if `eval` raises at any item."""
         try:
-            if self._row is None:
+            if not self._reads:
                 out = self._scalar(0.0)
                 return out if math.isfinite(out) else None
-            with np.errstate(all="ignore"):  # Python's float arithmetic never warns
-                out = self._row(xs)
+            out = np.fromiter(map(self._scalar, xs.tolist()), float, xs.size)
         except (ValueError, ZeroDivisionError, OverflowError):
             return None
         return out if np.isfinite(out).all() else None
@@ -165,15 +163,8 @@ def eval_rows(exprs, xs) -> np.ndarray:
 
 
 # -- compilation ---------------------------------------------------------------
-#
-# Row operations take float64 arrays or floats, and give each item the bits of
-# the scalar operation.  + - * / and unary minus are correctly rounded in
-# numpy as in Python, and so is sqrt; the other functions and ^ (math.pow)
-# stay per-item math calls, since numpy's may differ by an ulp.  Where the
-# scalar operation raises for some item (division by zero, sqrt of a
-# negative), the row operation raises for the whole row.
 
-_SCALAR_OPS = {
+_OPS = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
@@ -182,63 +173,25 @@ _SCALAR_OPS = {
 }
 
 
-def _map_rows(fn, a: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, a.tolist()), float, a.size)
-
-
-def _pow_rows(a, b) -> np.ndarray:
-    size = (a if isinstance(a, np.ndarray) else b).size
-    columns = (x.tolist() if isinstance(x, np.ndarray) else itertools.repeat(x) for x in (a, b))
-    return np.fromiter(map(math.pow, *columns), float, size)
-
-
-def _div_rows(a, b):
-    if not (b.all() if isinstance(b, np.ndarray) else b):
-        raise ZeroDivisionError("float division by zero")
-    return a / b
-
-
-def _sqrt_rows(a: np.ndarray) -> np.ndarray:
-    if (a < 0.0).any():
-        raise ValueError("math domain error")
-    return np.sqrt(a)
-
-
-_ROW_OPS = {**_SCALAR_OPS, "/": _div_rows, "^": _pow_rows}
-
-
 def _compile(node):
-    """(scalar, row) evaluators of an AST, each a function of the variable's
-    value(s) that visits the nodes in the same order, children left to right;
-    row is None where the AST does not read its variable.  A subtree that
-    does not read it is evaluated by its scalar function in the row too."""
+    """(evaluator, reads) of an AST: a closure of the variable's value that
+    visits the nodes children first, left to right, and whether the AST reads
+    its variable."""
     if isinstance(node, _Num):
         value = node.value
-        return (lambda x: value), None
+        return (lambda x: value), False
     if isinstance(node, _Var):
-        return (lambda x: x), (lambda x: x)
+        return (lambda x: x), True
     if isinstance(node, _Neg):
-        arg, arg_row = _compile(node.arg)
-        row = None if arg_row is None else (lambda x: -arg_row(x))
-        return (lambda x: -arg(x)), row
+        arg, reads = _compile(node.arg)
+        return (lambda x: -arg(x)), reads
     if isinstance(node, _Call):
         fn = FUNCTIONS[node.func]
-        arg, arg_row = _compile(node.arg)
-        if arg_row is None:
-            row = None
-        elif node.func == "sqrt":
-            row = lambda x: _sqrt_rows(arg_row(x))  # noqa: E731
-        else:
-            row = lambda x: _map_rows(fn, arg_row(x))  # noqa: E731
-        return (lambda x: fn(arg(x))), row
-    op = _SCALAR_OPS[node.op]
-    (left, left_row), (right, right_row) = _compile(node.left), _compile(node.right)
-    scalar = lambda x: op(left(x), right(x))  # noqa: E731
-    if left_row is None and right_row is None:
-        return scalar, None
-    row_op = _ROW_OPS[node.op]
-    left_row, right_row = left_row or left, right_row or right
-    return scalar, (lambda x: row_op(left_row(x), right_row(x)))
+        arg, reads = _compile(node.arg)
+        return (lambda x: fn(arg(x))), reads
+    op = _OPS[node.op]
+    (left, left_reads), (right, right_reads) = _compile(node.left), _compile(node.right)
+    return (lambda x: op(left(x), right(x))), left_reads or right_reads
 
 
 def _pretty_prec(node) -> tuple[str, int]:
