@@ -17,7 +17,8 @@ Pipeline stages, all over the real pair (null coordinate) picture:
      minimal surface, per spectral angle theta (mu = e^(i' theta)).
 
 The reverse direction (normalized-potential extraction) Birkhoff-splits the
-frame along the coordinate axes and differentiates the normalized factors.
+frame along the coordinate axes and differentiates the normalized factors,
+one stack per axis through the same row kernels as the sweep.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from .factorization import (
     _full_conds,
     _iwasawa_rows,
     _near_max,
-    birkhoff_split,
+    _split_rows,
+    birkhoff_split,  # noqa: F401  perfbench/tracer.py binds this name
     iwasawa_double,  # noqa: F401  perfbench/tracer.py binds this name
 )
 from .loopalg import (
@@ -60,8 +62,8 @@ from .loopalg import (
     _mul_rows,
     _scale_rows,
     _shift_rows,
-    loop_inv,
-    loop_mul,
+    loop_inv,  # noqa: F401  perfbench/tracer.py binds this name
+    loop_mul,  # noqa: F401  perfbench/tracer.py binds this name
     pair_eval,
 )
 from .paracomplex import ParaComplex
@@ -805,64 +807,54 @@ class ExtractedPotential:
     B_hat: list  # ParaComplex samples of (Q l + R lbar)/4
 
 
-def _log_derivative_abscissae(x: float) -> list[float]:
-    """Where `_log_derivative_loop` reads the factor: a 4th-order central
-    stencil of step 1e-2, then x itself."""
-    delta = 1e-2
-    return [x - 2 * delta, x - delta, x + delta, x + 2 * delta, x]
-
-
-def _log_derivative_loop(factor_fn, x: float) -> TwistedLoop:
-    """A(x)^{-1} A'(x) by a 4th-order central stencil of step 1e-2 on the
-    factor loops."""
-    delta = 1e-2
-    mm, m, p, pp, base = map(factor_fn, _log_derivative_abscissae(x))
-    deriv = (1.0 / (12.0 * delta)) * (mm + (-8.0) * m + 8.0 * p + (-1.0) * pp)
-    return loop_mul(loop_inv(base), deriv)
-
-
 def extract_normalized_potential(pipeline: Pipeline, axis_values=None) -> ExtractedPotential:
     """Recover the normalized potential data from the frame family.
 
     The frame at (s, 0) is Birkhoff-split with the minus factor normalized at
-    infinity; its logarithmic s-derivative is the lam^{-1} potential matrix,
-    giving f and Q.  Symmetrically the plus-normalized factor along (0, t)
-    gives g and R.  Requires the axes inside the domain of the potential.
-    The frames of the whole stencil are computed as one `frames_at` batch.
+    infinity; its logarithmic s-derivative A^{-1} A', by a 4th-order central
+    stencil of step 1e-2, is the lam^{-1} potential matrix, giving f and Q.
+    Symmetrically the plus-normalized factor along (0, t) gives g and R.
+    Requires the axes inside the domain of the potential.
+
+    The frames of the whole stencil are computed as one `frames_at` batch,
+    and each axis's frames are split as one `_split_rows` stack.  The
+    lam^{-+1} coefficient of A(x)^{-1} A'(x) is A'(x)'s own, since A(x)^{-1}
+    is the identity at degree 0 and A' vanishes there: so no inverse is
+    taken, and the frame at x is split for its effects alone.  The effects
+    are played per abscissa, its five s-splits then its five t-splits, so the
+    first error and the warnings are those of splitting point by point.
     """
     if axis_values is None:
         axis_values = pipeline.s_grid
     axis_values = np.asarray(axis_values, float)
-    pipeline.frames_at(
-        [
-            point
-            for x in axis_values
-            for point in [(y, 0.0) for y in _log_derivative_abscissae(float(x))]
-            + [(0.0, y) for y in _log_derivative_abscissae(float(x))]
-        ]
-    )
-
-    def minus_factor(s: float) -> TwistedLoop:
-        return birkhoff_split(pipeline.frame_at(s, 0.0).loop, "minus_star_plus").minus
-
-    def plus_factor(t: float) -> TwistedLoop:
-        return birkhoff_split(pipeline.frame_at(0.0, t).loop, "plus_star_minus").plus
-
-    f_rec, Q_rec, g_rec, R_rec = [], [], [], []
-    for x in axis_values:
-        xs = float(x)
-        xi_s = _log_derivative_loop(minus_factor, xs).coeff(-1)
-        fv = -4.0 * xi_s[0, 1]
-        f_rec.append(fv)
-        Q_rec.append(xi_s[1, 0] * fv)
-        xi_t = _log_derivative_loop(plus_factor, xs).coeff(+1)
-        gv = 4.0 * xi_t[1, 0]
-        g_rec.append(gv)
-        R_rec.append(-xi_t[0, 1] * gv)
-    f_rec = np.array(f_rec)
-    Q_rec = np.array(Q_rec)
-    g_rec = np.array(g_rec)
-    R_rec = np.array(R_rec)
+    if not len(axis_values):  # the kernels take no empty stack
+        empty = np.empty(0)
+        return ExtractedPotential(axis_values, empty, empty, empty, empty, [], [])
+    X, n, delta = len(axis_values), 2 * pipeline.trunc_n + 1, 1e-2
+    stencils = [
+        [x - 2 * delta, x - delta, x + delta, x + 2 * delta, x] for x in axis_values.tolist()
+    ]
+    points = [point for ys in stencils for point in [(y, 0.0) for y in ys] + [(0.0, y) for y in ys]]
+    pipeline.frames_at(points)
+    frames = np.array([pipeline.frame_at(*point).loop.c for point in points])
+    frames = frames.reshape(X, 2, 5, n, 2, 2)  # abscissa, axis, stencil point
+    effects, xi = [], []
+    for axis, sign in enumerate((-1, +1)):
+        fx = _Effects(5 * X)
+        minus, plus, _ = _split_rows(frames[:, axis].reshape(5 * X, n, 2, 2), sign, fx)
+        factor = (minus if sign < 0 else plus)[:, n // 2 + sign].reshape(X, 5, 2, 2)
+        mm, m, p, pp = (factor[:, k] for k in range(4))
+        xi.append((1.0 / (12.0 * delta)) * (mm + (-8.0) * m + 8.0 * p + (-1.0) * pp))
+        effects.append(fx)
+    for k in range(X):
+        for fx in effects:
+            for j in range(5 * k, 5 * k + 5):
+                fx.play(j, None)
+    xi_s, xi_t = xi
+    f_rec = -4.0 * xi_s[:, 0, 1]
+    Q_rec = xi_s[:, 1, 0] * f_rec
+    g_rec = 4.0 * xi_t[:, 1, 0]
+    R_rec = -xi_t[:, 0, 1] * g_rec
     b_hat = [ParaComplex.from_null(-fv / 4.0, gv / 4.0) for fv, gv in zip(f_rec, g_rec)]
     B_hat = [ParaComplex.from_null(qv / 4.0, rv / 4.0) for qv, rv in zip(Q_rec, R_rec)]
     return ExtractedPotential(

@@ -10,8 +10,8 @@ import numpy as np
 
 from nilweier.errors import GaugeFailure, NilWeierError, OutsideBigCell
 from nilweier.expressions import FUNCTIONS, _Call, _Neg, _Num, _Var
-from nilweier.factorization import iwasawa_double
-from nilweier.loopalg import SIGMA3, TwistedLoop, loop_exp, loop_mul
+from nilweier.factorization import birkhoff_split, iwasawa_double
+from nilweier.loopalg import SIGMA3, TwistedLoop, loop_exp, loop_inv, loop_mul
 
 
 # -- closed-form frames (real slot, spectral variable lam = e^theta) ---------
@@ -281,6 +281,47 @@ def grid_loop(fg, i, j):
     if fg.holes[i, j]:
         return None
     return TwistedLoop(fg.trunc_n, fg.frames[i, j], enforce_parity=False)
+
+
+# -- normalized potential extraction, point by point ----------------------------
+
+
+def _log_derivative_reference(factor_fn, x):
+    """A(x)^{-1} A'(x) by a 4th-order central stencil of step 1e-2 on the
+    factor loops, in TwistedLoop arithmetic."""
+    delta = 1e-2
+    mm, m, p, pp, base = map(factor_fn, [x - 2 * delta, x - delta, x + delta, x + 2 * delta, x])
+    deriv = (1.0 / (12.0 * delta)) * (mm + (-8.0) * m + 8.0 * p + (-1.0) * pp)
+    return loop_mul(loop_inv(base), deriv)
+
+
+def extraction_reference(pipeline, axis_values):
+    """(f, Q, g, R) along `axis_values` the scalar way: the stencil's frames
+    as one `frames_at` batch, then per abscissa five `birkhoff_split` calls
+    along s and the log derivative by `loop_inv` and `loop_mul`, then the same
+    along t, each performing its effects as it goes.  The algorithm whose
+    values, effects and first error `extract_normalized_potential` must
+    reproduce."""
+    delta = 1e-2
+    xs = [float(x) for x in axis_values]
+    stencils = [[x - 2 * delta, x - delta, x + delta, x + 2 * delta, x] for x in xs]
+    pipeline.frames_at(
+        [point for ys in stencils for point in [(y, 0.0) for y in ys] + [(0.0, y) for y in ys]]
+    )
+
+    def minus_factor(s):
+        return birkhoff_split(pipeline.frame_at(s, 0.0).loop, "minus_star_plus").minus
+
+    def plus_factor(t):
+        return birkhoff_split(pipeline.frame_at(0.0, t).loop, "plus_star_minus").plus
+
+    rows = []
+    for x in xs:
+        xi_s = _log_derivative_reference(minus_factor, x).coeff(-1)
+        xi_t = _log_derivative_reference(plus_factor, x).coeff(+1)
+        f, g = -4.0 * xi_s[0, 1], 4.0 * xi_t[1, 0]
+        rows.append((f, xi_s[1, 0] * f, g, -xi_t[0, 1] * g))
+    return tuple(np.array(rows).reshape(-1, 4).T)
 
 
 # -- Sym formulas at one point -------------------------------------------------

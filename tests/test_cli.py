@@ -297,6 +297,24 @@ def test_roundtrip_command_matches_shared_roundtrip_errors(tmp_path):
     assert result["samples"] == rows
 
 
+def test_commands_run_no_scalar_loop_algebra(tmp_path, monkeypatch):
+    """`cmd_generate`, `cmd_verify` and `cmd_roundtrip` run on the row
+    kernels alone: with `birkhoff_split`, `loop_mul` and `loop_inv` raising
+    wherever the package binds them, each still passes on bscroll."""
+    from nilweier import factorization, loopalg, pipeline
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("scalar loop algebra called")
+
+    for module in (pipeline, factorization, loopalg):
+        for name in ("birkhoff_split", "loop_mul", "loop_inv"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, scalar)
+    assert cmd_generate("bscroll", str(tmp_path))["hole_count"] == 0
+    assert cmd_verify("bscroll")["passed"]
+    assert cmd_roundtrip("bscroll")["pass"]
+
+
 def test_manifest_and_report_share_diagnostics(tmp_path):
     path = _small_cylinder_config(str(tmp_path))
     manifest = cmd_generate(path, os.path.join(str(tmp_path), "out"))

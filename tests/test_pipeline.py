@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import warnings
@@ -41,6 +42,7 @@ from _oracles import (
     cylinder_frame,
     frame_point_reference,
     cylinder_nil,
+    extraction_reference,
     frame_error_mod_gauge,
     grid_loop,
     nil_translate_to,
@@ -48,7 +50,9 @@ from _oracles import (
     plane_nil,
     solve_axes_from_zero,
 )
+from nilweier.config import BUILTINS, builtin_config
 from nilweier.geometry import nil_mul
+from nilweier.verify import roundtrip_errors
 
 
 # -- potential translation ----------------------------------------------------
@@ -1000,11 +1004,11 @@ def test_extraction_recovers_angle_function_square(cyl_pipe, plane_pipe):
             assert abs(fv - expect) < 1e-7
 
 
-def test_extraction_roundtrip_polynomial_potential():
+def _polynomial_pipe():
     pot = translate_potential(
         "1 + 0.3*z - 0.15*z^2", "0.1*z + 0.05*z^2", "0.08 - 0.04*z", "0.02*z"
     )
-    pipe = Pipeline(
+    return Pipeline(
         pot,
         np.linspace(-0.5, 0.5, 11),
         np.linspace(-0.5, 0.5, 11),
@@ -1012,6 +1016,11 @@ def test_extraction_roundtrip_polynomial_potential():
         steps_per_cell=16,
         thetas=(0.0,),
     ).run()
+
+
+def test_extraction_roundtrip_polynomial_potential():
+    pipe = _polynomial_pipe()
+    pot = pipe.potential
     rec = extract_normalized_potential(pipe, axis_values=np.linspace(-0.3, 0.3, 7))
     for k, x in enumerate(rec.axis_values):
         x = float(x)
@@ -1019,6 +1028,62 @@ def test_extraction_roundtrip_polynomial_potential():
         assert abs(rec.g[k] - pot.g.eval(x)) < 1e-7
         assert abs(rec.Q[k] - pot.Q.eval(x)) < 4e-7
         assert abs(rec.R[k] - pot.R.eval(x)) < 4e-7
+
+
+@pytest.mark.parametrize("name", [*BUILTINS, "polynomial"])
+def test_extraction_equals_the_point_by_point_reference(name):
+    """f, Q, g, R and the point evaluator's tail account are the scalar
+    extraction's (birkhoff_split, loop_inv, loop_mul), float.hex for float.hex."""
+    if name == "polynomial":
+        pipe, xs = _polynomial_pipe(), np.linspace(-0.3, 0.3, 7)
+    else:
+        pipe, xs = builtin_config(name).make_pipeline().run(), np.linspace(-0.4, 0.4, 5)
+    ref_pipe = copy.deepcopy(pipe)
+    rec = extract_normalized_potential(pipe, axis_values=xs)
+    got = [[v.hex() for v in getattr(rec, key).tolist()] for key in "fQgR"]
+    assert got == [[v.hex() for v in col.tolist()] for col in extraction_reference(ref_pipe, xs)]
+    tails = [(p.point_tail.dropped.hex(), p.point_tail.kept.hex()) for p in (pipe, ref_pipe)]
+    assert tails[0] == tails[1] and pipe.point_tail.kept > 0.0
+
+
+def test_extraction_warns_and_raises_as_the_point_by_point_reference():
+    """Frames outside the big cell at x1's s-stencil and at x0's t-stencil,
+    and one near its boundary at (x0, 0): the extraction warns and raises as
+    the scalar one, at x0's t-split, not at the first failure in stack order
+    (x1's s-split).  The frame at (x0, 0) enters no difference; its split's
+    warning is kept all the same."""
+
+    def planted(a, eps):  # its splits' cond is a / eps
+        terms = {-1: [[0.0, a], [0.0, 0.0]], 0: eps * np.eye(2), 1: [[0.0, 0.0], [-1.0 / a, 0.0]]}
+        return pipeline_module.FramePoint(TwistedLoop.from_terms(16, terms), 1.0)
+
+    x0, x1, delta = -0.2, 0.2, 1e-2
+    frames = {
+        (x0, 0.0): planted(3.0, 1e-13),
+        (x1 - 2 * delta, 0.0): planted(1.0, 1e-15),
+        (0.0, x0 + 2 * delta): planted(2.0, 1e-15),
+    }
+    outcomes = []
+    for extract in (extract_normalized_potential, extraction_reference):
+        pipe = _polynomial_pipe()
+        pipe._point_cache.update(frames)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(NilWeierError) as info:
+            warnings.simplefilter("always")
+            extract(pipe, [x0, x1])
+        outcomes.append(([str(w.message) for w in caught], type(info.value), str(info.value)))
+    assert outcomes[0] == outcomes[1] == (
+        ["factorization near big-cell boundary: cond=3.000e+13"],
+        OutsideBigCell,
+        "block-Toeplitz system is singular (cond=2.000e+15)",
+    )
+
+
+def test_extraction_of_no_abscissae_is_empty(cyl_pipe):
+    rec = extract_normalized_potential(cyl_pipe, axis_values=[])
+    for key in ("axis_values", "f", "Q", "g", "R"):
+        assert getattr(rec, key).dtype == np.float64 and getattr(rec, key).shape == (0,)
+    assert rec.b_hat == [] and rec.B_hat == []
+    assert roundtrip_errors(cyl_pipe, []) == ([], 0.0)
 
 
 # -- Minkowski integral representation ----------------------------------------------

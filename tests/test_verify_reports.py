@@ -7,7 +7,9 @@ the horizontal-umbrella builtin (a non-identity initial frame).  The reports
 were recorded before the point evaluators were batched; any change to how a
 check's frames are computed must leave every value unchanged.
 `data/generate_digests.json` pins, the same way, the files `cmd_generate`
-writes.
+writes, and `data/roundtrip_reports.json` the `cmd_roundtrip` results of
+bscroll and horizontal-umbrella, recorded while the extraction still split
+each stencil frame with the scalar `birkhoff_split`.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nilweier.cli import cmd_generate, cmd_verify
+from nilweier.cli import cmd_generate, cmd_roundtrip, cmd_verify
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "verify_reports.json")
 with open(DATA, encoding="utf-8") as _fh:
@@ -190,6 +192,18 @@ def test_frames_at_splits_its_misses_in_grid_row_chunks(monkeypatch):
     run_verification(pipeline, oracle=cfg.oracle)
     assert all(made <= -(-misses // nt) for misses, made in splits)
     assert len(calls) == 30 and max(calls) <= nt
+
+
+ROUNDTRIPS = os.path.join(os.path.dirname(__file__), "data", "roundtrip_reports.json")
+with open(ROUNDTRIPS, encoding="utf-8") as _fh:
+    PINNED_ROUNDTRIPS = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROUNDTRIPS))
+def test_roundtrip_report_is_bit_identical(name):
+    """Every sample's errors and the worst b/B error of `cmd_roundtrip`."""
+    pinned = PINNED_ROUNDTRIPS[name]
+    assert hexed(cmd_roundtrip(pinned["config"])) == pinned["report"]
 
 
 GENERATED = os.path.join(os.path.dirname(__file__), "data", "generate_digests.json")
