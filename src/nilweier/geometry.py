@@ -12,11 +12,12 @@ and every residual can report the estimated FD noise floor next to the
 value.  A check's stencil is listed once, by the per-point helpers below; the
 check reads each field there once, through one sampler (`_sample`, or its
 null-component twin for spinor fields), and computes on the resulting
-arrays.  Its worst-value reductions propagate NaN, so a NaN field fails its
-check.  Null coordinates (s, t) are used everywhere: for a para-complex
-field w = w_p l + w_q lbar one has (d_z w)_p = d_s w_p, (d_z w)_q = d_t w_q
-and the conjugate swaps slots, so all Cauchy-Riemann style operators become
-componentwise cross-derivatives.
+arrays.  A field is a plain `fn(s, t)`, or carries a `rows` hook that gives
+its values at a whole stencil in one call.  Its worst-value reductions
+propagate NaN, so a NaN field fails its check.  Null coordinates (s, t) are
+used everywhere: for a para-complex field w = w_p l + w_q lbar one has
+(d_z w)_p = d_s w_p, (d_z w)_q = d_t w_q and the conjugate swaps slots, so
+all Cauchy-Riemann style operators become componentwise cross-derivatives.
 """
 
 from __future__ import annotations
@@ -105,19 +106,18 @@ def lie_bracket(X, Y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # The per-point helpers below list each stencil once, and `_each` (or a
-# `*_stencil` function) makes a check's whole list.  `_sample` hands that list
-# to a field with a `batch` hook, which can then compute its values there as
-# one batch, before it reads the field point by point.
+# `*_stencil` function) makes a check's whole list.  `_sample` reads a field
+# with a `rows` hook at that whole list in one call, and a plain `fn(s, t)`
+# point by point.
 
 
 def _sample(fn, stencil: list, count: int, read=None) -> np.ndarray:
-    """`fn(s, t)`, or `read(fn(s, t))`, at each point of `stencil`, a check's
-    list at `count` points, in order: shape (count, K, ...) with K stencil
-    points per check point.  A field with a `batch` hook is first handed the
-    whole list, `fn.batch(stencil)`."""
-    if hasattr(fn, "batch"):
-        fn.batch(stencil)
-    values = np.array([fn(s, t) if read is None else read(fn(s, t)) for s, t in stencil], float)
+    """The field's values, or `read` of each, at each point of `stencil`, a
+    check's list at `count` points, in order: shape (count, K, ...) with K
+    stencil points per check point.  A field with a `rows` hook gives them in
+    one call, `fn.rows(stencil)`; any other is read as `fn(s, t)`."""
+    values = fn.rows(stencil) if hasattr(fn, "rows") else [fn(s, t) for s, t in stencil]
+    values = np.array(values if read is None else [read(v) for v in values], float)
     return values.reshape(count, -1, *values.shape[1:])
 
 

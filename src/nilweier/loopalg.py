@@ -256,7 +256,7 @@ def _scale_rows(c: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _sq_sum(c: np.ndarray) -> np.ndarray:
     """Per-item sum of squares of a (B, ...) stack, in a batch of one's order."""
-    return (c**2).reshape(len(c), -1).sum(axis=1)
+    return (c**2).reshape(len(c), math.prod(c.shape[1:])).sum(axis=1)
 
 
 def _check_parity(c: np.ndarray, N: int, fx: _Effects) -> None:
@@ -264,7 +264,7 @@ def _check_parity(c: np.ndarray, N: int, fx: _Effects) -> None:
     round-off of its own scale; one (2N+1, 2, 2) loop shared by all items
     fails them all."""
     items = c.reshape(-1, *c.shape[-3:])
-    scale = np.maximum(np.abs(items).reshape(len(items), -1).max(axis=1), 1e-300)
+    scale = np.maximum(np.abs(items).reshape(len(items), 4 * (2 * N + 1)).max(axis=1), 1e-300)
     worst = np.abs(items[:, _mask(N)]).max(axis=1)
     for b in np.flatnonzero(worst > _PARITY_TOL * scale):
         message = f"twisting parity violated: off-parity mass {worst[b]:.3e} vs scale {scale[b]:.3e}"
@@ -299,7 +299,8 @@ def _compact(c: np.ndarray, N: int, fx: _Effects) -> np.ndarray:
     dropped, and an item whose off-parity mass is above round-off fails."""
     _check_parity(c, N, fx)
     lead = c.shape[:-3]
-    return c.reshape(*lead, -1)[..., _slots(2 * N + 1, -N)].reshape(*lead, 2 * N + 1, 2)
+    n = 2 * N + 1
+    return c.reshape(*lead, 4 * n)[..., _slots(n, -N)].reshape(*lead, n, 2)
 
 
 def _expand(c: np.ndarray, lo: int) -> np.ndarray:
@@ -307,7 +308,7 @@ def _expand(c: np.ndarray, lo: int) -> np.ndarray:
     coefficient has degree lo; off-parity entries are +0.0."""
     B, L = c.shape[:2]
     out = np.zeros((B, 4 * L))
-    out[:, _slots(L, lo)] = c.reshape(B, -1)
+    out[:, _slots(L, lo)] = c.reshape(B, 2 * L)
     return out.reshape(B, L, 2, 2)
 
 

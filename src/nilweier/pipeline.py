@@ -370,8 +370,6 @@ def solve_frame_ode(
 class FramePoint:
     loop: TwistedLoop  # gauge-normalized frame F; its para-complex pair is (F, F)
     h: float
-    sym: dict = field(default_factory=dict)  # theta -> read-only rows (nil, l3, normal)
-    spinors: dict = field(default_factory=dict)  # theta -> (chi1, chi2, h)
 
 
 def _frame_rows(phi_s, index, phi_t, f_vals, g_vals, initial, gridpoints):
@@ -609,9 +607,11 @@ class Pipeline:
     """Owns one run: potential, axis flows, frame grid, surfaces.
 
     Also serves as the exact point evaluator behind all finite-difference
-    verification: `frames_at`, `frame_at`, `surface_at` and `spinors_at` reuse
-    the sweep's gridpoint frames and compute any other point exactly, never by
-    interpolation, through the sweep's row kernels in batches.  Its axis
+    verification: `frames_at` and `surfaces_at` take a check's whole stencil,
+    reuse the sweep's gridpoint frames and compute any other point exactly,
+    never by interpolation, through the sweep's row kernels in batches;
+    `frame_at`, `surface_at` and `spinors_at` read one point.  A point's
+    frame and h are kept, its surface and spinors are not.  Its axis
     frames are bit-identical to an integration from 0, whatever was evaluated
     before; its dropped tail mass goes to `point_tail`, never to the run's
     `tail`; and a truncation or potential error names the point.
@@ -637,9 +637,9 @@ class Pipeline:
         self.tail = TailAccumulator() if tail_bound is None else TailAccumulator(tail_bound)
         self.point_tail = TailAccumulator(self.tail.bound)
         if initial_frame is not None and initial_frame.N != self.trunc_n:
-            initial_frame = TwistedLoop.from_terms(
-                self.trunc_n,
-                {k: initial_frame.coeff(k) for k in range(-initial_frame.N, initial_frame.N + 1)},
+            terms = {k: initial_frame.coeff(k) for k in range(-initial_frame.N, initial_frame.N + 1)}
+            initial_frame = TwistedLoop.from_terms(  # a nonzero degree beyond trunc_n raises
+                self.trunc_n, {k: m for k, m in terms.items() if abs(k) <= self.trunc_n or m.any()}
             )
         self.initial_frame = initial_frame
         self.phi_s, self.phi_t, self._flow_s, self._flow_t = solve_frame_ode(
@@ -752,13 +752,17 @@ class Pipeline:
     def h_at(self, s: float, t: float) -> float:
         return self.frame_at(s, t).h
 
-    def surface_at(self, s: float, t: float, theta: float):
-        """(nil point, L3 point, unit normal) at a parameter point, kept per angle."""
-        pt = self.frame_at(s, t)
-        if float(theta) not in pt.sym:
-            pt.sym[float(theta)] = np.array(_sym_point(pt.loop, float(theta)))
-            pt.sym[float(theta)].setflags(write=False)
-        return pt.sym[float(theta)]
+    def surfaces_at(self, points, theta: float) -> np.ndarray:
+        """The (B, 3, 3) rows (nil point, L3 point, unit normal) at the points
+        and one spectral angle: one `_sym_rows` call over their `frames_at`
+        frames, each row with `_sym_point`'s bits."""
+        frames = np.array([pt.loop.c for pt in self.frames_at(points)])
+        return np.stack(_sym_rows(frames, float(theta)), axis=1)
+
+    def surface_at(self, s: float, t: float, theta: float) -> np.ndarray:
+        """(nil point, L3 point, unit normal) at a parameter point: the batch
+        of one of `surfaces_at`."""
+        return self.surfaces_at([(s, t)], theta)[0]
 
     def nil_at(self, s, t, theta):
         return self.surface_at(s, t, theta)[0]
@@ -770,8 +774,7 @@ class Pipeline:
         return self.surface_at(s, t, theta)[2]
 
     def spinors_at(self, s: float, t: float, theta: float):
-        """Generating spinor pair (chi1, chi2) and angle function h, kept per
-        angle.
+        """Generating spinor pair (chi1, chi2) and angle function h.
 
         The pair is gauged by mu^{-1/2}, mu^{+1/2} so that it satisfies the
         plain nonlinear Dirac system with potential (i'/4) h at every
@@ -779,16 +782,14 @@ class Pipeline:
         """
         pt = self.frame_at(s, t)
         theta = float(theta)
-        if theta not in pt.spinors:
-            F = pair_eval(LoopPair(pt.loop, pt.loop), theta)
-            root = math.sqrt(pt.h / 2.0)
-            half = theta / 2.0
-            mu_m = ParaComplex.from_null(math.exp(-half), math.exp(half))  # mu^{-1/2}
-            mu_p = ParaComplex.from_null(math.exp(half), math.exp(-half))  # mu^{+1/2}
-            chi1 = mu_m * F.entry(1, 0) * root
-            chi2 = mu_p * F.entry(1, 1) * root
-            pt.spinors[theta] = (chi1, chi2, pt.h)
-        return pt.spinors[theta]
+        F = pair_eval(LoopPair(pt.loop, pt.loop), theta)
+        root = math.sqrt(pt.h / 2.0)
+        half = theta / 2.0
+        mu_m = ParaComplex.from_null(math.exp(-half), math.exp(half))  # mu^{-1/2}
+        mu_p = ParaComplex.from_null(math.exp(half), math.exp(-half))  # mu^{+1/2}
+        chi1 = mu_m * F.entry(1, 0) * root
+        chi2 = mu_p * F.entry(1, 1) * root
+        return chi1, chi2, pt.h
 
 
 # ---------------------------------------------------------------------------
@@ -827,16 +828,12 @@ def extract_normalized_potential(pipeline: Pipeline, axis_values=None) -> Extrac
     if axis_values is None:
         axis_values = pipeline.s_grid
     axis_values = np.asarray(axis_values, float)
-    if not len(axis_values):  # the kernels take no empty stack
-        empty = np.empty(0)
-        return ExtractedPotential(axis_values, empty, empty, empty, empty, [], [])
     X, n, delta = len(axis_values), 2 * pipeline.trunc_n + 1, 1e-2
     stencils = [
         [x - 2 * delta, x - delta, x + delta, x + 2 * delta, x] for x in axis_values.tolist()
     ]
     points = [point for ys in stencils for point in [(y, 0.0) for y in ys] + [(0.0, y) for y in ys]]
-    pipeline.frames_at(points)
-    frames = np.array([pipeline.frame_at(*point).loop.c for point in points])
+    frames = np.array([pt.loop.c for pt in pipeline.frames_at(points)])
     frames = frames.reshape(X, 2, 5, n, 2, 2)  # abscissa, axis, stencil point
     effects, xi = [], []
     for axis, sign in enumerate((-1, +1)):

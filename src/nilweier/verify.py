@@ -9,6 +9,7 @@ differential values, angle function) are checked as well.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,25 +29,24 @@ from .geometry import (
     xy_stencil,
 )
 from .expressions import eval_rows
-from .loopalg import SIGMA3, LoopPair, PCMatrix2, _mask, pair_eval
-from .pipeline import Pipeline, _sym_point, extract_normalized_potential
+from .loopalg import SIGMA3, LoopPair, PCMatrix2, _mask, _scale_rows, pair_eval
+from .pipeline import Pipeline, _sym_rows, extract_normalized_potential
 
 __all__ = ["run_verification", "safe_points", "roundtrip_errors", "run_diagnostics"]
 
 _LAMBDA_THETAS = (0.0, 0.25, -0.25, 0.5, -0.5)
 
 
-def _batched(pipeline: Pipeline, fn):
-    """The field `fn(s, t)` of `pipeline`, with the `batch` hook through which
-    a check's sampler computes the frames of the check's whole stencil in one
-    `frames_at` batch before it reads the field point by point."""
-    fn.batch = pipeline.frames_at
-    return fn
-
-
 def _spinor_field(pipeline: Pipeline, theta: float):
-    """The generating spinor pair (psi1, psi2) at spectral angle `theta`."""
-    return _batched(pipeline, lambda s, t: pipeline.spinors_at(s, t, theta)[:2])
+    """The generating spinor pair (psi1, psi2) at spectral angle `theta`, read
+    as rows: the stencil's frames in one `frames_at` batch, then `spinors_at`
+    at each point."""
+
+    def rows(stencil):
+        pipeline.frames_at(stencil)
+        return [pipeline.spinors_at(s, t, theta)[:2] for s, t in stencil]
+
+    return SimpleNamespace(rows=rows)
 
 
 def safe_points(pipeline: Pipeline, count: int = 9, nil_side: bool = False):
@@ -133,10 +133,10 @@ def run_diagnostics(pipeline: Pipeline) -> dict:
 
 def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     """Every check on a run pipeline.  The finite-difference checks read the
-    pipeline's fields through `_batched`, so each stencil a check samples has
-    its frames computed in one `frames_at` batch (the Dirac check's Richardson
-    points, which depend on the spinor values, form a batch of their own);
-    the check then reads them from the point cache."""
+    pipeline's fields as rows, so each stencil a check samples has its frames
+    computed in one `frames_at` batch (the Dirac check's Richardson points,
+    which depend on the spinor values, form a batch of their own), and its
+    surface rows in one `_sym_rows` call."""
     if pipeline.frame_grid is None:
         pipeline.run()
     fg = pipeline.frame_grid
@@ -149,17 +149,18 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     pts_nil = safe_points(pipeline, nil_side=True)
     theta0 = float(pipeline.thetas[0])
     thetas = [float(x) for x in pipeline.thetas]
-    nil = _batched(pipeline, lambda s, t: pipeline.nil_at(s, t, theta0))
-    l3 = _batched(pipeline, lambda s, t: pipeline.l3_at(s, t, theta0))
-    normal = _batched(pipeline, lambda s, t: pipeline.normal_at(s, t, theta0))
-    h = _batched(pipeline, lambda s, t: pipeline.h_at(s, t))
+    # fields read as rows: one `surfaces_at` call, or one `frames_at` batch, per stencil
+    nil, l3, normal = (
+        SimpleNamespace(rows=lambda stencil, k=k: pipeline.surfaces_at(stencil, theta0)[:, k])
+        for k in range(3)
+    )
+    h = SimpleNamespace(rows=lambda stencil: [pt.h for pt in pipeline.frames_at(stencil)])
     spinors = {th: _spinor_field(pipeline, th) for th in sorted({theta0, max(thetas)})}
 
     # frame quality: det, para-unitarity, angle function stability in theta
     det_err, reality_err, h_theta_err = [], [], []
     s3 = PCMatrix2.from_real(SIGMA3)
-    for s, t in pts:
-        pt = pipeline.frame_at(s, t)
+    for pt in pipeline.frames_at(pts):
         pair = LoopPair(pt.loop, pt.loop)
         for th in _LAMBDA_THETAS:
             F = pair_eval(pair, th)
@@ -204,7 +205,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
 
     # Minkowski side: conformal factor equals h^2, mean curvature 1/2
     fff_l3 = first_fundamental_form(l3, pts, step=1e-3, space="l3")
-    h_vals = np.array([pipeline.h_at(s, t) for s, t in pts])
+    h_vals = _sample(h, pts, len(pts))[:, 0]
     l3_scale = max(1.0, float((h_vals**2).max()))
     checks.append(
         _check(
@@ -250,12 +251,11 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
     checks.append(_check("flat_connection_residual", flat, 1e-8))
 
     # Sym gauge invariance under a mu-independent diagonal field
-    gauge_err = []
-    for s, t in pts:
-        c = 0.3 * math.sin(s + 0.7) * math.cos(t - 0.3)
-        gauged = _sym_point(pipeline.frame_at(s, t).loop.scale_columns(math.exp(c)), theta0)
-        gauge_err.append(pipeline.surface_at(s, t, theta0) - gauged)
-    checks.append(_check("sym_gauge_invariance", _worst(*gauge_err), 1e-12))
+    d = np.array([math.exp(0.3 * math.sin(s + 0.7) * math.cos(t - 0.3)) for s, t in pts])
+    frames = np.array([pt.loop.c for pt in pipeline.frames_at(pts)])
+    gauged = np.stack(_sym_rows(_scale_rows(frames, d), theta0), axis=1)
+    gauge_err = pipeline.surfaces_at(pts, theta0) - gauged
+    checks.append(_check("sym_gauge_invariance", _worst(gauge_err), 1e-12))
 
     # round trip through the normalized potential; with a non-identity
     # initial frame the surface's own normalized data differs from the

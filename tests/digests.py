@@ -3,8 +3,10 @@
 For each of the five builtins, and for the three benchmark workloads of
 `perfbench/workloads.py` at seeds 0 and 7, this runs `cmd_generate` and
 `cmd_verify` and prints, as JSON with sorted keys, the sha256 of every file
-`cmd_generate` writes and of the `cmd_verify` report: 107 digests in all.
-The name does not start with `test_`, so pytest does not collect it.
+`cmd_generate` writes and of the `cmd_verify` report; for each builtin also
+the sha256 of `cmd_roundtrip`'s result, written as JSON with sorted keys:
+112 digests in all.  The name does not start with `test_`, so pytest does
+not collect it.
 
 Run it in two checkouts, say the parent commit and the change, from each
 checkout's root, and compare the outputs:
@@ -30,7 +32,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
 
-from nilweier.cli import cmd_generate, cmd_verify  # noqa: E402
+from nilweier.cli import cmd_generate, cmd_roundtrip, cmd_verify  # noqa: E402
 from nilweier.config import BUILTINS  # noqa: E402
 
 SEEDS = (0, 7)
@@ -60,6 +62,9 @@ def digests() -> dict:
             cmd_verify(source, report)
             for file in sorted(os.listdir(out)):
                 result[f"{name}/{file}"] = _sha256(os.path.join(out, file))
+    for name in BUILTINS:
+        text = json.dumps(cmd_roundtrip(name), sort_keys=True)
+        result[f"builtin/{name}/roundtrip"] = hashlib.sha256(text.encode()).hexdigest()
     return result
 
 

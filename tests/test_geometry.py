@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nilweier import DegenerateMetric, ParaComplex, ProjectionPole
+from nilweier import DegenerateMetric, ParaComplex, ProjectionPole, geometry
 from nilweier.geometry import (
     abresch_rosenberg,
     first_fundamental_form,
@@ -26,6 +26,7 @@ from nilweier.geometry import (
     sym_bracket,
     xy_stencil,
 )
+from nilweier.config import builtin_config
 from nilweier.pipeline import Pipeline, translate_potential
 from nilweier.verify import _check
 
@@ -257,6 +258,36 @@ def test_spinor_gauss_map_composition_randomized():
         done += 1
 
 
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("builtin", ["cylinder", "hyperbolic-cylinder", "bscroll"])
+def test_the_spinors_gauss_map_is_the_unit_normal_in_de_sitter_space(builtin):
+    """The Gauss map N = pi_l3_minus_inv(gauss_from_spinors(psi1, psi2)) of
+    the engine's spinors is the L3 unit normal of the Sym formulas, and lies
+    on the de Sitter sphere N1^2 - N2^2 + N3^2 = 1, on a 5x5 patch of
+    [-0.8, 0.8]^2 at two spectral angles."""
+    pipe = builtin_config(builtin).make_pipeline()
+    xs = np.linspace(-0.8, 0.8, 5).tolist()
+    points = [(s, t) for s in xs for t in xs]
+    pipe.frames_at(points)
+    for theta in (0.0, 0.15):
+        for s, t in points:
+            normal = pipe.normal_at(s, t, theta)
+            N = pi_l3_minus_inv(gauss_from_spinors(*pipe.spinors_at(s, t, theta)[:2]))
+            scale = max(1.0, float(np.abs(normal).max())) ** 2
+            # Round-off bounds, no fit: N and the normal come from the same
+            # frame F(lam) by two independent chains, the Sym side through
+            # C = M s3 M^-1, the spinor side through the gauge mu^-+1/2
+            # sqrt(h/2), the para-complex quotient and the inverse projection.
+            # Each chain is at most 32 roundings deep, each of relative size
+            # eps on quantities no larger than |N|^2, so they differ by at
+            # most 2 * 32 eps |N|^2.  The form adds 5 roundings to the 4 of
+            # each projected component, at most 16 eps |N|^2 in all.
+            assert np.abs(N - normal).max() <= 64 * EPS * scale, (s, t, theta)
+            assert abs(N[0] ** 2 - N[1] ** 2 + N[2] ** 2 - 1.0) <= 16 * EPS * scale, (s, t, theta)
+
+
 # -- first fundamental form -------------------------------------------------------------
 
 
@@ -474,17 +505,23 @@ def test_a_timelike_automatic_normal_raises():
     assert str(err.value) == "surface normal is not spacelike"
 
 
-# -- a field with a batch hook is handed each stencil before it is read ---------------
+# -- a field with a rows hook is read at each whole stencil in one call ---------------
 
 
 class _Recorder:
     """`fn`, logging each read as ("read", name, point) into `log`; when
-    `hooked`, it has a `batch` hook that logs ("batch", name, stencil)."""
+    `hooked`, it has a `rows` hook that logs ("rows", name, stencil) and gives
+    `fn` at each point of the stencil."""
 
     def __init__(self, fn, name, log, hooked):
         self.fn, self.name, self.log = fn, name, log
         if hooked:
-            self.batch = lambda stencil: log.append(("batch", name, _floats(stencil)))
+
+            def rows(stencil):
+                log.append(("rows", name, _floats(stencil)))
+                return [fn(s, t) for s, t in stencil]
+
+            self.rows = rows
 
     def __call__(self, s, t):
         self.log.append(("read", self.name, (float(s), float(t))))
@@ -522,22 +559,33 @@ _RESIDUALS = {
 
 
 @pytest.mark.parametrize("residual", sorted(_RESIDUALS))
-def test_a_hooked_field_is_handed_each_stencil_before_its_reads(residual):
-    """Each sampler call hands a field with a `batch` hook its whole stencil
-    once, then reads the field there, in order; a plain callable is read at
-    the same points, in the same order, with the same result."""
+def test_a_hooked_field_is_handed_each_stencil_before_its_reads(residual, monkeypatch):
+    """Each sampler call reads a field with a `rows` hook by one call on the
+    sampler's whole stencil, and never point by point; a plain callable is
+    read at the same points, in the same order, with the same result."""
+    real_sample = geometry._sample
     logs, results = {}, {}
     for hooked in (True, False):
         log = logs[hooked] = []
+
+        def sample(fn, stencil, count, read=None, log=log):
+            log.append(("sample", _floats(stencil)))
+            return real_sample(fn, stencil, count, read)
+
+        monkeypatch.setattr(geometry, "_sample", sample)
         results[hooked] = _RESIDUALS[residual](
             lambda name, fn: _Recorder(fn, name, log, hooked)  # noqa: B023
         )
     hooked_log, plain_log = logs[True], logs[False]
-    batches = [entry for entry in hooked_log if entry[0] == "batch"]
-    assert len(batches) >= 1
+    samples = [entry for entry in hooked_log if entry[0] == "sample"]
+    rows = [entry for entry in hooked_log if entry[0] == "rows"]
+    assert len(rows) >= 1
     assert hooked_log == [
-        e for _, name, stencil in batches
-        for e in [("batch", name, stencil)] + [("read", name, p) for p in stencil]
+        e for (_, stencil), (_, name, _) in zip(samples, rows)
+        for e in [("sample", stencil), ("rows", name, stencil)]
     ]
-    assert plain_log == [entry for entry in hooked_log if entry[0] == "read"]
+    assert plain_log == [
+        e for (_, stencil), (_, name, _) in zip(samples, rows)
+        for e in [("sample", stencil)] + [("read", name, p) for p in stencil]
+    ]
     assert hexed(results[True]) == hexed(results[False])

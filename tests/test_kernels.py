@@ -30,7 +30,7 @@ from nilweier.loopalg import (
     _mul_rows,
     _shift_rows,
 )
-from nilweier.pipeline import _sym_point
+from nilweier.pipeline import _sym_point, _sym_rows
 
 from _oracles import (
     block_toeplitz_reference,
@@ -435,3 +435,27 @@ def test_sym_map_equals_the_scalar_sym_formulas(builtin, holes, N):
             expected = sym_point_reference(grid_loop(fg, i, j), theta)
             got += _sym_point(grid_loop(fg, i, j), theta)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in expected * 2]
+
+
+@pytest.mark.parametrize("N", [1, 16])
+def test_kernels_take_an_empty_stack(N):
+    """Each row kernel maps a stack of B = 0 items to empty stacks of the
+    shapes it gives for B > 0, with no effect and no error."""
+    empty = np.zeros((0, 2 * N + 1, 2, 2))
+    fx = _Effects(0)
+    outputs = {
+        "mul": _mul_rows(empty, empty, fx),
+        "mul shared": _mul_rows(TwistedLoop.identity(N).c, empty, fx),
+        "inv lower": _inv_rows(empty, True, fx),
+        "inv upper": _inv_rows(empty, False, fx),
+        "clean parity": _clean_parity(empty, N, fx),
+        "shift": _shift_rows(empty, np.zeros((0, 2, 2)), 1)[0],
+        "split -1": _split_rows(empty, -1, fx),
+        "split +1": _split_rows(empty, +1, fx),
+        "iwasawa": _iwasawa_rows(empty, np.zeros(0, int), empty, fx),
+        "sym": _sym_rows(empty, 0.1),
+    }
+    for name, out in outputs.items():
+        for item in out if isinstance(out, tuple) else (out,):
+            assert isinstance(item, np.ndarray) and len(item) == 0, name
+    assert fx.items == [] and not fx.alive.size

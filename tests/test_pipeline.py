@@ -636,25 +636,22 @@ def test_point_cache_shares_the_read_only_frame_grid(cyl_pipe):
     assert np.shares_memory(pt.loop.c, fg.frames)
 
 
-def test_surface_at_keeps_each_angle_once(cyl_pipe, monkeypatch):
-    """nil_at, l3_at and normal_at at one point and angle run the Sym formulas
-    once; the kept rows are read-only and hold `_sym_point`'s bytes."""
-    real = pipeline_module._sym_point
-    calls = []
-
-    def counted(loop, theta):
-        calls.append(theta)
-        return real(loop, theta)
-
-    monkeypatch.setattr(pipeline_module, "_sym_point", counted)
-    s, t = 0.3125, -0.2175  # off the grid, read by no other test
-    nil = cyl_pipe.nil_at(s, t, 0.1)
-    l3, normal = cyl_pipe.l3_at(s, t, 0.1), cyl_pipe.normal_at(s, t, 0.1)
-    cyl_pipe.surface_at(s, t, -0.1)
-    assert calls == [0.1, -0.1]
-    expected = real(cyl_pipe.frame_at(s, t).loop, 0.1)
-    assert [x.tobytes() for x in (nil, l3, normal)] == [x.tobytes() for x in expected]
-    assert not any(x.flags.writeable for x in (nil, l3, normal))
+def test_surfaces_at_has_the_sym_point_bytes(cyl_pipe):
+    """`surfaces_at` on a batch that mixes gridpoints with points off the grid
+    (read by no other test), and `surface_at` and `nil_at`, `l3_at` and
+    `normal_at` at each point, hold `_sym_point`'s bytes at the point's frame."""
+    fg = cyl_pipe.frame_grid
+    off_grid = [(0.3125, -0.2175), (-0.4375, 0.1325)]
+    assert not any(p in cyl_pipe._point_cache for p in off_grid)
+    points = [(fg.s_grid[3], fg.t_grid[5]), off_grid[0], (fg.s_grid[1], fg.t_grid[2]), off_grid[1]]
+    for theta in (0.1, -0.1):
+        rows = cyl_pipe.surfaces_at(points, theta)
+        assert rows.shape == (len(points), 3, 3)
+        for (s, t), row in zip(points, rows):
+            expected = np.array(pipeline_module._sym_point(cyl_pipe.frame_at(s, t).loop, theta))
+            readers = (cyl_pipe.surface_at, cyl_pipe.nil_at, cyl_pipe.l3_at, cyl_pipe.normal_at)
+            got = [row] + [read(s, t, theta) for read in readers]
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in (expected, expected, *expected)]
 
 
 def test_a_residual_hole_carries_its_conditioning():
@@ -963,6 +960,27 @@ def test_initial_frame_prepends(plane_pipe):
     A = _umbrella_frame(0.5)
     diff = f0.loop - TwistedLoop.from_terms(16, {k: A.coeff(k) for k in range(-4, 5)})
     assert diff.norm() < 1e-12
+
+
+def test_an_initial_frame_past_the_truncation_keeps_only_its_nonzero_degrees():
+    """An initial frame of a larger truncation whose degrees past `trunc_n`
+    vanish runs as the same frame at `trunc_n`, bit for bit; a nonzero
+    coefficient past `trunc_n` raises, naming its degree."""
+    pot, grid = translate_potential("4", "0", "0", "0"), np.linspace(-0.5, 0.5, 5)
+
+    def run(initial_frame):
+        return Pipeline(pot, grid, grid, trunc_n=4, steps_per_cell=4, initial_frame=initial_frame)
+
+    wide = run(TwistedLoop.from_terms(8, {0: np.eye(2)})).run()
+    plain = run(TwistedLoop.identity(4)).run()
+    for a, b in ((wide.frame_grid, plain.frame_grid), (wide.surface_grid, plain.surface_grid)):
+        for key, value in vars(a).items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == getattr(b, key).tobytes(), key
+    tails = [(p.tail.dropped.hex(), p.tail.kept.hex()) for p in (wide, plain)]
+    assert tails[0] == tails[1]
+    with pytest.raises(ValueError, match=r"^degree -6 outside truncation \[-4, 4\]$"):
+        run(TwistedLoop.from_terms(8, {0: np.eye(2), -6: 0.1 * np.eye(2)}))
 
 
 def test_umbrella_is_plane_graph():

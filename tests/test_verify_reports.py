@@ -49,8 +49,9 @@ def test_verify_report_is_bit_identical(name):
 def test_each_check_reads_only_its_stencil_batch(name, monkeypatch):
     """Every frame a check reads was computed by its stencil batches, and they
     compute the very points that point-by-point verification computes in that
-    check.  Only the order within a check may differ: the Dirac check's second
-    batch depends on the spinor values its first batch yields."""
+    check, where each stencil's frames are computed one `frame_at` at a time,
+    in stencil order.  Only the order within a check may differ: the Dirac
+    check's second batch depends on the spinor values its first batch yields."""
     from nilweier.config import load_config
     from nilweier.pipeline import Pipeline
     from nilweier.verify import run_verification
@@ -67,7 +68,7 @@ def test_each_check_reads_only_its_stencil_batch(name, monkeypatch):
             if len(points) > 1:
                 windows.append([])
                 if not batches:
-                    return []
+                    return [self.frame_at(*p) for p in points]
             misses = [p for p in dict.fromkeys(points) if p not in self._point_cache]
             windows[-1] += misses
             if len(points) == 1:
@@ -127,33 +128,16 @@ VERIFY_PLANE = {
 }
 
 
-def test_spinors_are_evaluated_once_per_point_and_angle(monkeypatch):
-    """One verification reads spinors 891 times at 668 distinct (s, t, theta);
-    the frame pair is evaluated once for each distinct one.  `point_tail` and
-    the report's sha256 were recorded when every read evaluated the pair."""
-    from nilweier import pipeline as pipeline_module
+def test_verify_plane_report_and_point_tail_are_pinned():
+    """One verification of the verify-plane workload: `point_tail` and the
+    report's sha256, recorded when every spinor read evaluated the frame pair
+    and before the checks read their surfaces as rows."""
     from nilweier.config import load_config
-    from nilweier.pipeline import Pipeline
     from nilweier.verify import run_verification
 
     cfg = load_config(VERIFY_PLANE)
     pipeline = cfg.make_pipeline().run()
-    reads, evaluations = [], []
-    real_spinors, real_eval = Pipeline.spinors_at, pipeline_module.pair_eval
-
-    def spinors_at(self, s, t, theta):
-        reads.append((float(s), float(t), float(theta)))
-        return real_spinors(self, s, t, theta)
-
-    def pair_eval(pair, theta):
-        evaluations.append(theta)
-        return real_eval(pair, theta)
-
-    monkeypatch.setattr(Pipeline, "spinors_at", spinors_at)
-    monkeypatch.setattr(pipeline_module, "pair_eval", pair_eval)
     report = run_verification(pipeline, oracle=cfg.oracle)
-    monkeypatch.undo()
-    assert (len(reads), len(set(reads)), len(evaluations)) == (891, 668, 668)
     tail = (pipeline.point_tail.dropped.hex(), pipeline.point_tail.kept.hex())
     assert tail == ("0x0.0p+0", "0x1.57e44803ab0e6p+14")
     text = json.dumps(report, indent=2, sort_keys=True)  # as cmd_verify writes it
