@@ -51,7 +51,9 @@ class TailAccumulator:
     """Running account of Laurent tail mass dropped by truncation.
 
     `dropped` and `kept` are Frobenius masses; a run is rejected when the
-    relative dropped mass exceeds `bound`.
+    relative dropped mass exceeds `bound` or either mass is NaN.  `record`
+    adds one pair of masses; `replay` adds a whole array of them as the
+    loop of `record` calls would.
     """
 
     def __init__(self, bound: float = 1e-9):
@@ -63,14 +65,35 @@ class TailAccumulator:
         self.dropped += dropped
         self.kept += kept
         if not self.relative() <= self.bound:  # a NaN mass fails too
-            raise TruncationOverflow(
-                f"relative Laurent tail mass {self.relative():.3e} exceeds bound {self.bound:.3e}"
-            )
+            raise self._overflow()
+
+    def replay(self, masses: np.ndarray) -> None:
+        """`record` each (dropped, kept) pair of a (..., 2) array in order: the
+        running sums from the account's masses are one sequential `np.cumsum`,
+        the bound is checked at every prefix by `relative`'s rule, and at the
+        first crossing the account is left at that prefix and `record`'s
+        error is raised."""
+        sums = np.cumsum(np.vstack(([self.dropped, self.kept], masses.reshape(-1, 2))), axis=0)
+        dropped, kept = sums[1:, 0], sums[1:, 1]
+        with np.errstate(all="ignore"):
+            rel = np.where(kept > 0.0, dropped / kept, np.where(dropped > 0.0, np.inf, 0.0))
+        rel[np.isnan(dropped) | np.isnan(kept)] = np.nan
+        over = np.flatnonzero(~(rel <= self.bound))
+        self.dropped, self.kept = map(float, sums[over[0] + 1 if len(over) else -1])
+        if len(over):
+            raise self._overflow()
 
     def relative(self) -> float:
+        if math.isnan(self.dropped) or math.isnan(self.kept):
+            return math.nan
         if self.kept > 0.0:
             return self.dropped / self.kept
         return float("inf") if self.dropped > 0.0 else 0.0
+
+    def _overflow(self) -> TruncationOverflow:
+        return TruncationOverflow(
+            f"relative Laurent tail mass {self.relative():.3e} exceeds bound {self.bound:.3e}"
+        )
 
     def merge(self, other: "TailAccumulator") -> None:
         self.dropped += other.dropped
@@ -232,18 +255,23 @@ class _Effects:
 def _shift_rows(c: np.ndarray, A: np.ndarray, deg: int):
     """Products of a (B, 2N+1, 2, 2) stack with the single-term loops
     lam^deg * A[b], truncated to [-N, N]; returns (coefficients, dropped,
-    kept) with each item's Frobenius tail masses, in a batch of one's order.
-
-    Each 2x2 product is summed as `np.einsum("kij,jl->kil", ...)` sums one
-    loop: from +0.0, one term at a time, so even the signs of zeros agree.
-    A batched einsum would too, but it is several times slower."""
+    kept) with each item's Frobenius tail masses, in a batch of one's order."""
     out = np.zeros_like(c)
-    prod = (c[..., 0, None] * A[:, None, None, 0] + 0.0) + c[..., 1, None] * A[:, None, None, 1]
+    prod = _shift_prod(c, A)
     n = c.shape[1]
     lo, hi = max(0, deg), min(n, n + deg)
     out[:, lo:hi] = prod[:, lo - deg : hi - deg]
     dropped = np.sqrt(_sq_sum(prod[:, : lo - deg]) + _sq_sum(prod[:, hi - deg :]))
     return out, dropped, np.sqrt(_sq_sum(out))
+
+
+def _shift_prod(c: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Each coefficient of a (B, 2N+1, 2, 2) stack times A[b], unshifted.
+
+    Each 2x2 product is summed as `np.einsum("kij,jl->kil", ...)` sums one
+    loop: from +0.0, one term at a time, so even the signs of zeros agree.
+    A batched einsum would too, but it is several times slower."""
+    return (c[..., 0, None] * A[:, None, None, 0] + 0.0) + c[..., 1, None] * A[:, None, None, 1]
 
 
 def _scale_rows(c: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -61,7 +61,8 @@ from .loopalg import (
     _Effects,
     _mul_rows,
     _scale_rows,
-    _shift_rows,
+    _shift_prod,
+    _sq_sum,
     loop_inv,  # noqa: F401  perfbench/tracer.py binds this name
     loop_mul,  # noqa: F401  perfbench/tracer.py binds this name
     pair_eval,
@@ -184,20 +185,21 @@ def _naming(gridpoint):
 
 
 class _AxisFlow:
-    """RK4 flow of d Phi = Phi * (lam^deg A(x)) dx from the basepoint x = 0.
+    """RK4 flow of d Phi = Phi * (lam^deg A(x)) dx, deg = -1 or +1, from the
+    basepoint x = 0.
 
     The value at x is n = ceil(|x| * steps_per_unit) RK4 steps of size
     h = x / n from Phi(0) = id.  Step k evaluates A at k h, k h + h/2 and
     (k + 1) h, so the state after m steps is a function of (h, m) alone, and
-    abscissae that share h lie on one chain of states.  `integrate_nodes`
-    advances the chains of a set of abscissae as one stack, each chain to its
-    longest abscissa, and keeps every abscissa's state with its prefix of the
-    chain's tail records; `at` replays that prefix into the account.  Either
-    way every value and every tail record is bit-identical to an integration
-    from 0 at the call, so nothing depends on evaluation order.  A is read
-    through `coeff_rows`, which maps a float64 array of abscissae to the
-    (L, 2, 2) stack of their A, as `PotentialSpec.xi_s_rows` does.  Dropped
-    tail mass goes to `tail`, or to the flow's own account if None.
+    abscissae that share h lie on one chain of states.  `_integrate` runs
+    each chain once, to its longest abscissa, in one stack with the chains of
+    other flows, and keeps every abscissa's state with its chain's prefix of
+    the stack's tail records; `at` replays that prefix into the account.  So
+    every value and every tail record is bit-identical to an integration
+    from 0 at the call, whatever the evaluation order.  A is read through
+    `coeff_rows`, which maps a float64 array of abscissae to the (L, 2, 2)
+    stack of their A, as `PotentialSpec.xi_s_rows` does.  Dropped tail mass
+    goes to `tail`, or to the flow's own account if None.
     """
 
     def __init__(self, coeff_rows, deg: int, N: int, steps_per_unit: float, tail: TailAccumulator):
@@ -207,82 +209,18 @@ class _AxisFlow:
         self.spu = float(steps_per_unit)
         self.tail = tail
         self._cache: dict[float, TwistedLoop] = {0.0: TwistedLoop.identity(N)}
-        # abscissa -> (state or None, its chain's tail records, how many of
-        # them it owns, the positions of the step whose potential raised)
-        self._nodes: dict[float, tuple[np.ndarray | None, list, int, np.ndarray | None]] = {}
+        # abscissa -> (state or None, the tail records of its stack, its
+        # chain, how many steps of them it owns, the positions of the step
+        # whose potential raised)
+        self._nodes: dict[float, tuple] = {}
 
     def _steps(self, x: float) -> tuple[int, float]:
         n = max(1, int(math.ceil(abs(x) * self.spu - 1e-12)))
         return n, x / n
 
-    def _advance(self, chains) -> None:
-        """Step a stack of chains from the identity, one RK4 step at a time.
-
-        Chain b is (h, stops): it takes steps of size h up to its longest stop
-        and keeps the state after m steps for each abscissa in stops[m];
-        finished chains stop.  Each step reads the potential at the three
-        positions of every live chain as one row.  Each product's tail masses
-        go to the chain's records as they arise.  A chain whose potential
-        raises at a step drops out; its abscissae past that step keep the
-        step's positions instead of a state.
-        """
-        hs = np.array([h for h, _ in chains])
-        lengths = np.array([max(stops) for _, stops in chains])
-        records: list[list] = [[] for _ in chains]
-        phi = np.repeat(self._cache[0.0].c[None], len(chains), axis=0)
-        live = np.arange(len(chains))
-        for k in range(lengths.max()):
-            live = live[lengths[live] > k]
-            if not len(live):
-                break
-            h = hs[live]
-            pos = k * h if k else np.zeros(len(live))
-            positions = np.stack([pos, pos + h / 2.0, pos + h], axis=1)
-            try:
-                coeffs = self.coeff_rows(positions.ravel()).reshape(len(live), 3, 2, 2)
-            except (EvalDomain, DegeneratePotential):  # find the chains that raise
-                coeffs, stepping = [], []
-                for row, b in enumerate(live.tolist()):
-                    try:
-                        coeffs.append(self.coeff_rows(positions[row]))
-                    except (EvalDomain, DegeneratePotential):
-                        failed = (None, records[b], len(records[b]), positions[row])
-                        stops = chains[b][1]
-                        self._nodes.update((x, failed) for m, xs in stops.items() if m > k for x in xs)
-                        continue
-                    stepping.append(row)
-                live, h = live[stepping], h[stepping]
-                if not len(live):
-                    break
-                coeffs = np.stack(coeffs)
-
-            def shift(c, A):
-                out, dropped, kept = _shift_rows(c, A, self.deg)
-                for row, b in enumerate(live.tolist()):
-                    records[b].append((float(dropped[row]), float(kept[row])))
-                return out
-
-            h = h[:, None, None, None]
-            c = phi[live]
-            k1 = shift(c, coeffs[:, 0])
-            k2 = shift(c + (h / 2.0) * k1, coeffs[:, 1])
-            k3 = shift(c + (h / 2.0) * k2, coeffs[:, 1])
-            k4 = shift(c + h * k3, coeffs[:, 2])
-            phi[live] = c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            for row, b in enumerate(live.tolist()):
-                for x in chains[b][1].get(k + 1, ()):
-                    self._nodes[x] = (c[row].copy(), records[b], len(records[b]), None)
-
     def integrate_nodes(self, xs) -> None:
-        """Advance the chains of the abscissae xs as one stack and keep the
-        states of those not yet cached or kept, for `at` to return."""
-        chains: dict[float, dict[int, list[float]]] = {}
-        for x in map(float, xs):
-            if x not in self._cache and x not in self._nodes:
-                n, h = self._steps(x)
-                chains.setdefault(h, {}).setdefault(n, []).append(x)
-        if chains:
-            self._advance(list(chains.items()))
+        """`_integrate` this flow's abscissae xs alone."""
+        _integrate((self, xs))
 
     def state(self, x: float) -> np.ndarray | None:
         """Coefficients at an abscissa that is cached or integrated but not
@@ -297,14 +235,99 @@ class _AxisFlow:
             return hit
         if x not in self._nodes:
             self.integrate_nodes([x])
-        phi, records, count, failed = self._nodes.pop(x)
-        tail = self.tail if tail is None else tail
-        for masses in records[:count]:
-            tail.record(*masses)
+        phi, records, chain, steps, failed = self._nodes.pop(x)
+        (self.tail if tail is None else tail).replay(records[:steps, :, chain])
         if failed is not None:  # the potential raised at this step: raise it here
             self.coeff_rows(failed)
         hit = self._cache[x] = TwistedLoop(self.N, phi, enforce_parity=False)
         return hit
+
+
+# lam^deg moves coefficient k to k + deg: (into, from) slices of the kept
+# coefficients and the index of the one that leaves the truncation
+_MOVES = {-1: (slice(None, -1), slice(1, None), 0), +1: (slice(1, None), slice(None, -1), -1)}
+
+
+def _integrate(*requests) -> None:
+    """Step the chains of several flows' abscissae as one stack, one RK4 step
+    at a time: for each (flow, xs), those of xs the flow has neither cached
+    nor kept.  Each chain steps to its longest abscissa and keeps the state
+    after m steps for each abscissa that needs m.  Each flow's live chains
+    are one row range, in request order, with one potential row call per
+    step and its own shift.  The four stages' products are one
+    (4, L, 2N+1, 2, 2) stack, whose tail masses are taken in one pass into
+    one (steps, 4, chains, 2) array.  A chain whose potential raises drops
+    out; its abscissae past that step keep the step's positions instead.
+    """
+    chains = []  # (request index, h, {step count: abscissae})
+    for r, (flow, xs) in enumerate(requests):
+        own: dict[float, dict[int, list[float]]] = {}
+        for x in map(float, xs):
+            if x not in flow._cache and x not in flow._nodes:
+                n, h = flow._steps(x)
+                own.setdefault(h, {}).setdefault(n, []).append(x)
+        chains += [(r, h, stops) for h, stops in own.items()]
+    if not chains:
+        return
+    axis, hs = np.array([r for r, _, _ in chains]), np.array([h for _, h, _ in chains])
+    lengths = np.array([max(stops) for _, _, stops in chains])
+    records = np.empty((lengths.max(), 4, len(chains), 2))
+    phi = np.repeat(requests[0][0]._cache[0.0].c[None], len(chains), axis=0)
+    live = np.arange(len(chains))
+
+    def spans():  # (flow, first row, end row) of each request's live chains
+        bounds = np.searchsorted(axis[live], np.arange(len(requests) + 1)).tolist()
+        return [(flow, lo, hi) for (flow, _), lo, hi in zip(requests, bounds, bounds[1:]) if lo < hi]
+
+    for k in range(lengths.max()):
+        live = live[lengths[live] > k]
+        if not len(live):
+            break
+        h = hs[live]
+        pos = k * h if k else np.zeros(len(live))
+        positions = np.stack([pos, pos + h / 2.0, pos + h], axis=1)
+        coeffs = np.empty((len(live), 3, 2, 2))
+        raised = []
+        for flow, lo, hi in spans():
+            try:
+                coeffs[lo:hi] = flow.coeff_rows(positions[lo:hi].ravel()).reshape(hi - lo, 3, 2, 2)
+            except (EvalDomain, DegeneratePotential):  # find the chains that raise
+                for row in range(lo, hi):
+                    try:
+                        coeffs[row] = flow.coeff_rows(positions[row])
+                    except (EvalDomain, DegeneratePotential):
+                        failed = (None, records, live[row], k, positions[row])
+                        stops = chains[live[row]][2]
+                        flow._nodes.update((x, failed) for m, xs in stops.items() if m > k for x in xs)
+                        raised.append(row)
+        if raised:
+            live, h, coeffs = (np.delete(a, raised, axis=0) for a in (live, h, coeffs))
+            if not len(live):
+                break
+        moves = [(_MOVES[flow.deg], lo, hi) for flow, lo, hi in spans()]
+        prods = np.zeros((4, len(live), *phi.shape[1:]))
+        tails = np.empty((4, len(live), 2, 2))
+
+        def shift(stage, c, A):
+            prod = _shift_prod(c, A)
+            for (into, src, drop), lo, hi in moves:
+                prods[stage, lo:hi, into] = prod[lo:hi, src]
+                tails[stage, lo:hi] = prod[lo:hi, drop]
+            return prods[stage]
+
+        h = h[:, None, None, None]
+        c = phi[live]
+        k1 = shift(0, c, coeffs[:, 0])
+        k2 = shift(1, c + (h / 2.0) * k1, coeffs[:, 1])
+        k3 = shift(2, c + (h / 2.0) * k2, coeffs[:, 1])
+        k4 = shift(3, c + h * k3, coeffs[:, 2])
+        phi[live] = c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        masses = [_sq_sum(a.reshape(-1, *a.shape[2:])).reshape(4, -1) for a in (tails, prods)]
+        records[k][:, live] = np.sqrt(np.stack(masses, axis=-1))
+        for row, b in enumerate(live.tolist()):
+            r, _, stops = chains[b]
+            for x in stops.get(k + 1, ()):
+                requests[r][0]._nodes[x] = (c[row].copy(), records, b, k + 1, None)
 
 
 def solve_frame_ode(
@@ -352,9 +375,9 @@ def solve_frame_ode(
                 if abs(coeff.eval(x)) < _VANISH_TOL:
                     name = "fg"[axis]
                     raise DegeneratePotential(f"{name} vanishes at sampled {coeff.variable}={x}")
+    _integrate((flow_s, s_grid), (flow_t, t_grid))
     phi = ([], [])
     for axis, (_, flow, points) in enumerate(axes):
-        flow.integrate_nodes(point[axis] for point in points)
         for point in points:
             with _naming(point):
                 phi[axis].append(flow.at(point[axis]))
@@ -698,8 +721,7 @@ class Pipeline:
         value raises is left out, since replaying it raises first."""
         if not misses:
             return {}
-        self._flow_s.integrate_nodes(s for s, _ in misses)
-        self._flow_t.integrate_nodes(t for _, t in misses)
+        _integrate((self._flow_s, [s for s, _ in misses]), (self._flow_t, [t for _, t in misses]))
         rows: dict[float, dict[float, None]] = {}
         for s, t in misses:
             rows.setdefault(s, {})[t] = None

@@ -8,10 +8,10 @@ import math
 
 import numpy as np
 
-from nilweier.errors import GaugeFailure, NilWeierError, OutsideBigCell
+from nilweier.errors import GaugeFailure, NilWeierError, OutsideBigCell, TruncationOverflow
 from nilweier.expressions import FUNCTIONS, _Call, _Neg, _Num, _Var
 from nilweier.factorization import birkhoff_split, iwasawa_double
-from nilweier.loopalg import SIGMA3, TwistedLoop, loop_exp, loop_inv, loop_mul
+from nilweier.loopalg import SIGMA3, TailAccumulator, TwistedLoop, loop_exp, loop_inv, loop_mul
 
 
 # -- closed-form frames (real slot, spectral variable lam = e^theta) ---------
@@ -230,6 +230,37 @@ class FromZeroAxisFlow:
             pos = (k + 1) * h
         self.cache[x] = phi
         return phi
+
+
+def replay_against_record_loop(start, masses, bound):
+    """Replay (M, 2) masses into an account at `start` and record them one
+    at a time into another; assert both leave the same masses (as float.hex)
+    and the same error, and that the replay's error is at the loop's first
+    overflow.  Returns the index of that overflow, or None."""
+    loop, rows = TailAccumulator(bound), TailAccumulator(bound)
+    loop.dropped, loop.kept = rows.dropped, rows.kept = start
+    first = error = None
+    for i, (dropped, kept) in enumerate(masses.tolist()):
+        try:
+            loop.record(dropped, kept)
+        except TruncationOverflow as exc:
+            first, error = i, str(exc)
+            break
+    try:
+        rows.replay(masses)
+    except TruncationOverflow as exc:
+        assert str(exc) == error
+    else:
+        assert error is None
+    assert (float.hex(rows.dropped), float.hex(rows.kept)) == (
+        float.hex(loop.dropped),
+        float.hex(loop.kept),
+    )
+    if first is not None:  # no earlier prefix crosses the bound
+        before = TailAccumulator(bound)
+        before.dropped, before.kept = start
+        before.replay(masses[:first])
+    return first
 
 
 def solve_axes_from_zero(potential, s_grid, t_grid, steps_per_cell, trunc_n, tail):

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nilweier import (
     LoopPair,
@@ -20,7 +22,7 @@ from nilweier import (
 )
 from nilweier.loopalg import _mask, star2
 
-from _oracles import convolve_dense, cylinder_frame, random_group_loop
+from _oracles import convolve_dense, cylinder_frame, random_group_loop, replay_against_record_loop
 
 
 def test_identity_multiplication():
@@ -211,11 +213,45 @@ def test_truncation_overflow():
         loop_mul(big, big, tail)
 
 
-@pytest.mark.parametrize("dropped, kept", [(math.inf, math.inf), (math.nan, 1.0)])
+@pytest.mark.parametrize(
+    "dropped, kept",
+    [(math.inf, math.inf), (math.nan, 1.0), (math.nan, math.nan), (0.0, math.nan), (math.nan, 0.0)],
+)
 def test_tail_account_rejects_a_nan_relative_mass(dropped, kept):
     tail = TailAccumulator(bound=1e-9)
     with pytest.raises(TruncationOverflow):
         tail.record(dropped, kept)
+    with pytest.raises(TruncationOverflow):
+        TailAccumulator(bound=1e-9).replay(np.array([dropped, kept]))
+
+
+_MASS = st.one_of(
+    st.sampled_from([0.0, math.nan, math.inf]),
+    st.floats(0.0, 1e-6),
+    st.floats(0.0, 10.0),
+)
+
+
+@given(
+    start=st.tuples(st.floats(0.0, 1e-8), st.floats(1e-3, 10.0)),
+    masses=st.lists(st.tuples(_MASS, _MASS), max_size=40),
+    bound=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.1, math.inf]),
+)
+def test_row_replay_equals_the_record_loop(start, masses, bound):
+    replay_against_record_loop(start, np.array(masses, dtype=float).reshape(-1, 2), bound)
+
+
+@pytest.mark.parametrize(
+    "masses, bound, first",
+    [
+        ([(1e-7, 1.0)] * 5 + [(0.1, 0.0)] + [(1e-7, 1.0)] * 3, 1e-3, 5),
+        ([(0.0, 1.0), (0.0, math.nan), (1.0, 1.0)], math.inf, 1),
+        ([(0.0, 1.0)] * 3, 1e-9, None),
+    ],
+    ids=["mass-crosses-mid-row", "nan-kept-mid-row", "no-crossing"],
+)
+def test_row_replay_stops_at_the_first_crossing(masses, bound, first):
+    assert replay_against_record_loop((1e-10, 1.0), np.array(masses), bound) == first
 
 
 def test_det_preserved_at_sampled_lambda():

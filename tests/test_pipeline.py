@@ -26,6 +26,7 @@ from nilweier.pipeline import (
     Pipeline,
     PotentialSpec,
     _AxisFlow,
+    _integrate,
     build_extended_frames,
     extract_normalized_potential,
     integrate_weierstrass_path,
@@ -327,6 +328,52 @@ def test_stacked_stepper_drops_an_item_whose_potential_raises():
             assert np.array_equal(new, old), x
         assert (flow.tail.dropped, flow.tail.kept) == (ref.tail.dropped, ref.tail.kept)
     assert raised == [0.6, 0.3, 1.0, 0.6] and flow.tail.kept > 0.0
+
+
+def test_both_axes_step_as_one_stack_while_t_chains_drop_out():
+    """g has no value for |t - 0.25| < 0.1: the t chains that step into that
+    gap drop out of the stack while the s chains and the other t chains keep
+    stepping with them, one row call per axis per step.  Values, errors and
+    the shared tail account equal the from-0 integration in an interleaved
+    order of s and t abscissae."""
+    pot = pair_potential("1 + s^2/4", "2 + sqrt(100*(t-0.25)^2 - 1)", "cos(s)/16", "t/32")
+    xs = [0.1, 0.149, 0.3, 0.6, 1.0, -0.2, -0.75, -1.5]
+    tail, ref_tail = TailAccumulator(), TailAccumulator()
+    calls = {"s": [], "t": []}
+
+    def sized(coeff_rows, sizes):
+        return lambda positions: sizes.append(len(positions)) or coeff_rows(positions)
+
+    flows = {
+        "s": _AxisFlow(sized(pot.xi_s_rows, calls["s"]), -1, 8, 16.0, tail),
+        "t": _AxisFlow(sized(pot.xi_t_rows, calls["t"]), +1, 8, 16.0, tail),
+    }
+    refs = {
+        "s": FromZeroAxisFlow(pot.xi_s, -1, 8, 16.0, ref_tail),
+        "t": FromZeroAxisFlow(pot.xi_t, +1, 8, 16.0, ref_tail),
+    }
+    _integrate((flows["s"], xs), (flows["t"], xs))
+    longest = max(math.ceil(abs(x) * 16.0 - 1e-12) for x in xs)
+    assert len(calls["s"]) == longest  # every s step is one row call
+    assert len(calls["t"]) > longest  # the step into the gap reads t row by row
+    raised = []
+    rng = np.random.default_rng(3)
+    order = [(axis, x) for axis in "st" for x in xs]
+    for axis, x in [order[i] for i in rng.permutation(len(order))] + order[:4]:
+        outcomes = []
+        for flow in (flows[axis], refs[axis]):
+            try:
+                outcomes.append(flow.at(x).c)
+            except EvalDomain as exc:
+                outcomes.append(str(exc))
+        new, old = outcomes
+        if isinstance(old, str):
+            raised.append((axis, x))
+            assert new == old
+        else:
+            assert np.array_equal(new, old), (axis, x)
+        assert (tail.dropped, tail.kept) == (ref_tail.dropped, ref_tail.kept)
+    assert sorted(raised) == [("t", 0.3), ("t", 0.6), ("t", 1.0)] and tail.kept > 0.0
 
 
 def test_det_drift_bounded():

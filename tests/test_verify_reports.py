@@ -146,6 +146,61 @@ def test_verify_plane_report_and_point_tail_are_pinned():
     )
 
 
+def test_one_verification_steps_both_axes_as_one_stack(monkeypatch):
+    """The grid axes and every `frames_at` miss batch step their s and t
+    chains together: 365 RK4 steps of four products each, where stepping one
+    axis after the other took 356 + 365 = 721.  Each step reads the s
+    potential, then the t potential, once while that axis has live chains."""
+    import re
+
+    from nilweier import pipeline as pipeline_module
+    from nilweier.config import load_config
+    from nilweier.pipeline import PotentialSpec
+    from nilweier.verify import run_verification
+
+    log = []
+    real_prod = pipeline_module._shift_prod
+    monkeypatch.setattr(
+        pipeline_module, "_shift_prod", lambda c, A: log.append("p") or real_prod(c, A)
+    )
+    for name in ("xi_s_rows", "xi_t_rows"):
+        real = getattr(PotentialSpec, name)
+        monkeypatch.setattr(
+            PotentialSpec, name, lambda self, xs, a=name[3], f=real: log.append(a) or f(self, xs)
+        )
+    cfg = load_config(VERIFY_PLANE)
+    run_verification(cfg.make_pipeline().run(), oracle=cfg.oracle)
+    text = "".join(log)
+    assert re.fullmatch(r"((st|s|t)pppp)+", text)
+    steps = re.findall(r"([st]+)pppp", text)
+    assert len(steps) == 365 and steps.count("st") == 356 and steps.count("t") == 9
+
+
+def test_the_engines_tail_records_replay_as_the_record_loop(monkeypatch):
+    """Each of the 268 row replays of one verification, from the account it
+    met, leaves the masses the `record` loop leaves, bit for bit."""
+    from _oracles import replay_against_record_loop
+
+    from nilweier.config import load_config
+    from nilweier.loopalg import TailAccumulator
+    from nilweier.verify import run_verification
+
+    replays = []
+    real = TailAccumulator.replay
+
+    def replay(self, masses):
+        replays.append(((self.dropped, self.kept), masses.reshape(-1, 2).copy(), self.bound))
+        return real(self, masses)
+
+    monkeypatch.setattr(TailAccumulator, "replay", replay)
+    cfg = load_config(VERIFY_PLANE)
+    run_verification(cfg.make_pipeline().run(), oracle=cfg.oracle)
+    monkeypatch.undo()
+    assert len(replays) == 268 and sum(len(masses) for _, masses, _ in replays) == 29128
+    for start, masses, bound in replays:
+        assert replay_against_record_loop(start, masses, bound) is None
+
+
 def test_frames_at_splits_its_misses_in_grid_row_chunks(monkeypatch):
     """Each `frames_at` call of one verification splits its misses, across
     rows of common s, in at most ceil(misses / nt) `_frame_rows` calls: 30 in
