@@ -73,12 +73,12 @@ class TailAccumulator:
         the bound is checked at every prefix by `relative`'s rule, and at the
         first crossing the account is left at that prefix and `record`'s
         error is raised."""
-        sums = np.cumsum(np.vstack(([self.dropped, self.kept], masses.reshape(-1, 2))), axis=0)
-        dropped, kept = sums[1:, 0], sums[1:, 1]
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # Python's float arithmetic overflows quietly
+            sums = np.cumsum(np.vstack(([self.dropped, self.kept], masses.reshape(-1, 2))), axis=0)
+            dropped, kept = sums[1:, 0], sums[1:, 1]
             rel = np.where(kept > 0.0, dropped / kept, np.where(dropped > 0.0, np.inf, 0.0))
-        rel[np.isnan(dropped) | np.isnan(kept)] = np.nan
-        over = np.flatnonzero(~(rel <= self.bound))
+            rel[np.isnan(dropped) | np.isnan(kept)] = np.nan
+            over = np.flatnonzero(~(rel <= self.bound))
         self.dropped, self.kept = map(float, sums[over[0] + 1 if len(over) else -1])
         if len(over):
             raise self._overflow()

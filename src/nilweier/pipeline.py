@@ -251,13 +251,14 @@ _MOVES = {-1: (slice(None, -1), slice(1, None), 0), +1: (slice(1, None), slice(N
 def _integrate(*requests) -> None:
     """Step the chains of several flows' abscissae as one stack, one RK4 step
     at a time: for each (flow, xs), those of xs the flow has neither cached
-    nor kept.  Each chain steps to its longest abscissa and keeps the state
-    after m steps for each abscissa that needs m.  Each flow's live chains
-    are one row range, in request order, with one potential row call per
-    step and its own shift.  The four stages' products are one
-    (4, L, 2N+1, 2, 2) stack, whose tail masses are taken in one pass into
-    one (steps, 4, chains, 2) array.  A chain whose potential raises drops
-    out; its abscissae past that step keep the step's positions instead.
+    nor kept; the flows share one truncation N.  Each chain steps to its
+    longest abscissa and keeps the state after m steps for each abscissa
+    that needs m.  Each flow's live chains are one row range, in request
+    order, with one potential row call per step and its own shift.  The four
+    stages' products are one (4, L, 2N+1, 2, 2) stack, whose tail masses are
+    taken in one pass into one (steps, 4, chains, 2) array.  A chain whose
+    potential raises drops out; its abscissae past that step keep the step's
+    positions instead.
     """
     chains = []  # (request index, h, {step count: abscissae})
     for r, (flow, xs) in enumerate(requests):
@@ -341,11 +342,12 @@ def solve_frame_ode(
     """Integrate the two holomorphic frame ODEs along the axes.
 
     Returns (phi_s list over s_grid, phi_t list over t_grid, flow_s, flow_t);
-    the flows evaluate off-grid points too.  Each axis integrates every chain
-    of its nodes once (see `_AxisFlow`) and records the nodes' tail masses in
-    grid order, s axis first.  Every frame and the tail account are
-    bit-identical to integrating each node from 0, and a truncation or
-    potential error names the node it arose at: (s, 0.0) or (0.0, t).
+    the flows evaluate off-grid points too.  Every chain of both axes' nodes
+    runs once, in one stack (see `_integrate`), and the nodes' tail masses
+    are recorded in grid order, s axis first.  Every frame and the tail
+    account are bit-identical to integrating each node from 0, and a
+    truncation or potential error names the node it arose at: (s, 0.0) or
+    (0.0, t).
     """
     s_grid = np.asarray(s_grid, float)
     t_grid = np.asarray(t_grid, float)
@@ -697,9 +699,9 @@ class Pipeline:
         """`[self.frame_at(s, t) for s, t in points]`, with the misses computed
         in batches.
 
-        Points the cache does not hold have their axis abscissae integrated as
-        one stack per axis and are split across their rows in chunks of one
-        grid row's size, through the sweep's row kernels (`_split_misses`).
+        Points the cache does not hold have the abscissae of both axes
+        integrated as one stack and are split across their rows in chunks of
+        one grid row's size, through the sweep's row kernels (`_split_misses`).
         Each point's effects are then replayed in list order, as the
         point-by-point loop has them: its s-axis and t-axis tail records, then
         its split's tail records, warnings and error.  So the frames,
@@ -715,8 +717,9 @@ class Pipeline:
 
     def _split_misses(self, misses) -> dict:
         """Frames of the points `misses`, not yet replayed: {point: (effects,
-        item, frames, h)}.  The points of all rows are split together, in
-        chunks of one grid row's size (the sweep's batch), each with the
+        item, frames, h)}.  Their s and t abscissae are integrated as one
+        stack (`_integrate`), and the points of all rows are split together,
+        in chunks of one grid row's size (the sweep's batch), each with the
         distinct Phi_s of its rows.  A point whose axis frame or potential
         value raises is left out, since replaying it raises first."""
         if not misses:

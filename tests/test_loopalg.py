@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -247,11 +248,14 @@ def test_row_replay_equals_the_record_loop(start, masses, bound):
         ([(1e-7, 1.0)] * 5 + [(0.1, 0.0)] + [(1e-7, 1.0)] * 3, 1e-3, 5),
         ([(0.0, 1.0), (0.0, math.nan), (1.0, 1.0)], math.inf, 1),
         ([(0.0, 1.0)] * 3, 1e-9, None),
+        ([(1.0, 1e308), (1.0, 1e308)], 1e-9, None),
     ],
-    ids=["mass-crosses-mid-row", "nan-kept-mid-row", "no-crossing"],
+    ids=["mass-crosses-mid-row", "nan-kept-mid-row", "no-crossing", "kept-overflows-quietly"],
 )
 def test_row_replay_stops_at_the_first_crossing(masses, bound, first):
-    assert replay_against_record_loop((1e-10, 1.0), np.array(masses), bound) == first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the record loop's float sums overflow without a warning
+        assert replay_against_record_loop((1e-10, 1.0), np.array(masses), bound) == first
 
 
 def test_det_preserved_at_sampled_lambda():
