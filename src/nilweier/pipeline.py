@@ -397,34 +397,40 @@ class FramePoint:
     h: float
 
 
-def _frame_rows(phi_s, index, phi_t, f_vals, g_vals, initial, gridpoints):
-    """Frames of a (B, 2N+1, 2, 2) stack of Phi_t, item b paired with
-    Phi_s[index[b]] of a (P, 2N+1, 2, 2) stack of distinct Phi_s and with the
-    values f_vals[b] and g_vals[b]: the Iwasawa split, the diagonal gauge
-    normalization and the initial-frame product, as one batch.  Returns
-    (effects, frames, h, gauge_log, conditioning, W) with W = Phi_s^{-1}
-    Phi_t; each item's effects are a batch of one's, for `_play_point`.  A
-    point with nonpositive angle function fails with GaugeFailure."""
-    fx = _Effects(len(phi_t))
-    frame, _, vminus, conds, w = _iwasawa_rows(phi_s, index, phi_t, fx)
-    N = frame.shape[1] // 2
-    h = np.full(len(frame), np.nan)
-    gauge_log = np.full(len(frame), np.nan)
-    d = np.ones(len(frame))
-    for b in np.flatnonzero(fx.alive):
-        d22 = float(vminus[b, N, 1, 1])
-        fg = f_vals[b] * g_vals[b]
-        if fg <= 0.0 or d22 <= 1e-13:
-            message = f"angle function not positive (f*g={fg:.3e}, d22={d22:.3e})"
-            fx.fail(b, GaugeFailure(message, gridpoint=gridpoints[b]))
-            continue
-        h[b] = math.sqrt(fg) * d22
-        d[b] = (f_vals[b] / (g_vals[b] * d22 * d22)) ** 0.25
-        gauge_log[b] = math.log(d[b])
-    frame = _scale_rows(frame, d)
-    if initial is not None:
-        frame = _mul_rows(initial.c, frame, fx)
-    return fx, frame, h, gauge_log, conds, w
+def _split_points(items, size, initial):
+    """Frames of (point, Phi_s, Phi_t, f, g) items, `size` items per batch:
+    per batch, one stack of its distinct Phi_s (one per s), the Iwasawa
+    split, the diagonal gauge normalization and the initial-frame product.
+    Yields (points, effects, frames, h, gauge_log, conditioning, W) per
+    batch, W = Phi_s^{-1} Phi_t; each item's effects are a batch of one's,
+    for `_play_point`.  A point with nonpositive angle function fails with
+    GaugeFailure."""
+    for lo in range(0, len(items), size):
+        points, phi_s, phi_t, f_vals, g_vals = zip(*items[lo : lo + size])
+        distinct: dict[float, tuple[int, np.ndarray]] = {}  # s -> (stack index, Phi_s)
+        index = [distinct.setdefault(s, (len(distinct), phi))[0] for (s, _), phi in zip(points, phi_s)]
+        fx = _Effects(len(points))
+        frame, _, vminus, conds, w = _iwasawa_rows(
+            np.stack([phi for _, phi in distinct.values()]), np.array(index), np.stack(phi_t), fx
+        )
+        N = frame.shape[1] // 2
+        h = np.full(len(frame), np.nan)
+        gauge_log = np.full(len(frame), np.nan)
+        d = np.ones(len(frame))
+        for b in np.flatnonzero(fx.alive):
+            d22 = float(vminus[b, N, 1, 1])
+            fg = f_vals[b] * g_vals[b]
+            if fg <= 0.0 or d22 <= 1e-13:
+                message = f"angle function not positive (f*g={fg:.3e}, d22={d22:.3e})"
+                fx.fail(b, GaugeFailure(message, gridpoint=points[b]))
+                continue
+            h[b] = math.sqrt(fg) * d22
+            d[b] = (f_vals[b] / (g_vals[b] * d22 * d22)) ** 0.25
+            gauge_log[b] = math.log(d[b])
+        frame = _scale_rows(frame, d)
+        if initial is not None:
+            frame = _mul_rows(initial.c, frame, fx)
+        yield points, fx, frame, h, gauge_log, conds, w
 
 
 def _value_or_none(expr: Expression, x: float) -> float | None:
@@ -472,12 +478,13 @@ def build_extended_frames(
 ) -> FrameGrid:
     """Per-gridpoint Iwasawa decomposition plus diagonal gauge normalization.
 
-    Each grid row is factorized as one batch that shares Phi_s; the row's
-    tail records, warnings and errors then take effect point by point,
-    exactly as point-by-point factorization has them.  Points outside the
-    big cell (or with nonpositive angle function) are recorded as holes, not
-    fatal errors.  A TruncationOverflow is fatal and names the gridpoint it
-    arose at.  `max_conditioning` is the largest np.linalg.cond over the kept
+    The gridpoints go to `_split_points` in row-major order, one grid row
+    per batch, so each batch shares one Phi_s; the row's tail records,
+    warnings and errors then take effect point by point, exactly as
+    point-by-point factorization has them.  Points outside the big cell (or
+    with nonpositive angle function) are recorded as holes, not fatal
+    errors.  A TruncationOverflow is fatal and names the gridpoint it arose
+    at.  `max_conditioning` is the largest np.linalg.cond over the kept
     points, taken among those whose conditioning is within the half-block
     values' slack of the largest (factorization._near_max).
     """
@@ -494,26 +501,22 @@ def build_extended_frames(
     tail = tail if tail is not None else TailAccumulator()
     f_vals = eval_rows([potential.f], s_grid)[0].tolist()
     g_vals = eval_rows([potential.g], t_grid)[0].tolist()
-    phi_t = np.stack([loop.c for loop in phi_t_list])
-    gridpoints = [[(float(s), float(t)) for t in t_grid] for s in s_grid]
+    items = [
+        ((s, t), phi_s.c, phi_t.c, f, g)
+        for s, phi_s, f in zip(s_grid.tolist(), phi_s_list, f_vals)
+        for t, phi_t, g in zip(t_grid.tolist(), phi_t_list, g_vals)
+    ]
     # the kept points whose np.linalg.cond may be the largest, and their W
     near_conds, near_w = np.empty(0), np.empty((0, 2 * N + 1, 2, 2))
 
-    for i in range(ns):
-        fx, frame, h_row, log_row, conds, w = _frame_rows(
-            phi_s_list[i].c[None],
-            np.zeros(nt, int),
-            phi_t,
-            [f_vals[i]] * nt,
-            g_vals,
-            initial,
-            gridpoints[i],
-        )
+    for i, (gridpoints, fx, frame, h_row, log_row, conds, w) in enumerate(
+        _split_points(items, nt, initial)
+    ):
         # Each row has its own account, merged in row order: the overflow
         # check runs against the row's mass, and the merged sums are the
         # manifest's tail_relative, so their order must not change.
         row_tail = TailAccumulator(tail.bound)
-        for j, gridpoint in enumerate(gridpoints[i]):
+        for j, gridpoint in enumerate(gridpoints):
             try:
                 _play_point(fx, j, row_tail, gridpoint)
             except (OutsideBigCell, GaugeFailure) as exc:
@@ -634,12 +637,12 @@ class Pipeline:
     Also serves as the exact point evaluator behind all finite-difference
     verification: `frames_at` and `surfaces_at` take a check's whole stencil,
     reuse the sweep's gridpoint frames and compute any other point exactly,
-    never by interpolation, through the sweep's row kernels in batches;
-    `frame_at`, `surface_at` and `spinors_at` read one point.  A point's
-    frame and h are kept, its surface and spinors are not.  Its axis
-    frames are bit-identical to an integration from 0, whatever was evaluated
-    before; its dropped tail mass goes to `point_tail`, never to the run's
-    `tail`; and a truncation or potential error names the point.
+    never by interpolation, through the sweep's own batch driver
+    (`_split_points`); `frame_at`, `surface_at` and `spinors_at` read one
+    point.  A point's frame and h are kept, its surface and spinors are not.
+    Its axis frames are bit-identical to an integration from 0, whatever was
+    evaluated before; its dropped tail mass goes to `point_tail`, never to
+    the run's `tail`; and a truncation or potential error names the point.
     """
 
     def __init__(
@@ -700,12 +703,13 @@ class Pipeline:
         in batches.
 
         Points the cache does not hold have the abscissae of both axes
-        integrated as one stack and are split across their rows in chunks of
-        one grid row's size, through the sweep's row kernels (`_split_misses`).
-        Each point's effects are then replayed in list order, as the
-        point-by-point loop has them: its s-axis and t-axis tail records, then
-        its split's tail records, warnings and error.  So the frames,
-        `point_tail`, the warnings and the first error are the loop's.
+        integrated as one stack and are split across their rows in batches
+        of one grid row's size, by the sweep's `_split_points`
+        (`_split_misses`).  Each point's effects are then replayed in list
+        order, as the point-by-point loop has them: its s-axis and t-axis
+        tail records, then its split's tail records, warnings and error; a
+        point that is not finite raises ValueError at its turn.  So the
+        frames, `point_tail`, the warnings and the first error are the loop's.
         """
         keys = [(float(s), float(t)) for s, t in points]
         split = self._split_misses([key for key in keys if key not in self._point_cache])
@@ -718,40 +722,28 @@ class Pipeline:
     def _split_misses(self, misses) -> dict:
         """Frames of the points `misses`, not yet replayed: {point: (effects,
         item, frames, h)}.  Their s and t abscissae are integrated as one
-        stack (`_integrate`), and the points of all rows are split together,
-        in chunks of one grid row's size (the sweep's batch), each with the
-        distinct Phi_s of its rows.  A point whose axis frame or potential
-        value raises is left out, since replaying it raises first."""
+        stack (`_integrate`), and the points of all rows, grouped by row, go
+        to `_split_points` in batches of one grid row's size (the sweep's
+        batch).  A point that is not finite, or whose axis frame or potential
+        value raises, is left out, since replaying it raises first."""
+        misses = [(s, t) for s, t in misses if math.isfinite(s) and math.isfinite(t)]
         if not misses:
             return {}
         _integrate((self._flow_s, [s for s, _ in misses]), (self._flow_t, [t for _, t in misses]))
         rows: dict[float, dict[float, None]] = {}
         for s, t in misses:
             rows.setdefault(s, {})[t] = None
-        items = []  # (point, phi_t, f, g)
+        items = []  # (point, phi_s, phi_t, f, g)
         for s, ts in rows.items():
-            f_val = _value_or_none(self.potential.f, s)
-            if self._flow_s.state(s) is None or f_val is None:
+            phi_s, f_val = self._flow_s.state(s), _value_or_none(self.potential.f, s)
+            if phi_s is None or f_val is None:
                 continue
             for t in ts:
                 phi_t, g_val = self._flow_t.state(t), _value_or_none(self.potential.g, t)
                 if phi_t is not None and g_val is not None:
-                    items.append(((s, t), phi_t, f_val, g_val))
+                    items.append(((s, t), phi_s, phi_t, f_val, g_val))
         split = {}
-        size = len(self.t_grid)
-        for lo in range(0, len(items), size):
-            points, phi_t, f_vals, g_vals = zip(*items[lo : lo + size])
-            distinct: dict[float, int] = {}
-            index = np.array([distinct.setdefault(s, len(distinct)) for s, _ in points])
-            fx, frame, h, *_ = _frame_rows(
-                np.stack([self._flow_s.state(s) for s in distinct]),
-                index,
-                np.stack(phi_t),
-                f_vals,
-                g_vals,
-                self.initial_frame,
-                points,
-            )
+        for points, fx, frame, h, *_ in _split_points(items, len(self.t_grid), self.initial_frame):
             for j, key in enumerate(points):
                 split[key] = (fx, j, frame, h)
         return split
@@ -761,6 +753,8 @@ class Pipeline:
         if hit is not None:
             return hit
         s, t = key
+        if not (math.isfinite(s) and math.isfinite(t)):
+            raise ValueError(f"point (s={s}, t={t}) is not finite")
         tail = self.point_tail
         with _naming(key):
             self._flow_s.at(s, tail)
@@ -799,22 +793,26 @@ class Pipeline:
         return self.surface_at(s, t, theta)[2]
 
     def spinors_at(self, s: float, t: float, theta: float):
-        """Generating spinor pair (chi1, chi2) and angle function h.
+        """`_spinors` of the frame at a parameter point."""
+        return _spinors(self.frame_at(s, t), theta)
 
-        The pair is gauged by mu^{-1/2}, mu^{+1/2} so that it satisfies the
-        plain nonlinear Dirac system with potential (i'/4) h at every
-        spectral angle, matching the surface produced by the Sym formulas.
-        """
-        pt = self.frame_at(s, t)
-        theta = float(theta)
-        F = pair_eval(LoopPair(pt.loop, pt.loop), theta)
-        root = math.sqrt(pt.h / 2.0)
-        half = theta / 2.0
-        mu_m = ParaComplex.from_null(math.exp(-half), math.exp(half))  # mu^{-1/2}
-        mu_p = ParaComplex.from_null(math.exp(half), math.exp(-half))  # mu^{+1/2}
-        chi1 = mu_m * F.entry(1, 0) * root
-        chi2 = mu_p * F.entry(1, 1) * root
-        return chi1, chi2, pt.h
+
+def _spinors(pt: FramePoint, theta: float):
+    """Generating spinor pair (chi1, chi2) and angle function h of a frame.
+
+    The pair is gauged by mu^{-1/2}, mu^{+1/2} so that it satisfies the
+    plain nonlinear Dirac system with potential (i'/4) h at every
+    spectral angle, matching the surface produced by the Sym formulas.
+    """
+    theta = float(theta)
+    F = pair_eval(LoopPair(pt.loop, pt.loop), theta)
+    root = math.sqrt(pt.h / 2.0)
+    half = theta / 2.0
+    mu_m = ParaComplex.from_null(math.exp(-half), math.exp(half))  # mu^{-1/2}
+    mu_p = ParaComplex.from_null(math.exp(half), math.exp(-half))  # mu^{+1/2}
+    chi1 = mu_m * F.entry(1, 0) * root
+    chi2 = mu_p * F.entry(1, 1) * root
+    return chi1, chi2, pt.h
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .geometry import (
 )
 from .expressions import eval_rows
 from .loopalg import SIGMA3, LoopPair, PCMatrix2, _mask, _scale_rows, pair_eval
-from .pipeline import Pipeline, _sym_rows, extract_normalized_potential
+from .pipeline import Pipeline, _spinors, _sym_rows, extract_normalized_potential
 
 __all__ = ["run_verification", "safe_points", "roundtrip_errors", "run_diagnostics"]
 
@@ -39,12 +39,10 @@ _LAMBDA_THETAS = (0.0, 0.25, -0.25, 0.5, -0.5)
 
 def _spinor_field(pipeline: Pipeline, theta: float):
     """The generating spinor pair (psi1, psi2) at spectral angle `theta`, read
-    as rows: the stencil's frames in one `frames_at` batch, then `spinors_at`
-    at each point."""
+    as rows: `_spinors` of each frame of the stencil's `frames_at` batch."""
 
     def rows(stencil):
-        pipeline.frames_at(stencil)
-        return [pipeline.spinors_at(s, t, theta)[:2] for s, t in stencil]
+        return [_spinors(pt, theta)[:2] for pt in pipeline.frames_at(stencil)]
 
     return SimpleNamespace(rows=rows)
 

@@ -288,6 +288,96 @@ def test_the_spinors_gauss_map_is_the_unit_normal_in_de_sitter_space(builtin):
             assert abs(N[0] ** 2 - N[1] ** 2 + N[2] ** 2 - 1.0) <= 16 * EPS * scale, (s, t, theta)
 
 
+# Central differences of the Gauss map N (the `surfaces_at` normal, which the
+# test above shows is the spinors' Gauss map) at three halving steps, on the
+# same 5x5 patch and angles.
+GAUSS_STEPS = (0.02, 0.01, 0.005)
+_PATCH_AXIS = np.linspace(-0.8, 0.8, 5).tolist()
+GAUSS_PATCH = [(s, t) for s in _PATCH_AXIS for t in _PATCH_AXIS]
+# The slack on a measured convergence order: that of the RK4 order test in
+# test_pipeline.py, 0.3 on an order of 4, taken in proportion.
+ORDER_SLACK = 0.3 / 4
+
+
+def _de_sitter_form(a, b):
+    """a1 b1 - a2 b2 + a3 b3 row-wise: the form of N1^2 - N2^2 + N3^2 = 1."""
+    return a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def _gauss_map_differences(pipe, theta, step):
+    """(N, N_s, N_t, N_st, round-off of one N value) at the patch points, from
+    each point's 3x3 stencil of the step.  The round-off is the chain bound
+    of the test above, 32 eps |N|^2: each N value is one such chain from its
+    frame."""
+    offsets = [(a, b) for a in (-step, 0.0, step) for b in (-step, 0.0, step)]
+    points = [(s + a, t + b) for s, t in GAUSS_PATCH for a, b in offsets]
+    N = pipe.surfaces_at(points, theta)[:, 2].reshape(len(GAUSS_PATCH), 3, 3, 3)
+    N_s = (N[:, 2, 1] - N[:, 0, 1]) / (2.0 * step)
+    N_t = (N[:, 1, 2] - N[:, 1, 0]) / (2.0 * step)
+    N_st = (N[:, 2, 2] - N[:, 2, 0] - N[:, 0, 2] + N[:, 0, 0]) / (4.0 * step * step)
+    roundoff = 32 * EPS * max(1.0, float(np.abs(N).max())) ** 2
+    return N[:, 1, 1], N_s, N_t, N_st, roundoff
+
+
+@pytest.mark.parametrize(
+    "builtin, order", [("cylinder", None), ("hyperbolic-cylinder", None), ("bscroll", 2)]
+)
+def test_the_gauss_map_is_lorentz_harmonic(builtin, order):
+    """N_st + <N_s, N_t> N = 0 in the null coordinates: the tangential part
+    of its central-difference value is round-off on the cylinders, and on
+    bscroll it falls at the differences' second order, so it vanishes in the
+    limit (8.9e-6, 2.2e-6, 5.5e-7 at theta = 0)."""
+    pipe = builtin_config(builtin).make_pipeline()
+    for theta in (0.0, 0.15):
+        residuals = []
+        for step in GAUSS_STEPS:
+            N, N_s, N_t, N_st, nu = _gauss_map_differences(pipe, theta, step)
+            R = N_st + _de_sitter_form(N_s, N_t)[:, None] * N
+            tangential = R - _de_sitter_form(R, N)[:, None] * N
+            residuals.append(float(np.abs(tangential).max()))
+            if order is None:
+                # Round-off, no fit: N_st's four values carry nu each over
+                # 4 step^2; <N_s, N_t> N carries 3 (|N_s| + |N_t|) |N| nu / step;
+                # taking the tangential part multiplies by 1 + 3 |N|^2.
+                n, first = np.abs(N).max(), np.abs(N_s).max() + np.abs(N_t).max()
+                bound = (nu / step**2 + 3.0 * first * n * nu / step) * (1.0 + 3.0 * n * n)
+                assert residuals[-1] <= bound, (theta, step, residuals[-1], bound)
+        if order is not None:
+            slopes = [math.log2(a / b) for a, b in zip(residuals, residuals[1:])]
+            assert all(abs(slope - order) <= ORDER_SLACK * order for slope in slopes), residuals
+
+
+@pytest.mark.parametrize(
+    "builtin, nonzero",
+    [("cylinder", (25, 25)), ("hyperbolic-cylinder", (25, 25)), ("bscroll", (0, 20))],
+)
+def test_the_gauss_map_is_not_conformal(builtin, nonzero):
+    """<N_s, N_s> and <N_t, N_t> are not both 0: the count of patch points at
+    which each one is nonzero beyond its error.  They are about +-0.25 on
+    the cylinders at theta = 0; on bscroll <N_s, N_s> vanishes and <N_t, N_t>
+    vanishes only on the line t = 0 (5 of the 25 points).
+
+    Each is the form of central differences, so its error falls at second
+    order or faster in the step (checked where the changes exceed round-off):
+    the change between the two finest steps then bounds the finest value's
+    error, three times over.  Round-off adds 6 |N_x| nu / step."""
+    pipe = builtin_config(builtin).make_pipeline()
+    for theta in (0.0, 0.15):
+        values, floors = [], []
+        for step in GAUSS_STEPS:
+            _, N_s, N_t, _, nu = _gauss_map_differences(pipe, theta, step)
+            values.append([_de_sitter_form(N_x, N_x) for N_x in (N_s, N_t)])
+            floors.append([6.0 * np.abs(N_x).max() * nu / step for N_x in (N_s, N_t)])
+        values, floors = np.array(values), np.array(floors)[:, :, None]
+        changes = np.abs(np.diff(values, axis=0))
+        measured = changes[1] > 2.0 * (floors[1] + floors[2])  # both steps' round-off over
+        slopes = np.log2(changes[0][measured] / changes[1][measured])
+        assert np.all(slopes >= 2.0 * (1.0 - ORDER_SLACK)), (theta, slopes.min())
+        error = changes[1] + floors[2]
+        counts = tuple(int(n) for n in (np.abs(values[2]) > error).sum(axis=1))
+        assert counts == nonzero, (theta, counts)
+
+
 # -- first fundamental form -------------------------------------------------------------
 
 

@@ -879,6 +879,27 @@ def test_frames_at_names_a_point_tail_overflow():
     assert ref[3][0] is TruncationOverflow and ref[3][2] == (0.15, -0.35)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["s", "t"])
+def test_frames_at_raises_at_a_non_finite_point_as_the_loop_does(axis, x):
+    """A point that is not finite raises ValueError naming it at its turn:
+    the points before it are replayed and cached, the points after it are
+    not, and `point_tail` holds what the frame_at loop leaves."""
+    bad = (x, 0.0) if axis == "s" else (0.0, x)
+    points = [(0.33, 0.21), bad, (0.4, -0.3)]
+    outcomes = []
+    for evaluate in (lambda pipe: pipe.frames_at(points), lambda pipe: [pipe.frame_at(*p) for p in points]):
+        pipe = builtin_config("horizontal-umbrella").make_pipeline().run()
+        with pytest.raises(ValueError) as exc:
+            evaluate(pipe)
+        tail = (pipe.point_tail.dropped.hex(), pipe.point_tail.kept.hex())
+        outcomes.append((str(exc.value), tail, set(pipe._point_cache)))
+    assert outcomes[0] == outcomes[1]
+    message, (_, kept), cached = outcomes[0]
+    assert message == f"point (s={bad[0]}, t={bad[1]}) is not finite"
+    assert float.fromhex(kept) > 0.0 and (0.33, 0.21) in cached and (0.4, -0.3) not in cached
+
+
 def test_frame_det_and_reality_at_sampled_spectra(cyl_pipe):
     fg = cyl_pipe.frame_grid
     rng = np.random.default_rng(31)

@@ -201,11 +201,24 @@ def test_the_engines_tail_records_replay_as_the_record_loop(monkeypatch):
         assert replay_against_record_loop(start, masses, bound) is None
 
 
+def _count_iwasawa_batches(monkeypatch, calls):
+    """Append each `_iwasawa_rows` call's (distinct Phi_s, items) from
+    `nilweier.pipeline` to `calls`."""
+    from nilweier import pipeline as pipeline_module
+
+    real = pipeline_module._iwasawa_rows
+
+    def iwasawa_rows(phi_s, index, phi_t, fx):
+        calls.append((len(phi_s), len(phi_t)))
+        return real(phi_s, index, phi_t, fx)
+
+    monkeypatch.setattr(pipeline_module, "_iwasawa_rows", iwasawa_rows)
+
+
 def test_frames_at_splits_its_misses_in_grid_row_chunks(monkeypatch):
     """Each `frames_at` call of one verification splits its misses, across
-    rows of common s, in at most ceil(misses / nt) `_frame_rows` calls: 30 in
-    all, where one call per row of common s made 168."""
-    from nilweier import pipeline as pipeline_module
+    rows of common s, in at most ceil(misses / nt) `_iwasawa_rows` calls: 30
+    in all, where one call per row of common s made 168."""
     from nilweier.config import load_config
     from nilweier.pipeline import Pipeline
     from nilweier.verify import run_verification
@@ -214,7 +227,7 @@ def test_frames_at_splits_its_misses_in_grid_row_chunks(monkeypatch):
     pipeline = cfg.make_pipeline().run()
     nt = len(pipeline.t_grid)
     splits, calls = [], []
-    real_split, real_rows = Pipeline._split_misses, pipeline_module._frame_rows
+    real_split = Pipeline._split_misses
 
     def split_misses(self, misses):
         before = len(calls)
@@ -222,15 +235,31 @@ def test_frames_at_splits_its_misses_in_grid_row_chunks(monkeypatch):
         splits.append((len(misses), len(calls) - before))
         return out
 
-    def frame_rows(*args):
-        calls.append(len(args[2]))
-        return real_rows(*args)
-
     monkeypatch.setattr(Pipeline, "_split_misses", split_misses)
-    monkeypatch.setattr(pipeline_module, "_frame_rows", frame_rows)
+    _count_iwasawa_batches(monkeypatch, calls)
     run_verification(pipeline, oracle=cfg.oracle)
     assert all(made <= -(-misses // nt) for misses, made in splits)
-    assert len(calls) == 30 and max(calls) <= nt
+    assert len(calls) == 30 and max(items for _, items in calls) <= nt
+
+
+@pytest.mark.parametrize("side, trunc_n", [(15, 20), (9, 48)])  # sweep-cylinder, deep-trunc
+def test_the_sweep_splits_one_grid_row_per_batch(side, trunc_n, monkeypatch):
+    """The sweep splits its ns x nt gridpoints in ns `_iwasawa_rows` calls of
+    nt items, each with the one Phi_s of its grid row."""
+    from nilweier.config import load_config
+
+    config = {
+        "potential": {"builtin": "cylinder"},
+        "domain": {"sMin": -2.0, "sMax": 2.0, "tMin": -2.0, "tMax": 2.0, "ns": side, "nt": side},
+        "truncationN": trunc_n,
+        "stepsPerCell": 8,
+        "thetas": [0.0],
+    }
+    pipeline = load_config(config).make_pipeline()
+    calls = []
+    _count_iwasawa_batches(monkeypatch, calls)
+    pipeline.run()
+    assert calls == [(1, side)] * side
 
 
 ROUNDTRIPS = os.path.join(os.path.dirname(__file__), "data", "roundtrip_reports.json")
