@@ -410,7 +410,7 @@ def _split_points(items, size, initial):
         distinct: dict[float, tuple[int, np.ndarray]] = {}  # s -> (stack index, Phi_s)
         index = [distinct.setdefault(s, (len(distinct), phi))[0] for (s, _), phi in zip(points, phi_s)]
         fx = _Effects(len(points))
-        frame, _, vminus, conds, w = _iwasawa_rows(
+        frame, vplus_inv, vminus, conds, w = _iwasawa_rows(
             np.stack([phi for _, phi in distinct.values()]), np.array(index), np.stack(phi_t), fx
         )
         N = frame.shape[1] // 2
@@ -430,6 +430,7 @@ def _split_points(items, size, initial):
         frame = _scale_rows(frame, d)
         if initial is not None:
             frame = _mul_rows(initial.c, frame, fx)
+        del vplus_inv, vminus  # not kept while the caller holds this batch and the next is split
         yield points, fx, frame, h, gauge_log, conds, w
 
 
