@@ -114,16 +114,18 @@ def lie_bracket(X, Y) -> np.ndarray:
 def _sample(fn, stencil: list, count: int, read=None) -> np.ndarray:
     """The field's values, or `read` of each, at each point of `stencil`, a
     check's list at `count` points, in order: shape (count, K, ...) with K
-    stencil points per check point.  A field with a `rows` hook gives them in
-    one call, `fn.rows(stencil)`; any other is read as `fn(s, t)`."""
+    stencil points per check point.  A `rows` hook gives them in one call,
+    `fn.rows(stencil)`, as a list or array of rows; else `fn(s, t)` is read."""
     values = fn.rows(stencil) if hasattr(fn, "rows") else [fn(s, t) for s, t in stencil]
     values = np.array(values if read is None else [read(v) for v in values], float)
     return values.reshape(count, -1, *values.shape[1:])
 
 
 def _sample_null(spinor_fn, stencil: list, count: int) -> np.ndarray:
-    """`_sample` of a spinor field as null components (psi1_p, psi1_q, psi2_p, psi2_q)."""
-    return _sample(spinor_fn, stencil, count, lambda pair: [c for z in pair for c in (z.p, z.q)])
+    """`_sample` of a spinor field as null components (psi1_p, psi1_q, psi2_p,
+    psi2_q), which a `rows` hook gives already read from its (psi1, psi2)."""
+    read = None if hasattr(spinor_fn, "rows") else lambda pair: [c for z in pair for c in (z.p, z.q)]
+    return _sample(spinor_fn, stencil, count, read)
 
 
 def _worst(*arrays) -> float:

@@ -224,9 +224,10 @@ class _AxisFlow:
 
     def state(self, x: float) -> np.ndarray | None:
         """Coefficients at an abscissa that is cached or integrated but not
-        yet handed out, without replaying anything; None if it raises."""
+        yet handed out, without replaying anything; None if it raises or is not
+        integrated."""
         hit = self._cache.get(x)
-        return hit.c if hit is not None else self._nodes[x][0]
+        return hit.c if hit is not None else self._nodes.get(x, (None,))[0]
 
     def at(self, x: float, tail: TailAccumulator | None = None) -> TwistedLoop:
         x = float(x)
@@ -552,6 +553,17 @@ def build_extended_frames(
 # ---------------------------------------------------------------------------
 
 
+def _lam_sums(c: np.ndarray, theta: float, count: int) -> list[np.ndarray]:
+    """(lam d/dlam)^k F(lam = e^theta), k < count, of a C-contiguous (B, 2N+1, 2, 2)
+    stack: each (B, 2, 2), one BLAS dot per item as in `TwistedLoop.eval`."""
+    B, L = c.shape[:2]
+    ks = np.arange(-(L // 2), L // 2 + 1, dtype=float)
+    powers = math.exp(theta) ** ks
+    flat = c.reshape(B, L, 4)
+    weights = (powers, ks * powers, ks**2 * powers)[:count]
+    return [np.matmul(w, flat).reshape(B, 2, 2) for w in weights]
+
+
 def _sym_rows(c: np.ndarray, theta: float):
     """Surface data of a C-contiguous (B, 2N+1, 2, 2) stack of frames at one
     spectral angle: (nil, l3, normal), each of shape (B, 3).
@@ -565,18 +577,13 @@ def _sym_rows(c: np.ndarray, theta: float):
         nil: (x1, x2, x3) = (G10 - G01, -(G01 + G10), -A00)
         normal: (-(C01 + C10)/2, (C10 - C01)/2, C00).
 
-    The lam-sums are one BLAS dot per item, as `np.tensordot` does them, and
-    the 2x2 products batched `@`: each item has the scalar evaluation's bits.
+    The lam-sums are `_lam_sums`' and the 2x2 products batched `@`: each
+    item has the scalar evaluation's bits.
     """
-    B, L = c.shape[:2]
-    lam = math.exp(theta)
-    ks = np.arange(-(L // 2), L // 2 + 1, dtype=float)
-    powers = lam**ks
-    flat = c.reshape(B, L, 4)
-    M, M1, M2 = (np.matmul(w, flat).reshape(B, 2, 2) for w in (powers, ks * powers, ks**2 * powers))
+    M, M1, M2 = _lam_sums(c, theta, 3)
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     Minv = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]], axis=1)
-    Minv = Minv.reshape(B, 2, 2) / det[:, None, None]
+    Minv = Minv.reshape(-1, 2, 2) / det[:, None, None]
     D = M1 @ Minv
     E = M2 @ Minv
     C = M @ SIGMA3 @ Minv
@@ -726,11 +733,14 @@ class Pipeline:
         stack (`_integrate`), and the points of all rows, grouped by row, go
         to `_split_points` in batches of one grid row's size (the sweep's
         batch).  A point that is not finite, or whose axis frame or potential
-        value raises, is left out, since replaying it raises first."""
+        value raises, is left out, since replaying it raises first; so is one
+        not integrated when the stack cannot be allocated: `_replay` splits it."""
         misses = [(s, t) for s, t in misses if math.isfinite(s) and math.isfinite(t)]
         if not misses:
             return {}
-        _integrate((self._flow_s, [s for s, _ in misses]), (self._flow_t, [t for _, t in misses]))
+        requests = (self._flow_s, [s for s, _ in misses]), (self._flow_t, [t for _, t in misses])
+        with contextlib.suppress(ValueError, MemoryError):  # raised before any state changes
+            _integrate(*requests)
         rows: dict[float, dict[float, None]] = {}
         for s, t in misses:
             rows.setdefault(s, {})[t] = None
@@ -762,7 +772,7 @@ class Pipeline:
             self._flow_t.at(t, tail)
             self.potential.f.eval(s)
             self.potential.g.eval(t)
-        fx, j, frame, h = split.pop(key)
+        fx, j, frame, h = split.pop(key) if key in split else self._split_misses([key])[key]
         _play_point(fx, j, tail, key)
         hit = self._point_cache[key] = FramePoint(
             TwistedLoop(self.trunc_n, frame[j], enforce_parity=False), float(h[j])
@@ -776,7 +786,7 @@ class Pipeline:
         """The (B, 3, 3) rows (nil point, L3 point, unit normal) at the points
         and one spectral angle: one `_sym_rows` call over their `frames_at`
         frames, each row with `_sym_point`'s bits."""
-        frames = np.array([pt.loop.c for pt in self.frames_at(points)])
+        frames = _coeff_stack(self.frames_at(points), self.trunc_n)
         return np.stack(_sym_rows(frames, float(theta)), axis=1)
 
     def surface_at(self, s: float, t: float, theta: float) -> np.ndarray:
@@ -814,6 +824,36 @@ def _spinors(pt: FramePoint, theta: float):
     chi1 = mu_m * F.entry(1, 0) * root
     chi2 = mu_p * F.entry(1, 1) * root
     return chi1, chi2, pt.h
+
+
+def _coeff_stack(pts, N: int) -> np.ndarray:
+    """The C-contiguous (B, 2N+1, 2, 2) stack of the frames of FramePoints pts."""
+    return np.array([pt.loop.c for pt in pts]).reshape(len(pts), 2 * N + 1, 2, 2)
+
+
+def _null_pair(p, q):
+    """(z.p, z.q) of z = ParaComplex.from_null(p, q), elementwise."""
+    re, im = (p + q) / 2.0, (p - q) / 2.0
+    return re + im, re - im
+
+
+def _spinor_rows(pts, theta: float, N: int) -> np.ndarray:
+    """The (B, 4) null components (chi1.p, chi1.q, chi2.p, chi2.q) of `_spinors` of
+    each FramePoint of pts, with its bits: F(e^theta) by `_lam_sums`, then its
+    operations elementwise and in its order.  Where it raises (det 0, h negative or
+    NaN, a value not finite) a value here is not finite, and its loop runs instead."""
+    (M,) = _lam_sums(_coeff_stack(pts, N), theta, 1)
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    half = theta / 2.0
+    mu = np.array([_null_pair(math.exp(-x), math.exp(x)) for x in (half, -half)])  # mu^{-+1/2}
+    with np.errstate(all="ignore"):
+        root = np.sqrt(np.array([pt.h for pt in pts], float) / 2.0)[:, None]
+        p, q = _null_pair(M[:, 1], M[:, 0, ::-1] / det[:, None])  # F.entry(1, k), k = 0, 1
+        p, q = _null_pair(mu[:, 0] * p, mu[:, 1] * q)
+        rows = np.stack(_null_pair(p * (root + 0.0), q * (root - 0.0)), axis=2).reshape(-1, 4)
+    if np.isfinite(rows).all():
+        return rows
+    return np.array([[c for z in _spinors(pt, theta)[:2] for c in (z.p, z.q)] for pt in pts], float)
 
 
 # ---------------------------------------------------------------------------

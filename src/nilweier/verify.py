@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DegenerateMetric, GridTooCoarse
 from .geometry import (
     _sample,
-    _sample_null,
     _worst,
     _xy_tangents,
     abresch_rosenberg,
@@ -30,7 +29,7 @@ from .geometry import (
 )
 from .expressions import eval_rows
 from .loopalg import SIGMA3, LoopPair, PCMatrix2, _mask, _scale_rows, pair_eval
-from .pipeline import Pipeline, _spinors, _sym_rows, extract_normalized_potential
+from .pipeline import Pipeline, _spinor_rows, _sym_rows, extract_normalized_potential
 
 __all__ = ["run_verification", "safe_points", "roundtrip_errors", "run_diagnostics"]
 
@@ -39,10 +38,10 @@ _LAMBDA_THETAS = (0.0, 0.25, -0.25, 0.5, -0.5)
 
 def _spinor_field(pipeline: Pipeline, theta: float):
     """The generating spinor pair (psi1, psi2) at spectral angle `theta`, read
-    as rows: `_spinors` of each frame of the stencil's `frames_at` batch."""
+    as rows of null components: `_spinor_rows` of its `frames_at` batch."""
 
     def rows(stencil):
-        return [_spinors(pt, theta)[:2] for pt in pipeline.frames_at(stencil)]
+        return _spinor_rows(pipeline.frames_at(stencil), theta, pipeline.trunc_n)
 
     return SimpleNamespace(rows=rows)
 
@@ -63,9 +62,8 @@ def safe_points(pipeline: Pipeline, count: int = 9, nil_side: bool = False):
                 continue
             candidates.append((float(fg.s_grid[i]), float(fg.t_grid[j])))
     if nil_side and candidates:
-        spinors = _spinor_field(pipeline, float(pipeline.thetas[0]))
-        nulls = _sample_null(spinors, candidates, len(candidates))
-        vals = [v**2 for v in conformal_factor_root(nulls[:, 0]).tolist()]
+        nulls = _spinor_rows(pipeline.frames_at(candidates), pipeline.thetas[0], pipeline.trunc_n)
+        vals = [v**2 for v in conformal_factor_root(nulls).tolist()]
         positives = sorted(v for v in vals if v > 0.0)
         med = positives[len(positives) // 2] if positives else 0.0
         # keep points whose induced metric sits in a moderate band around the

@@ -602,7 +602,8 @@ def test_a_timelike_automatic_normal_raises():
 class _Recorder:
     """`fn`, logging each read as ("read", name, point) into `log`; when
     `hooked`, it has a `rows` hook that logs ("rows", name, stencil) and gives
-    `fn` at each point of the stencil."""
+    `fn` at each point of the stencil, a spinor pair as its null components,
+    as a hooked spinor field gives them."""
 
     def __init__(self, fn, name, log, hooked):
         self.fn, self.name, self.log = fn, name, log
@@ -610,7 +611,10 @@ class _Recorder:
 
             def rows(stencil):
                 log.append(("rows", name, _floats(stencil)))
-                return [fn(s, t) for s, t in stencil]
+                values = [fn(s, t) for s, t in stencil]
+                if name == "spinors":
+                    values = [[c for z in pair for c in (z.p, z.q)] for pair in values]
+                return values
 
             self.rows = rows
 

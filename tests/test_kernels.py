@@ -30,7 +30,10 @@ from nilweier.loopalg import (
     _mul_rows,
     _shift_rows,
 )
-from nilweier.pipeline import _sym_point, _sym_rows
+from nilweier.config import BUILTINS
+from nilweier.errors import SingularLoop
+from nilweier.geometry import _sample_null
+from nilweier.pipeline import FramePoint, _spinor_rows, _spinors, _sym_point, _sym_rows
 
 from _oracles import (
     block_toeplitz_reference,
@@ -459,3 +462,72 @@ def test_kernels_take_an_empty_stack(N):
         for item in out if isinstance(out, tuple) else (out,):
             assert isinstance(item, np.ndarray) and len(item) == 0, name
     assert fx.items == [] and not fx.alive.size
+
+
+def _small_pipeline(builtin):
+    """The builtin's potential on a 9x9 grid of [-0.8, 0.8]^2 at N = 12."""
+    domain = {"sMin": -0.8, "sMax": 0.8, "tMin": -0.8, "tMax": 0.8, "ns": 9, "nt": 9}
+    return load_config(
+        {"potential": {"builtin": builtin}, "domain": domain, "truncationN": 12}
+    ).make_pipeline().run()
+
+
+def _hexed_rows(rows):
+    return [[x.hex() for x in row] for row in np.asarray(rows).tolist()]
+
+
+@pytest.mark.parametrize("builtin", BUILTINS)
+def test_spinor_rows_have_the_bits_of_the_spinors_loop(builtin):
+    """`_spinor_rows` gives, item for item, the float.hex of the null
+    components `_sample_null` reads from `_spinors` of the same frames: at
+    gridpoints and off the grid, at angles of both signs, in batches of 0, 1
+    and 7 frames."""
+    pipe = _small_pipeline(builtin)
+    fg = pipe.frame_grid
+    gridpoints = [(float(fg.s_grid[i]), float(fg.t_grid[j])) for i, j in ((1, 2), (4, 4), (7, 3))]
+    off_grid = [(0.3125, -0.2175), (-0.4375, 0.1325), (0.05, 0.55), (-0.61, -0.33)]
+    points = [p for pair in zip(off_grid, gridpoints + [(0.0, 0.0)]) for p in pair][:7]
+    frames = dict(zip(points, pipe.frames_at(points)))
+    assert not fg.holes.any() and len(frames) == 7
+    for theta in (0.0, 0.23, -0.41):
+        for batch in (points[:0], points[3:4], points):
+            got = _spinor_rows([frames[p] for p in batch], theta, pipe.trunc_n)
+            assert got.shape == (len(batch), 4) and got.dtype == float
+            if batch:
+                field = lambda s, t: _spinors(frames[(s, t)], theta)[:2]  # noqa: E731, B023
+                expected = _sample_null(field, batch, len(batch))[:, 0]
+                assert _hexed_rows(got) == _hexed_rows(expected)
+
+
+def test_spinor_rows_raise_the_first_error_of_the_spinors_loop():
+    """Frames with det 0 or a NaN coefficient and points with h = -1 or NaN:
+    in any order among good frames, the kernel raises the exception type and
+    message of the `_spinors` loop, that of the first item that fails."""
+    pipe = _small_pipeline("cylinder")
+    N = pipe.trunc_n
+    good = pipe.frames_at([(0.3125, -0.2175), (0.2, 0.4), (-0.1, 0.6)])
+    nan_coeff = good[0].loop.c.copy()
+    nan_coeff[N + 2, 0, 1] = np.nan
+    bad = {
+        "det 0": FramePoint(TwistedLoop(N, np.zeros((2 * N + 1, 2, 2))), 1.0),
+        "NaN coefficient": FramePoint(TwistedLoop(N, nan_coeff, enforce_parity=False), good[0].h),
+        "h = -1": FramePoint(good[1].loop, -1.0),
+        "h = NaN": FramePoint(good[1].loop, float("nan")),
+    }
+    seen = set()
+    for first, one in bad.items():
+        for second, other in bad.items():
+            batch = [good[0], one, good[1], other, good[2]]
+            for theta in (0.17, -0.29):
+                with pytest.raises(Exception) as loop:
+                    [_spinors(pt, theta) for pt in batch]
+                with pytest.raises(Exception) as kernel:
+                    _spinor_rows(batch, theta, N)
+                assert (kernel.type, str(kernel.value)) == (loop.type, str(loop.value)), first
+                seen.add((loop.type, str(loop.value)))
+    assert seen == {
+        (SingularLoop, "involution of a singular matrix"),
+        (ValueError, "math domain error"),
+        (ValueError, "para-complex components must be finite"),
+    }
+

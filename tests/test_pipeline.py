@@ -900,6 +900,32 @@ def test_frames_at_raises_at_a_non_finite_point_as_the_loop_does(axis, x):
     assert float.fromhex(kept) > 0.0 and (0.33, 0.21) in cached and (0.4, -0.3) not in cached
 
 
+def test_frames_at_raises_at_an_abscissa_too_large_to_integrate_as_the_loop_does():
+    """An abscissa whose step count has no record array (1e300) fails the
+    stack's allocation; its point raises that error at its turn, after the
+    points before it are replayed and cached, as in the frame_at loop."""
+    points = [(0.33, 0.21), (0.0, 1e300), (0.4, -0.3)]
+    outcomes = []
+    for evaluate in (lambda pipe: pipe.frames_at(points), lambda pipe: [pipe.frame_at(*p) for p in points]):
+        pipe = builtin_config("horizontal-umbrella").make_pipeline().run()
+        with pytest.raises(ValueError) as exc:
+            evaluate(pipe)
+        tail = (pipe.point_tail.dropped.hex(), pipe.point_tail.kept.hex())
+        outcomes.append((str(exc.value), tail, set(pipe._point_cache)))
+    assert outcomes[0] == outcomes[1]
+    message, (_, kept), cached = outcomes[0]
+    assert message == "Maximum allowed dimension exceeded"
+    assert float.fromhex(kept) > 0.0 and (0.33, 0.21) in cached and (0.4, -0.3) not in cached
+
+
+def test_the_point_readers_take_an_empty_list(cyl_pipe):
+    """`frames_at`, `surfaces_at` and the spinor row kernel map no points to
+    empty results of the shapes they give for some."""
+    assert cyl_pipe.frames_at([]) == []
+    assert cyl_pipe.surfaces_at([], 0.1).shape == (0, 3, 3)
+    assert pipeline_module._spinor_rows([], -0.1, cyl_pipe.trunc_n).shape == (0, 4)
+
+
 def test_frame_det_and_reality_at_sampled_spectra(cyl_pipe):
     fg = cyl_pipe.frame_grid
     rng = np.random.default_rng(31)

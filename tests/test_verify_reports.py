@@ -176,6 +176,35 @@ def test_one_verification_steps_both_axes_as_one_stack(monkeypatch):
     assert len(steps) == 365 and steps.count("st") == 356 and steps.count("t") == 9
 
 
+def test_only_the_frame_quality_check_evaluates_frame_pairs(monkeypatch):
+    """One verification evaluates the para-complex frame pair 45 times, at the
+    9 points of the frame-quality check and its 5 angles: its 891 spinor reads
+    take their null components from 6 `_spinor_rows` batches, which evaluate
+    no pair (each read evaluated one, 936 calls in all, before the batches)."""
+    from nilweier import loopalg
+    from nilweier import pipeline as pipeline_module
+    from nilweier import verify as verify_module
+    from nilweier.config import load_config
+    from nilweier.verify import run_verification
+
+    pairs, batches = [], []
+    for module in (pipeline_module, verify_module):
+        monkeypatch.setattr(
+            module, "pair_eval", lambda P, theta: pairs.append(theta) or loopalg.pair_eval(P, theta)
+        )
+    real_rows = pipeline_module._spinor_rows
+
+    def spinor_rows(pts, theta, N):
+        batches.append(len(pts))
+        return real_rows(pts, theta, N)
+
+    monkeypatch.setattr(verify_module, "_spinor_rows", spinor_rows)
+    cfg = load_config(VERIFY_PLANE)
+    run_verification(cfg.make_pipeline().run(), oracle=cfg.oracle)
+    assert len(pairs) == 45
+    assert (len(batches), sum(batches)) == (6, 891)
+
+
 def test_the_engines_tail_records_replay_as_the_record_loop(monkeypatch):
     """Each of the 268 row replays of one verification, from the account it
     met, leaves the masses the `record` loop leaves, bit for bit."""
