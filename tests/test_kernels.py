@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilweier import loop_mul
-from nilweier.config import load_config
+from nilweier.config import BUILTINS, load_config
 from nilweier import factorization
 from nilweier.factorization import (
     COND_FAIL,
@@ -30,7 +30,6 @@ from nilweier.loopalg import (
     _mul_rows,
     _shift_rows,
 )
-from nilweier.config import BUILTINS
 from nilweier.errors import SingularLoop
 from nilweier.geometry import _sample_null
 from nilweier.pipeline import FramePoint, _spinor_rows, _spinors, _sym_point, _sym_rows
@@ -515,19 +514,18 @@ def test_spinor_rows_raise_the_first_error_of_the_spinors_loop():
         "h = NaN": FramePoint(good[1].loop, float("nan")),
     }
     seen = set()
-    for first, one in bad.items():
-        for second, other in bad.items():
+    for one in bad.values():
+        for other in bad.values():
             batch = [good[0], one, good[1], other, good[2]]
             for theta in (0.17, -0.29):
                 with pytest.raises(Exception) as loop:
                     [_spinors(pt, theta) for pt in batch]
                 with pytest.raises(Exception) as kernel:
                     _spinor_rows(batch, theta, N)
-                assert (kernel.type, str(kernel.value)) == (loop.type, str(loop.value)), first
+                assert (kernel.type, str(kernel.value)) == (loop.type, str(loop.value))
                 seen.add((loop.type, str(loop.value)))
     assert seen == {
         (SingularLoop, "involution of a singular matrix"),
         (ValueError, "math domain error"),
         (ValueError, "para-complex components must be finite"),
     }
-
