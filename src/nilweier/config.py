@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from .loopalg import TwistedLoop
-from .pipeline import Pipeline, PotentialSpec, pair_potential, translate_potential
+from .pipeline import Pipeline, PotentialSpec, _lam_weights, pair_potential, translate_potential
 
 __all__ = ["RunConfig", "BUILTINS", "builtin_config", "load_config", "threads_from_env"]
 
@@ -46,6 +46,8 @@ class RunConfig:
                 raise ValueError(f"unknown output kind {out!r}")
         if not self.thetas or not all(map(math.isfinite, self.thetas)):
             raise ValueError("thetas must list at least one finite spectral angle")
+        for theta in self.thetas:
+            _lam_weights(theta, self.trunc_n)
 
     def s_grid(self) -> np.ndarray:
         return _snapped_linspace(self.s_min, self.s_max, self.ns)

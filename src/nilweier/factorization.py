@@ -267,7 +267,7 @@ def birkhoff_split(w: TwistedLoop, order: str = "minus_star_plus") -> BirkhoffRe
         raise ValueError(f"unknown order {order!r}")
     fx = _Effects(1)
     minus, plus, conds = _split_rows(w.c[None], _SIGNS[order], fx)
-    fx.play(0, None)
+    fx.play(0, 1, None)
     return BirkhoffResult(
         minus=TwistedLoop(w.N, minus[0], enforce_parity=False),
         plus=TwistedLoop(w.N, plus[0], enforce_parity=False),
@@ -289,9 +289,7 @@ def _iwasawa_rows(phi_s: np.ndarray, index: np.ndarray, phi_t: np.ndarray, fx: _
     """
     inverted = _Effects(len(phi_s))
     s_inv = _inv_rows(phi_s, True, inverted)
-    for p in np.flatnonzero(~inverted.alive):
-        for b in np.flatnonzero(index == p):
-            fx.fail(b, inverted.items[p][-1])
+    fx.fail_as(inverted, index)
     w = _mul_rows(s_inv[index], phi_t, fx)
     vminus, vplus_inv, conds = _split_rows(w, +1, fx)
     return _mul_rows(phi_s[index], vplus_inv, fx), vplus_inv, vminus, conds, w
@@ -313,7 +311,7 @@ def iwasawa_double(
     frame, vplus_inv, vminus, conds, _ = _iwasawa_rows(
         phi_s.c[None], np.zeros(1, int), phi_t.c[None], fx
     )
-    fx.play(0, tail)
+    fx.play(0, 1, tail)
     return IwasawaResult(
         frame=TwistedLoop(phi_s.N, frame[0], enforce_parity=False),
         vplus_inv=TwistedLoop(phi_s.N, vplus_inv[0], enforce_parity=False),

@@ -18,6 +18,7 @@ mu = e^(i' theta) on the unit hyperbola corresponds to lam = e^theta.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import warnings
@@ -45,6 +46,7 @@ __all__ = [
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 _PARITY_TOL = 1e-9  # relative; violations above this raise ParityViolation
+_SHORT = 64  # see `TailAccumulator._replay`
 
 
 class TailAccumulator:
@@ -52,8 +54,8 @@ class TailAccumulator:
 
     `dropped` and `kept` are Frobenius masses; a run is rejected when the
     relative dropped mass exceeds `bound` or either mass is NaN.  `record`
-    adds one pair of masses; `replay` adds a whole array of them as the
-    loop of `record` calls would.
+    adds one pair of masses; `replay` adds a whole array of them in order,
+    checking the bound after each.
     """
 
     def __init__(self, bound: float = 1e-9):
@@ -62,26 +64,35 @@ class TailAccumulator:
         self.kept = 0.0
 
     def record(self, dropped: float, kept: float) -> None:
-        self.dropped += dropped
-        self.kept += kept
-        if not self.relative() <= self.bound:  # a NaN mass fails too
-            raise self._overflow()
+        self.replay(np.array([dropped, kept]))
 
     def replay(self, masses: np.ndarray) -> None:
-        """`record` each (dropped, kept) pair of a (..., 2) array in order: the
-        running sums from the account's masses are one sequential `np.cumsum`,
-        the bound is checked at every prefix by `relative`'s rule, and at the
-        first crossing the account is left at that prefix and `record`'s
-        error is raised."""
+        """Add each (dropped, kept) pair of a (..., 2) array in order; at the
+        first crossing the account is left at that prefix and TruncationOverflow
+        is raised."""
+        if self._replay(masses) is not None:
+            raise self._overflow()
+
+    def _replay(self, masses: np.ndarray) -> int | None:
+        """`replay` without its error: the index of the first pair whose prefix
+        crosses the bound, or None.  Up to _SHORT pairs are added one at a
+        time; more are one sequential `np.cumsum` from the account's masses,
+        with the same sums, checked at every prefix by `relative`'s rule."""
+        masses = masses.reshape(-1, 2)
+        if len(masses) <= _SHORT:  # cheaper than the array pass
+            for i, (dropped, kept) in enumerate(masses.tolist()):
+                self.dropped += dropped
+                self.kept += kept
+                if not self.relative() <= self.bound:  # a NaN mass fails too
+                    return i
+            return None
         with np.errstate(all="ignore"):  # Python's float arithmetic overflows quietly
-            sums = np.cumsum(np.vstack(([self.dropped, self.kept], masses.reshape(-1, 2))), axis=0)
+            sums = np.cumsum(np.concatenate(([[self.dropped, self.kept]], masses)), axis=0)
             dropped, kept = sums[1:, 0], sums[1:, 1]
             rel = np.where(kept > 0.0, dropped / kept, np.where(dropped > 0.0, np.inf, 0.0))
-            rel[np.isnan(dropped) | np.isnan(kept)] = np.nan
-            over = np.flatnonzero(~(rel <= self.bound))
+            over = np.flatnonzero(~(rel <= self.bound) | np.isnan(dropped) | np.isnan(kept))
         self.dropped, self.kept = map(float, sums[over[0] + 1 if len(over) else -1])
-        if len(over):
-            raise self._overflow()
+        return int(over[0]) if len(over) else None
 
     def relative(self) -> float:
         if math.isnan(self.dropped) or math.isnan(self.kept):
@@ -127,7 +138,7 @@ class TwistedLoop:
         if enforce_parity:
             fx = _Effects(1)
             c = _clean_parity(c[None], self.N, fx)[0]
-            fx.play(0, None)
+            fx.play(0, 1, None)
         c.setflags(write=False)
         self.c = c
 
@@ -215,41 +226,72 @@ def _check_same_N(a: TwistedLoop, b: TwistedLoop) -> None:
         raise ValueError(f"truncation orders differ: {a.N} vs {b.N}")
 
 
+_LIVE = np.iinfo(np.intp).max
+
+
 class _Effects:
-    """Side effects of a batch of loop operations, kept per item in the order
-    a batch of one has them: tail records (dropped, kept), near-boundary
-    warnings, and the error that ends the item.  `play(b, tail)` performs
-    item b's effects."""
+    """Side effects of a batch of B loop operations as arrays, each item's in a
+    batch of one's order: `records` has a (B, 2) column of (dropped, kept)
+    masses per `record` call, of which item b keeps the first `ends[b]` (_LIVE
+    until it fails with `failures[b]`); `warnings` are (item, columns before
+    it, message) in kernel order."""
 
     def __init__(self, size: int):
-        self.items: list[list] = [[] for _ in range(size)]
-        self.alive = np.ones(size, dtype=bool)
+        self.records = np.zeros((size, 0, 2))
+        self.ends = np.full(size, _LIVE)
+        self.failures: list[Exception | None] = [None] * size
+        self.warnings: list[tuple[int, int, str]] = []
+
+    @property
+    def alive(self) -> np.ndarray:
+        return self.ends == _LIVE
 
     def record(self, dropped: np.ndarray, kept: np.ndarray) -> None:
-        for b in np.flatnonzero(self.alive):
-            self.items[b].append((float(dropped[b]), float(kept[b])))
+        self.records = np.hstack((self.records, np.stack([dropped, kept], axis=1)[:, None]))
 
     def warn(self, b: int, message: str) -> None:
-        self.items[b].append(message)
+        if self.alive[b]:
+            self.warnings.append((b, self.records.shape[1], message))
 
     def fail(self, b: int, exc: Exception) -> None:
         if self.alive[b]:
-            self.items[b].append(exc)
-            self.alive[b] = False
+            self.failures[b], self.ends[b] = exc, self.records.shape[1]
 
-    def play(self, b: int, tail) -> None:
-        effects, self.items[b] = self.items[b], []
-        for effect in effects:
-            if isinstance(effect, tuple):
-                if tail is not None:
-                    tail.record(*effect)
-            elif isinstance(effect, str):
-                warnings.warn(effect, stacklevel=3)
-            else:
-                try:
-                    raise effect
-                finally:  # the traceback keeps this frame: drop its references to the error
-                    del effect, effects
+    def fail_as(self, other: "_Effects", index: np.ndarray) -> None:
+        """Fail each item b as item index[b] of `other` failed."""
+        for b in np.flatnonzero(~other.alive[index]):
+            self.fail(b, other.failures[index[b]])
+
+    def play(self, lo: int, hi: int, tail, holes=(), naming=contextlib.nullcontext) -> list:
+        """Perform items lo..hi-1's effects, item after item, as batches of one
+        do: their kept records go into `tail` (if not None) in one replay,
+        their warnings are issued, and their failures are returned (None where
+        an item lives).  The first failure not of a type in `holes`, or the
+        tail's TruncationOverflow, stops the play after what comes before it
+        and is raised inside `naming(item)`."""
+        failures = self.failures[lo:hi]
+        fatal = [i for i, e in enumerate(failures) if e is not None and not isinstance(e, holes)]
+        # where the play stops, as (item, columns of it played), and the error raised there
+        stop, error = ((fatal[0], _LIVE), failures[fatal[0]]) if fatal else ((hi - lo, 0), None)
+        ends = [min(end, self.records.shape[1]) for end in self.ends[lo:hi][: stop[0] + 1].tolist()]
+        if tail is not None and ends:
+            kept = [self.records[b, :end] for b, end in enumerate(ends, lo)]
+            crossing = tail._replay(np.concatenate(kept))
+            if crossing is not None:
+                item = int(np.searchsorted(np.cumsum(ends), crossing, side="right"))
+                stop, error = (item, crossing - sum(ends[:item]) + 1), tail._overflow()
+        for b, column, message in sorted(self.warnings, key=lambda w: w[0]):
+            if 0 <= b - lo and (b - lo, column) < stop:
+                warnings.warn(message, stacklevel=2)
+        if error is None:
+            return failures
+        # the traceback keeps this frame: only `error` may refer to the error
+        self.failures[lo + stop[0]] = failures = None
+        try:
+            with naming(lo + stop[0]):
+                raise error
+        finally:
+            del error
 
 
 def _shift_rows(c: np.ndarray, A: np.ndarray, deg: int):
@@ -297,7 +339,7 @@ def _check_parity(c: np.ndarray, N: int, fx: _Effects) -> None:
     for b in np.flatnonzero(worst > _PARITY_TOL * scale):
         message = f"twisting parity violated: off-parity mass {worst[b]:.3e} vs scale {scale[b]:.3e}"
         exc = ParityViolation(message)
-        for item in range(len(fx.items)) if c.ndim == 3 else (b,):
+        for item in range(len(fx.failures)) if c.ndim == 3 else (b,):
             fx.fail(item, exc)
 
 
@@ -372,7 +414,7 @@ def loop_mul(a: TwistedLoop, b: TwistedLoop, tail: TailAccumulator | None = None
     _check_same_N(a, b)
     fx = _Effects(1)
     c = _mul_rows(a.c[None], b.c[None], fx)
-    fx.play(0, tail)
+    fx.play(0, 1, tail)
     return TwistedLoop(a.N, c[0], enforce_parity=False)
 
 
@@ -423,7 +465,7 @@ def _inv_triangular(x: TwistedLoop, lower: bool) -> TwistedLoop:
     whose degree-0 coefficient is invertible; stays in the same subalgebra."""
     fx = _Effects(1)
     y = _inv_rows(x.c[None], lower, fx)
-    fx.play(0, None)
+    fx.play(0, 1, None)
     return TwistedLoop(x.N, y[0], enforce_parity=False)
 
 

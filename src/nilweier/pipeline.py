@@ -176,9 +176,13 @@ def pair_potential(f: str, g: str, Q: str, R: str) -> PotentialSpec:
 
 @contextlib.contextmanager
 def _naming(gridpoint):
-    """Re-raise a truncation or potential error as one naming its gridpoint."""
+    """Re-raise a truncation or potential error as one naming its gridpoint;
+    a split's error is given the gridpoint."""
     try:
         yield
+    except (OutsideBigCell, GaugeFailure) as exc:
+        exc.gridpoint = gridpoint
+        raise
     except (TruncationOverflow, EvalDomain, DegeneratePotential) as exc:
         s, t = gridpoint
         raise type(exc)(f"{exc} at gridpoint (s={s}, t={t})", gridpoint=gridpoint) from exc
@@ -403,9 +407,8 @@ def _split_points(items, size, initial):
     per batch, one stack of its distinct Phi_s (one per s), the Iwasawa
     split, the diagonal gauge normalization and the initial-frame product.
     Yields (points, effects, frames, h, gauge_log, conditioning, W) per
-    batch, W = Phi_s^{-1} Phi_t; each item's effects are a batch of one's,
-    for `_play_point`.  A point with nonpositive angle function fails with
-    GaugeFailure."""
+    batch, W = Phi_s^{-1} Phi_t; the effects play as batches of one's.  A
+    point with nonpositive angle function fails with GaugeFailure."""
     for lo in range(0, len(items), size):
         points, phi_s, phi_t, f_vals, g_vals = zip(*items[lo : lo + size])
         distinct: dict[float, tuple[int, np.ndarray]] = {}  # s -> (stack index, Phi_s)
@@ -443,16 +446,6 @@ def _value_or_none(expr: Expression, x: float) -> float | None:
         return None
 
 
-def _play_point(fx: _Effects, j: int, tail, gridpoint) -> None:
-    """Perform item j's effects into `tail`; its error names the gridpoint."""
-    try:
-        with _naming(gridpoint):
-            fx.play(j, tail)
-    except (OutsideBigCell, GaugeFailure) as exc:
-        exc.gridpoint = gridpoint
-        raise
-
-
 @dataclass
 class FrameGrid:
     s_grid: np.ndarray
@@ -480,15 +473,13 @@ def build_extended_frames(
 ) -> FrameGrid:
     """Per-gridpoint Iwasawa decomposition plus diagonal gauge normalization.
 
-    The gridpoints go to `_split_points` in row-major order, one grid row
-    per batch, so each batch shares one Phi_s; the row's tail records,
-    warnings and errors then take effect point by point, exactly as
-    point-by-point factorization has them.  Points outside the big cell (or
-    with nonpositive angle function) are recorded as holes, not fatal
-    errors.  A TruncationOverflow is fatal and names the gridpoint it arose
-    at.  `max_conditioning` is the largest np.linalg.cond over the kept
-    points, taken among those whose conditioning is within the half-block
-    values' slack of the largest (factorization._near_max).
+    The gridpoints go to `_split_points` in row-major order, one grid row per
+    batch sharing one Phi_s, and each row's effects are played in one call,
+    as point-by-point factorization has them.  Points outside the big cell
+    (or with nonpositive angle function) become holes; a TruncationOverflow
+    is fatal and names the gridpoint it arose at.  `max_conditioning` is the
+    largest np.linalg.cond over the kept points, taken among those within
+    the half-block values' slack of the largest (factorization._near_max).
     """
     s_grid = np.asarray(s_grid, float)
     t_grid = np.asarray(t_grid, float)
@@ -518,12 +509,11 @@ def build_extended_frames(
         # check runs against the row's mass, and the merged sums are the
         # manifest's tail_relative, so their order must not change.
         row_tail = TailAccumulator(tail.bound)
-        for j, gridpoint in enumerate(gridpoints):
-            try:
-                _play_point(fx, j, row_tail, gridpoint)
-            except (OutsideBigCell, GaugeFailure) as exc:
-                holes[i, j] = True
-                hole_errors.append((i, j, type(exc).__name__, str(exc)))
+        failures = fx.play(
+            0, nt, row_tail, (OutsideBigCell, GaugeFailure), lambda j: _naming(gridpoints[j])
+        )
+        holes[i] = [exc is not None for exc in failures]
+        hole_errors += [(i, j, type(e).__name__, str(e)) for j, e in enumerate(failures) if e]
         kept = ~holes[i]
         for out, row in ((frames, frame), (h, h_row), (gauge_log, log_row), (conditioning, conds)):
             out[i, kept] = row[kept]
@@ -553,15 +543,28 @@ def build_extended_frames(
 # ---------------------------------------------------------------------------
 
 
+def _lam_weights(theta: float, N: int, count: int = 3) -> tuple[np.ndarray, ...]:
+    """(e^(theta k), k e^(theta k), k^2 e^(theta k))[:count] over |k| <= N.  A
+    ValueError names theta and N where one is not finite: the lam-sums would
+    be NaN there, as the weight meets the zeros of the twisting parity."""
+    ks = np.arange(-N, N + 1, dtype=float)
+    with np.errstate(all="ignore"):
+        try:
+            powers = math.exp(theta) ** ks
+        except OverflowError:
+            powers = math.inf * ks
+        weights = (powers, ks * powers, ks**2 * powers)[:count]
+    if not np.isfinite(weights).all():
+        raise ValueError(f"spectral angle {theta!r} overflows e^(theta k) at |k| <= truncationN = {N}")
+    return weights
+
+
 def _lam_sums(c: np.ndarray, theta: float, count: int) -> list[np.ndarray]:
     """(lam d/dlam)^k F(lam = e^theta), k < count, of a C-contiguous (B, 2N+1, 2, 2)
     stack: each (B, 2, 2), one BLAS dot per item as in `TwistedLoop.eval`."""
     B, L = c.shape[:2]
-    ks = np.arange(-(L // 2), L // 2 + 1, dtype=float)
-    powers = math.exp(theta) ** ks
     flat = c.reshape(B, L, 4)
-    weights = (powers, ks * powers, ks**2 * powers)[:count]
-    return [np.matmul(w, flat).reshape(B, 2, 2) for w in weights]
+    return [np.matmul(w, flat).reshape(B, 2, 2) for w in _lam_weights(theta, L // 2, count)]
 
 
 def _sym_rows(c: np.ndarray, theta: float):
@@ -772,8 +775,8 @@ class Pipeline:
             self._flow_t.at(t, tail)
             self.potential.f.eval(s)
             self.potential.g.eval(t)
-        fx, j, frame, h = split.pop(key) if key in split else self._split_misses([key])[key]
-        _play_point(fx, j, tail, key)
+            fx, j, frame, h = split.pop(key) if key in split else self._split_misses([key])[key]
+            fx.play(j, j + 1, tail)
         hit = self._point_cache[key] = FramePoint(
             TwistedLoop(self.trunc_n, frame[j], enforce_parity=False), float(h[j])
         )
@@ -909,8 +912,7 @@ def extract_normalized_potential(pipeline: Pipeline, axis_values=None) -> Extrac
         effects.append(fx)
     for k in range(X):
         for fx in effects:
-            for j in range(5 * k, 5 * k + 5):
-                fx.play(j, None)
+            fx.play(5 * k, 5 * k + 5, None)
     xi_s, xi_t = xi
     f_rec = -4.0 * xi_s[:, 0, 1]
     Q_rec = xi_s[:, 1, 0] * f_rec

@@ -424,6 +424,41 @@ def test_config_validation_errors():
             RunConfig("x", base.potential, -1, 1, -1, 1, ns=5, nt=5, thetas=thetas)
 
 
+@pytest.mark.parametrize("theta", [32.0, 800.0, -800.0])
+def test_a_spectral_angle_that_overflows_exits_1_naming_it(tmp_path, capsys, theta):
+    """At truncationN 24, theta = 32 made every OBJ vertex and CSV row NaN with
+    exit 0, and |theta| = 800 ended in a bare OverflowError: both commands now
+    exit 1 with one error line naming the angle and truncationN."""
+    domain = {"sMin": -0.4, "sMax": 0.4, "tMin": -0.4, "tMax": 0.4, "ns": 9, "nt": 9}
+    config = {"potential": {"builtin": "horizontal-plane"}, "domain": domain, "thetas": [0.0, theta]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    message = f"spectral angle {theta!r} overflows e^(theta k) at |k| <= truncationN = 24"
+    for argv in (["generate", "--config", str(path), "--out", str(out)], ["verify", "--config", str(path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "theta, trunc_n, accepted",
+    [(29.3, 24, True), (-29.3, 24, True), (29.4, 24, False), (88.0, 8, True), (95.0, 8, False)],
+)
+def test_an_angle_is_accepted_where_the_sym_weights_are_finite(theta, trunc_n, accepted):
+    """The largest weight k^2 e^(|theta| N) of the Sym lam-sums overflows above
+    |theta| N + 2 log N = 709.78: at N = 24 between 29.3 and 29.4, at N = 8
+    between 88 and 95."""
+    base = builtin_config("horizontal-plane")
+    make = lambda: RunConfig("x", base.potential, -1, 1, -1, 1, 5, 5, trunc_n, thetas=(0.0, theta))  # noqa: E731
+    if accepted:
+        assert make().thetas == (0.0, theta)
+    else:
+        with pytest.raises(ValueError, match=f"spectral angle {theta!r} overflows"):
+            make()
+
+
 def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys):
     domain = {"sMin": -1, "sMax": 1, "tMin": -1, "tMax": 1, "ns": 5, "nt": 5}
     cases = {

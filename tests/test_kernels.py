@@ -2,6 +2,7 @@
 point-by-point algorithms they replace, bit for bit, on random twisted loops
 and on a swept frame grid."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from nilweier.factorization import (
     _split_rows,
 )
 from nilweier.loopalg import (
+    TailAccumulator,
     TwistedLoop,
     _clean_parity,
     _Effects,
@@ -30,7 +32,13 @@ from nilweier.loopalg import (
     _mul_rows,
     _shift_rows,
 )
-from nilweier.errors import SingularLoop
+from nilweier.errors import (
+    GaugeFailure,
+    NilWeierError,
+    OutsideBigCell,
+    ParityViolation,
+    SingularLoop,
+)
 from nilweier.geometry import _sample_null
 from nilweier.pipeline import FramePoint, _spinor_rows, _spinors, _sym_point, _sym_rows
 
@@ -62,7 +70,15 @@ def _random_stack(seed, N, B, kinds=("group", "minus", "plus")):
 
 
 def _effects(fx, b):
-    return [(type(e).__name__, str(e)) if isinstance(e, Exception) else e for e in fx.items[b]]
+    """Item b's effects in a batch of one's order: its (dropped, kept) records
+    before its failure, its warnings at their places among them, then its
+    error as (type name, message)."""
+    effects = [tuple(r) for r in fx.records[b, : fx.ends[b]].tolist()]
+    for item, column, message in reversed(fx.warnings):
+        if item == b:
+            effects.insert(column, message)
+    exc = fx.failures[b]
+    return effects + ([] if exc is None else [(type(exc).__name__, str(exc))])
 
 
 def _one_by_one(kernel, *stacks_and_args, shared=()):
@@ -120,7 +136,7 @@ def test_cauchy_product_batch_equals_batch_of_one(N, B, seed):
             assert _effects(fx, i) == _effects(fx1, 0)
             ref, dropped, kept = _reference_mul(a[0] if shared else a[i], b[i])
             assert np.array_equal(out[i], ref)
-            assert fx.items[i] == [(dropped, kept)]
+            assert _effects(fx, i) == [(dropped, kept)]
     # the scalar product is the batch of one
     prod = loop_mul(TwistedLoop(N, a[0]), TwistedLoop(N, b[0]))
     assert np.array_equal(prod.c, _reference_mul(a[0], b[0])[0])
@@ -135,7 +151,7 @@ def test_triangular_inverse_batch_equals_batch_of_one(N, B, seed, lower):
     for i, (one, fx1) in enumerate(_one_by_one(lambda v, f: _inv_rows(v, lower, f), x)):
         assert np.array_equal(out[i], one[0])
         assert np.array_equal(out[i], _reference_inv(x[i], lower))
-        assert fx.items[i] == fx1.items[0] == []
+        assert _effects(fx, i) == _effects(fx1, 0) == []
 
 
 def _shear_stack(seed, N, B, lower):
@@ -173,7 +189,7 @@ def test_kernels_at_the_workloads_truncations_equal_the_dense_references(N):
             for i in range(len(b)):
                 ref, dropped, kept = _reference_mul(a[0] if left.ndim == 3 else a[i], b[i])
                 assert out[i].tobytes() == ref.tobytes()
-                assert fx.items[i] == [(dropped, kept)]
+                assert _effects(fx, i) == [(dropped, kept)]
         for lower in (True, False):
             kinds = ("minus",) if lower else ("plus",)
             x = np.concatenate(
@@ -460,7 +476,115 @@ def test_kernels_take_an_empty_stack(N):
     for name, out in outputs.items():
         for item in out if isinstance(out, tuple) else (out,):
             assert isinstance(item, np.ndarray) and len(item) == 0, name
-    assert fx.items == [] and not fx.alive.size
+    assert fx.records.shape[0] == len(fx.failures) == len(fx.warnings) == 0 and not fx.alive.size
+
+
+def _effect_calls(big=None):
+    """Kernel effect calls on a batch of 6: warnings on items 1 and 4, holes
+    at items 2 and 3 whose later records are NaN, a fatal error at item 5,
+    and one large dropped mass at (item, column) `big`, if given."""
+    dropped = np.full((4, 6), 1e-12)
+    dropped[1:, 2] = dropped[2:, 3] = np.nan  # recorded after the item failed
+    if big is not None:
+        dropped[big[1], big[0]] = 1.0
+    rows = [("record", dropped[k], np.full(6, 2.0 + k)) for k in range(4)]
+    return [
+        rows[0],
+        ("warn", 1, "item 1 before column 1"),
+        ("fail", 2, OutsideBigCell("item 2 is outside the big cell")),
+        rows[1],
+        ("warn", 4, "item 4 before column 2"),
+        ("fail", 3, GaugeFailure("item 3 has no gauge")),
+        rows[2],
+        ("warn", 1, "item 1 before column 3"),
+        ("warn", 3, "item 3 after its failure"),
+        ("fail", 5, ParityViolation("item 5 breaks parity")),
+        rows[3],
+    ]
+
+
+def _play_reference(calls, lo, hi, tail, holes, named):
+    """Items lo..hi-1 one at a time, each as a batch of one performs its
+    calls: its records by `record`, its warnings, up to its failure, which is
+    returned if of a type in `holes` and raised otherwise.  The item an error
+    is raised at goes to `named`."""
+    failures = []
+    for b in range(lo, hi):
+        failure = None
+        for kind, *args in calls:
+            if failure is not None:
+                break
+            if kind == "record" and tail is not None:
+                try:
+                    tail.record(float(args[0][b]), float(args[1][b]))
+                except NilWeierError:
+                    named.append(b)
+                    raise
+            elif kind == "warn" and args[0] == b:
+                warnings.warn(args[1])
+            elif kind == "fail" and args[0] == b:
+                failure = args[1]
+        if failure is not None and not isinstance(failure, holes):
+            named.append(b)
+            raise failure
+        failures.append(failure)
+    return failures
+
+
+def _play_outcome(play, tail):
+    """(failures, error, warnings, account as float.hex) of one play."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            failures, error = play(), None
+        except NilWeierError as exc:
+            failures, error = None, (type(exc).__name__, str(exc))
+    account = None if tail is None else (tail.dropped.hex(), tail.kept.hex())
+    return failures, error, [str(w.message) for w in caught], account
+
+
+@pytest.mark.parametrize("big", [None, (0, 0), (4, 1), (4, 2), (2, 2)])
+@pytest.mark.parametrize("lo, hi", [(0, 6), (0, 5), (2, 5), (1, 2), (3, 3)])
+@pytest.mark.parametrize("holes", [(OutsideBigCell, GaugeFailure), ()], ids=["holes", "fatal"])
+@pytest.mark.parametrize("bound", [1e-9, None], ids=["bound", "no-tail"])
+def test_a_play_performs_its_items_as_batches_of_one(big, lo, hi, holes, bound):
+    """One play of a range of items leaves the failures, the first error and
+    the item it names, the warnings in order and the account (as float.hex)
+    of the items performed one at a time: records after an item's failure,
+    NaN here, stay out, and a crossing stops the play at its record."""
+    calls = _effect_calls(big)
+    outcomes = []
+    for reference in (False, True):
+        fx = _Effects(6)
+        for kind, *args in calls:
+            getattr(fx, kind)(*args)
+        tail = None if bound is None else TailAccumulator(bound)
+        named = []
+        if reference:
+            play = lambda: _play_reference(calls, lo, hi, tail, holes, named)  # noqa: E731
+        else:
+
+            @contextlib.contextmanager
+            def naming(b):
+                try:
+                    yield
+                except NilWeierError:
+                    named.append(b)
+                    raise
+
+            play = lambda: fx.play(lo, hi, tail, holes, naming)  # noqa: E731
+        outcomes.append((_play_outcome(play, tail), named))
+    assert outcomes[0] == outcomes[1]
+    (failures, error, messages, account), named = outcomes[0]
+    assert len(named) == (error is not None) and "nan" not in str(account)
+    if (big, lo, hi, holes, bound) == (None, 0, 6, (OutsideBigCell, GaugeFailure), 1e-9):
+        assert error == ("ParityViolation", "item 5 breaks parity") and named == [5]
+        assert messages == [
+            "item 1 before column 1", "item 1 before column 3", "item 4 before column 2"
+        ]
+    if (big, lo, hi, holes) == ((4, 1), 0, 6, (OutsideBigCell, GaugeFailure)) and bound:
+        assert error[0] == "TruncationOverflow" and named == [4]
+        assert messages == ["item 1 before column 1", "item 1 before column 3"]
 
 
 def _small_pipeline(builtin):

@@ -554,6 +554,64 @@ def test_sweep_equals_point_by_point_reference(initial, monkeypatch):
     assert _near_boundary_warnings(caught) == ref_warnings
 
 
+def _sweep_outcome(sweep, *args, **kwargs):
+    """(result, error as (type, text, gridpoint), warning texts) of one sweep;
+    result or error is None."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = sweep(*args, **kwargs), None
+        except NilWeierError as exc:
+            result, error = None, (type(exc), str(exc), getattr(exc, "gridpoint", None))
+    return result, error, [str(w.message) for w in caught]
+
+
+def test_a_row_with_a_warning_then_a_hole_plays_as_point_by_point():
+    """The row s = 1 holds a near-boundary warning, an OutsideBigCell hole, a
+    kept point, a second warning, a GaugeFailure hole and a kept point; the
+    row s = 0.5 a hole among kept points.  Each row's one play leaves the
+    holes, their errors, the warnings in order and the tail account (as
+    float.hex) of the point-by-point sweep."""
+    pot = translate_potential("4", "0", "0", "0")
+    nodes = np.linspace(-2, 2, 9)
+    _, _, flow_s, flow_t = solve_frame_ode(pot, nodes, nodes, steps_per_cell=4, trunc_n=12)
+    s_grid = np.array([0.5, 1.0])
+    t_grid = np.array([-0.999999999999, -1.0, -0.5, -0.9999999999995, -2.0, 0.5])
+    args = [flow_s.at(s) for s in s_grid], [flow_t.at(t) for t in t_grid], pot, s_grid, t_grid
+    tail = TailAccumulator()
+    fg, error, messages = _sweep_outcome(build_extended_frames, *args, tail=tail)
+    ref, ref_error, ref_messages = _sweep_outcome(_reference_sweep, *args)
+    assert error is ref_error is None
+    assert messages == ref_messages and len(messages) == 2
+    assert [m.startswith("factorization near big-cell boundary") for m in messages] == [True] * 2
+    assert np.array_equal(fg.holes, ref[4]) and fg.hole_errors == ref[5]
+    assert [(i, j, kind) for i, j, kind, _ in fg.hole_errors] == [
+        (0, 4, "OutsideBigCell"), (1, 1, "OutsideBigCell"), (1, 4, "GaugeFailure")
+    ]
+    assert (tail.dropped.hex(), tail.kept.hex()) == (ref[6].dropped.hex(), ref[6].kept.hex())
+    assert tail.kept > 0.0
+
+
+def test_a_row_crossing_the_bound_after_a_warning_plays_as_point_by_point(monkeypatch):
+    """With COND_WARN below the cylinder's conditioning, the first point of
+    the row s = -0.5 warns, its fourth crosses the tail bound, and its fifth
+    would warn again: the row's one play issues the first warning only and
+    raises the point-by-point sweep's error, named by the fourth point."""
+    monkeypatch.setattr(factorization, "COND_WARN", 1.5)
+    pot = translate_potential("1", "0", "0.0625", "0")
+    grid = np.linspace(-0.5, 1.5, 5)
+    phi_s, phi_t, _, _ = solve_frame_ode(pot, grid, grid, steps_per_cell=4, trunc_n=8)
+    args = phi_s, phi_t, pot, grid, grid
+    new = _sweep_outcome(build_extended_frames, *args, tail=TailAccumulator(bound=1e-13))
+    ref = _sweep_outcome(_reference_sweep, *args, bound=1e-13)
+    (kind, text, gridpoint), messages = ref[1:]
+    assert kind is TruncationOverflow and gridpoint == (-0.5, 1.0)
+    assert new[1:] == ((kind, f"{text} at gridpoint (s=-0.5, t=1.0)", gridpoint), messages)
+    assert messages == ["factorization near big-cell boundary: cond=1.600e+00"]
+    # without the bound, the row's fifth point warns as well
+    assert len(_sweep_outcome(build_extended_frames, *args)[2]) > len(messages)
+
+
 def _conditioning_case(name):
     """(Phi_s list, Phi_t list, potential, s grid, t grid) of the cylinder on
     the grids of the sweep-cylinder and deep-trunc benchmark workloads, or of
