@@ -192,6 +192,17 @@ def shift_mul_reference(c, A, deg):
     return out, float(np.sqrt(dropped)), float(np.sqrt((out**2).sum()))
 
 
+def record_reference(tail, dropped, kept):
+    """Add one (dropped, kept) pair to `tail` the scalar way, by the account's
+    rule: it fails once its relative mass exceeds the bound or a mass is NaN.
+    `TailAccumulator.record` is the replay of one pair, so the engine's
+    replays are compared against this loop body, not against themselves."""
+    tail.dropped += dropped
+    tail.kept += kept
+    if not tail.relative() <= tail.bound:
+        raise tail._overflow()
+
+
 class FromZeroAxisFlow:
     """The axis ODE d Phi = Phi lam^deg A(x) dx, each abscissa integrated
     afresh from 0 in TwistedLoop arithmetic with one `np.einsum` per product,
@@ -206,7 +217,7 @@ class FromZeroAxisFlow:
 
     def _shift(self, phi, A, tail):
         out, dropped, kept = shift_mul_reference(phi.c, A, self.deg)
-        tail.record(dropped, kept)
+        record_reference(tail, dropped, kept)
         return TwistedLoop(self.N, out, enforce_parity=False)
 
     def at(self, x, tail=None):
@@ -242,7 +253,7 @@ def replay_against_record_loop(start, masses, bound):
     first = error = None
     for i, (dropped, kept) in enumerate(masses.tolist()):
         try:
-            loop.record(dropped, kept)
+            record_reference(loop, dropped, kept)
         except TruncationOverflow as exc:
             first, error = i, str(exc)
             break

@@ -49,6 +49,7 @@ from _oracles import (
     random_group_loop,
     random_minus_star_loop,
     random_plus_star_loop,
+    record_reference,
     shift_mul_reference,
     sym_point_reference,
 )
@@ -505,7 +506,7 @@ def _effect_calls(big=None):
 
 def _play_reference(calls, lo, hi, tail, holes, named):
     """Items lo..hi-1 one at a time, each as a batch of one performs its
-    calls: its records by `record`, its warnings, up to its failure, which is
+    calls: its records one by one, its warnings, up to its failure, which is
     returned if of a type in `holes` and raised otherwise.  The item an error
     is raised at goes to `named`."""
     failures = []
@@ -516,7 +517,7 @@ def _play_reference(calls, lo, hi, tail, holes, named):
                 break
             if kind == "record" and tail is not None:
                 try:
-                    tail.record(float(args[0][b]), float(args[1][b]))
+                    record_reference(tail, float(args[0][b]), float(args[1][b]))
                 except NilWeierError:
                     named.append(b)
                     raise
