@@ -201,11 +201,9 @@ def _normalized_factor_inverses(w: np.ndarray, sign: int, fx: _Effects):
     U = id."""
     B, n = w.shape[:2]
     N = n // 2
-    u = np.zeros_like(w)
-    u[:, N] = np.eye(2)
     conds = np.ones(B)
     if N == 0:
-        return u, conds
+        return np.broadcast_to(np.eye(2), w.shape).copy(), conds
     live = np.flatnonzero(fx.alive)
     conds[live] = _conditioning(w[live], sign)
 
@@ -221,7 +219,9 @@ def _normalized_factor_inverses(w: np.ndarray, sign: int, fx: _Effects):
         if cond > COND_WARN:
             fx.warn(b, f"factorization near big-cell boundary: cond={cond:.3e}")
         solvable.append(b)
-    sol, singular = _solve(*_systems(w[solvable], sign))
+    sol, singular = _solve(*_systems(w if len(solvable) == B else w[solvable], sign))
+    u = np.zeros_like(w)  # after the solve: its systems are a batch's largest array
+    u[:, N] = np.eye(2)
     ks = sign * np.arange(1, N + 1)
     for i, b in enumerate(solvable):
         if singular[i]:
@@ -277,11 +277,11 @@ def birkhoff_split(w: TwistedLoop, order: str = "minus_star_plus") -> BirkhoffRe
 
 
 def _iwasawa_rows(phi_s: np.ndarray, index: np.ndarray, phi_t: np.ndarray, fx: _Effects):
-    """Iwasawa split of (Phi_s[index[b]], Phi_t[b]) for a (B, 2N+1, 2, 2)
-    stack of Phi_t and a (P, 2N+1, 2, 2) stack of distinct Phi_s in
-    Lambda^-, which are inverted once as one stack by the triangular
-    recursion; their positive degrees are not read.  The grid sweep is the
-    case P = 1.
+    """Iwasawa split of (Phi_s[index[b]], Phi_t[b]) for B Phi_t (a stack or
+    a sequence, stacked only for their product with the Phi_s^{-1}) and a
+    (P, 2N+1, 2, 2) stack of distinct Phi_s in Lambda^-, which are inverted
+    once as one stack by the triangular recursion; their positive degrees
+    are not read.  A sweep batch has one Phi_s per grid row.
 
     Returns (frame F, V+^{-1}, V-, conditioning, W) as stacks, W = Phi_s^{-1}
     Phi_t being the split loops; an error while inverting a Phi_s ends every
@@ -290,7 +290,7 @@ def _iwasawa_rows(phi_s: np.ndarray, index: np.ndarray, phi_t: np.ndarray, fx: _
     inverted = _Effects(len(phi_s))
     s_inv = _inv_rows(phi_s, True, inverted)
     fx.fail_as(inverted, index)
-    w = _mul_rows(s_inv[index], phi_t, fx)
+    w = _mul_rows(s_inv[index], np.asarray(phi_t), fx)
     vminus, vplus_inv, conds = _split_rows(w, +1, fx)
     return _mul_rows(phi_s[index], vplus_inv, fx), vplus_inv, vminus, conds, w
 

@@ -250,11 +250,11 @@ class _Effects:
         self.records = np.hstack((self.records, np.stack([dropped, kept], axis=1)[:, None]))
 
     def warn(self, b: int, message: str) -> None:
-        if self.alive[b]:
+        if self.ends[b] == _LIVE:
             self.warnings.append((b, self.records.shape[1], message))
 
     def fail(self, b: int, exc: Exception) -> None:
-        if self.alive[b]:
+        if self.ends[b] == _LIVE:
             self.failures[b], self.ends[b] = exc, self.records.shape[1]
 
     def fail_as(self, other: "_Effects", index: np.ndarray) -> None:
@@ -403,7 +403,7 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, fx: _Effects) -> np.ndarray:
     for m in np.flatnonzero(ac.reshape(-1, n, 2).any(axis=(0, 2))):
         full[:, m : m + n] += ac[..., m, None, :] * (swapped if (m - N) % 2 else bc)
     full = _expand(full, -2 * N)
-    kept = full[:, N : N + n]
+    kept = full[:, N : N + n].copy()  # not a view that keeps the whole product
     dropped = np.sqrt(_sq_sum(full[:, :N]) + _sq_sum(full[:, N + n :]))
     fx.record(dropped, np.sqrt(_sq_sum(kept)))
     return kept

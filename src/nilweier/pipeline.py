@@ -402,20 +402,32 @@ class FramePoint:
     h: float
 
 
-def _split_points(items, size, initial):
-    """Frames of (point, Phi_s, Phi_t, f, g) items, `size` items per batch:
-    per batch, one stack of its distinct Phi_s (one per s), the Iwasawa
-    split, the diagonal gauge normalization and the initial-frame product.
-    Yields (points, effects, frames, h, gauge_log, conditioning, W) per
-    batch, W = Phi_s^{-1} Phi_t; the effects play as batches of one's.  A
-    point with nonpositive angle function fails with GaugeFailure."""
-    for lo in range(0, len(items), size):
-        points, phi_s, phi_t, f_vals, g_vals = zip(*items[lo : lo + size])
+# Bytes of a batch's (B, 2N, 2N) float64 block-Toeplitz systems, B (2N)^2 8: a
+# batch costs numpy calls by degree, not by item.  This takes 3 rows of the 15 x
+# 15 cylinder at N = 20 and of the 25 x 25 plane at N = 16, 1 (648 KiB) at N = 48.
+_BATCH_BYTES = 640 * 1024
+
+
+def _split_points(rows, initial):
+    """Frames of rows of (point, Phi_s, Phi_t, f, g) items, in batches of the
+    whole rows whose systems fit _BATCH_BYTES, at least one: per batch, one
+    stack of its distinct Phi_s (one per s), the Iwasawa split, the diagonal
+    gauge and the initial-frame product.  Yields (points, effects, frames, h,
+    gauge_log, conditioning, W) per batch, W = Phi_s^{-1} Phi_t; the effects
+    play as batches of one's.  A nonpositive angle function is a GaugeFailure."""
+    batches = []
+    for row in filter(None, rows):
+        item_bytes = (len(row[0][2]) - 1) ** 2 * 8  # one (2N, 2N) system
+        if not batches or (len(batches[-1]) + len(row)) * item_bytes > _BATCH_BYTES:
+            batches.append([])
+        batches[-1] += row
+    for batch in batches:
+        points, phi_s, phi_t, f_vals, g_vals = zip(*batch)
         distinct: dict[float, tuple[int, np.ndarray]] = {}  # s -> (stack index, Phi_s)
         index = [distinct.setdefault(s, (len(distinct), phi))[0] for (s, _), phi in zip(points, phi_s)]
         fx = _Effects(len(points))
         frame, vplus_inv, vminus, conds, w = _iwasawa_rows(
-            np.stack([phi for _, phi in distinct.values()]), np.array(index), np.stack(phi_t), fx
+            np.stack([phi for _, phi in distinct.values()]), np.array(index), phi_t, fx
         )
         N = frame.shape[1] // 2
         h = np.full(len(frame), np.nan)
@@ -473,9 +485,9 @@ def build_extended_frames(
 ) -> FrameGrid:
     """Per-gridpoint Iwasawa decomposition plus diagonal gauge normalization.
 
-    The gridpoints go to `_split_points` in row-major order, one grid row per
-    batch sharing one Phi_s, and each row's effects are played in one call,
-    as point-by-point factorization has them.  Points outside the big cell
+    The grid rows go to `_split_points` in order, each row's points sharing
+    one Phi_s, and each row's effects are played in one call, as
+    point-by-point factorization has them.  Points outside the big cell
     (or with nonpositive angle function) become holes; a TruncationOverflow
     is fatal and names the gridpoint it arose at.  `max_conditioning` is the
     largest np.linalg.cond over the kept points, taken among those within
@@ -494,23 +506,22 @@ def build_extended_frames(
     tail = tail if tail is not None else TailAccumulator()
     f_vals = eval_rows([potential.f], s_grid)[0].tolist()
     g_vals = eval_rows([potential.g], t_grid)[0].tolist()
-    items = [
-        ((s, t), phi_s.c, phi_t.c, f, g)
+    rows = [
+        [((s, t), phi_s.c, phi_t.c, f, g) for t, phi_t, g in zip(t_grid.tolist(), phi_t_list, g_vals)]
         for s, phi_s, f in zip(s_grid.tolist(), phi_s_list, f_vals)
-        for t, phi_t, g in zip(t_grid.tolist(), phi_t_list, g_vals)
     ]
     # the kept points whose np.linalg.cond may be the largest, and their W
     near_conds, near_w = np.empty(0), np.empty((0, 2 * N + 1, 2, 2))
 
-    for i, (gridpoints, fx, frame, h_row, log_row, conds, w) in enumerate(
-        _split_points(items, nt, initial)
-    ):
+    grid_rows = ((lo, out) for out in _split_points(rows, initial) for lo in range(0, len(out[0]), nt))
+    for i, (lo, (gridpoints, fx, *batch)) in enumerate(grid_rows):
+        frame, h_row, log_row, conds, w = (stack[lo : lo + nt] for stack in batch)
         # Each row has its own account, merged in row order: the overflow
         # check runs against the row's mass, and the merged sums are the
         # manifest's tail_relative, so their order must not change.
         row_tail = TailAccumulator(tail.bound)
         failures = fx.play(
-            0, nt, row_tail, (OutsideBigCell, GaugeFailure), lambda j: _naming(gridpoints[j])
+            lo, lo + nt, row_tail, (OutsideBigCell, GaugeFailure), lambda b: _naming(gridpoints[b])
         )
         holes[i] = [exc is not None for exc in failures]
         hole_errors += [(i, j, type(e).__name__, str(e)) for j, e in enumerate(failures) if e]
@@ -714,13 +725,13 @@ class Pipeline:
         in batches.
 
         Points the cache does not hold have the abscissae of both axes
-        integrated as one stack and are split across their rows in batches
-        of one grid row's size, by the sweep's `_split_points`
-        (`_split_misses`).  Each point's effects are then replayed in list
-        order, as the point-by-point loop has them: its s-axis and t-axis
-        tail records, then its split's tail records, warnings and error; a
-        point that is not finite raises ValueError at its turn.  So the
-        frames, `point_tail`, the warnings and the first error are the loop's.
+        integrated as one stack and are split in batches of whole rows of
+        common s by the sweep's `_split_points` (`_split_misses`).  Each
+        point's effects are then replayed in list order, as the
+        point-by-point loop has them: its s-axis and t-axis tail records,
+        then its split's tail records, warnings and error; a point that is
+        not finite raises ValueError at its turn.  So the frames,
+        `point_tail`, the warnings and the first error are the loop's.
         """
         keys = [(float(s), float(t)) for s, t in points]
         split = self._split_misses([key for key in keys if key not in self._point_cache])
@@ -733,11 +744,10 @@ class Pipeline:
     def _split_misses(self, misses) -> dict:
         """Frames of the points `misses`, not yet replayed: {point: (effects,
         item, frames, h)}.  Their s and t abscissae are integrated as one
-        stack (`_integrate`), and the points of all rows, grouped by row, go
-        to `_split_points` in batches of one grid row's size (the sweep's
-        batch).  A point that is not finite, or whose axis frame or potential
-        value raises, is left out, since replaying it raises first; so is one
-        not integrated when the stack cannot be allocated: `_replay` splits it."""
+        stack (`_integrate`), and their rows of common s go to `_split_points`.
+        A point that is not finite, or whose axis frame or potential value
+        raises, is left out, since replaying it raises first; so is one not
+        integrated when the stack cannot be allocated: `_replay` splits it."""
         misses = [(s, t) for s, t in misses if math.isfinite(s) and math.isfinite(t)]
         if not misses:
             return {}
@@ -747,7 +757,7 @@ class Pipeline:
         rows: dict[float, dict[float, None]] = {}
         for s, t in misses:
             rows.setdefault(s, {})[t] = None
-        items = []  # (point, phi_s, phi_t, f, g)
+        row_items: dict[float, list] = {}  # s -> (point, phi_s, phi_t, f, g) items
         for s, ts in rows.items():
             phi_s, f_val = self._flow_s.state(s), _value_or_none(self.potential.f, s)
             if phi_s is None or f_val is None:
@@ -755,9 +765,9 @@ class Pipeline:
             for t in ts:
                 phi_t, g_val = self._flow_t.state(t), _value_or_none(self.potential.g, t)
                 if phi_t is not None and g_val is not None:
-                    items.append(((s, t), phi_s, phi_t, f_val, g_val))
+                    row_items.setdefault(s, []).append(((s, t), phi_s, phi_t, f_val, g_val))
         split = {}
-        for points, fx, frame, h, *_ in _split_points(items, len(self.t_grid), self.initial_frame):
+        for points, fx, frame, h, *_ in _split_points(row_items.values(), self.initial_frame):
             for j, key in enumerate(points):
                 split[key] = (fx, j, frame, h)
         return split

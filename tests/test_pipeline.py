@@ -516,19 +516,65 @@ def _near_boundary_warnings(caught):
     return [str(w.message) for w in caught if "near big-cell boundary" in str(w.message)]
 
 
-@pytest.mark.parametrize("initial", [False, True], ids=["plain", "umbrella"])
-def test_sweep_equals_point_by_point_reference(initial, monkeypatch):
+def _rows_per_batch(monkeypatch, rows, nt, trunc_n):
+    """Set the split budget to the systems of `rows` grid rows of nt points."""
+    monkeypatch.setattr(pipeline_module, "_BATCH_BYTES", rows * nt * (2 * trunc_n) ** 2 * 8)
+
+
+def _split_calls(monkeypatch):
+    """(distinct Phi_s, items) of each `_iwasawa_rows` call of the sweep."""
+    calls = []
+    real = pipeline_module._iwasawa_rows
+
+    def iwasawa_rows(phi_s, index, phi_t, fx):
+        calls.append((len(phi_s), len(phi_t)))
+        return real(phi_s, index, phi_t, fx)
+
+    monkeypatch.setattr(pipeline_module, "_iwasawa_rows", iwasawa_rows)
+    return calls
+
+
+def _merged_accounts(monkeypatch):
+    """(dropped, kept) as float.hex of each account merged into another: the
+    row accounts, in the sweep and in `_reference_sweep` alike."""
+    merged = []
+    real = TailAccumulator.merge
+
+    def merge(self, other):
+        merged.append((other.dropped.hex(), other.kept.hex()))
+        real(self, other)
+
+    monkeypatch.setattr(TailAccumulator, "merge", merge)
+    return merged
+
+
+@pytest.mark.parametrize(
+    "initial, rows",
+    [(False, None), (True, None), (False, 3), (True, 3)],
+    ids=["plain", "umbrella", "plain-3-rows", "umbrella-3-rows"],
+)
+def test_sweep_equals_point_by_point_reference(initial, rows, monkeypatch):
+    """The 7 grid rows split in one batch, or 3 rows per batch: then the
+    rows s = -1 and s = 1, with holes of both causes (and s = 1 a
+    near-boundary warning), are the second row of the first batch and the
+    third of the second.  Everything, each row account as float.hex
+    included, is the point-by-point sweep's."""
     phi_s, phi_t, pot, s_grid, t_grid, initial = _near_boundary_plane(initial)
+    merged = _merged_accounts(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ref = _reference_sweep(phi_s, phi_t, pot, s_grid, t_grid, initial)
     ref_warnings = _near_boundary_warnings(caught)
-    inversions = []
+    ref_rows, merged[:] = merged[:], []
+    if rows:
+        _rows_per_batch(monkeypatch, rows, len(t_grid), phi_s[0].N)
+    calls = _split_calls(monkeypatch)
+    inverted = []
     real_inv = factorization._inv_rows
 
     def counted_inv(x, lower, fx):
         if lower:  # the split's own inverses are upper
-            inversions.append(len(x))
+            inverted.extend(x)
         return real_inv(x, lower, fx)
 
     monkeypatch.setattr(factorization, "_inv_rows", counted_inv)
@@ -536,8 +582,10 @@ def test_sweep_equals_point_by_point_reference(initial, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fg = build_extended_frames(phi_s, phi_t, pot, s_grid, t_grid, initial=initial, tail=tail)
-    # Phi_s is inverted once per row, not once per gridpoint
-    assert inversions == [1] * len(s_grid)
+    # each grid row's Phi_s is inverted once, not once per gridpoint
+    assert np.array_equal(np.stack(inverted), np.stack([phi.c for phi in phi_s]))
+    assert calls == ([(3, 27), (3, 27), (1, 9)] if rows else [(7, 63)])
+    assert merged == ref_rows and len(merged) == len(s_grid)
     frames, h, gauge_log, cond, holes, errors, ref_tail = ref
     assert {e[2] for e in errors} == {"OutsideBigCell", "GaugeFailure"}
     assert len(ref_warnings) == 2
@@ -609,6 +657,41 @@ def test_a_row_crossing_the_bound_after_a_warning_plays_as_point_by_point(monkey
     assert new[1:] == ((kind, f"{text} at gridpoint (s=-0.5, t=1.0)", gridpoint), messages)
     assert messages == ["factorization near big-cell boundary: cond=1.600e+00"]
     # without the bound, the row's fifth point warns as well
+    assert len(_sweep_outcome(build_extended_frames, *args)[2]) > len(messages)
+
+
+def test_a_crossing_in_a_later_row_of_a_batch_plays_as_point_by_point(monkeypatch):
+    """Three grid rows per batch, COND_WARN below every point's conditioning,
+    and a tail bound that only the row s = 0.75 crosses, at its fourth
+    point; that row is the second of the second batch.  The sweep merges the
+    four rows before it, as the point-by-point sweep finds their accounts
+    (as float.hex), issues the warnings before the crossing and raises the
+    point-by-point sweep's error, named by that point; the batch's third row
+    is split but never played."""
+    monkeypatch.setattr(factorization, "COND_WARN", 1.5)
+    pot = pair_potential("1", "1", "64*s*s*s*s", "0.25")
+    nodes = np.linspace(-1, 1, 9)
+    _, _, flow_s, flow_t = solve_frame_ode(
+        pot, nodes, nodes, steps_per_cell=4, trunc_n=8, tail=TailAccumulator(math.inf)
+    )
+    s_grid = np.array([0.25, 0.0, 0.5, 1.0, 0.75, 0.0])
+    t_grid = np.array([0.5, 0.0, -1.0, 1.0, -0.5])
+    args = [flow_s.at(s) for s in s_grid], [flow_t.at(t) for t in t_grid], pot, s_grid, t_grid
+    merged = _merged_accounts(monkeypatch)
+    ref_rows = (_reference_sweep(*args, bound=math.inf), merged[:])[1]
+    ref = _sweep_outcome(_reference_sweep, *args, bound=9e-13)
+    _rows_per_batch(monkeypatch, 3, len(t_grid), 8)
+    calls = _split_calls(monkeypatch)
+    merged[:] = []
+    new = _sweep_outcome(build_extended_frames, *args, tail=TailAccumulator(bound=9e-13))
+    (kind, text, gridpoint), messages = ref[1:]
+    assert kind is TruncationOverflow and gridpoint == (0.75, 1.0)
+    assert new[1:] == ((kind, f"{text} at gridpoint (s=0.75, t=1.0)", gridpoint), messages)
+    assert calls == [(3, 15), (3, 15)]
+    assert merged == ref_rows[:4]
+    # the warnings of the four rows before it, then some of its row's
+    before = _sweep_outcome(build_extended_frames, args[0][:4], args[1], pot, s_grid[:4], t_grid)[2]
+    assert messages[: len(before)] == before and len(before) < len(messages)
     assert len(_sweep_outcome(build_extended_frames, *args)[2]) > len(messages)
 
 
@@ -852,7 +935,7 @@ _PLANE_POINTS = [
 ]
 
 
-@pytest.mark.parametrize(
+_FRAMES_AT_CASES = pytest.mark.parametrize(
     "make, points, errors",
     [
         (_fresh_plane, _PLANE_POINTS, ()),
@@ -872,6 +955,9 @@ _PLANE_POINTS = [
     ],
     ids=["off-grid", "outside-big-cell", "gauge-failure", "umbrella", "eval-domain"],
 )
+
+
+@_FRAMES_AT_CASES
 @pytest.mark.parametrize("seed", [0, 1])
 def test_frames_at_equals_a_frame_at_loop(make, points, errors, seed):
     """Frames, h, point_tail, warnings and the first error with its gridpoint
@@ -890,6 +976,22 @@ def test_frames_at_equals_a_frame_at_loop(make, points, errors, seed):
     for point in points:
         outcomes = [_evaluate(pipe, lambda pipe: [pipe.frame_at(*point)]) for pipe in pipes]
         _assert_same(*outcomes)
+
+
+@_FRAMES_AT_CASES
+def test_frames_at_in_several_miss_batches_equals_a_frame_at_loop(make, points, errors, monkeypatch):
+    """With a budget of two points' systems, the misses split in several
+    batches of whole rows of common s, some of two rows: the frames,
+    point_tail, warnings and first error are still the frame_at loop's."""
+    pipes = make(), make()
+    monkeypatch.setattr(pipeline_module, "_BATCH_BYTES", 2 * (2 * pipes[0].trunc_n) ** 2 * 8)
+    calls = _split_calls(monkeypatch)
+    new = _evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
+    batches = calls[:]
+    ref = _evaluate(pipes[1], lambda pipe: [pipe.frame_at(s, t) for s, t in points])
+    _assert_same(new, ref)
+    assert len(batches) >= 2 and any(rows == 2 for rows, _ in batches)
+    assert all(items <= 2 or rows == 1 for rows, items in batches)
 
 
 @pytest.mark.parametrize("initial", [False, True], ids=["plain", "umbrella"])

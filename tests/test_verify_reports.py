@@ -231,51 +231,73 @@ def test_the_engines_tail_records_replay_as_the_record_loop(monkeypatch):
 
 
 def _count_iwasawa_batches(monkeypatch, calls):
-    """Append each `_iwasawa_rows` call's (distinct Phi_s, items) from
+    """Append each `_iwasawa_rows` call's (distinct Phi_s stack, items) from
     `nilweier.pipeline` to `calls`."""
     from nilweier import pipeline as pipeline_module
 
     real = pipeline_module._iwasawa_rows
 
     def iwasawa_rows(phi_s, index, phi_t, fx):
-        calls.append((len(phi_s), len(phi_t)))
+        calls.append((phi_s, len(phi_t)))
         return real(phi_s, index, phi_t, fx)
 
     monkeypatch.setattr(pipeline_module, "_iwasawa_rows", iwasawa_rows)
 
 
-def test_frames_at_splits_its_misses_in_grid_row_chunks(monkeypatch):
-    """Each `frames_at` call of one verification splits its misses, across
-    rows of common s, in at most ceil(misses / nt) `_iwasawa_rows` calls: 30
-    in all, where one call per row of common s made 168."""
+def test_frames_at_splits_its_misses_in_whole_row_batches(monkeypatch):
+    """Each `frames_at` call of one verification splits its misses in batches
+    of whole rows of common s: each batch takes rows until the next would
+    put its systems over the budget, and at least one.  That is 13
+    `_iwasawa_rows` calls in all, where batches of at most nt points made
+    30."""
+    from nilweier import pipeline as pipeline_module
     from nilweier.config import load_config
-    from nilweier.pipeline import Pipeline
+    from nilweier.pipeline import _BATCH_BYTES, Pipeline
     from nilweier.verify import run_verification
 
     cfg = load_config(VERIFY_PLANE)
     pipeline = cfg.make_pipeline().run()
-    nt = len(pipeline.t_grid)
-    splits, calls = [], []
-    real_split = Pipeline._split_misses
+    item_bytes = (2 * pipeline.trunc_n) ** 2 * 8
+    splits = []  # per `_split_misses` call, each batch's {s: points}
+    real_split, real_points = Pipeline._split_misses, pipeline_module._split_points
 
     def split_misses(self, misses):
-        before = len(calls)
-        out = real_split(self, misses)
-        splits.append((len(misses), len(calls) - before))
-        return out
+        splits.append([])
+        return real_split(self, misses)
+
+    def split_points(rows, initial):
+        for batch in real_points(rows, initial):
+            splits[-1].append({})
+            for s, _ in batch[0]:
+                splits[-1][-1][s] = splits[-1][-1].get(s, 0) + 1
+            yield batch
 
     monkeypatch.setattr(Pipeline, "_split_misses", split_misses)
+    monkeypatch.setattr(pipeline_module, "_split_points", split_points)
+    calls = []
     _count_iwasawa_batches(monkeypatch, calls)
     run_verification(pipeline, oracle=cfg.oracle)
-    assert all(made <= -(-misses // nt) for misses, made in splits)
-    assert len(calls) == 30 and max(items for _, items in calls) <= nt
+    batches = [rows for split in splits for rows in split]
+    assert [(len(rows), sum(rows.values())) for rows in batches] == [(len(p), b) for p, b in calls]
+    for split in splits:
+        assert len(set().union(*split)) == sum(map(len, split))  # no row in two batches
+        for rows, after in zip(split, split[1:] + [None]):
+            points = sum(rows.values())
+            assert points * item_bytes <= _BATCH_BYTES or len(rows) == 1
+            assert after is None or (points + next(iter(after.values()))) * item_bytes > _BATCH_BYTES
+    assert len(calls) == 13
 
 
 @pytest.mark.parametrize("side, trunc_n", [(15, 20), (9, 48)])  # sweep-cylinder, deep-trunc
-def test_the_sweep_splits_one_grid_row_per_batch(side, trunc_n, monkeypatch):
-    """The sweep splits its ns x nt gridpoints in ns `_iwasawa_rows` calls of
-    nt items, each with the one Phi_s of its grid row."""
+def test_the_sweep_splits_whole_grid_rows_per_batch(side, trunc_n, monkeypatch):
+    """The sweep splits its side x side gridpoints in batches of as many
+    whole grid rows as keep their (2N, 2N) systems within the budget, and
+    at least one; each `_iwasawa_rows` call takes its rows' Phi_s, once
+    each, and all their points: 5 calls of 3 rows on the sweep-cylinder
+    grid (576 KB of systems each), 9 of one row on the deep-trunc grid (a
+    row alone is 648 KiB)."""
     from nilweier.config import load_config
+    from nilweier.pipeline import _BATCH_BYTES
 
     config = {
         "potential": {"builtin": "cylinder"},
@@ -288,7 +310,11 @@ def test_the_sweep_splits_one_grid_row_per_batch(side, trunc_n, monkeypatch):
     calls = []
     _count_iwasawa_batches(monkeypatch, calls)
     pipeline.run()
-    assert calls == [(1, side)] * side
+    rows = max(1, _BATCH_BYTES // (side * (2 * trunc_n) ** 2 * 8))
+    assert rows == {20: 3, 48: 1}[trunc_n]
+    assert [(len(phi_s), items) for phi_s, items in calls] == [(rows, rows * side)] * (side // rows)
+    stacks = np.concatenate([phi_s for phi_s, _ in calls])
+    assert np.array_equal(stacks, np.stack([phi.c for phi in pipeline.phi_s]))
 
 
 ROUNDTRIPS = os.path.join(os.path.dirname(__file__), "data", "roundtrip_reports.json")
