@@ -8,8 +8,8 @@ per call.  For w in the big cell,
 
 The solver finds the inverse of the normalized factor directly from the
 linear conditions "the forbidden degrees of U*w vanish", then recovers the
-factor by an exact triangular recursion.  Singularity of the system is the
-numerical manifestation of leaving the big cell.  A stack's systems are
+factor by an exact triangular recursion; a singular system means leaving the
+big cell.  A stack's systems (in the sweep, a batch of whole grid rows) are
 built by one gather and solved as one stacked np.linalg.solve.  The twisting
 parity makes each 2N x 2N system block diagonal in two N x N blocks, so its
 condition number comes from the singular values of the two blocks; the full

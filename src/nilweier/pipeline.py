@@ -402,17 +402,17 @@ class FramePoint:
     h: float
 
 
-# Bytes of a batch's (B, 2N, 2N) float64 block-Toeplitz systems, B (2N)^2 8: a
-# batch costs numpy calls by degree, not by item.  This takes 3 rows of the 15 x
-# 15 cylinder at N = 20 and of the 25 x 25 plane at N = 16, 1 (648 KiB) at N = 48.
+# Budget for a batch's (B, 2N, 2N) float64 block-Toeplitz systems, B (2N)^2 8 bytes:
+# a split costs numpy calls per batch, not per item.  It takes 3 grid rows of 15 at
+# N = 20 and of 25 at N = 16, and 1 row at N = 48, where 9 points hold 648 KiB.
 _BATCH_BYTES = 640 * 1024
 
 
 def _split_points(rows, initial):
-    """Frames of rows of (point, Phi_s, Phi_t, f, g) items, in batches of the
-    whole rows whose systems fit _BATCH_BYTES, at least one: per batch, one
-    stack of its distinct Phi_s (one per s), the Iwasawa split, the diagonal
-    gauge and the initial-frame product.  Yields (points, effects, frames, h,
+    """Frames of rows of (point, Phi_s, Phi_t, f, g) items, in batches of whole
+    rows, taken while their systems fit _BATCH_BYTES and at least one: per
+    batch, one stack of its distinct Phi_s (one per s), the Iwasawa split, the
+    diagonal gauge and the initial-frame product.  Yields (points, effects, frames, h,
     gauge_log, conditioning, W) per batch, W = Phi_s^{-1} Phi_t; the effects
     play as batches of one's.  A nonpositive angle function is a GaugeFailure."""
     batches = []

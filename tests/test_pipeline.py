@@ -522,7 +522,7 @@ def _rows_per_batch(monkeypatch, rows, nt, trunc_n):
 
 
 def _split_calls(monkeypatch):
-    """(distinct Phi_s, items) of each `_iwasawa_rows` call of the sweep."""
+    """(distinct Phi_s, items) of each `_iwasawa_rows` call from `nilweier.pipeline`."""
     calls = []
     real = pipeline_module._iwasawa_rows
 
@@ -661,7 +661,7 @@ def test_a_row_crossing_the_bound_after_a_warning_plays_as_point_by_point(monkey
 
 
 def test_a_crossing_in_a_later_row_of_a_batch_plays_as_point_by_point(monkeypatch):
-    """Three grid rows per batch, COND_WARN below every point's conditioning,
+    """Three grid rows per batch, COND_WARN patched so that most points warn,
     and a tail bound that only the row s = 0.75 crosses, at its fourth
     point; that row is the second of the second batch.  The sweep merges the
     four rows before it, as the point-by-point sweep finds their accounts
@@ -678,11 +678,11 @@ def test_a_crossing_in_a_later_row_of_a_batch_plays_as_point_by_point(monkeypatc
     t_grid = np.array([0.5, 0.0, -1.0, 1.0, -0.5])
     args = [flow_s.at(s) for s in s_grid], [flow_t.at(t) for t in t_grid], pot, s_grid, t_grid
     merged = _merged_accounts(monkeypatch)
-    ref_rows = (_reference_sweep(*args, bound=math.inf), merged[:])[1]
+    _reference_sweep(*args, bound=math.inf)  # every row's account
+    ref_rows, merged[:] = merged[:], []
     ref = _sweep_outcome(_reference_sweep, *args, bound=9e-13)
     _rows_per_batch(monkeypatch, 3, len(t_grid), 8)
     calls = _split_calls(monkeypatch)
-    merged[:] = []
     new = _sweep_outcome(build_extended_frames, *args, tail=TailAccumulator(bound=9e-13))
     (kind, text, gridpoint), messages = ref[1:]
     assert kind is TruncationOverflow and gridpoint == (0.75, 1.0)
