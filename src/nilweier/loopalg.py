@@ -297,9 +297,13 @@ class _Effects:
 def _shift_rows(c: np.ndarray, A: np.ndarray, deg: int):
     """Products of a (B, 2N+1, 2, 2) stack with the single-term loops
     lam^deg * A[b], truncated to [-N, N]; returns (coefficients, dropped,
-    kept) with each item's Frobenius tail masses, in a batch of one's order."""
+    kept) with each item's Frobenius tail masses, in a batch of one's order.
+
+    Each 2x2 product is summed as `np.einsum("kij,jl->kil", ...)` sums one
+    loop: from +0.0, one term at a time, so even the signs of zeros agree.
+    A batched einsum would too, but it is several times slower."""
+    prod = (c[..., 0, None] * A[:, None, None, 0] + 0.0) + c[..., 1, None] * A[:, None, None, 1]
     out = np.zeros_like(c)
-    prod = _shift_prod(c, A)
     n = c.shape[1]
     lo, hi = max(0, deg), min(n, n + deg)
     out[:, lo:hi] = prod[:, lo - deg : hi - deg]
@@ -307,13 +311,44 @@ def _shift_rows(c: np.ndarray, A: np.ndarray, deg: int):
     return out, dropped, np.sqrt(_sq_sum(out))
 
 
-def _shift_prod(c: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Each coefficient of a (B, 2N+1, 2, 2) stack times A[b], unshifted.
+@functools.cache
+def _parity_swap(n: int) -> np.ndarray:
+    """Which of an off-diagonal A's (A01, A10) multiplies each compact entry
+    of n = 2N+1 degrees, in either degree order, in the product with A:
+    (A01, A10) at even degrees, (A10, A01) at odd ones."""
+    return np.where((np.arange(n)[:, None] - n // 2) % 2, [1, 0], [0, 1])
 
-    Each 2x2 product is summed as `np.einsum("kij,jl->kil", ...)` sums one
-    loop: from +0.0, one term at a time, so even the signs of zeros agree.
-    A batched einsum would too, but it is several times slower."""
-    return (c[..., 0, None] * A[:, None, None, 0] + 0.0) + c[..., 1, None] * A[:, None, None, 1]
+
+def _shift_compact(c: np.ndarray, A: np.ndarray, kept: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+    """`_shift_rows` on a compact (B, 2N+1, 2) stack stored so that lam^deg
+    moves index i + 1 to i (degrees ascending for lam^-1, descending for
+    lam^+1), with A[b]'s (A01, A10) gathered by `_parity_swap`.  A dense
+    entry is (x A + 0.0) + y A', x or y off parity and +0.0: where both are
+    finite, the compact entry times its factor plus +0.0.  The kept degrees
+    go to kept[:, :-1] (kept[:, -1] is left zero), the dropped one to
+    `dropped`; returns kept."""
+    full = c * A + 0.0
+    kept[:, :-1] = full[:, 1:]
+    dropped[...] = full[:, 0]
+    return kept
+
+
+def _shift_masses(kept, dropped, slots, buf, inputs) -> np.ndarray:
+    """The (B, 2) (dropped, kept) Frobenius masses of B `_shift_compact`
+    products, as `_shift_rows` sums them (`slots` and `buf` as for
+    `_dense_sq_sum`).  A dense product's off-parity entries, (x 0 + 0) + 0 y,
+    are NaN at each degree whose compact input or A is not finite, and then
+    so is the mass of that part.  Such an input or A also makes a compact
+    mass non-finite, so only then is `inputs()` called for the inputs and
+    the (A01, A10), which are reshaped to (B, 2N+1, 2) and (B, 2)."""
+    masses = np.sqrt(np.stack([(dropped**2).sum(axis=1), _dense_sq_sum(kept, slots, buf)], axis=1))
+    if not np.isfinite(masses).all():
+        x, A = inputs()
+        bad = ~np.isfinite(x.reshape(kept.shape)).all(axis=2)
+        bad |= ~np.isfinite(A.reshape(-1, 2)).all(axis=1)[:, None]
+        masses[bad[:, 0], 0] = np.nan
+        masses[bad[:, 1:].any(axis=1), 1] = np.nan
+    return masses
 
 
 def _scale_rows(c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -327,6 +362,17 @@ def _scale_rows(c: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _sq_sum(c: np.ndarray) -> np.ndarray:
     """Per-item sum of squares of a (B, ...) stack, in a batch of one's order."""
     return (c**2).reshape(len(c), math.prod(c.shape[1:])).sum(axis=1)
+
+
+def _dense_sq_sum(c: np.ndarray, slots: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """`_sq_sum` of the dense (B, L, 2, 2) layout of a compact (B, L, 2)
+    stack, with the same bits: the squares go to their flat positions in a
+    row, `slots` ((2L,), or (B, 2L) per item), in the rows of `buf`, a
+    contiguous (B, 4L) array that is zero elsewhere, and the rows are
+    summed."""
+    at = buf.shape[1] * np.arange(len(c))[:, None] + slots
+    buf.reshape(-1)[at] = (c**2).reshape(at.shape)
+    return buf.sum(axis=1)
 
 
 def _check_parity(c: np.ndarray, N: int, fx: _Effects) -> None:
@@ -393,7 +439,8 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, fx: _Effects) -> np.ndarray:
     Degrees of `a` accumulate in sequence from +0.0, as a batch of one does;
     degrees that vanish in every item are skipped, which is exact since
     adding a signed zero never changes the sum.  The dropped and kept tail
-    masses are summed over the dense layout, zeros included.
+    masses are summed over the dense layout, zeros included, with only the
+    kept degrees expanded to it.
     """
     n = b.shape[1]
     N = n // 2
@@ -402,9 +449,9 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, fx: _Effects) -> np.ndarray:
     full = np.zeros((len(b), 2 * n - 1, 2))
     for m in np.flatnonzero(ac.reshape(-1, n, 2).any(axis=(0, 2))):
         full[:, m : m + n] += ac[..., m, None, :] * (swapped if (m - N) % 2 else bc)
-    full = _expand(full, -2 * N)
-    kept = full[:, N : N + n].copy()  # not a view that keeps the whole product
-    dropped = np.sqrt(_sq_sum(full[:, :N]) + _sq_sum(full[:, N + n :]))
+    kept = _expand(full[:, N : N + n], -N)
+    tails = [(full[:, :N], _slots(N, -2 * N)), (full[:, N + n :], _slots(N, N + 1))]
+    dropped = np.sqrt(sum(_dense_sq_sum(c, at, np.zeros((len(b), 4 * N))) for c, at in tails))
     fx.record(dropped, np.sqrt(_sq_sum(kept)))
     return kept
 

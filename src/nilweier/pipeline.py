@@ -59,10 +59,13 @@ from .loopalg import (
     TailAccumulator,
     TwistedLoop,
     _Effects,
+    _expand,
     _mul_rows,
+    _parity_swap,
     _scale_rows,
-    _shift_prod,
-    _sq_sum,
+    _shift_compact,
+    _shift_masses,
+    _slots,
     loop_inv,  # noqa: F401  perfbench/tracer.py binds this name
     loop_mul,  # noqa: F401  perfbench/tracer.py binds this name
     pair_eval,
@@ -202,8 +205,11 @@ class _AxisFlow:
     every value and every tail record is bit-identical to an integration
     from 0 at the call, whatever the evaluation order.  A is read through
     `coeff_rows`, which maps a float64 array of abscissae to the (L, 2, 2)
-    stack of their A, as `PotentialSpec.xi_s_rows` does.  Dropped tail mass
-    goes to `tail`, or to the flow's own account if None.
+    stack of their A, as `PotentialSpec.xi_s_rows` does, once per
+    `_integrate` call for all positions of the flow's chains; A must be
+    off-diagonal, as the potential's is, since the stack steps in compact
+    form.  Dropped tail mass goes to `tail`, or to the flow's own account if
+    None.
     """
 
     def __init__(self, coeff_rows, deg: int, N: int, steps_per_unit: float, tail: TailAccumulator):
@@ -248,92 +254,105 @@ class _AxisFlow:
         return hit
 
 
-# lam^deg moves coefficient k to k + deg: (into, from) slices of the kept
-# coefficients and the index of the one that leaves the truncation
-_MOVES = {-1: (slice(None, -1), slice(1, None), 0), +1: (slice(1, None), slice(None, -1), -1)}
-
-
 def _integrate(*requests) -> None:
     """Step the chains of several flows' abscissae as one stack, one RK4 step
     at a time: for each (flow, xs), those of xs the flow has neither cached
     nor kept; the flows share one truncation N.  Each chain steps to its
     longest abscissa and keeps the state after m steps for each abscissa
-    that needs m.  Each flow's live chains are one row range, in request
-    order, with one potential row call per step and its own shift.  The four
-    stages' products are one (4, L, 2N+1, 2, 2) stack, whose tail masses are
-    taken in one pass into one (steps, 4, chains, 2) array.  A chain whose
-    potential raises drops out; its abscissae past that step keep the step's
-    positions instead.
+    that needs m.
+
+    Each flow reads its potential once, at every position of its chains; a
+    chain whose positions raise stops at the first step whose three do, and
+    its abscissae past that step keep those positions instead.  The chains
+    are ordered by their last step, so the live ones are a prefix of the
+    stack.  They step in the compact form of `_shift_compact`, t chains
+    (lam^+1) with their degrees reversed, so that one slice shifts every
+    chain.  The four stages' tail masses go, in one pass per step, into one
+    (steps, 4, chains, 2) array.
     """
-    chains = []  # (request index, h, {step count: abscissae})
-    for r, (flow, xs) in enumerate(requests):
+    chains = []  # [flow, h, {step count: abscissae}, positions of the step that raises]
+    for flow, xs in requests:
         own: dict[float, dict[int, list[float]]] = {}
         for x in map(float, xs):
             if x not in flow._cache and x not in flow._nodes:
                 n, h = flow._steps(x)
                 own.setdefault(h, {}).setdefault(n, []).append(x)
-        chains += [(r, h, stops) for h, stops in own.items()]
+        chains += [[flow, h, stops, None] for h, stops in own.items()]
     if not chains:
         return
-    axis, hs = np.array([r for r, _, _ in chains]), np.array([h for _, h, _ in chains])
-    lengths = np.array([max(stops) for _, _, stops in chains])
-    records = np.empty((lengths.max(), 4, len(chains), 2))
-    phi = np.repeat(requests[0][0]._cache[0.0].c[None], len(chains), axis=0)
-    live = np.arange(len(chains))
+    chains.sort(key=lambda chain: -max(chain[2]))
+    lengths, hs = np.array([max(stops) for _, _, stops, _ in chains]), np.array([c[1] for c in chains])
+    records = np.empty((lengths[0], 4, len(chains), 2))
+    ks = np.arange(lengths[0])[:, None]
+    pos = ks * hs
+    pos[0] = 0.0
+    positions = np.stack([pos, pos + hs / 2.0, pos + hs], axis=-1)  # (steps, chains, 3)
+    coeffs = np.empty((*pos.shape, 3, 2))  # the (A01, A10) of each position's A
 
-    def spans():  # (flow, first row, end row) of each request's live chains
-        bounds = np.searchsorted(axis[live], np.arange(len(requests) + 1)).tolist()
-        return [(flow, lo, hi) for (flow, _), lo, hi in zip(requests, bounds, bounds[1:]) if lo < hi]
+    def read(flow, at):
+        return flow.coeff_rows(at.ravel()).reshape(*at.shape[:-1], 3, 4)[..., 1:3]
 
-    for k in range(lengths.max()):
-        live = live[lengths[live] > k]
-        if not len(live):
-            break
-        h = hs[live]
-        pos = k * h if k else np.zeros(len(live))
-        positions = np.stack([pos, pos + h / 2.0, pos + h], axis=1)
-        coeffs = np.empty((len(live), 3, 2, 2))
-        raised = []
-        for flow, lo, hi in spans():
-            try:
-                coeffs[lo:hi] = flow.coeff_rows(positions[lo:hi].ravel()).reshape(hi - lo, 3, 2, 2)
-            except (EvalDomain, DegeneratePotential):  # find the chains that raise
-                for row in range(lo, hi):
-                    try:
-                        coeffs[row] = flow.coeff_rows(positions[row])
-                    except (EvalDomain, DegeneratePotential):
-                        failed = (None, records, live[row], k, positions[row])
-                        stops = chains[live[row]][2]
-                        flow._nodes.update((x, failed) for m, xs in stops.items() if m > k for x in xs)
-                        raised.append(row)
-        if raised:
-            live, h, coeffs = (np.delete(a, raised, axis=0) for a in (live, h, coeffs))
-            if not len(live):
-                break
-        moves = [(_MOVES[flow.deg], lo, hi) for flow, lo, hi in spans()]
-        prods = np.zeros((4, len(live), *phi.shape[1:]))
-        tails = np.empty((4, len(live), 2, 2))
-
-        def shift(stage, c, A):
-            prod = _shift_prod(c, A)
-            for (into, src, drop), lo, hi in moves:
-                prods[stage, lo:hi, into] = prod[lo:hi, src]
-                tails[stage, lo:hi] = prod[lo:hi, drop]
-            return prods[stage]
-
-        h = h[:, None, None, None]
-        c = phi[live]
-        k1 = shift(0, c, coeffs[:, 0])
-        k2 = shift(1, c + (h / 2.0) * k1, coeffs[:, 1])
-        k3 = shift(2, c + (h / 2.0) * k2, coeffs[:, 1])
-        k4 = shift(3, c + h * k3, coeffs[:, 2])
-        phi[live] = c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        masses = [_sq_sum(a.reshape(-1, *a.shape[2:])).reshape(4, -1) for a in (tails, prods)]
-        records[k][:, live] = np.sqrt(np.stack(masses, axis=-1))
-        for row, b in enumerate(live.tolist()):
-            r, _, stops = chains[b]
-            for x in stops.get(k + 1, ()):
-                requests[r][0]._nodes[x] = (c[row].copy(), records, b, k + 1, None)
+    for flow, _ in requests:
+        mine = (ks < lengths) & [chain[0] is flow for chain in chains]
+        if not mine.any():
+            continue
+        try:
+            coeffs[mine] = read(flow, positions[mine])
+        except (EvalDomain, DegeneratePotential):  # find the chains that raise
+            for b in np.flatnonzero(mine[0]):
+                try:
+                    coeffs[: lengths[b], b] = read(flow, positions[: lengths[b], b])
+                except (EvalDomain, DegeneratePotential):
+                    for k in range(lengths[b]):  # up to the first step that raises
+                        try:
+                            coeffs[k, b] = read(flow, positions[k, b])
+                        except (EvalDomain, DegeneratePotential):
+                            lengths[b], chains[b][3] = k, positions[k, b].copy()
+                            break
+    if np.any(lengths[1:] > lengths[:-1]):  # a chain that raised stops early: order again
+        order = np.argsort(-lengths, kind="stable")
+        chains, lengths, hs = [chains[b] for b in order], lengths[order], hs[order]
+        coeffs = coeffs[:, order]
+    N = chains[0][0].N
+    n = 2 * N + 1
+    stops_at: dict[int, list] = {}
+    for b, (flow, _, stops, failed) in enumerate(chains):
+        for m, xs in stops.items():
+            if m <= lengths[b]:
+                stops_at.setdefault(m, []).append((b, flow, xs))
+            else:
+                flow._nodes.update((x, (None, records, b, lengths[b], failed)) for x in xs)
+    reverse = np.array([flow.deg > 0 for flow, *_ in chains])
+    slots = _slots(n, -N).reshape(n, 2)
+    slots = np.where(reverse[:, None, None], slots[::-1], slots).reshape(-1, 2 * n).repeat(4, axis=0)
+    swap = _parity_swap(n)
+    phi = np.zeros((len(chains), n, 2))
+    phi[:, N] = 1.0
+    kept, dropped = np.zeros((len(chains), 4, n, 2)), np.empty((len(chains), 4, 2))
+    buf = np.zeros((4 * len(chains), 4 * n))
+    live = np.searchsorted(-lengths, -np.arange(lengths[0])).tolist()
+    with np.errstate(all="ignore"):  # a non-finite state fails the account through its masses
+        for k, L in enumerate(live):
+            c, A, h, K, D = phi[:L], coeffs[k, :L], hs[:L, None, None], kept[:L], dropped[:L]
+            Ag = A[..., swap]  # (L, 3, n, 2)
+            half = h / 2.0
+            k1 = _shift_compact(c, Ag[:, 0], K[:, 0], D[:, 0])
+            x1 = c + half * k1
+            k2 = _shift_compact(x1, Ag[:, 1], K[:, 1], D[:, 1])
+            x2 = c + half * k2
+            k3 = _shift_compact(x2, Ag[:, 1], K[:, 2], D[:, 2])
+            x3 = c + h * k3
+            k4 = _shift_compact(x3, Ag[:, 2], K[:, 3], D[:, 3])
+            new = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            masses = _shift_masses(
+                K.reshape(-1, n, 2), D.reshape(-1, 2), slots[: 4 * L], buf[: 4 * L],
+                lambda: (np.stack((c, x1, x2, x3), axis=1), A[:, [0, 1, 1, 2]]),
+            )
+            records[k, :, :L] = masses.reshape(L, 4, 2).swapaxes(0, 1)
+            phi[:L] = new
+            for b, flow, xs in stops_at.get(k + 1, ()):
+                state = _expand(new[b, :: -1 if reverse[b] else 1][None], -N)[0].copy()
+                flow._nodes.update((x, (state, records, b, k + 1, None)) for x in xs)
 
 
 def solve_frame_ode(
@@ -348,8 +367,9 @@ def solve_frame_ode(
 
     Returns (phi_s list over s_grid, phi_t list over t_grid, flow_s, flow_t);
     the flows evaluate off-grid points too.  Every chain of both axes' nodes
-    runs once, in one stack (see `_integrate`), and the nodes' tail masses
-    are recorded in grid order, s axis first.  Every frame and the tail
+    runs once, in one compact stack, after one potential row call per axis
+    (see `_integrate`), and the nodes' tail masses are recorded in grid
+    order, s axis first.  Every frame and the tail
     account are bit-identical to integrating each node from 0, and a
     truncation or potential error names the node it arose at: (s, 0.0) or
     (0.0, t).

@@ -28,9 +28,14 @@ from nilweier.loopalg import (
     _clean_parity,
     _Effects,
     _inv_rows,
+    _expand,
     _mask,
     _mul_rows,
+    _parity_swap,
+    _shift_compact,
+    _shift_masses,
     _shift_rows,
+    _slots,
 )
 from nilweier.errors import (
     GaugeFailure,
@@ -424,6 +429,61 @@ def test_shift_rows_equals_one_einsum_per_item(N, B, seed, deg, dense):
         ref, ref_dropped, ref_kept = shift_mul_reference(c[b], A[b], deg)
         assert np.array_equal(out[b], ref) and np.array_equal(np.signbit(out[b]), np.signbit(ref))
         assert (dropped[b], kept[b]) == (ref_dropped, ref_kept)
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [(None, None), ("overflow", 1e300)]
+    + [(w, v) for w in ("dropped", "kept", "A") for v in (np.inf, -np.inf, np.nan)],
+)
+@stacks
+@given(**sizes)
+def test_compact_shift_equals_shift_rows(where, bad, N, B, seed):
+    """One stack of items shifted by lam^-1, stored in ascending degrees, and
+    by lam^+1, stored in descending ones: `_shift_compact`'s entries are
+    those of `_shift_rows`, as bytes, and `_shift_masses` its masses, as
+    float.hex.  Entries and A hold +0.0 and -0.0; an inf or NaN placed only
+    in item 0's dropped degree, only in one of its kept degrees, or in its A
+    makes the dense product's masses NaN where its off-parity entries are;
+    finite entries whose products overflow (1e300 in a kept degree and in A)
+    make them inf, not NaN."""
+    rng = np.random.default_rng(seed)
+    n = 2 * N + 1
+    c = rng.normal(size=(B, n, 2, 2))
+    c[rng.random(c.shape) < 0.2] = 0.0
+    c[rng.random(c.shape) < 0.5] *= -1.0
+    c[:, _mask(N)] = 0.0
+    A = np.zeros((B, 2, 2))
+    A[:, 0, 1], A[:, 1, 0] = rng.normal(size=(2, B)) * (rng.random((2, B)) < 0.8)
+    A[rng.random(A.shape) < 0.3] *= -1.0
+    deg = rng.choice([-1, 1], B)
+    e = int(rng.integers(2))
+    if where in ("A", "overflow"):
+        A[0, e, 1 - e] = A[0, 1 - e, e] = bad
+    if where not in (None, "A"):  # the dropped degree is -N for lam^-1, N for lam^+1
+        k = (0 if deg[0] < 0 else n - 1) if where == "dropped" else int(rng.integers(1, n - 1))
+        c[0, k] = np.where(_mask(N)[k], 0.0, bad)
+    order = [slice(None, None, -d) for d in deg]
+    x = np.stack([c[b].reshape(4 * n)[_slots(n, -N)].reshape(n, 2)[order[b]] for b in range(B)])
+    a = A.reshape(B, 4)[:, 1:3]
+    kept, dropped = np.zeros((B, n, 2)), np.empty((B, 2))
+    slots = np.stack([_slots(n, -N).reshape(n, 2)[o].ravel() for o in order])
+    with np.errstate(all="ignore"):
+        _shift_compact(x, a[:, _parity_swap(n)], kept, dropped)
+        masses = _shift_masses(kept, dropped, slots, np.zeros((B, 4 * n)), lambda: (x, a))
+        refs = [_shift_rows(c[b : b + 1], A[b : b + 1], deg[b]) for b in range(B)]
+    for b, (out, ref_dropped, ref_kept) in enumerate(refs):
+        assert [m.hex() for m in masses[b]] == [ref_dropped[0].hex(), ref_kept[0].hex()]
+        assert kept[b, -1].tobytes() == np.zeros(2).tobytes()
+        shifted = _expand(kept[b : b + 1, order[b]], -N)[0]
+        if b or where in (None, "overflow"):  # the dense product has +0.0 off parity
+            assert shifted.tobytes() == out[0].tobytes()
+        else:
+            assert shifted[~_mask(N)].tobytes() == out[0][~_mask(N)].tobytes()
+    if where == "overflow":
+        assert np.isinf(masses[0, 1]) and not np.isnan(masses[0]).any()
+    elif where is not None:
+        assert np.isnan(masses[0]).any() and (where != "A" or np.isnan(masses[0]).all())
 
 
 @pytest.mark.parametrize("N", [16, 20, 48])

@@ -239,8 +239,8 @@ def test_potential_error_at_an_off_grid_point_names_it():
 def test_axis_ode_integrates_each_chain_once(monkeypatch):
     """Each axis evaluates its potential at 3 positions per step of each
     chain's longest node (824 steps on 41 nodes), not per step of every node
-    (3,360), through one row call per step of the longest chain and no
-    scalar `xi` call."""
+    (3,360), through one row call for all its chains and no scalar `xi`
+    call."""
     calls = {name: [] for name in ("xi_s", "xi_t", "xi_s_rows", "xi_t_rows")}
     for name in calls:
         original = getattr(PotentialSpec, name)
@@ -256,8 +256,7 @@ def test_axis_ode_integrates_each_chain_once(monkeypatch):
     assert steps == 824
     assert calls["xi_s"] == calls["xi_t"] == []
     for name in ("xi_s_rows", "xi_t_rows"):
-        assert sum(calls[name]) == 3 * steps
-        assert len(calls[name]) == max(chains.values())
+        assert calls[name] == [3 * steps]
 
 
 def _counted(coeff_rows, calls):
@@ -303,6 +302,45 @@ def test_stacked_stepper_equals_from_zero_reference():
         assert flow._nodes == {} and len(calls) == 3 * sum(lengths.values())
 
 
+@pytest.mark.parametrize("bound", [math.inf, 1e-9])
+@pytest.mark.parametrize(
+    "f, Q, records",
+    [
+        ("1", "1e150", {"inf", "nan"}),
+        ("1", "1e300", {"inf", "nan"}),
+        ("1", "1e30*s^20", {"inf"}),
+        ("1e-10", "1e300", {"nan"}),  # Q/f overflows: A itself is not finite
+    ],
+    ids=["1e150", "1e300", "1e30*s^20", "Q/f-overflows"],
+)
+def test_overflowing_states_equal_the_from_zero_reference(f, Q, records, bound):
+    """Potentials whose s-axis states overflow, so that a chain's tail
+    records reach inf or NaN: each abscissa's value (as bytes) or error text,
+    and its own account (as float.hex), equal the from-0 integration's."""
+    pot = pair_potential(f, "1", Q, "0")
+    xs = [0.1, 0.3, 0.7, 1.0, -0.2, -0.55, 2.0]
+    flow = _AxisFlow(pot.xi_s_rows, -1, 8, 16.0, TailAccumulator(bound))
+    ref = FromZeroAxisFlow(pot.xi_s, -1, 8, 16.0, TailAccumulator(bound))
+    flow.integrate_nodes(xs)
+    reached = set()
+    for x in xs:
+        _, masses, chain, steps, _ = flow._nodes[x]
+        masses = masses[:steps, :, chain]
+        reached |= {"inf"} if np.isinf(masses).any() else set()
+        reached |= {"nan"} if np.isnan(masses).any() else set()
+        outcomes = []
+        for evaluated in (flow, ref):
+            tail = TailAccumulator(bound)
+            try:
+                with np.errstate(all="ignore"):  # the reference's dense arithmetic overflows
+                    outcome = evaluated.at(x, tail).c.tobytes()
+            except TruncationOverflow as exc:
+                outcome = str(exc)
+            outcomes.append((outcome, tail.dropped.hex(), tail.kept.hex()))
+        assert outcomes[0] == outcomes[1], x
+    assert reached == records
+
+
 def test_stacked_stepper_drops_an_item_whose_potential_raises():
     """f has no value for |s - 0.25| < 0.1: the items that step into that gap
     drop out of the stack mid-way, `at` raises their error at the same step
@@ -333,9 +371,11 @@ def test_stacked_stepper_drops_an_item_whose_potential_raises():
 def test_both_axes_step_as_one_stack_while_t_chains_drop_out():
     """g has no value for |t - 0.25| < 0.1: the t chains that step into that
     gap drop out of the stack while the s chains and the other t chains keep
-    stepping with them, one row call per axis per step.  Values, errors and
-    the shared tail account equal the from-0 integration in an interleaved
-    order of s and t abscissae."""
+    stepping with them.  The s potential is read in one row call; the t
+    one's raises, so each t chain is read alone, and those that raise step
+    by step up to the first step that does.  Values, errors and the shared
+    tail account equal the from-0 integration in an interleaved order of s
+    and t abscissae."""
     pot = pair_potential("1 + s^2/4", "2 + sqrt(100*(t-0.25)^2 - 1)", "cos(s)/16", "t/32")
     xs = [0.1, 0.149, 0.3, 0.6, 1.0, -0.2, -0.75, -1.5]
     tail, ref_tail = TailAccumulator(), TailAccumulator()
@@ -353,9 +393,17 @@ def test_both_axes_step_as_one_stack_while_t_chains_drop_out():
         "t": FromZeroAxisFlow(pot.xi_t, +1, 8, 16.0, ref_tail),
     }
     _integrate((flows["s"], xs), (flows["t"], xs))
-    longest = max(math.ceil(abs(x) * 16.0 - 1e-12) for x in xs)
-    assert len(calls["s"]) == longest  # every s step is one row call
-    assert len(calls["t"]) > longest  # the step into the gap reads t row by row
+    chains = {}  # h: longest step count; every x here has its own h
+    for x in xs:
+        n = math.ceil(abs(x) * 16.0 - 1e-12)
+        chains[x / n] = max(chains.get(x / n, 0), n)
+    steps = sum(chains.values())
+    assert calls["s"] == [3 * steps]  # every s position in one row call
+    # every t position, then each chain alone, longest first, and the steps
+    # of a chain that raises one at a time, up to the first that does
+    assert calls["t"][0] == 3 * steps and 3 in calls["t"]
+    chain_calls = [3 * n for n in sorted(chains.values(), reverse=True) if n > 1]
+    assert [size for size in calls["t"][1:] if size > 3] == chain_calls
     raised = []
     rng = np.random.default_rng(3)
     order = [(axis, x) for axis in "st" for x in xs]
@@ -992,6 +1040,29 @@ def test_frames_at_in_several_miss_batches_equals_a_frame_at_loop(make, points, 
     _assert_same(new, ref)
     assert len(batches) >= 2 and any(rows == 2 for rows, _ in batches)
     assert all(items <= 2 or rows == 1 for rows, items in batches)
+
+
+def test_frames_at_with_overflowing_points_equals_a_frame_at_loop():
+    """Q = R = 4 e^(300 (x - 3)) is tiny on the grid, and the axis states
+    overflow past x = 3: a batch that mixes (4.0, 0.5) and (0.5, 4.2) with
+    good points gives the frames, point_tail, warnings and first error of a
+    frame_at loop, and each point alone evaluates as the loop's.  numpy's
+    RuntimeWarnings are left out: the splits of the overflowing frames emit
+    them, and a batch splits every miss before it plays one."""
+    pot = translate_potential("4", "0", "exp(300*(z-3))", "0")
+    points = _PLANE_POINTS[:3] + [(4.0, 0.5)] + _PLANE_POINTS[3:6] + [(0.5, 4.2)]
+
+    def evaluate(pipe, evaluate):
+        frames, tail, messages, error = _evaluate(pipe, evaluate)
+        return frames, tail, [m for m in messages if m[0] is not RuntimeWarning], error
+
+    pipes = _fresh_plane(pot=pot), _fresh_plane(pot=pot)
+    new = evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
+    ref = evaluate(pipes[1], lambda pipe: [pipe.frame_at(s, t) for s, t in points])
+    _assert_same(new, ref)
+    assert ref[3][0] is TruncationOverflow and ref[3][2] == (4.0, 0.5)
+    for point in points:
+        _assert_same(*(evaluate(pipe, lambda pipe: [pipe.frame_at(*point)]) for pipe in pipes))
 
 
 @pytest.mark.parametrize("initial", [False, True], ids=["plain", "umbrella"])

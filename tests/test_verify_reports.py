@@ -148,32 +148,60 @@ def test_verify_plane_report_and_point_tail_are_pinned():
 
 def test_one_verification_steps_both_axes_as_one_stack(monkeypatch):
     """The grid axes and every `frames_at` miss batch step their s and t
-    chains together: 365 RK4 steps of four products each, where stepping one
-    axis after the other took 356 + 365 = 721.  Each step reads the s
-    potential, then the t potential, once while that axis has live chains."""
-    import re
+    chains together: 365 RK4 steps of four stage products each, over 5,434
+    chain steps, where stepping one axis after the other took 356 + 365 =
+    721 steps.  Each step's four stages take the chains of both axes still
+    stepping, and each `_integrate` call reads each axis's potential once,
+    at 3 positions per chain step, s before t."""
+    import math
 
     from nilweier import pipeline as pipeline_module
     from nilweier.config import load_config
     from nilweier.pipeline import PotentialSpec
     from nilweier.verify import run_verification
 
-    log = []
-    real_prod = pipeline_module._shift_prod
-    monkeypatch.setattr(
-        pipeline_module, "_shift_prod", lambda c, A: log.append("p") or real_prod(c, A)
-    )
+    calls = []  # per `_integrate` call: (its chains' step counts per axis, row calls, stage sizes)
+    real_integrate, real_stage = pipeline_module._integrate, pipeline_module._shift_compact
+
+    def integrate(*requests):
+        lengths = {}
+        for flow, xs in requests:
+            own = {}
+            for x in map(float, xs):
+                if x not in flow._cache and x not in flow._nodes:
+                    n = max(1, math.ceil(abs(x) * flow.spu - 1e-12))
+                    own[x / n] = max(own.get(x / n, 0), n)
+            lengths["s" if flow.deg < 0 else "t"] = sorted(own.values(), reverse=True)
+        calls.append((lengths, [], []))
+        real_integrate(*requests)
+
+    def stage(c, *args):
+        calls[-1][2].append(len(c))
+        return real_stage(c, *args)
+
+    monkeypatch.setattr(pipeline_module, "_integrate", integrate)
+    monkeypatch.setattr(pipeline_module, "_shift_compact", stage)
     for name in ("xi_s_rows", "xi_t_rows"):
         real = getattr(PotentialSpec, name)
         monkeypatch.setattr(
-            PotentialSpec, name, lambda self, xs, a=name[3], f=real: log.append(a) or f(self, xs)
+            PotentialSpec,
+            name,
+            lambda self, xs, a=name[3], f=real: calls[-1][1].append((a, len(xs))) or f(self, xs),
         )
     cfg = load_config(VERIFY_PLANE)
     run_verification(cfg.make_pipeline().run(), oracle=cfg.oracle)
-    text = "".join(log)
-    assert re.fullmatch(r"((st|s|t)pppp)+", text)
-    steps = re.findall(r"([st]+)pppp", text)
-    assert len(steps) == 365 and steps.count("st") == 356 and steps.count("t") == 9
+    both = t_only = 0
+    for lengths, rows, stages in calls:
+        everything = sorted(lengths["s"] + lengths["t"], reverse=True)
+        live = [sum(n > k for n in everything) for k in range(everything[0] if everything else 0)]
+        assert stages == [size for size in live for _ in range(4)]
+        assert rows == [(a, 3 * sum(lengths[a])) for a in "st" if lengths[a]]
+        s_steps, t_steps = (max(lengths[a], default=0) for a in "st")
+        both += min(s_steps, t_steps)
+        t_only += max(t_steps - s_steps, 0)
+    stages = [size for _, _, sizes in calls for size in sizes]
+    assert len(stages) == 4 * 365 and sum(stages) == 4 * 5434
+    assert (both, t_only) == (356, 9)
 
 
 def test_only_the_frame_quality_check_evaluates_frame_pairs(monkeypatch):
