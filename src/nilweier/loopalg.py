@@ -333,15 +333,15 @@ def _shift_compact(c: np.ndarray, A: np.ndarray, kept: np.ndarray, dropped: np.n
     return kept
 
 
-def _shift_masses(kept, dropped, slots, buf, inputs) -> np.ndarray:
+def _shift_masses(kept, dropped, at, buf, inputs) -> np.ndarray:
     """The (B, 2) (dropped, kept) Frobenius masses of B `_shift_compact`
-    products, as `_shift_rows` sums them (`slots` and `buf` as for
+    products, as `_shift_rows` sums them (`at` and `buf` as for
     `_dense_sq_sum`).  A dense product's off-parity entries, (x 0 + 0) + 0 y,
     are NaN at each degree whose compact input or A is not finite, and then
     so is the mass of that part.  Such an input or A also makes a compact
     mass non-finite, so only then is `inputs()` called for the inputs and
     the (A01, A10), which are reshaped to (B, 2N+1, 2) and (B, 2)."""
-    masses = np.sqrt(np.stack([(dropped**2).sum(axis=1), _dense_sq_sum(kept, slots, buf)], axis=1))
+    masses = np.sqrt(np.stack([(dropped**2).sum(axis=1), _dense_sq_sum(kept, at, buf)], axis=1))
     if not np.isfinite(masses).all():
         x, A = inputs()
         bad = ~np.isfinite(x.reshape(kept.shape)).all(axis=2)
@@ -364,13 +364,11 @@ def _sq_sum(c: np.ndarray) -> np.ndarray:
     return (c**2).reshape(len(c), math.prod(c.shape[1:])).sum(axis=1)
 
 
-def _dense_sq_sum(c: np.ndarray, slots: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _dense_sq_sum(c: np.ndarray, at: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """`_sq_sum` of the dense (B, L, 2, 2) layout of a compact (B, L, 2)
-    stack, with the same bits: the squares go to their flat positions in a
-    row, `slots` ((2L,), or (B, 2L) per item), in the rows of `buf`, a
-    contiguous (B, 4L) array that is zero elsewhere, and the rows are
-    summed."""
-    at = buf.shape[1] * np.arange(len(c))[:, None] + slots
+    stack, with the same bits: the squares go to their flat positions `at`
+    (B, 2L) in `buf`, a contiguous (B, 4L) array that is zero elsewhere, and
+    the rows of buf are summed."""
     buf.reshape(-1)[at] = (c**2).reshape(at.shape)
     return buf.sum(axis=1)
 
@@ -450,7 +448,8 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, fx: _Effects) -> np.ndarray:
     for m in np.flatnonzero(ac.reshape(-1, n, 2).any(axis=(0, 2))):
         full[:, m : m + n] += ac[..., m, None, :] * (swapped if (m - N) % 2 else bc)
     kept = _expand(full[:, N : N + n], -N)
-    tails = [(full[:, :N], _slots(N, -2 * N)), (full[:, N + n :], _slots(N, N + 1))]
+    rows = 4 * N * np.arange(len(b))[:, None]
+    tails = [(full[:, :N], rows + _slots(N, -2 * N)), (full[:, N + n :], rows + _slots(N, N + 1))]
     dropped = np.sqrt(sum(_dense_sq_sum(c, at, np.zeros((len(b), 4 * N))) for c, at in tails))
     fx.record(dropped, np.sqrt(_sq_sum(kept)))
     return kept

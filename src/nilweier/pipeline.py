@@ -309,6 +309,7 @@ def _integrate(*requests) -> None:
                         except (EvalDomain, DegeneratePotential):
                             lengths[b], chains[b][3] = k, positions[k, b].copy()
                             break
+    del positions, pos
     if np.any(lengths[1:] > lengths[:-1]):  # a chain that raised stops early: order again
         order = np.argsort(-lengths, kind="stable")
         chains, lengths, hs = [chains[b] for b in order], lengths[order], hs[order]
@@ -323,8 +324,9 @@ def _integrate(*requests) -> None:
             else:
                 flow._nodes.update((x, (None, records, b, lengths[b], failed)) for x in xs)
     reverse = np.array([flow.deg > 0 for flow, *_ in chains])
-    slots = _slots(n, -N).reshape(n, 2)
-    slots = np.where(reverse[:, None, None], slots[::-1], slots).reshape(-1, 2 * n).repeat(4, axis=0)
+    at = _slots(n, -N).reshape(n, 2)  # each chain's kept entries in the dense layout
+    at = np.where(reverse[:, None, None], at[::-1], at).reshape(-1, 2 * n).repeat(4, axis=0)
+    at += 4 * n * np.arange(len(at))[:, None]  # flat, in the (4 * chains, 4n) mass buffer
     swap = _parity_swap(n)
     phi = np.zeros((len(chains), n, 2))
     phi[:, N] = 1.0
@@ -345,7 +347,7 @@ def _integrate(*requests) -> None:
             k4 = _shift_compact(x3, Ag[:, 2], K[:, 3], D[:, 3])
             new = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             masses = _shift_masses(
-                K.reshape(-1, n, 2), D.reshape(-1, 2), slots[: 4 * L], buf[: 4 * L],
+                K.reshape(-1, n, 2), D.reshape(-1, 2), at[: 4 * L], buf[: 4 * L],
                 lambda: (np.stack((c, x1, x2, x3), axis=1), A[:, [0, 1, 1, 2]]),
             )
             records[k, :, :L] = masses.reshape(L, 4, 2).swapaxes(0, 1)

@@ -467,10 +467,10 @@ def test_compact_shift_equals_shift_rows(where, bad, N, B, seed):
     x = np.stack([c[b].reshape(4 * n)[_slots(n, -N)].reshape(n, 2)[order[b]] for b in range(B)])
     a = A.reshape(B, 4)[:, 1:3]
     kept, dropped = np.zeros((B, n, 2)), np.empty((B, 2))
-    slots = np.stack([_slots(n, -N).reshape(n, 2)[o].ravel() for o in order])
+    at = np.stack([_slots(n, -N).reshape(n, 2)[o].ravel() for o in order]) + 4 * n * np.arange(B)[:, None]
     with np.errstate(all="ignore"):
         _shift_compact(x, a[:, _parity_swap(n)], kept, dropped)
-        masses = _shift_masses(kept, dropped, slots, np.zeros((B, 4 * n)), lambda: (x, a))
+        masses = _shift_masses(kept, dropped, at, np.zeros((B, 4 * n)), lambda: (x, a))
         refs = [_shift_rows(c[b : b + 1], A[b : b + 1], deg[b]) for b in range(B)]
     for b, (out, ref_dropped, ref_kept) in enumerate(refs):
         assert [m.hex() for m in masses[b]] == [ref_dropped[0].hex(), ref_kept[0].hex()]
