@@ -281,7 +281,8 @@ def _integrate(*requests) -> None:
     if not chains:
         return
     chains.sort(key=lambda chain: -max(chain[2]))
-    lengths, hs = np.array([max(stops) for _, _, stops, _ in chains]), np.array([c[1] for c in chains])
+    lengths = np.array([max(stops) for _, _, stops, _ in chains])
+    hs = np.array([h for _, h, _, _ in chains])
     records = np.empty((lengths[0], 4, len(chains), 2))
     ks = np.arange(lengths[0])[:, None]
     pos = ks * hs
