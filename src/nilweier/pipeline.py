@@ -419,12 +419,6 @@ def solve_frame_ode(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FramePoint:
-    loop: TwistedLoop  # gauge-normalized frame F; its para-complex pair is (F, F)
-    h: float
-
-
 # Budget for a batch's (B, 2N, 2N) float64 block-Toeplitz systems, B (2N)^2 8 bytes:
 # a split costs numpy calls per batch, not per item.  It takes 3 grid rows of 15 at
 # N = 20 and of 25 at N = 16, and 1 row at N = 48, where 9 points hold 648 KiB.
@@ -445,31 +439,32 @@ def _split_points(rows, initial):
             batches.append([])
         batches[-1] += row
     for batch in batches:
-        points, phi_s, phi_t, f_vals, g_vals = zip(*batch)
-        distinct: dict[float, tuple[int, np.ndarray]] = {}  # s -> (stack index, Phi_s)
-        index = [distinct.setdefault(s, (len(distinct), phi))[0] for (s, _), phi in zip(points, phi_s)]
-        fx = _Effects(len(points))
-        frame, vplus_inv, vminus, conds, w = _iwasawa_rows(
-            np.stack([phi for _, phi in distinct.values()]), np.array(index), phi_t, fx
-        )
-        N = frame.shape[1] // 2
-        h = np.full(len(frame), np.nan)
-        gauge_log = np.full(len(frame), np.nan)
-        d = np.ones(len(frame))
-        for b in np.flatnonzero(fx.alive):
-            d22 = float(vminus[b, N, 1, 1])
-            fg = f_vals[b] * g_vals[b]
-            if fg <= 0.0 or d22 <= 1e-13:
-                message = f"angle function not positive (f*g={fg:.3e}, d22={d22:.3e})"
-                fx.fail(b, GaugeFailure(message, gridpoint=points[b]))
-                continue
-            h[b] = math.sqrt(fg) * d22
-            d[b] = (f_vals[b] / (g_vals[b] * d22 * d22)) ** 0.25
-            gauge_log[b] = math.log(d[b])
-        frame = _scale_rows(frame, d)
-        if initial is not None:
-            frame = _mul_rows(initial.c, frame, fx)
-        del vplus_inv, vminus  # not kept while the caller holds this batch and the next is split
+        with np.errstate(all="ignore"):  # non-finite frames become holes or errors by their values
+            points, phi_s, phi_t, f_vals, g_vals = zip(*batch)
+            distinct: dict[float, tuple[int, np.ndarray]] = {}  # s -> (stack index, Phi_s)
+            index = [distinct.setdefault(s, (len(distinct), phi))[0] for (s, _), phi in zip(points, phi_s)]
+            fx = _Effects(len(points))
+            frame, vplus_inv, vminus, conds, w = _iwasawa_rows(
+                np.stack([phi for _, phi in distinct.values()]), np.array(index), phi_t, fx
+            )
+            N = frame.shape[1] // 2
+            h = np.full(len(frame), np.nan)
+            gauge_log = np.full(len(frame), np.nan)
+            d = np.ones(len(frame))
+            for b in np.flatnonzero(fx.alive):
+                d22 = float(vminus[b, N, 1, 1])
+                fg = f_vals[b] * g_vals[b]
+                if fg <= 0.0 or d22 <= 1e-13:
+                    message = f"angle function not positive (f*g={fg:.3e}, d22={d22:.3e})"
+                    fx.fail(b, GaugeFailure(message, gridpoint=points[b]))
+                    continue
+                h[b] = math.sqrt(fg) * d22
+                d[b] = (f_vals[b] / (g_vals[b] * d22 * d22)) ** 0.25
+                gauge_log[b] = math.log(d[b])
+            frame = _scale_rows(frame, d)
+            if initial is not None:
+                frame = _mul_rows(initial.c, frame, fx)
+            del vplus_inv, vminus  # not kept while the caller holds this batch and the next is split
         yield points, fx, frame, h, gauge_log, conds, w
 
 
@@ -557,7 +552,7 @@ def build_extended_frames(
             near_w = np.concatenate([near_w, w[kept]])
             near = _near_max(near_conds, 2 * N)
             near_conds, near_w = near_conds[near], near_w[near]
-    frames.setflags(write=False)  # the point cache's loops share it
+    frames.setflags(write=False)  # the point cache's rows are views of it
     return FrameGrid(
         s_grid=s_grid,
         t_grid=t_grid,
@@ -683,8 +678,9 @@ class Pipeline:
     verification: `frames_at` and `surfaces_at` take a check's whole stencil,
     reuse the sweep's gridpoint frames and compute any other point exactly,
     never by interpolation, through the sweep's own batch driver
-    (`_split_points`); `frame_at`, `surface_at` and `spinors_at` read one
-    point.  A point's frame and h are kept, its surface and spinors are not.
+    (`_split_points`); `frame_at`, `h_at`, `surface_at` and `spinors_at` read
+    one point.  A point's frame is kept as a read-only row of `FrameGrid.frames`
+    or of its miss batch's stack, with its h; no surface or spinor is kept.
     Its axis frames are bit-identical to an integration from 0, whatever was
     evaluated before; its dropped tail mass goes to `point_tail`, never to
     the run's `tail`; and a truncation or potential error names the point.
@@ -720,7 +716,7 @@ class Pipeline:
         )
         self.frame_grid: FrameGrid | None = None
         self.surface_grid: SurfaceGrid | None = None
-        self._point_cache: dict[tuple[float, float], FramePoint] = {}
+        self._point_cache: dict[tuple[float, float], tuple[np.ndarray, float]] = {}  # (row, h)
 
     # -- batch stages ---------------------------------------------------------
     def run(self) -> "Pipeline":
@@ -735,17 +731,15 @@ class Pipeline:
         )
         fg = self.frame_grid
         for i, j in zip(*np.nonzero(~fg.holes)):
-            loop = TwistedLoop(self.trunc_n, fg.frames[i, j], enforce_parity=False)
-            self._point_cache[(float(fg.s_grid[i]), float(fg.t_grid[j]))] = FramePoint(
-                loop, float(fg.h[i, j])
-            )
+            self._point_cache[(float(fg.s_grid[i]), float(fg.t_grid[j]))] = fg.frames[i, j], float(fg.h[i, j])
         self.surface_grid = sym_map(fg, self.thetas)
         return self
 
     # -- point evaluators -------------------------------------------------------
-    def frames_at(self, points) -> list[FramePoint]:
-        """`[self.frame_at(s, t) for s, t in points]`, with the misses computed
-        in batches.
+    def frames_at(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The frames and angle functions at the points: a C-contiguous
+        (B, 2N+1, 2, 2) stack and a (B,) array, with the values and effects
+        of a loop of `frame_at` and `h_at`, the misses computed in batches.
 
         Points the cache does not hold have the abscissae of both axes
         integrated as one stack and are split in batches of whole rows of
@@ -756,13 +750,23 @@ class Pipeline:
         not finite raises ValueError at its turn.  So the frames,
         `point_tail`, the warnings and the first error are the loop's.
         """
+        rows = self._points(points)
+        frames = np.array([row for row, _ in rows]).reshape(len(rows), 2 * self.trunc_n + 1, 2, 2)
+        return frames, np.array([h for _, h in rows], float)
+
+    def frame_at(self, s: float, t: float) -> TwistedLoop:
+        """The frame at one point, sharing its cached row: `frames_at`'s batch of one."""
+        ((row, _),) = self._points([(s, t)])
+        return TwistedLoop(self.trunc_n, row, enforce_parity=False)
+
+    def h_at(self, s: float, t: float) -> float:
+        return self._points([(s, t)])[0][1]
+
+    def _points(self, points) -> list[tuple[np.ndarray, float]]:
+        """The cached (row, h) of each point, as `frames_at` computes them."""
         keys = [(float(s), float(t)) for s, t in points]
         split = self._split_misses([key for key in keys if key not in self._point_cache])
         return [self._replay(key, split) for key in keys]
-
-    def frame_at(self, s: float, t: float) -> FramePoint:
-        """The frame at one point: `frames_at`'s batch of one."""
-        return self.frames_at([(s, t)])[0]
 
     def _split_misses(self, misses) -> dict:
         """Frames of the points `misses`, not yet replayed: {point: (effects,
@@ -791,11 +795,12 @@ class Pipeline:
                     row_items.setdefault(s, []).append(((s, t), phi_s, phi_t, f_val, g_val))
         split = {}
         for points, fx, frame, h, *_ in _split_points(row_items.values(), self.initial_frame):
+            frame.setflags(write=False)  # the point cache's rows are views of it
             for j, key in enumerate(points):
                 split[key] = (fx, j, frame, h)
         return split
 
-    def _replay(self, key, split) -> FramePoint:
+    def _replay(self, key, split) -> tuple[np.ndarray, float]:
         hit = self._point_cache.get(key)
         if hit is not None:
             return hit
@@ -810,20 +815,14 @@ class Pipeline:
             self.potential.g.eval(t)
             fx, j, frame, h = split.pop(key) if key in split else self._split_misses([key])[key]
             fx.play(j, j + 1, tail)
-        hit = self._point_cache[key] = FramePoint(
-            TwistedLoop(self.trunc_n, frame[j], enforce_parity=False), float(h[j])
-        )
+        hit = self._point_cache[key] = frame[j], float(h[j])
         return hit
-
-    def h_at(self, s: float, t: float) -> float:
-        return self.frame_at(s, t).h
 
     def surfaces_at(self, points, theta: float) -> np.ndarray:
         """The (B, 3, 3) rows (nil point, L3 point, unit normal) at the points
         and one spectral angle: one `_sym_rows` call over their `frames_at`
-        frames, each row with `_sym_point`'s bits."""
-        frames = _coeff_stack(self.frames_at(points), self.trunc_n)
-        return np.stack(_sym_rows(frames, float(theta)), axis=1)
+        stack, each row with `_sym_point`'s bits."""
+        return np.stack(_sym_rows(self.frames_at(points)[0], float(theta)), axis=1)
 
     def surface_at(self, s: float, t: float, theta: float) -> np.ndarray:
         """(nil point, L3 point, unit normal) at a parameter point: the batch
@@ -840,11 +839,11 @@ class Pipeline:
         return self.surface_at(s, t, theta)[2]
 
     def spinors_at(self, s: float, t: float, theta: float):
-        """`_spinors` of the frame at a parameter point."""
-        return _spinors(self.frame_at(s, t), theta)
+        """`_spinors` of the frame and h at a parameter point."""
+        return _spinors(self.frame_at(s, t), self.h_at(s, t), theta)
 
 
-def _spinors(pt: FramePoint, theta: float):
+def _spinors(frame: TwistedLoop, h: float, theta: float):
     """Generating spinor pair (chi1, chi2) and angle function h of a frame.
 
     The pair is gauged by mu^{-1/2}, mu^{+1/2} so that it satisfies the
@@ -852,19 +851,14 @@ def _spinors(pt: FramePoint, theta: float):
     spectral angle, matching the surface produced by the Sym formulas.
     """
     theta = float(theta)
-    F = pair_eval(LoopPair(pt.loop, pt.loop), theta)
-    root = math.sqrt(pt.h / 2.0)
+    F = pair_eval(LoopPair(frame, frame), theta)
+    root = math.sqrt(h / 2.0)
     half = theta / 2.0
     mu_m = ParaComplex.from_null(math.exp(-half), math.exp(half))  # mu^{-1/2}
     mu_p = ParaComplex.from_null(math.exp(half), math.exp(-half))  # mu^{+1/2}
     chi1 = mu_m * F.entry(1, 0) * root
     chi2 = mu_p * F.entry(1, 1) * root
-    return chi1, chi2, pt.h
-
-
-def _coeff_stack(pts, N: int) -> np.ndarray:
-    """The C-contiguous (B, 2N+1, 2, 2) stack of the frames of FramePoints pts."""
-    return np.array([pt.loop.c for pt in pts]).reshape(len(pts), 2 * N + 1, 2, 2)
+    return chi1, chi2, h
 
 
 def _null_pair(p, q):
@@ -873,23 +867,26 @@ def _null_pair(p, q):
     return re + im, re - im
 
 
-def _spinor_rows(pts, theta: float, N: int) -> np.ndarray:
+def _spinor_rows(frames: np.ndarray, h, theta: float) -> np.ndarray:
     """The (B, 4) null components (chi1.p, chi1.q, chi2.p, chi2.q) of `_spinors` of
-    each FramePoint of pts, with its bits: F(e^theta) by `_lam_sums`, then its
-    operations elementwise and in its order.  Where it raises (det 0, h negative or
-    NaN, a value not finite) a value here is not finite, and its loop runs instead."""
-    (M,) = _lam_sums(_coeff_stack(pts, N), theta, 1)
+    each frame of a C-contiguous (B, 2N+1, 2, 2) stack and its h, with its bits:
+    F(e^theta) by `_lam_sums`, then its operations elementwise and in its order.
+    Where it raises (det 0, h negative or NaN, a value not finite) a value here is
+    not finite, and `_spinors` runs instead, on the rows that are not finite alone."""
+    (M,) = _lam_sums(frames, theta, 1)
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     half = theta / 2.0
     mu = np.array([_null_pair(math.exp(-x), math.exp(x)) for x in (half, -half)])  # mu^{-+1/2}
     with np.errstate(all="ignore"):
-        root = np.sqrt(np.array([pt.h for pt in pts], float) / 2.0)[:, None]
+        root = np.sqrt(np.asarray(h, float) / 2.0)[:, None]
         p, q = _null_pair(M[:, 1], M[:, 0, ::-1] / det[:, None])  # F.entry(1, k), k = 0, 1
         p, q = _null_pair(mu[:, 0] * p, mu[:, 1] * q)
         rows = np.stack(_null_pair(p * (root + 0.0), q * (root - 0.0)), axis=2).reshape(-1, 4)
-    if np.isfinite(rows).all():
-        return rows
-    return np.array([[c for z in _spinors(pt, theta)[:2] for c in (z.p, z.q)] for pt in pts], float)
+    for b in np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist():
+        frame = TwistedLoop(len(frames[b]) // 2, frames[b], enforce_parity=False)
+        chi = _spinors(frame, float(h[b]), theta)[:2]
+        rows[b] = [c for z in chi for c in (z.p, z.q)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -933,8 +930,7 @@ def extract_normalized_potential(pipeline: Pipeline, axis_values=None) -> Extrac
         [x - 2 * delta, x - delta, x + delta, x + 2 * delta, x] for x in axis_values.tolist()
     ]
     points = [point for ys in stencils for point in [(y, 0.0) for y in ys] + [(0.0, y) for y in ys]]
-    frames = np.array([pt.loop.c for pt in pipeline.frames_at(points)])
-    frames = frames.reshape(X, 2, 5, n, 2, 2)  # abscissa, axis, stencil point
+    frames = pipeline.frames_at(points)[0].reshape(X, 2, 5, n, 2, 2)  # abscissa, axis, stencil point
     effects, xi = [], []
     for axis, sign in enumerate((-1, +1)):
         fx = _Effects(5 * X)

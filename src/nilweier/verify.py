@@ -28,7 +28,7 @@ from .geometry import (
     xy_stencil,
 )
 from .expressions import eval_rows
-from .loopalg import SIGMA3, LoopPair, PCMatrix2, _mask, _scale_rows, pair_eval
+from .loopalg import SIGMA3, LoopPair, PCMatrix2, TwistedLoop, _mask, _scale_rows, pair_eval
 from .pipeline import Pipeline, _spinor_rows, _sym_rows, extract_normalized_potential
 
 __all__ = ["run_verification", "safe_points", "roundtrip_errors", "run_diagnostics"]
@@ -41,7 +41,7 @@ def _spinor_field(pipeline: Pipeline, theta: float):
     as rows of null components: `_spinor_rows` of its `frames_at` batch."""
 
     def rows(stencil):
-        return _spinor_rows(pipeline.frames_at(stencil), theta, pipeline.trunc_n)
+        return _spinor_rows(*pipeline.frames_at(stencil), theta)
 
     return SimpleNamespace(rows=rows)
 
@@ -62,7 +62,7 @@ def safe_points(pipeline: Pipeline, count: int = 9, nil_side: bool = False):
                 continue
             candidates.append((float(fg.s_grid[i]), float(fg.t_grid[j])))
     if nil_side and candidates:
-        nulls = _spinor_rows(pipeline.frames_at(candidates), pipeline.thetas[0], pipeline.trunc_n)
+        nulls = _spinor_rows(*pipeline.frames_at(candidates), pipeline.thetas[0])
         vals = [v**2 for v in conformal_factor_root(nulls).tolist()]
         positives = sorted(v for v in vals if v > 0.0)
         med = positives[len(positives) // 2] if positives else 0.0
@@ -150,14 +150,15 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
         SimpleNamespace(rows=lambda stencil, k=k: pipeline.surfaces_at(stencil, theta0)[:, k])
         for k in range(3)
     )
-    h = SimpleNamespace(rows=lambda stencil: [pt.h for pt in pipeline.frames_at(stencil)])
+    h = SimpleNamespace(rows=lambda stencil: pipeline.frames_at(stencil)[1])
     spinors = {th: _spinor_field(pipeline, th) for th in sorted({theta0, max(thetas)})}
 
     # frame quality: det, para-unitarity, angle function stability in theta
     det_err, reality_err, h_theta_err = [], [], []
     s3 = PCMatrix2.from_real(SIGMA3)
-    for pt in pipeline.frames_at(pts):
-        pair = LoopPair(pt.loop, pt.loop)
+    for c, h_pt in zip(*pipeline.frames_at(pts)):
+        loop = TwistedLoop(fg.trunc_n, c, enforce_parity=False)
+        pair = LoopPair(loop, loop)
         for th in _LAMBDA_THETAS:
             F = pair_eval(pair, th)
             d = F.det()
@@ -165,8 +166,8 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
             inv = F.conj().transpose().inverse()
             reality_err.append(((s3 @ inv @ s3) - F).max_abs())
             f21, f22 = F.entry(1, 0), F.entry(1, 1)
-            h_theta = pt.h * (f22 * f22.conj() - f21 * f21.conj()).re
-            h_theta_err.append(h_theta - pt.h)
+            h_theta = h_pt * (f22 * f22.conj() - f21 * f21.conj()).re
+            h_theta_err.append(h_theta - h_pt)
     checks.append(_check("frame_det_unit", _worst(det_err), 1e-10))
     checks.append(_check("frame_reality_condition", _worst(reality_err), 1e-10))
     checks.append(_check("angle_function_theta_independent", _worst(h_theta_err), 1e-9))
@@ -248,7 +249,7 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
 
     # Sym gauge invariance under a mu-independent diagonal field
     d = np.array([math.exp(0.3 * math.sin(s + 0.7) * math.cos(t - 0.3)) for s, t in pts])
-    frames = np.array([pt.loop.c for pt in pipeline.frames_at(pts)])
+    frames = pipeline.frames_at(pts)[0]
     gauged = np.stack(_sym_rows(_scale_rows(frames, d), theta0), axis=1)
     gauge_err = pipeline.surfaces_at(pts, theta0) - gauged
     checks.append(_check("sym_gauge_invariance", _worst(gauge_err), 1e-12))

@@ -352,10 +352,10 @@ def extraction_reference(pipeline, axis_values):
     )
 
     def minus_factor(s):
-        return birkhoff_split(pipeline.frame_at(s, 0.0).loop, "minus_star_plus").minus
+        return birkhoff_split(pipeline.frame_at(s, 0.0), "minus_star_plus").minus
 
     def plus_factor(t):
-        return birkhoff_split(pipeline.frame_at(0.0, t).loop, "plus_star_minus").plus
+        return birkhoff_split(pipeline.frame_at(0.0, t), "plus_star_minus").plus
 
     rows = []
     for x in xs:

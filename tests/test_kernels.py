@@ -45,7 +45,7 @@ from nilweier.errors import (
     SingularLoop,
 )
 from nilweier.geometry import _sample_null
-from nilweier.pipeline import FramePoint, _spinor_rows, _spinors, _sym_point, _sym_rows
+from nilweier.pipeline import _spinor_rows, _spinors, _sym_point, _sym_rows
 
 from _oracles import (
     block_toeplitz_reference,
@@ -671,14 +671,16 @@ def test_spinor_rows_have_the_bits_of_the_spinors_loop(builtin):
     gridpoints = [(float(fg.s_grid[i]), float(fg.t_grid[j])) for i, j in ((1, 2), (4, 4), (7, 3))]
     off_grid = [(0.3125, -0.2175), (-0.4375, 0.1325), (0.05, 0.55), (-0.61, -0.33)]
     points = [p for pair in zip(off_grid, gridpoints + [(0.0, 0.0)]) for p in pair][:7]
-    frames = dict(zip(points, pipe.frames_at(points)))
-    assert not fg.holes.any() and len(frames) == 7
+    frames, h = pipe.frames_at(points)
+    index = {p: k for k, p in enumerate(points)}
+    assert not fg.holes.any() and len(index) == 7
     for theta in (0.0, 0.23, -0.41):
         for batch in (points[:0], points[3:4], points):
-            got = _spinor_rows([frames[p] for p in batch], theta, pipe.trunc_n)
+            rows = [index[p] for p in batch]
+            got = _spinor_rows(frames[rows], h[rows], theta)
             assert got.shape == (len(batch), 4) and got.dtype == float
             if batch:
-                field = lambda s, t: _spinors(frames[(s, t)], theta)[:2]  # noqa: E731, B023
+                field = lambda s, t: _spinors(pipe.frame_at(s, t), pipe.h_at(s, t), theta)[:2]  # noqa: E731, B023
                 expected = _sample_null(field, batch, len(batch))[:, 0]
                 assert _hexed_rows(got) == _hexed_rows(expected)
 
@@ -689,24 +691,26 @@ def test_spinor_rows_raise_the_first_error_of_the_spinors_loop():
     message of the `_spinors` loop, that of the first item that fails."""
     pipe = _small_pipeline("cylinder")
     N = pipe.trunc_n
-    good = pipe.frames_at([(0.3125, -0.2175), (0.2, 0.4), (-0.1, 0.6)])
-    nan_coeff = good[0].loop.c.copy()
+    frames, h = pipe.frames_at([(0.3125, -0.2175), (0.2, 0.4), (-0.1, 0.6)])
+    good = list(zip(frames, h.tolist()))
+    nan_coeff = frames[0].copy()
     nan_coeff[N + 2, 0, 1] = np.nan
     bad = {
-        "det 0": FramePoint(TwistedLoop(N, np.zeros((2 * N + 1, 2, 2))), 1.0),
-        "NaN coefficient": FramePoint(TwistedLoop(N, nan_coeff, enforce_parity=False), good[0].h),
-        "h = -1": FramePoint(good[1].loop, -1.0),
-        "h = NaN": FramePoint(good[1].loop, float("nan")),
+        "det 0": (np.zeros((2 * N + 1, 2, 2)), 1.0),
+        "NaN coefficient": (nan_coeff, good[0][1]),
+        "h = -1": (frames[1], -1.0),
+        "h = NaN": (frames[1], float("nan")),
     }
     seen = set()
     for one in bad.values():
         for other in bad.values():
             batch = [good[0], one, good[1], other, good[2]]
+            stack, hs = np.array([c for c, _ in batch]), np.array([h for _, h in batch])
             for theta in (0.17, -0.29):
                 with pytest.raises(Exception) as loop:
-                    [_spinors(pt, theta) for pt in batch]
+                    [_spinors(TwistedLoop(N, c, enforce_parity=False), h, theta) for c, h in batch]
                 with pytest.raises(Exception) as kernel:
-                    _spinor_rows(batch, theta, N)
+                    _spinor_rows(stack, hs, theta)
                 assert (kernel.type, str(kernel.value)) == (loop.type, str(loop.value))
                 seen.add((loop.type, str(loop.value)))
     assert seen == {

@@ -868,8 +868,30 @@ def _no_iwasawa(*args, **kwargs):
 def test_point_cache_shares_the_read_only_frame_grid(cyl_pipe):
     fg = cyl_pipe.frame_grid
     assert not fg.frames.flags.writeable
-    pt = cyl_pipe.frame_at(fg.s_grid[3], fg.t_grid[5])
-    assert np.shares_memory(pt.loop.c, fg.frames)
+    frame = cyl_pipe.frame_at(fg.s_grid[3], fg.t_grid[5])
+    assert np.shares_memory(frame.c, fg.frames)
+
+
+def test_run_builds_no_twisted_loop(monkeypatch):
+    """The sweep and the seeding of the point cache build no `TwistedLoop`:
+    the cache holds rows of `FrameGrid.frames`, and the single-point readers
+    build one loop per call."""
+    pipe = builtin_config("cylinder").make_pipeline()
+    built = []
+    real_init = TwistedLoop.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["N"])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TwistedLoop, "__init__", counted_init)
+    pipe.run()
+    assert built == [] and len(pipe._point_cache) == int((~pipe.frame_grid.holes).sum()) > 0
+    fg = pipe.frame_grid
+    pipe.frames_at([(float(fg.s_grid[i]), float(fg.t_grid[j])) for i in (1, 4) for j in (2, 7)])
+    assert built == []
+    pipe.frame_at(fg.s_grid[1], fg.t_grid[2])
+    assert built == [pipe.trunc_n]
 
 
 def test_surfaces_at_has_the_sym_point_bytes(cyl_pipe):
@@ -884,7 +906,7 @@ def test_surfaces_at_has_the_sym_point_bytes(cyl_pipe):
         rows = cyl_pipe.surfaces_at(points, theta)
         assert rows.shape == (len(points), 3, 3)
         for (s, t), row in zip(points, rows):
-            expected = np.array(pipeline_module._sym_point(cyl_pipe.frame_at(s, t).loop, theta))
+            expected = np.array(pipeline_module._sym_point(cyl_pipe.frame_at(s, t), theta))
             readers = (cyl_pipe.surface_at, cyl_pipe.nil_at, cyl_pipe.l3_at, cyl_pipe.normal_at)
             got = [row] + [read(s, t, theta) for read in readers]
             assert [x.tobytes() for x in got] == [x.tobytes() for x in (expected, expected, *expected)]
@@ -918,9 +940,9 @@ def test_frame_at_reuses_the_sweeps_gridpoint_frames(cyl_pipe, plane_pipe, monke
     for (i, j), _ in np.ndenumerate(fg.holes):
         if fg.holes[i, j]:
             continue
-        pt = cyl_pipe.frame_at(fg.s_grid[i], fg.t_grid[j])
-        assert np.array_equal(pt.loop.c, grid_loop(fg, i, j).c)
-        assert pt.h == fg.h[i, j]
+        frame = cyl_pipe.frame_at(fg.s_grid[i], fg.t_grid[j])
+        assert np.array_equal(frame.c, grid_loop(fg, i, j).c)
+        assert cyl_pipe.h_at(fg.s_grid[i], fg.t_grid[j]) == fg.h[i, j]
     monkeypatch.undo()
     # holes are not cached: they are recomputed and raise their own error
     with pytest.raises(OutsideBigCell) as exc:
@@ -954,7 +976,8 @@ def _fresh_plane(initial_frame=None, pot=None, grid=np.linspace(-2, 2, 9)):
 
 
 def _evaluate(pipe, evaluate):
-    """(frames, point_tail, warnings, first error) of an evaluation."""
+    """(frames and h, point_tail, warnings, first error) of an evaluation that
+    returns a frame stack and its h; the stacks as (shape, bytes) pairs."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -962,17 +985,19 @@ def _evaluate(pipe, evaluate):
         except NilWeierError as exc:
             frames, error = None, (type(exc), str(exc), getattr(exc, "gridpoint", None))
     if frames is not None:
-        frames = [(pt.loop.c, pt.h) for pt in frames]
+        assert all(x.flags.c_contiguous and x.dtype == np.float64 for x in frames)
+        frames = [(x.shape, x.tobytes()) for x in frames]
     messages = [(w.category, str(w.message)) for w in caught]
     return frames, (pipe.point_tail.dropped, pipe.point_tail.kept), messages, error
 
 
-def _assert_same(new, ref):
-    frames, tail, messages, error = new
-    assert (tail, messages, error) == ref[1:]
-    assert (frames is None) == (ref[0] is None)
-    for (c, *values), (ref_c, *ref_values) in zip(frames or [], ref[0] or [], strict=True):
-        assert np.array_equal(c, ref_c) and values == ref_values
+def _loop(pipe, points):
+    """`frames_at` point by point: a `frame_at` and `h_at` loop, stacked."""
+    frames, h = [], []
+    for s, t in points:
+        frames.append(pipe.frame_at(s, t).c)
+        h.append(pipe.h_at(s, t))
+    return np.array(frames).reshape(len(points), 2 * pipe.trunc_n + 1, 2, 2), np.array(h, float)
 
 
 # off-grid points, some sharing s, one near the big-cell boundary (cond above
@@ -1015,15 +1040,15 @@ def test_frames_at_equals_a_frame_at_loop(make, points, errors, seed):
     points = [points[k] for k in rng.permutation(len(points))] if seed else points
     pipes = make(), make()
     new = _evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
-    ref = _evaluate(pipes[1], lambda pipe: [pipe.frame_at(s, t) for s, t in points])
-    _assert_same(new, ref)
+    ref = _evaluate(pipes[1], lambda pipe: _loop(pipe, points))
+    assert new == ref
     if not errors:
         assert ref[3] is None and any("near big-cell boundary" in m for _, m in ref[2])
         return
     assert ref[3][0] in errors and ref[3][2] in points
     for point in points:
-        outcomes = [_evaluate(pipe, lambda pipe: [pipe.frame_at(*point)]) for pipe in pipes]
-        _assert_same(*outcomes)
+        outcomes = [_evaluate(pipe, lambda pipe: _loop(pipe, [point])) for pipe in pipes]
+        assert outcomes[0] == outcomes[1]
 
 
 @_FRAMES_AT_CASES
@@ -1036,8 +1061,8 @@ def test_frames_at_in_several_miss_batches_equals_a_frame_at_loop(make, points, 
     calls = _split_calls(monkeypatch)
     new = _evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
     batches = calls[:]
-    ref = _evaluate(pipes[1], lambda pipe: [pipe.frame_at(s, t) for s, t in points])
-    _assert_same(new, ref)
+    ref = _evaluate(pipes[1], lambda pipe: _loop(pipe, points))
+    assert new == ref
     assert len(batches) >= 2 and any(rows == 2 for rows, _ in batches)
     assert all(items <= 2 or rows == 1 for rows, items in batches)
 
@@ -1046,23 +1071,20 @@ def test_frames_at_with_overflowing_points_equals_a_frame_at_loop():
     """Q = R = 4 e^(300 (x - 3)) is tiny on the grid, and the axis states
     overflow past x = 3: a batch that mixes (4.0, 0.5) and (0.5, 4.2) with
     good points gives the frames, point_tail, warnings and first error of a
-    frame_at loop, and each point alone evaluates as the loop's.  numpy's
-    RuntimeWarnings are left out: the splits of the overflowing frames emit
-    them, and a batch splits every miss before it plays one."""
+    frame_at loop, and each point alone evaluates as the loop's.  The splits
+    of the overflowing frames emit no numpy RuntimeWarning, so a batch, which
+    splits every miss before it plays one, warns in the loop's order."""
     pot = translate_potential("4", "0", "exp(300*(z-3))", "0")
     points = _PLANE_POINTS[:3] + [(4.0, 0.5)] + _PLANE_POINTS[3:6] + [(0.5, 4.2)]
-
-    def evaluate(pipe, evaluate):
-        frames, tail, messages, error = _evaluate(pipe, evaluate)
-        return frames, tail, [m for m in messages if m[0] is not RuntimeWarning], error
-
     pipes = _fresh_plane(pot=pot), _fresh_plane(pot=pot)
-    new = evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
-    ref = evaluate(pipes[1], lambda pipe: [pipe.frame_at(s, t) for s, t in points])
-    _assert_same(new, ref)
+    new = _evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
+    ref = _evaluate(pipes[1], lambda pipe: _loop(pipe, points))
+    assert new == ref
     assert ref[3][0] is TruncationOverflow and ref[3][2] == (4.0, 0.5)
+    assert ref[2] and all(category is not RuntimeWarning for category, _ in ref[2])
     for point in points:
-        _assert_same(*(evaluate(pipe, lambda pipe: [pipe.frame_at(*point)]) for pipe in pipes))
+        new, ref = (_evaluate(pipe, lambda pipe: _loop(pipe, [point])) for pipe in pipes)
+        assert new == ref
 
 
 @pytest.mark.parametrize("initial", [False, True], ids=["plain", "umbrella"])
@@ -1075,7 +1097,7 @@ def test_frames_at_equals_the_point_by_point_reference(initial):
     initial = _umbrella_initial() if initial else None
     pipe = _fresh_plane(initial, pot=pot, grid=grid)
     points = [(0.15, -0.35), (0.15, 0.4), (-0.6, 0.4), (0.5, 0.5), (0.15, -0.35), (0.7, -0.9)]
-    frames = pipe.frames_at(points)
+    frames, hs = pipe.frames_at(points)
     spu = 4 / 0.5
     ref_tail = TailAccumulator()
     flows = [FromZeroAxisFlow(pot.xi_s, -1, 12, spu, ref_tail), FromZeroAxisFlow(pot.xi_t, +1, 12, spu, ref_tail)]
@@ -1083,8 +1105,15 @@ def test_frames_at_equals_the_point_by_point_reference(initial):
         for x in grid:  # the sweep's nodes, which the point evaluator finds cached
             flow.at(x, TailAccumulator())
     # the sweep's gridpoints are read from the sweep, and each point is split once
-    done = {(float(s), float(t)) for s in grid for t in grid}
-    for (s, t), pt in zip(points, frames, strict=True):
+    gridpoints = {(float(s), float(t)) for s in grid for t in grid}
+    done = set(gridpoints)
+    for (s, t), frame, h_pt in zip(points, frames, hs.tolist(), strict=True):
+        # a cached row is read-only: a view of the sweep's frames at a
+        # gridpoint, else of its miss batch's frame stack
+        row, cached_h = pipe._point_cache[(s, t)]
+        assert not row.flags.writeable and cached_h == h_pt
+        assert np.shares_memory(row, pipe.frame_grid.frames) == ((s, t) in gridpoints)
+        assert frame.tobytes() == row.tobytes() and np.shares_memory(pipe.frame_at(s, t).c, row)
         if (s, t) in done:
             continue
         done.add((s, t))
@@ -1092,8 +1121,7 @@ def test_frames_at_equals_the_point_by_point_reference(initial):
         loop, h, _, _ = frame_point_reference(
             phi_s, phi_t, pot.f.eval(s), pot.g.eval(t), initial, ref_tail, (s, t)
         )
-        assert np.array_equal(pt.loop.c, loop.c) and pt.h == h
-        assert pipe.frame_at(s, t) is pt
+        assert np.array_equal(frame, loop.c) and h_pt == h
     assert (pipe.point_tail.dropped, pipe.point_tail.kept) == (ref_tail.dropped, ref_tail.kept)
     assert ref_tail.dropped > 0.0
 
@@ -1105,8 +1133,8 @@ def test_frames_at_names_a_point_tail_overflow():
         pipe.point_tail.bound = 1e-300
     points = [(0.0, 0.5), (0.15, -0.35), (0.25, 0.45)]
     new = _evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
-    ref = _evaluate(pipes[1], lambda pipe: [pipe.frame_at(s, t) for s, t in points])
-    _assert_same(new, ref)
+    ref = _evaluate(pipes[1], lambda pipe: _loop(pipe, points))
+    assert new == ref
     assert ref[3][0] is TruncationOverflow and ref[3][2] == (0.15, -0.35)
 
 
@@ -1152,9 +1180,11 @@ def test_frames_at_raises_at_an_abscissa_too_large_to_integrate_as_the_loop_does
 def test_the_point_readers_take_an_empty_list(cyl_pipe):
     """`frames_at`, `surfaces_at` and the spinor row kernel map no points to
     empty results of the shapes they give for some."""
-    assert cyl_pipe.frames_at([]) == []
+    frames, h = cyl_pipe.frames_at([])
+    assert frames.shape == (0, 2 * cyl_pipe.trunc_n + 1, 2, 2) and h.shape == (0,)
+    assert frames.dtype == h.dtype == np.float64
     assert cyl_pipe.surfaces_at([], 0.1).shape == (0, 3, 3)
-    assert pipeline_module._spinor_rows([], -0.1, cyl_pipe.trunc_n).shape == (0, 4)
+    assert pipeline_module._spinor_rows(frames, h, -0.1).shape == (0, 4)
 
 
 def test_frame_det_and_reality_at_sampled_spectra(cyl_pipe):
@@ -1283,7 +1313,7 @@ def test_initial_frame_prepends(plane_pipe):
     # frame at the basepoint is the initial loop itself (gauge d = 1 there)
     f0 = pipe.frame_at(0.0, 0.0)
     A = _umbrella_frame(0.5)
-    diff = f0.loop - TwistedLoop.from_terms(16, {k: A.coeff(k) for k in range(-4, 5)})
+    diff = f0 - TwistedLoop.from_terms(16, {k: A.coeff(k) for k in range(-4, 5)})
     assert diff.norm() < 1e-12
 
 
@@ -1398,7 +1428,7 @@ def test_extraction_warns_and_raises_as_the_point_by_point_reference():
 
     def planted(a, eps):  # its splits' cond is a / eps
         terms = {-1: [[0.0, a], [0.0, 0.0]], 0: eps * np.eye(2), 1: [[0.0, 0.0], [-1.0 / a, 0.0]]}
-        return pipeline_module.FramePoint(TwistedLoop.from_terms(16, terms), 1.0)
+        return TwistedLoop.from_terms(16, terms).c, 1.0  # a read-only row and its h
 
     x0, x1, delta = -0.2, 0.2, 1e-2
     frames = {

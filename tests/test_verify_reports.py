@@ -49,33 +49,35 @@ def test_verify_report_is_bit_identical(name):
 def test_each_check_reads_only_its_stencil_batch(name, monkeypatch):
     """Every frame a check reads was computed by its stencil batches, and they
     compute the very points that point-by-point verification computes in that
-    check, where each stencil's frames are computed one `frame_at` at a time,
-    in stencil order.  Only the order within a check may differ: the Dirac
-    check's second batch depends on the spinor values its first batch yields."""
+    check, where each stencil's frames are computed one point at a time, in
+    stencil order.  Only the order within a check may differ: the Dirac
+    check's second batch depends on the spinor values its first batch yields.
+    Every point reader goes through `Pipeline._points`, a stencil batch as one
+    call of its points and a single-point reader as one call of its point."""
     from nilweier.config import load_config
     from nilweier.pipeline import Pipeline
     from nilweier.verify import run_verification
 
     cfg = load_config(PINNED[name]["config"])
-    batched = Pipeline.frames_at
+    batched = Pipeline._points
     runs = []
     for batches in (True, False):
         # the points first computed after each stencil batch call, until the next
         windows, single_misses = [[]], []
 
-        def frames_at(self, points, batches=batches, windows=windows, single=single_misses):
+        def points_(self, points, batches=batches, windows=windows, single=single_misses):
             points = [(float(s), float(t)) for s, t in points]
             if len(points) > 1:
                 windows.append([])
                 if not batches:
-                    return [self.frame_at(*p) for p in points]
+                    return [row for p in points for row in self._points([p])]
             misses = [p for p in dict.fromkeys(points) if p not in self._point_cache]
             windows[-1] += misses
             if len(points) == 1:
                 single += misses
             return batched(self, points)
 
-        monkeypatch.setattr(Pipeline, "frames_at", frames_at)
+        monkeypatch.setattr(Pipeline, "_points", points_)
         run_verification(cfg.make_pipeline().run(), oracle=cfg.oracle)
         runs.append((windows, single_misses))
     (windows, single_misses), (reference, _) = runs
@@ -222,9 +224,9 @@ def test_only_the_frame_quality_check_evaluates_frame_pairs(monkeypatch):
         )
     real_rows = pipeline_module._spinor_rows
 
-    def spinor_rows(pts, theta, N):
-        batches.append(len(pts))
-        return real_rows(pts, theta, N)
+    def spinor_rows(frames, h, theta):
+        batches.append(len(frames))
+        return real_rows(frames, h, theta)
 
     monkeypatch.setattr(verify_module, "_spinor_rows", spinor_rows)
     cfg = load_config(VERIFY_PLANE)
