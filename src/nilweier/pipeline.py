@@ -731,7 +731,8 @@ class Pipeline:
         )
         fg = self.frame_grid
         for i, j in zip(*np.nonzero(~fg.holes)):
-            self._point_cache[(float(fg.s_grid[i]), float(fg.t_grid[j]))] = fg.frames[i, j], float(fg.h[i, j])
+            point = float(fg.s_grid[i]), float(fg.t_grid[j])
+            self._point_cache[point] = fg.frames[i, j], float(fg.h[i, j])
         self.surface_grid = sym_map(fg, self.thetas)
         return self
 

@@ -880,9 +880,9 @@ def test_run_builds_no_twisted_loop(monkeypatch):
     built = []
     real_init = TwistedLoop.__init__
 
-    def counted_init(self, *args, **kwargs):
-        built.append(args[0] if args else kwargs["N"])
-        real_init(self, *args, **kwargs)
+    def counted_init(self, N, *args, **kwargs):
+        built.append(N)
+        real_init(self, N, *args, **kwargs)
 
     monkeypatch.setattr(TwistedLoop, "__init__", counted_init)
     pipe.run()
