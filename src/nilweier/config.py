@@ -152,15 +152,14 @@ def _entries(key: str, value):
     return value
 
 
-def _initial_frame_from_dict(d: dict | None) -> TwistedLoop | None:
-    if d is None:
-        return None
+def _initial_frame_from_dict(d: dict, n: int) -> TwistedLoop:
+    """The loop at truncation n: a zero term beyond n is dropped, a nonzero one raises."""
     coeffs = _entries("coeffs", d["coeffs"])
     if not coeffs:
         raise ValueError("config key 'coeffs' must list at least one term")
     terms = {_integer("k", e["k"]): np.asarray(e["m"], float) for e in coeffs}
-    n = max(4, max(abs(k) for k in terms))
-    return TwistedLoop.from_terms(n, terms)
+    kept = {k: m for k, m in sorted(terms.items()) if abs(k) <= n or m.any()}
+    return TwistedLoop.from_terms(n, kept)
 
 
 # JSON key -> (RunConfig field, reader); an absent key takes RunConfig's default
@@ -180,7 +179,7 @@ def _config_from_dict(data: dict) -> RunConfig:
     optional = {
         field: read(key, data[key]) for key, (field, read) in _OPTIONAL_KEYS.items() if key in data
     }
-    return RunConfig(
+    cfg = RunConfig(
         name=data.get("name", oracle or "run"),
         potential=potential,
         s_min=_number("sMin", dom["sMin"]),
@@ -189,10 +188,13 @@ def _config_from_dict(data: dict) -> RunConfig:
         t_max=_number("tMax", dom["tMax"]),
         ns=_integer("ns", dom["ns"]),
         nt=_integer("nt", dom["nt"]),
-        initial_frame=_initial_frame_from_dict(data.get("initialFrame")) or frame,
+        initial_frame=frame,
         oracle=oracle,
         **optional,
     )
+    if data.get("initialFrame") is not None:  # built at the validated truncation
+        cfg.initial_frame = _initial_frame_from_dict(data["initialFrame"], cfg.trunc_n)
+    return cfg
 
 
 def load_config(source) -> RunConfig:

@@ -12,7 +12,9 @@ tighter than ^):
 Functions: sin cos tan sinh cosh tanh exp log sqrt.  Numbers are decimals
 with an optional exponent.  Each expression has exactly one free variable,
 declared at parse time.  Parse errors carry a 1-based byte offset and the
-set of tokens that would have been accepted.
+set of tokens that would have been accepted.  At most 100 groups, function
+arguments and exponents may be open at once, and at most 100 operations may
+nest; a deeper source raises ValueError.
 """
 
 from __future__ import annotations
@@ -105,6 +107,16 @@ class _Call:
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+
+_MAX_DEPTH = 100  # six parser frames per level at most: far inside Python's recursion limit
+
+
+def _depth(node) -> int:
+    """How many operations an AST nests, counted level by level without recursion."""
+    depth, level = 0, [node]
+    while level := [c for n in level for c in vars(n).values() if not isinstance(c, (str, float))]:
+        depth += 1
+    return depth
 
 
 class Expression:
@@ -219,10 +231,25 @@ def _pretty_prec(node) -> tuple[str, int]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], variable: str):
-        self.toks = toks
+    def __init__(self, src: str, variable: str):
+        self.src = src
+        self.toks = _tokenize(src)
         self.i = 0
         self.variable = variable
+        self.depth = 0  # groups, function arguments and exponents open
+
+    def too_deep(self) -> ValueError:
+        shown = self.src if len(self.src) <= 40 else self.src[:40] + "..."
+        return ValueError(f"expression {shown!r} nests deeper than {_MAX_DEPTH} levels")
+
+    def nested(self, parse):
+        """`parse()` one level deeper: a group, a function argument or an exponent."""
+        if self.depth == _MAX_DEPTH:
+            raise self.too_deep()
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -248,6 +275,8 @@ class _Parser:
         node = self.expr()
         if self.peek().kind != "end":
             self.fail(("operator", "end of input"))
+        if _depth(node) > _MAX_DEPTH:
+            raise self.too_deep()
         return node
 
     def expr(self):
@@ -268,7 +297,7 @@ class _Parser:
         base = self.unary()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.take()
-            return _BinOp("^", base, self.factor())
+            return _BinOp("^", base, self.nested(self.factor))
         return base
 
     def unary(self):
@@ -286,7 +315,7 @@ class _Parser:
             self.take()
             if t.text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect_op(")")
                 return _Call(t.text, arg)
             if t.text == self.variable:
@@ -296,16 +325,16 @@ class _Parser:
             )
         if t.kind == "op" and t.text == "(":
             self.take()
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect_op(")")
             return node
         self.fail(("number", "name", "'('", "'-'"))
 
 
 def parse_expression(src: str, variable: str) -> Expression:
-    """Parse `src` with the given free variable name ('s' or 't')."""
-    toks = _tokenize(src)
-    return Expression(_Parser(toks, variable).parse(), variable, src)
+    """Parse `src` with the given free variable name ('s' or 't'); a source
+    nested past `_MAX_DEPTH` levels raises ValueError naming it."""
+    return Expression(_Parser(src, variable).parse(), variable, src)
 
 
 def combine(op: str, a: Expression, b: Expression) -> Expression:

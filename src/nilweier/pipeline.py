@@ -200,16 +200,15 @@ class _AxisFlow:
     (k + 1) h, so the state after m steps is a function of (h, m) alone, and
     abscissae that share h lie on one chain of states.  `_integrate` runs
     each chain once, to its longest abscissa, in one stack with the chains of
-    other flows, and keeps every abscissa's state with its chain's prefix of
-    the stack's tail records; `at` replays that prefix into the account.  So
-    every value and every tail record is bit-identical to an integration
-    from 0 at the call, whatever the evaluation order.  A is read through
-    `coeff_rows`, which maps a float64 array of abscissae to the (L, 2, 2)
-    stack of their A, as `PotentialSpec.xi_s_rows` does, once per
-    `_integrate` call for all positions of the flow's chains; A must be
-    off-diagonal, as the potential's is, since the stack steps in compact
-    form.  Dropped tail mass goes to `tail`, or to the flow's own account if
-    None.
+    other flows, and keeps every abscissa's read-only state with its chain's
+    prefix of the stack's tail records, which `at` replays into the account
+    when it first hands the state out.  So every value and every tail record
+    is bit-identical to an integration from 0 at the call, whatever the
+    evaluation order.  A is read through `coeff_rows`, which maps a float64
+    array of abscissae to the (L, 2, 2) stack of their A, as
+    `PotentialSpec.xi_s_rows` does; A must be off-diagonal, as the
+    potential's is, since the stack steps in compact form.  Dropped tail mass
+    goes to `tail`, or to the flow's own account if None.
     """
 
     def __init__(self, coeff_rows, deg: int, N: int, steps_per_unit: float, tail: TailAccumulator):
@@ -218,63 +217,56 @@ class _AxisFlow:
         self.N = N
         self.spu = float(steps_per_unit)
         self.tail = tail
-        self._cache: dict[float, TwistedLoop] = {0.0: TwistedLoop.identity(N)}
-        # abscissa -> (state or None, the tail records of its stack, its
-        # chain, how many steps of them it owns, the positions of the step
-        # whose potential raised)
-        self._nodes: dict[float, tuple] = {}
+        identity = np.zeros((2 * N + 1, 2, 2))
+        identity[N] = np.eye(2)
+        identity.setflags(write=False)
+        # abscissa -> (read-only state or None, the tail records of its stack
+        # until it is first handed out, its chain, how many steps of them it
+        # owns, the positions of the step whose potential raised)
+        self._nodes: dict[float, tuple] = {0.0: (identity, None, 0, 0, None)}
 
     def _steps(self, x: float) -> tuple[int, float]:
         n = max(1, int(math.ceil(abs(x) * self.spu - 1e-12)))
         return n, x / n
 
-    def integrate_nodes(self, xs) -> None:
-        """`_integrate` this flow's abscissae xs alone."""
-        _integrate((self, xs))
-
     def state(self, x: float) -> np.ndarray | None:
-        """Coefficients at an abscissa that is cached or integrated but not
-        yet handed out, without replaying anything; None if it raises or is not
-        integrated."""
-        hit = self._cache.get(x)
-        return hit.c if hit is not None else self._nodes.get(x, (None,))[0]
+        """The state at x without replaying anything; None if it is not integrated."""
+        return self._nodes.get(x, (None,))[0]
 
-    def at(self, x: float, tail: TailAccumulator | None = None) -> TwistedLoop:
+    def at(self, x: float, tail: TailAccumulator | None = None) -> np.ndarray:
+        """The read-only state at x; replays its records and raises its error until handed out."""
         x = float(x)
-        hit = self._cache.get(x)
-        if hit is not None:
-            return hit
         if x not in self._nodes:
-            self.integrate_nodes([x])
-        phi, records, chain, steps, failed = self._nodes.pop(x)
-        (self.tail if tail is None else tail).replay(records[:steps, :, chain])
-        if failed is not None:  # the potential raised at this step: raise it here
-            self.coeff_rows(failed)
-        hit = self._cache[x] = TwistedLoop(self.N, phi, enforce_parity=False)
-        return hit
+            _integrate((self, [x]))
+        phi, records, chain, steps, failed = self._nodes[x]
+        if records is not None:
+            (self.tail if tail is None else tail).replay(records[:steps, :, chain])
+            if failed is not None:  # the potential raised at this step: raise it here
+                self.coeff_rows(failed)
+            self._nodes[x] = phi, None, chain, steps, None
+        return phi
 
 
 def _integrate(*requests) -> None:
     """Step the chains of several flows' abscissae as one stack, one RK4 step
-    at a time: for each (flow, xs), those of xs the flow has neither cached
-    nor kept; the flows share one truncation N.  Each chain steps to its
-    longest abscissa and keeps the state after m steps for each abscissa
-    that needs m.
+    at a time: for each (flow, xs), those of xs the flow has no node for;
+    the flows share one truncation N.  Each chain steps to its longest
+    abscissa and keeps the state after m steps for each abscissa that needs m.
 
-    Each flow reads its potential once, at every position of its chains; a
-    chain whose positions raise stops at the first step whose three do, and
-    its abscissae past that step keep those positions instead.  The chains
-    are ordered by their last step, so the live ones are a prefix of the
-    stack.  They step in the compact form of `_shift_compact`, t chains
-    (lam^+1) with their degrees reversed, so that one slice shifts every
-    chain.  The four stages' tail masses go, in one pass per step, into one
-    (steps, 4, chains, 2) array.
+    Each flow reads its potential once, at every position of its chains; if
+    that raises, it reads each chain step by step, and a chain stops at the
+    first step whose three positions raise, its abscissae past that step
+    keeping those positions instead.  The chains are ordered by their last
+    step, so the live ones are a prefix of the stack.  They step in the
+    compact form of `_shift_compact`, t chains (lam^+1) with their degrees
+    reversed, so that one slice shifts every chain.  The four stages' tail
+    masses go, in one pass per step, into one (steps, 4, chains, 2) array.
     """
     chains = []  # [flow, h, {step count: abscissae}, positions of the step that raises]
     for flow, xs in requests:
         own: dict[float, dict[int, list[float]]] = {}
         for x in map(float, xs):
-            if x not in flow._cache and x not in flow._nodes:
+            if x not in flow._nodes:
                 n, h = flow._steps(x)
                 own.setdefault(h, {}).setdefault(n, []).append(x)
         chains += [[flow, h, stops, None] for h, stops in own.items()]
@@ -299,17 +291,14 @@ def _integrate(*requests) -> None:
             continue
         try:
             coeffs[mine] = read(flow, positions[mine])
-        except (EvalDomain, DegeneratePotential):  # find the chains that raise
+        except (EvalDomain, DegeneratePotential):  # each chain up to its first step that raises
             for b in np.flatnonzero(mine[0]):
-                try:
-                    coeffs[: lengths[b], b] = read(flow, positions[: lengths[b], b])
-                except (EvalDomain, DegeneratePotential):
-                    for k in range(lengths[b]):  # up to the first step that raises
-                        try:
-                            coeffs[k, b] = read(flow, positions[k, b])
-                        except (EvalDomain, DegeneratePotential):
-                            lengths[b], chains[b][3] = k, positions[k, b].copy()
-                            break
+                for k in range(lengths[b]):
+                    try:
+                        coeffs[k, b] = read(flow, positions[k, b])
+                    except (EvalDomain, DegeneratePotential):
+                        lengths[b], chains[b][3] = k, positions[k, b].copy()
+                        break
     del positions, pos
     if np.any(lengths[1:] > lengths[:-1]):  # a chain that raised stops early: order again
         order = np.argsort(-lengths, kind="stable")
@@ -354,7 +343,8 @@ def _integrate(*requests) -> None:
             records[k, :, :L] = masses.reshape(L, 4, 2).swapaxes(0, 1)
             phi[:L] = new
             for b, flow, xs in stops_at.get(k + 1, ()):
-                state = _expand(new[b, :: -1 if reverse[b] else 1][None], -N)[0].copy()
+                state = _expand(new[b, :: -1 if reverse[b] else 1][None], -N)[0]
+                state.setflags(write=False)
                 flow._nodes.update((x, (state, records, b, k + 1, None)) for x in xs)
 
 
@@ -368,13 +358,13 @@ def solve_frame_ode(
 ):
     """Integrate the two holomorphic frame ODEs along the axes.
 
-    Returns (phi_s list over s_grid, phi_t list over t_grid, flow_s, flow_t);
-    the flows evaluate off-grid points too.  Every chain of both axes' nodes
-    runs once, in one compact stack, after one potential row call per axis
-    (see `_integrate`), and the nodes' tail masses are recorded in grid
-    order, s axis first.  Every frame and the tail
-    account are bit-identical to integrating each node from 0, and a
-    truncation or potential error names the node it arose at: (s, 0.0) or
+    Returns (phi_s list over s_grid, phi_t list over t_grid, flow_s, flow_t):
+    one `TwistedLoop` per node, sharing its flow's read-only state; the flows
+    hand out the states of off-grid points too.  Every chain of both axes'
+    nodes runs once, in one compact stack (see `_integrate`), and the nodes'
+    tail masses are recorded in grid order, s axis first.  Every frame and
+    the tail account are bit-identical to integrating each node from 0, and
+    a truncation or potential error names the node it arose at: (s, 0.0) or
     (0.0, t).
     """
     s_grid = np.asarray(s_grid, float)
@@ -410,7 +400,7 @@ def solve_frame_ode(
     for axis, (_, flow, points) in enumerate(axes):
         for point in points:
             with _naming(point):
-                phi[axis].append(flow.at(point[axis]))
+                phi[axis].append(TwistedLoop(trunc_n, flow.at(point[axis]), enforce_parity=False))
     return phi[0], phi[1], flow_s, flow_t
 
 
@@ -906,8 +896,9 @@ class ExtractedPotential:
     B_hat: list  # ParaComplex samples of (Q l + R lbar)/4
 
 
-def extract_normalized_potential(pipeline: Pipeline, axis_values=None) -> ExtractedPotential:
-    """Recover the normalized potential data from the frame family.
+def extract_normalized_potential(pipeline: Pipeline, axis_values) -> ExtractedPotential:
+    """Recover the normalized potential data from the frame family, at the
+    abscissae `axis_values` of both axes.
 
     The frame at (s, 0) is Birkhoff-split with the minus factor normalized at
     infinity; its logarithmic s-derivative A^{-1} A', by a 4th-order central
@@ -923,8 +914,6 @@ def extract_normalized_potential(pipeline: Pipeline, axis_values=None) -> Extrac
     are played per abscissa, its five s-splits then its five t-splits, so the
     first error and the warnings are those of splitting point by point.
     """
-    if axis_values is None:
-        axis_values = pipeline.s_grid
     axis_values = np.asarray(axis_values, float)
     X, n, delta = len(axis_values), 2 * pipeline.trunc_n + 1, 1e-2
     stencils = [

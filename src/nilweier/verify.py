@@ -128,13 +128,11 @@ def run_diagnostics(pipeline: Pipeline) -> dict:
 
 
 def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
-    """Every check on a run pipeline.  The finite-difference checks read the
+    """Every check on a pipeline that has run.  The finite-difference checks read the
     pipeline's fields as rows, so each stencil a check samples has its frames
     computed in one `frames_at` batch (the Dirac check's Richardson points,
     which depend on the spinor values, form a batch of their own), and its
     surface rows in one `_sym_rows` call."""
-    if pipeline.frame_grid is None:
-        pipeline.run()
     fg = pipeline.frame_grid
     sg = pipeline.surface_grid
     checks = []

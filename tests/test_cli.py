@@ -334,7 +334,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["list-builtins"]) == 0
     assert "cylinder" in capsys.readouterr().out
     assert main(["generate", "--config", "no-such-thing.json", "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
     cfg = _small_cylinder_config(str(tmp_path))
+    out = str(tmp_path / "out")
+    assert main(["generate", "--config", cfg, "--out", out]) == 0
+    assert capsys.readouterr().out == f"wrote 5 files to {out} (0 holes)\n"
+    assert main(["roundtrip", "--config", "bscroll"]) == 0
+    worst = cmd_roundtrip("bscroll")["worst_b_B_error"]
+    assert capsys.readouterr().out == f"worst b/B recovery error: {worst:.3e}\n"
     assert main(["verify", "--config", cfg]) == 0
     bad = _small_cylinder_config(
         str(tmp_path),
@@ -475,6 +482,11 @@ def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys):
             {"builtin": "cylinder", "thetas": [0.0]}, "config has no key 'potential'"
         ),
     }
+    deep = {"long-sum": "+".join(["s"] * 1200), "deep-groups": "(" * 400 + "s" + ")" * 400}
+    for name, Q in deep.items():
+        pair = {"f": "1", "g": "1", "Q": Q, "R": "t"}
+        message = f"expression {Q[:40] + '...'!r} nests deeper than 100 levels"
+        cases[name] = ({"potential": {"pair": pair}, "domain": domain}, message)
     cylinder = {"potential": {"builtin": "cylinder"}, "domain": domain}
     for key, value, message in (
         ("thetas", "12", "config key 'thetas' must be a list, not the string '12'"),
@@ -490,6 +502,11 @@ def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys):
         ("truncationN", 8.7, "config key 'truncationN' must be an integer, not 8.7"),
         ("stepsPerCell", True, "config key 'stepsPerCell' must be an integer, not True"),
         ("initialFrame", {"coeffs": []}, "config key 'coeffs' must list at least one term"),
+        (
+            "initialFrame",
+            {"coeffs": [{"k": 0, "m": [[1, 0], [0, 1]]}, {"k": 1e12, "m": [[1, 0], [0, 1]]}]},
+            "degree 1000000000000 outside truncation [-24, 24]",
+        ),
     ):
         cases[f"bad-{key}-{len(cases)}"] = (dict(cylinder, **{key: value}), message)
     for name, (config, message) in cases.items():
@@ -520,15 +537,35 @@ def _umbrella_json(**overrides):
 
 
 def test_initial_frame_from_json_matches_the_umbrella_builtin(tmp_path):
+    """So does one with a zero term at a degree far past truncationN, which
+    is dropped rather than allocated."""
+    far = json.loads(_umbrella_json())
+    far["initialFrame"]["coeffs"].append({"k": 1e12, "m": [[0, 0], [0, 0]]})
     outputs = {}
-    for name, source in (("builtin", "horizontal-umbrella"), ("json", _umbrella_json())):
+    sources = {"builtin": "horizontal-umbrella", "json": _umbrella_json()}
+    sources["far-zero"] = json.dumps(far)
+    for name, source in sources.items():
         out = str(tmp_path / name)
         cmd_generate(source, out)
         outputs[name] = [
             open(os.path.join(out, f), "rb").read()
             for f in ("nil_00.obj", "l3_00.obj", "surfaces.csv")
         ]
-    assert outputs["json"] == outputs["builtin"]
+    assert outputs["json"] == outputs["far-zero"] == outputs["builtin"]
+
+
+@pytest.mark.parametrize(
+    "Q",
+    ["sin(" * 100 + "s" + ")" * 100, "(" * 100 + "s" + "-s+s" * 50 + ")" * 100],
+    ids=["function-arguments", "groups-around-operations"],
+)
+def test_the_deepest_accepted_expression_generates(tmp_path, capsys, Q):
+    """100 nested function arguments, or 100 groups around 100 operations:
+    the config reader accepts them, and `generate` runs them to exit 0."""
+    pair = {"f": "1", "g": "1", "Q": Q, "R": "t"}
+    path = _small_cylinder_config(str(tmp_path), potential={"pair": pair}, outputs=["csv"])
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == f"wrote 1 files to {tmp_path / 'out'} (0 holes)\n"
 
 
 def test_a_builtin_potential_brings_its_oracle_and_initial_frame_only():

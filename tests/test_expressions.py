@@ -28,6 +28,35 @@ def test_parse_error_offset():
         parse_expression("2*", "s")
     assert exc.value.offset == 3
     assert "expected" in str(exc.value)
+    with pytest.raises(ParseError) as exc:  # a character no token starts with
+        parse_expression("s $ 2", "s")
+    assert exc.value.offset == 3 and exc.value.found == "'$'"
+
+
+def test_trailing_whitespace_ends_the_input():
+    assert parse_expression("s + 1   ", "s").eval(2.0) == 3.0
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "(" * n + "s" + ")" * n,
+        lambda n: "sin(" * n + "s" + ")" * n,
+        lambda n: "s" + "^s" * n,
+        lambda n: "s" + "+s" * n,
+        lambda n: "-(" * n + "s" + ")" * n,
+    ],
+    ids=["groups", "function-arguments", "exponents", "operations", "negations"],
+)
+def test_nesting_past_100_levels_is_rejected(nest):
+    """100 levels parse, compile and evaluate; 101 raise ValueError naming
+    the source, before any of them could exhaust Python's recursion limit."""
+    assert math.isfinite(parse_expression(nest(100), "s").eval(0.5))
+    for n in (101, 1200):
+        src = nest(n)
+        with pytest.raises(ValueError) as exc:
+            parse_expression(src, "s")
+        assert str(exc.value) == f"expression {src[:40] + '...'!r} nests deeper than 100 levels"
 
 
 def test_parse_error_wrong_variable():

@@ -121,7 +121,8 @@ def test_ode_nilpotent_case_exact():
 def test_zero_one_form_integrates_to_identity():
     flow = _AxisFlow(lambda xs: np.zeros((len(xs), 2, 2)), -1, 6, 16.0, TailAccumulator())
     for x in (0.0, 0.5, -1.2):
-        assert (flow.at(x) - TwistedLoop.identity(6)).norm() == 0.0
+        (loop,) = _loops(flow, [x])
+        assert (loop - TwistedLoop.identity(6)).norm() == 0.0
 
 
 # a potential that varies along both axes, so every step position matters
@@ -129,6 +130,22 @@ VARYING = translate_potential("1 + z^2/4", "z/8", "cos(z)/16", "z/32")
 UNIFORM_41 = np.linspace(-2, 2, 41)
 # every nonzero node has its own step size: no two share a chain
 DISTINCT_H = np.array([-1.17, -0.73, -0.31, 0.0, 0.29, 0.83, 1.37])
+
+
+def _state(flow, x, tail=None):
+    """The coefficients at x of an `_AxisFlow` or of a `FromZeroAxisFlow`."""
+    out = flow.at(x, tail)
+    return out if isinstance(flow, _AxisFlow) else out.c
+
+
+def _loops(flow, xs):
+    """`TwistedLoop`s sharing an `_AxisFlow`'s states at xs, as `solve_frame_ode` builds them."""
+    return [TwistedLoop(flow.N, flow.at(x), enforce_parity=False) for x in xs]
+
+
+def _handed_out(flow):
+    """Whether every node of an `_AxisFlow` has been handed out once."""
+    return all(records is None for _, records, *_ in flow._nodes.values())
 
 
 def _chains(grid, steps_per_cell):
@@ -160,21 +177,21 @@ def test_axis_flow_equals_from_zero_reference(grid, n_chains, seed):
             FromZeroAxisFlow(coeff_fn, deg, 12, spu, TailAccumulator()),
         ]
         point_tails = [TailAccumulator(), TailAccumulator()]
-        flows[0].integrate_nodes(grid)
+        _integrate((flows[0], grid))
         calls = [(float(x), False) for x in rng.permutation(grid)]
         for k, x in enumerate(rng.uniform(-2.0, 2.0, 8)):
             calls.insert(int(rng.integers(0, len(calls) + 1)), (float(x), k % 2 == 0))
         calls += calls[:5]  # cached values record nothing
         for x, own_account in calls:
             new, ref = (
-                flow.at(x, point_tail if own_account else None)
+                _state(flow, x, point_tail if own_account else None)
                 for flow, point_tail in zip(flows, point_tails)
             )
-            assert np.array_equal(new.c, ref.c), x
+            assert np.array_equal(new, ref), x
             for new_tail, ref_tail in ((flows[0].tail, flows[1].tail), point_tails):
                 assert (new_tail.dropped, new_tail.kept) == (ref_tail.dropped, ref_tail.kept)
         assert flows[0].tail.kept > 0.0 and point_tails[0].kept > 0.0
-        assert flows[0]._nodes == {}  # every chain state was handed out once
+        assert _handed_out(flows[0])  # every chain state was handed out once
 
 
 @pytest.mark.parametrize("grid", [UNIFORM_41, DISTINCT_H], ids=["uniform", "distinct-h"])
@@ -283,7 +300,7 @@ def test_stacked_stepper_equals_from_zero_reference():
         calls = []
         flow = _AxisFlow(_counted(coeff_rows, calls), deg, 12, spu, TailAccumulator())
         ref = FromZeroAxisFlow(coeff_fn, deg, 12, spu, TailAccumulator())
-        flow.integrate_nodes(xs)
+        _integrate((flow, xs))
         lengths = {}
         for x in xs:
             if x != 0.0:
@@ -297,9 +314,9 @@ def test_stacked_stepper_equals_from_zero_reference():
         assert sorted(x.hex() for x in calls) == sorted(x.hex() for x in positions)
         for x in rng.permutation(xs):
             new, old = flow.at(x), ref.at(x)
-            assert np.array_equal(new.c, old.c), x
+            assert np.array_equal(new, old.c), x
             assert (flow.tail.dropped, flow.tail.kept) == (ref.tail.dropped, ref.tail.kept)
-        assert flow._nodes == {} and len(calls) == 3 * sum(lengths.values())
+        assert _handed_out(flow) and len(calls) == 3 * sum(lengths.values())
 
 
 @pytest.mark.parametrize("bound", [math.inf, 1e-9])
@@ -321,7 +338,7 @@ def test_overflowing_states_equal_the_from_zero_reference(f, Q, records, bound):
     xs = [0.1, 0.3, 0.7, 1.0, -0.2, -0.55, 2.0]
     flow = _AxisFlow(pot.xi_s_rows, -1, 8, 16.0, TailAccumulator(bound))
     ref = FromZeroAxisFlow(pot.xi_s, -1, 8, 16.0, TailAccumulator(bound))
-    flow.integrate_nodes(xs)
+    _integrate((flow, xs))
     reached = set()
     for x in xs:
         _, masses, chain, steps, _ = flow._nodes[x]
@@ -333,7 +350,7 @@ def test_overflowing_states_equal_the_from_zero_reference(f, Q, records, bound):
             tail = TailAccumulator(bound)
             try:
                 with np.errstate(all="ignore"):  # the reference's dense arithmetic overflows
-                    outcome = evaluated.at(x, tail).c.tobytes()
+                    outcome = _state(evaluated, x, tail).tobytes()
             except TruncationOverflow as exc:
                 outcome = str(exc)
             outcomes.append((outcome, tail.dropped.hex(), tail.kept.hex()))
@@ -349,13 +366,13 @@ def test_stacked_stepper_drops_an_item_whose_potential_raises():
     xs = [0.1, 0.149, 0.3, 0.6, 1.0, -0.2, -0.75, -1.5]
     flow = _AxisFlow(pot.xi_s_rows, -1, 8, 16.0, TailAccumulator())
     ref = FromZeroAxisFlow(pot.xi_s, -1, 8, 16.0, TailAccumulator())
-    flow.integrate_nodes(xs)
+    _integrate((flow, xs))
     raised = []
     for x in [-1.5, 0.6, 0.1, 0.3, -0.75, 1.0, -0.2, 0.149, 0.6]:
         outcomes = []
         for f in (flow, ref):
             try:
-                outcomes.append(f.at(x).c)
+                outcomes.append(_state(f, x))
             except EvalDomain as exc:
                 outcomes.append(str(exc))
         new, old = outcomes
@@ -372,8 +389,8 @@ def test_both_axes_step_as_one_stack_while_t_chains_drop_out():
     """g has no value for |t - 0.25| < 0.1: the t chains that step into that
     gap drop out of the stack while the s chains and the other t chains keep
     stepping with them.  The s potential is read in one row call; the t
-    one's raises, so each t chain is read alone, and those that raise step
-    by step up to the first step that does.  Values, errors and the shared
+    one's raises, so each t chain is read step by step, up to the first step
+    that raises if one does.  Values, errors and the shared
     tail account equal the from-0 integration in an interleaved order of s
     and t abscissae."""
     pot = pair_potential("1 + s^2/4", "2 + sqrt(100*(t-0.25)^2 - 1)", "cos(s)/16", "t/32")
@@ -399,11 +416,18 @@ def test_both_axes_step_as_one_stack_while_t_chains_drop_out():
         chains[x / n] = max(chains.get(x / n, 0), n)
     steps = sum(chains.values())
     assert calls["s"] == [3 * steps]  # every s position in one row call
-    # every t position, then each chain alone, longest first, and the steps
-    # of a chain that raises one at a time, up to the first that does
-    assert calls["t"][0] == 3 * steps and 3 in calls["t"]
-    chain_calls = [3 * n for n in sorted(chains.values(), reverse=True) if n > 1]
-    assert [size for size in calls["t"][1:] if size > 3] == chain_calls
+
+    def step_reads(h, n):  # a chain's steps up to the first that raises
+        for k in range(n):
+            try:
+                pot.xi_t_rows(np.array([k * h if k else 0.0, k * h + h / 2.0, k * h + h]))
+            except EvalDomain:
+                return k + 1
+        return n
+
+    # every t position, then each chain's steps one at a time
+    reads = sum(step_reads(h, n) for h, n in chains.items())
+    assert calls["t"] == [3 * steps] + [3] * reads and reads < steps
     raised = []
     rng = np.random.default_rng(3)
     order = [(axis, x) for axis in "st" for x in xs]
@@ -411,7 +435,7 @@ def test_both_axes_step_as_one_stack_while_t_chains_drop_out():
         outcomes = []
         for flow in (flows[axis], refs[axis]):
             try:
-                outcomes.append(flow.at(x).c)
+                outcomes.append(_state(flow, x))
             except EvalDomain as exc:
                 outcomes.append(str(exc))
         new, old = outcomes
@@ -555,8 +579,8 @@ def _near_boundary_plane(initial):
     s_grid = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
     t_grid = np.array([-2.0, -1.0, -0.999999999999, -0.5, -0.4999999999998, 0.0, 0.5, 1.0, 2.0])
     initial = _umbrella_initial() if initial else None
-    phi_s = [flow_s.at(s) for s in s_grid]
-    phi_t = [flow_t.at(t) for t in t_grid]
+    phi_s = _loops(flow_s, s_grid)
+    phi_t = _loops(flow_t, t_grid)
     return phi_s, phi_t, pot, s_grid, t_grid, initial
 
 
@@ -673,7 +697,7 @@ def test_a_row_with_a_warning_then_a_hole_plays_as_point_by_point():
     _, _, flow_s, flow_t = solve_frame_ode(pot, nodes, nodes, steps_per_cell=4, trunc_n=12)
     s_grid = np.array([0.5, 1.0])
     t_grid = np.array([-0.999999999999, -1.0, -0.5, -0.9999999999995, -2.0, 0.5])
-    args = [flow_s.at(s) for s in s_grid], [flow_t.at(t) for t in t_grid], pot, s_grid, t_grid
+    args = _loops(flow_s, s_grid), _loops(flow_t, t_grid), pot, s_grid, t_grid
     tail = TailAccumulator()
     fg, error, messages = _sweep_outcome(build_extended_frames, *args, tail=tail)
     ref, ref_error, ref_messages = _sweep_outcome(_reference_sweep, *args)
@@ -724,7 +748,7 @@ def test_a_crossing_in_a_later_row_of_a_batch_plays_as_point_by_point(monkeypatc
     )
     s_grid = np.array([0.25, 0.0, 0.5, 1.0, 0.75, 0.0])
     t_grid = np.array([0.5, 0.0, -1.0, 1.0, -0.5])
-    args = [flow_s.at(s) for s in s_grid], [flow_t.at(t) for t in t_grid], pot, s_grid, t_grid
+    args = _loops(flow_s, s_grid), _loops(flow_t, t_grid), pot, s_grid, t_grid
     merged = _merged_accounts(monkeypatch)
     _reference_sweep(*args, bound=math.inf)  # every row's account
     ref_rows, merged[:] = merged[:], []
@@ -873,9 +897,10 @@ def test_point_cache_shares_the_read_only_frame_grid(cyl_pipe):
 
 
 def test_run_builds_no_twisted_loop(monkeypatch):
-    """The sweep and the seeding of the point cache build no `TwistedLoop`:
-    the cache holds rows of `FrameGrid.frames`, and the single-point readers
-    build one loop per call."""
+    """The sweep, the seeding of the point cache and the axis flows build no
+    `TwistedLoop`: the cache holds rows of `FrameGrid.frames`, the flows hand
+    out read-only arrays, which the grid lists' loops share, and the
+    single-point readers build one loop per call."""
     pipe = builtin_config("cylinder").make_pipeline()
     built = []
     real_init = TwistedLoop.__init__
@@ -889,6 +914,16 @@ def test_run_builds_no_twisted_loop(monkeypatch):
     assert built == [] and len(pipe._point_cache) == int((~pipe.frame_grid.holes).sum()) > 0
     fg = pipe.frame_grid
     pipe.frames_at([(float(fg.s_grid[i]), float(fg.t_grid[j])) for i in (1, 4) for j in (2, 7)])
+    assert built == []
+    pipe.frames_at([(0.3125, -0.2175), (-0.4375, 0.1325), (0.3125, 1.01)])  # off the grid
+    assert built == []
+    axes = (pipe._flow_s, pipe.s_grid, pipe.phi_s), (pipe._flow_t, pipe.t_grid, pipe.phi_t)
+    for flow, grid, loops in axes:
+        for x in (0.3125, -0.4375):
+            assert not flow.at(x).flags.writeable
+        for x, loop in zip(grid.tolist(), loops, strict=True):
+            state = flow.at(x)
+            assert not state.flags.writeable and np.shares_memory(loop.c, state)
     assert built == []
     pipe.frame_at(fg.s_grid[1], fg.t_grid[2])
     assert built == [pipe.trunc_n]

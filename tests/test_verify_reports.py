@@ -170,7 +170,7 @@ def test_one_verification_steps_both_axes_as_one_stack(monkeypatch):
         for flow, xs in requests:
             own = {}
             for x in map(float, xs):
-                if x not in flow._cache and x not in flow._nodes:
+                if x not in flow._nodes:
                     n = max(1, math.ceil(abs(x) * flow.spu - 1e-12))
                     own[x / n] = max(own.get(x / n, 0), n)
             lengths["s" if flow.deg < 0 else "t"] = sorted(own.values(), reverse=True)
