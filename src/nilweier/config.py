@@ -158,8 +158,7 @@ def _initial_frame_from_dict(d: dict, n: int) -> TwistedLoop:
     if not coeffs:
         raise ValueError("config key 'coeffs' must list at least one term")
     terms = {_integer("k", e["k"]): np.asarray(e["m"], float) for e in coeffs}
-    kept = {k: m for k, m in sorted(terms.items()) if abs(k) <= n or m.any()}
-    return TwistedLoop.from_terms(n, kept)
+    return TwistedLoop.from_terms(n, terms)
 
 
 # JSON key -> (RunConfig field, reader); an absent key takes RunConfig's default

@@ -152,12 +152,14 @@ class TwistedLoop:
 
     @staticmethod
     def from_terms(N: int, terms: dict[int, np.ndarray]) -> "TwistedLoop":
-        """Build from a sparse {degree: 2x2 matrix} mapping."""
+        """Build from a sparse {degree: 2x2 matrix} mapping; a zero term past N
+        is dropped, and the lowest nonzero one raises."""
         c = np.zeros((2 * N + 1, 2, 2))
-        for k, m in terms.items():
-            if abs(k) > N:
+        for k, m in sorted(terms.items()):
+            if abs(k) <= N:
+                c[k + N] = np.asarray(m, dtype=float)
+            elif np.any(m):
                 raise ValueError(f"degree {k} outside truncation [-{N}, {N}]")
-            c[k + N] = np.asarray(m, dtype=float)
         return TwistedLoop(N, c)
 
     # -- basic accessors -------------------------------------------------------

@@ -695,11 +695,9 @@ class Pipeline:
         self.thetas = np.asarray(thetas, float)
         self.tail = TailAccumulator() if tail_bound is None else TailAccumulator(tail_bound)
         self.point_tail = TailAccumulator(self.tail.bound)
-        if initial_frame is not None and initial_frame.N != self.trunc_n:
-            terms = {k: initial_frame.coeff(k) for k in range(-initial_frame.N, initial_frame.N + 1)}
-            initial_frame = TwistedLoop.from_terms(  # a nonzero degree beyond trunc_n raises
-                self.trunc_n, {k: m for k, m in terms.items() if abs(k) <= self.trunc_n or m.any()}
-            )
+        if initial_frame is not None and initial_frame.N != self.trunc_n:  # see `from_terms`
+            terms = dict(enumerate(initial_frame.c, -initial_frame.N))
+            initial_frame = TwistedLoop.from_terms(self.trunc_n, terms)
         self.initial_frame = initial_frame
         self.phi_s, self.phi_t, self._flow_s, self._flow_t = solve_frame_ode(
             potential, self.s_grid, self.t_grid, self.steps_per_cell, self.trunc_n, self.tail
@@ -710,16 +708,9 @@ class Pipeline:
 
     # -- batch stages ---------------------------------------------------------
     def run(self) -> "Pipeline":
-        self.frame_grid = build_extended_frames(
-            self.phi_s,
-            self.phi_t,
-            self.potential,
-            self.s_grid,
-            self.t_grid,
-            initial=self.initial_frame,
-            tail=self.tail,
+        self.frame_grid = fg = build_extended_frames(
+            self.phi_s, self.phi_t, self.potential, self.s_grid, self.t_grid, self.initial_frame, self.tail
         )
-        fg = self.frame_grid
         for i, j in zip(*np.nonzero(~fg.holes)):
             point = float(fg.s_grid[i]), float(fg.t_grid[j])
             self._point_cache[point] = fg.frames[i, j], float(fg.h[i, j])
@@ -772,18 +763,12 @@ class Pipeline:
         requests = (self._flow_s, [s for s, _ in misses]), (self._flow_t, [t for _, t in misses])
         with contextlib.suppress(ValueError, MemoryError):  # raised before any state changes
             _integrate(*requests)
-        rows: dict[float, dict[float, None]] = {}
-        for s, t in misses:
-            rows.setdefault(s, {})[t] = None
         row_items: dict[float, list] = {}  # s -> (point, phi_s, phi_t, f, g) items
-        for s, ts in rows.items():
-            phi_s, f_val = self._flow_s.state(s), _value_or_none(self.potential.f, s)
-            if phi_s is None or f_val is None:
-                continue
-            for t in ts:
-                phi_t, g_val = self._flow_t.state(t), _value_or_none(self.potential.g, t)
-                if phi_t is not None and g_val is not None:
-                    row_items.setdefault(s, []).append(((s, t), phi_s, phi_t, f_val, g_val))
+        for s, t in dict.fromkeys(misses):
+            f_val, g_val = _value_or_none(self.potential.f, s), _value_or_none(self.potential.g, t)
+            item = (s, t), self._flow_s.state(s), self._flow_t.state(t), f_val, g_val
+            if all(value is not None for value in item):
+                row_items.setdefault(s, []).append(item)
         split = {}
         for points, fx, frame, h, *_ in _split_points(row_items.values(), self.initial_frame):
             frame.setflags(write=False)  # the point cache's rows are views of it

@@ -36,16 +36,6 @@ __all__ = ["run_verification", "safe_points", "roundtrip_errors", "run_diagnosti
 _LAMBDA_THETAS = (0.0, 0.25, -0.25, 0.5, -0.5)
 
 
-def _spinor_field(pipeline: Pipeline, theta: float):
-    """The generating spinor pair (psi1, psi2) at spectral angle `theta`, read
-    as rows of null components: `_spinor_rows` of its `frames_at` batch."""
-
-    def rows(stencil):
-        return _spinor_rows(*pipeline.frames_at(stencil), theta)
-
-    return SimpleNamespace(rows=rows)
-
-
 def safe_points(pipeline: Pipeline, count: int = 9, nil_side: bool = False):
     """Interior gridpoints with a hole-free 5x5 neighborhood, downsampled.
 
@@ -149,7 +139,11 @@ def run_verification(pipeline: Pipeline, oracle: str | None = None) -> dict:
         for k in range(3)
     )
     h = SimpleNamespace(rows=lambda stencil: pipeline.frames_at(stencil)[1])
-    spinors = {th: _spinor_field(pipeline, th) for th in sorted({theta0, max(thetas)})}
+    # the spinor pair (psi1, psi2) at each angle, as rows of its null components
+    spinors = {
+        th: SimpleNamespace(rows=lambda stencil, th=th: _spinor_rows(*pipeline.frames_at(stencil), th))
+        for th in sorted({theta0, max(thetas)})
+    }
 
     # frame quality: det, para-unitarity, angle function stability in theta
     det_err, reality_err, h_theta_err = [], [], []

@@ -207,6 +207,15 @@ def test_constructor_shares_only_a_read_only_array():
     assert not np.shares_memory(TwistedLoop(4, c).c, c)
 
 
+def test_from_terms_drops_zero_terms_past_the_truncation():
+    """A zero term past N allocates nothing; the lowest nonzero one raises."""
+    terms = {0: np.eye(2), 10**12: np.zeros((2, 2)), -3: [[0.0, 1.0], [0.0, 0.0]]}
+    near = TwistedLoop.from_terms(4, {0: np.eye(2), -3: terms[-3]})
+    assert TwistedLoop.from_terms(4, terms).c.tobytes() == near.c.tobytes()
+    with pytest.raises(ValueError, match=r"^degree -7 outside truncation \[-4, 4\]$"):
+        TwistedLoop.from_terms(4, {9: np.eye(2), 0: np.eye(2), -7: np.eye(2)})
+
+
 def test_truncation_overflow():
     big = TwistedLoop.from_terms(2, {2: np.array([[1.0, 0.0], [0.0, 1.0]])})
     tail = TailAccumulator(bound=1e-9)
