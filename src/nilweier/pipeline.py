@@ -695,8 +695,8 @@ class Pipeline:
         self.thetas = np.asarray(thetas, float)
         self.tail = TailAccumulator() if tail_bound is None else TailAccumulator(tail_bound)
         self.point_tail = TailAccumulator(self.tail.bound)
-        if initial_frame is not None and initial_frame.N != self.trunc_n:  # see `from_terms`
-            terms = dict(enumerate(initial_frame.c, -initial_frame.N))
+        if initial_frame is not None and initial_frame.N != self.trunc_n:
+            terms = dict(enumerate(initial_frame.c, -initial_frame.N))  # nonzero past trunc_n raises
             initial_frame = TwistedLoop.from_terms(self.trunc_n, terms)
         self.initial_frame = initial_frame
         self.phi_s, self.phi_t, self._flow_s, self._flow_t = solve_frame_ode(
