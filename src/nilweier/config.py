@@ -152,13 +152,20 @@ def _entries(key: str, value):
     return value
 
 
-def _initial_frame_from_dict(d: dict, n: int) -> TwistedLoop:
-    """The loop at truncation n: a zero term beyond n is dropped, a nonzero one raises."""
+def _initial_frame_from_dict(d: dict, n: int, thetas) -> TwistedLoop:
+    """The loop at truncation n: a zero term beyond n is dropped; a nonzero one raises,
+    as does a det at e^theta (`_sym_rows` divides by it) 0 or not finite at an angle."""
     coeffs = _entries("coeffs", d["coeffs"])
     if not coeffs:
         raise ValueError("config key 'coeffs' must list at least one term")
     terms = {_integer("k", e["k"]): np.asarray(e["m"], float) for e in coeffs}
-    return TwistedLoop.from_terms(n, terms)
+    frame = TwistedLoop.from_terms(n, terms)
+    for theta in thetas:
+        with np.errstate(all="ignore"):
+            det = frame.det_at(math.exp(theta))
+        if det == 0.0 or not math.isfinite(det):
+            raise ValueError(f"initialFrame has det {det!r} at spectral angle {theta!r}")
+    return frame
 
 
 # JSON key -> (RunConfig field, reader); an absent key takes RunConfig's default
@@ -192,7 +199,7 @@ def _config_from_dict(data: dict) -> RunConfig:
         **optional,
     )
     if data.get("initialFrame") is not None:  # built at the validated truncation
-        cfg.initial_frame = _initial_frame_from_dict(data["initialFrame"], cfg.trunc_n)
+        cfg.initial_frame = _initial_frame_from_dict(data["initialFrame"], cfg.trunc_n, cfg.thetas)
     return cfg
 
 

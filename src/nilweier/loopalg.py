@@ -46,7 +46,6 @@ __all__ = [
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 _PARITY_TOL = 1e-9  # relative; violations above this raise ParityViolation
-_SHORT = 64  # see `TailAccumulator._replay`
 
 
 class TailAccumulator:
@@ -75,17 +74,10 @@ class TailAccumulator:
 
     def _replay(self, masses: np.ndarray) -> int | None:
         """`replay` without its error: the index of the first pair whose prefix
-        crosses the bound, or None.  Up to _SHORT pairs are added one at a
-        time; more are one sequential `np.cumsum` from the account's masses,
-        with the same sums, checked at every prefix by `relative`'s rule."""
+        crosses the bound, or None.  The pairs are one sequential `np.cumsum`
+        from the account's masses, the sums of adding them one at a time,
+        checked at every prefix by `relative`'s rule (a NaN mass fails)."""
         masses = masses.reshape(-1, 2)
-        if len(masses) <= _SHORT:  # cheaper than the array pass
-            for i, (dropped, kept) in enumerate(masses.tolist()):
-                self.dropped += dropped
-                self.kept += kept
-                if not self.relative() <= self.bound:  # a NaN mass fails too
-                    return i
-            return None
         with np.errstate(all="ignore"):  # Python's float arithmetic overflows quietly
             sums = np.cumsum(np.concatenate(([[self.dropped, self.kept]], masses)), axis=0)
             dropped, kept = sums[1:, 0], sums[1:, 1]
@@ -235,14 +227,14 @@ class _Effects:
     """Side effects of a batch of B loop operations as arrays, each item's in a
     batch of one's order: `records` has a (B, 2) column of (dropped, kept)
     masses per `record` call, of which item b keeps the first `ends[b]` (_LIVE
-    until it fails with `failures[b]`); `warnings` are (item, columns before
-    it, message) in kernel order."""
+    until it fails with `failures[b]`); `warnings[b]` are item b's (columns
+    before it, message) in kernel order."""
 
     def __init__(self, size: int):
         self.records = np.zeros((size, 0, 2))
         self.ends = np.full(size, _LIVE)
         self.failures: list[Exception | None] = [None] * size
-        self.warnings: list[tuple[int, int, str]] = []
+        self.warnings: list[list[tuple[int, str]]] = [[] for _ in range(size)]
 
     @property
     def alive(self) -> np.ndarray:
@@ -253,7 +245,7 @@ class _Effects:
 
     def warn(self, b: int, message: str) -> None:
         if self.ends[b] == _LIVE:
-            self.warnings.append((b, self.records.shape[1], message))
+            self.warnings[b].append((self.records.shape[1], message))
 
     def fail(self, b: int, exc: Exception) -> None:
         if self.ends[b] == _LIVE:
@@ -264,36 +256,52 @@ class _Effects:
         for b in np.flatnonzero(~other.alive[index]):
             self.fail(b, other.failures[index[b]])
 
+    def part(self, b: int) -> tuple:
+        """Item b's effects as a `_play` part: its kept records, warnings and failure."""
+        return self.records[b, : self.ends[b]], self.warnings[b], self.failures[b]
+
     def play(self, lo: int, hi: int, tail, holes=(), naming=contextlib.nullcontext) -> list:
-        """Perform items lo..hi-1's effects, item after item, as batches of one
-        do: their kept records go into `tail` (if not None) in one replay,
-        their warnings are issued, and their failures are returned (None where
-        an item lives).  The first failure not of a type in `holes`, or the
-        tail's TruncationOverflow, stops the play after what comes before it
-        and is raised inside `naming(item)`."""
-        failures = self.failures[lo:hi]
-        fatal = [i for i, e in enumerate(failures) if e is not None and not isinstance(e, holes)]
-        # where the play stops, as (item, columns of it played), and the error raised there
-        stop, error = ((fatal[0], _LIVE), failures[fatal[0]]) if fatal else ((hi - lo, 0), None)
-        ends = [min(end, self.records.shape[1]) for end in self.ends[lo:hi][: stop[0] + 1].tolist()]
-        if tail is not None and ends:
-            kept = [self.records[b, :end] for b, end in enumerate(ends, lo)]
-            crossing = tail._replay(np.concatenate(kept))
-            if crossing is not None:
-                item = int(np.searchsorted(np.cumsum(ends), crossing, side="right"))
-                stop, error = (item, crossing - sum(ends[:item]) + 1), tail._overflow()
-        for b, column, message in sorted(self.warnings, key=lambda w: w[0]):
-            if 0 <= b - lo and (b - lo, column) < stop:
-                warnings.warn(message, stacklevel=2)
-        if error is None:
-            return failures
-        # the traceback keeps this frame: only `error` may refer to the error
-        self.failures[lo + stop[0]] = failures = None
-        try:
-            with naming(lo + stop[0]):
-                raise error
-        finally:
-            del error
+        """`_play` of items lo..hi-1, naming the error by its item, which lets go of it."""
+
+        def named(i):
+            self.failures[lo + i] = None  # the traceback keeps this frame
+            return naming(lo + i)
+
+        return _play([self.part(b) for b in range(lo, hi)], tail, holes, named)
+
+
+def _play(parts, tail, holes=(), naming=contextlib.nullcontext) -> list:
+    """Perform ordered parts as one after another would.  A part is a (k, 2)
+    array of (dropped, kept) masses, its (masses before it, message) warnings
+    and its failure or None.  The masses go into `tail` (if not None) in one
+    replay, the warnings are issued, and the failures are returned.  The
+    first failure not of a type in `holes`, or the tail's TruncationOverflow
+    at the mass that crosses its bound, stops the play after what comes
+    before it and is raised inside `naming(i)` of its part i; the parts from
+    i on are then taken out of `parts`, so that no frame of the traceback
+    holds the error."""
+    failures = [part[2] for part in parts]
+    fatal = [i for i, e in enumerate(failures) if e is not None and not isinstance(e, holes)]
+    # where the play stops, as (part, masses of it played), and the error raised there
+    stop, error = ((fatal[0], _LIVE), failures[fatal[0]]) if fatal else ((len(parts), 0), None)
+    if tail is not None and parts:
+        masses = [part[0] for part in parts[: stop[0] + 1]]
+        crossing = tail._replay(np.concatenate(masses))
+        if crossing is not None:
+            sizes = [len(m) for m in masses]
+            i = int(np.searchsorted(np.cumsum(sizes), crossing, side="right"))
+            stop, error = (i, crossing - sum(sizes[:i]) + 1), tail._overflow()
+    issued = [m for i, part in enumerate(parts[: stop[0] + 1]) for c, m in part[1] if (i, c) < stop]
+    for message in issued:  # at the line that plays: `_Effects.play`'s caller, or `_play`'s
+        warnings.warn(message, stacklevel=3)
+    if error is None:
+        return failures
+    del parts[stop[0] :], failures
+    try:
+        with naming(stop[0]):
+            raise error
+    finally:
+        del error
 
 
 def _shift_rows(c: np.ndarray, A: np.ndarray, deg: int):

@@ -62,6 +62,7 @@ from .loopalg import (
     _expand,
     _mul_rows,
     _parity_swap,
+    _play,
     _scale_rows,
     _shift_compact,
     _shift_masses,
@@ -87,6 +88,7 @@ __all__ = [
 ]
 
 _VANISH_TOL = 1e-12
+_NOTHING = (np.zeros((0, 2)), (), None)  # a `_play` part with no effect
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +203,15 @@ class _AxisFlow:
     abscissae that share h lie on one chain of states.  `_integrate` runs
     each chain once, to its longest abscissa, in one stack with the chains of
     other flows, and keeps every abscissa's read-only state with its chain's
-    prefix of the stack's tail records, which `at` replays into the account
-    when it first hands the state out.  So every value and every tail record
-    is bit-identical to an integration from 0 at the call, whatever the
+    prefix of the stack's tail records.  `part` hands the records over, with
+    the potential's error where a step's read raised, for `_play` to perform,
+    until `hand_out` drops them.  So every value and every tail record is
+    bit-identical to an integration from 0 at the call, whatever the
     evaluation order.  A is read through `coeff_rows`, which maps a float64
     array of abscissae to the (L, 2, 2) stack of their A, as
     `PotentialSpec.xi_s_rows` does; A must be off-diagonal, as the
-    potential's is, since the stack steps in compact form.  Dropped tail mass
-    goes to `tail`, or to the flow's own account if None.
+    potential's is, since the stack steps in compact form.  `tail` is the
+    account of the grid nodes.
     """
 
     def __init__(self, coeff_rows, deg: int, N: int, steps_per_unit: float, tail: TailAccumulator):
@@ -230,21 +233,26 @@ class _AxisFlow:
         return n, x / n
 
     def state(self, x: float) -> np.ndarray | None:
-        """The state at x without replaying anything; None if it is not integrated."""
+        """The read-only state at x; None if it is not integrated or its potential raised."""
         return self._nodes.get(x, (None,))[0]
 
-    def at(self, x: float, tail: TailAccumulator | None = None) -> np.ndarray:
-        """The read-only state at x; replays its records and raises its error until handed out."""
-        x = float(x)
-        if x not in self._nodes:
-            _integrate((self, [x]))
-        phi, records, chain, steps, failed = self._nodes[x]
-        if records is not None:
-            (self.tail if tail is None else tail).replay(records[:steps, :, chain])
-            if failed is not None:  # the potential raised at this step: raise it here
+    def part(self, x: float) -> tuple:
+        """The node at x as a `_play` part: its records and potential error until handed out."""
+        _, records, chain, steps, failed = self._nodes[x]
+        if records is None:
+            return _NOTHING
+        masses = records[:steps, :, chain].reshape(-1, 2)
+        try:
+            if failed is not None:  # the step whose potential raised: its error
                 self.coeff_rows(failed)
-            self._nodes[x] = phi, None, chain, steps, None
-        return phi
+        except (EvalDomain, DegeneratePotential) as exc:
+            return masses, (), exc
+        return masses, (), None
+
+    def hand_out(self, x: float) -> None:
+        """Drop the records of the node at x, once its part has been played."""
+        phi, _, chain, steps, _ = self._nodes[x]
+        self._nodes[x] = phi, None, chain, steps, None
 
 
 def _integrate(*requests) -> None:
@@ -396,12 +404,12 @@ def solve_frame_ode(
                     name = "fg"[axis]
                     raise DegeneratePotential(f"{name} vanishes at sampled {coeff.variable}={x}")
     _integrate((flow_s, s_grid), (flow_t, t_grid))
-    phi = ([], [])
-    for axis, (_, flow, points) in enumerate(axes):
-        for point in points:
-            with _naming(point):
-                phi[axis].append(TwistedLoop(trunc_n, flow.at(point[axis]), enforce_parity=False))
-    return phi[0], phi[1], flow_s, flow_t
+    nodes = [(flow, point, point[axis]) for axis, (_, flow, points) in enumerate(axes) for point in points]
+    _play([flow.part(x) for flow, _, x in nodes], tail, (), lambda i: _naming(nodes[i][1]))
+    for flow, _, x in nodes:
+        flow.hand_out(x)
+    loops = [TwistedLoop(trunc_n, flow.state(x), enforce_parity=False) for flow, _, x in nodes]
+    return loops[: len(s_grid)], loops[len(s_grid) :], flow_s, flow_t
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +464,6 @@ def _split_points(rows, initial):
                 frame = _mul_rows(initial.c, frame, fx)
             del vplus_inv, vminus  # not kept while the caller holds this batch and the next is split
         yield points, fx, frame, h, gauge_log, conds, w
-
-
-def _value_or_none(expr: Expression, x: float) -> float | None:
-    """expr at x, or None outside its domain."""
-    try:
-        return expr.eval(x)
-    except EvalDomain:
-        return None
 
 
 @dataclass
@@ -725,12 +725,12 @@ class Pipeline:
 
         Points the cache does not hold have the abscissae of both axes
         integrated as one stack and are split in batches of whole rows of
-        common s by the sweep's `_split_points` (`_split_misses`).  Each
-        point's effects are then replayed in list order, as the
-        point-by-point loop has them: its s-axis and t-axis tail records,
-        then its split's tail records, warnings and error; a point that is
-        not finite raises ValueError at its turn.  So the frames,
-        `point_tail`, the warnings and the first error are the loop's.
+        common s by the sweep's `_split_points` (`_split_misses`).  Their
+        effects are played in one `_play`, in the loop's order: per point its
+        not-finite error, its s and t nodes' records and potential errors
+        (each node once), then its split's records, warnings and error.  So
+        the frames, `point_tail`, the warnings, the first error and the
+        points left behind are the loop's.
         """
         rows = self._points(points)
         frames = np.array([row for row, _ in rows]).reshape(len(rows), 2 * self.trunc_n + 1, 2, 2)
@@ -747,52 +747,72 @@ class Pipeline:
     def _points(self, points) -> list[tuple[np.ndarray, float]]:
         """The cached (row, h) of each point, as `frames_at` computes them."""
         keys = [(float(s), float(t)) for s, t in points]
-        split = self._split_misses([key for key in keys if key not in self._point_cache])
-        return [self._replay(key, split) for key in keys]
+        misses = [key for key in dict.fromkeys(keys) if key not in self._point_cache]
+        split, nodes, parts, kept = self._split_misses(misses), set(), [], []
+        for key in misses:
+            if parts and parts[-1][2] is not None:
+                break
+            self._miss_parts(key, split, nodes, parts, kept)
+        try:
+            _play(parts, self.point_tail, (), lambda i: _naming(kept[i][0]))
+        finally:  # keep what was played: `_play` took the parts from its stop on out of `parts`
+            for _, keep, arg in kept[: len(parts)]:
+                keep(arg)
+        return [self._point_cache[key] for key in keys]
 
     def _split_misses(self, misses) -> dict:
-        """Frames of the points `misses`, not yet replayed: {point: (effects,
-        item, frames, h)}.  Their s and t abscissae are integrated as one
-        stack (`_integrate`), and their rows of common s go to `_split_points`.
-        A point that is not finite, or whose axis frame or potential value
-        raises, is left out, since replaying it raises first; so is one not
-        integrated when the stack cannot be allocated: `_replay` splits it."""
+        """{point: (split part, row, h)} of the distinct points `misses`: their
+        s and t abscissae are integrated as one stack, and their rows of
+        common s go to `_split_points`; where f or g raises, that error is the
+        part.  A point not finite, or whose axis frame raises or is not
+        integrated (the stack could not be allocated), is left out:
+        `_miss_parts` meets its error first, or splits it alone."""
         misses = [(s, t) for s, t in misses if math.isfinite(s) and math.isfinite(t)]
-        if not misses:
-            return {}
         requests = (self._flow_s, [s for s, _ in misses]), (self._flow_t, [t for _, t in misses])
         with contextlib.suppress(ValueError, MemoryError):  # raised before any state changes
             _integrate(*requests)
-        row_items: dict[float, list] = {}  # s -> (point, phi_s, phi_t, f, g) items
-        for s, t in dict.fromkeys(misses):
-            f_val, g_val = _value_or_none(self.potential.f, s), _value_or_none(self.potential.g, t)
-            item = (s, t), self._flow_s.state(s), self._flow_t.state(t), f_val, g_val
-            if all(value is not None for value in item):
-                row_items.setdefault(s, []).append(item)
-        split = {}
+        split, row_items = {}, {}  # row_items: s -> (point, phi_s, phi_t, f, g) items
+        for s, t in misses:
+            phi_s, phi_t = self._flow_s.state(s), self._flow_t.state(t)
+            if phi_s is None or phi_t is None:
+                continue
+            try:
+                values = self.potential.f.eval(s), self.potential.g.eval(t)
+            except EvalDomain as exc:  # kept without its traceback, which holds `split`
+                split[s, t] = (*_NOTHING[:2], exc.with_traceback(None)), None, None
+                continue
+            row_items.setdefault(s, []).append(((s, t), phi_s, phi_t, *values))
         for points, fx, frame, h, *_ in _split_points(row_items.values(), self.initial_frame):
             frame.setflags(write=False)  # the point cache's rows are views of it
             for j, key in enumerate(points):
-                split[key] = (fx, j, frame, h)
+                split[key] = fx.part(j), frame[j], float(h[j])
         return split
 
-    def _replay(self, key, split) -> tuple[np.ndarray, float]:
-        hit = self._point_cache.get(key)
-        if hit is not None:
-            return hit
+    def _miss_parts(self, key, split, nodes, parts, kept) -> None:
+        """Append to `parts` the parts of the miss `key` in the `frame_at`
+        loop's order, up to the first that fails: its not-finite error, its s
+        and t nodes that `nodes` does not hold yet, then its split; and to
+        `kept` the point each names and the call that keeps it once played."""
         s, t = key
-        if not (math.isfinite(s) and math.isfinite(t)):
-            raise ValueError(f"point (s={s}, t={t}) is not finite")
-        tail = self.point_tail
-        with _naming(key):
-            self._flow_s.at(s, tail)
-            self._flow_t.at(t, tail)
-            self.potential.f.eval(s)
-            self.potential.g.eval(t)
-            fx, j, frame, h = split.pop(key) if key in split else self._split_misses([key])[key]
-            fx.play(j, j + 1, tail)
-        hit = self._point_cache[key] = frame[j], float(h[j])
-        return hit
+        for flow, x in ((self._flow_s, s), (self._flow_t, t)):
+            if (flow, x) in nodes:
+                continue
+            nodes.add((flow, x))
+            kept.append((key, flow.hand_out, x))
+            try:
+                if not (math.isfinite(s) and math.isfinite(t)):  # before the point's first node
+                    raise ValueError(f"point (s={s}, t={t}) is not finite")
+                if x not in flow._nodes:  # the stack of all misses could not be allocated
+                    _integrate((flow, [x]))
+            except (ValueError, MemoryError) as exc:
+                parts.append((*_NOTHING[:2], exc))
+                return
+            parts.append(flow.part(x))
+            if parts[-1][2] is not None:
+                return
+        part, row, h = split.pop(key) if key in split else self._split_misses([key])[key]
+        parts.append(part)
+        kept.append((key, self._point_cache.update, {key: (row, h)}))
 
     def surfaces_at(self, points, theta: float) -> np.ndarray:
         """The (B, 3, 3) rows (nil point, L3 point, unit normal) at the points

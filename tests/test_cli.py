@@ -507,6 +507,17 @@ def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys):
             {"coeffs": [{"k": 0, "m": [[1, 0], [0, 1]]}, {"k": 1e12, "m": [[1, 0], [0, 1]]}]},
             "degree 1000000000000 outside truncation [-24, 24]",
         ),
+        # singular frames, zero and of rank one: det F(e^theta) is what `_sym_rows` divides by
+        (
+            "initialFrame",
+            {"coeffs": [{"k": 0, "m": [[0, 0], [0, 0]]}]},
+            "initialFrame has det 0.0 at spectral angle 0.0",
+        ),
+        (
+            "initialFrame",
+            {"coeffs": [{"k": 0, "m": [[1, 0], [0, 0]]}]},
+            "initialFrame has det 0.0 at spectral angle 0.0",
+        ),
     ):
         cases[f"bad-{key}-{len(cases)}"] = (dict(cylinder, **{key: value}), message)
     for name, (config, message) in cases.items():

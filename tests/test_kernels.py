@@ -3,6 +3,7 @@ point-by-point algorithms they replace, bit for bit, on random twisted loops
 and on a swept frame grid."""
 
 import contextlib
+import math
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from nilweier.loopalg import (
     _mask,
     _mul_rows,
     _parity_swap,
+    _play,
     _shift_compact,
     _shift_masses,
     _shift_rows,
@@ -80,9 +82,8 @@ def _effects(fx, b):
     before its failure, its warnings at their places among them, then its
     error as (type name, message)."""
     effects = [tuple(r) for r in fx.records[b, : fx.ends[b]].tolist()]
-    for item, column, message in reversed(fx.warnings):
-        if item == b:
-            effects.insert(column, message)
+    for column, message in reversed(fx.warnings[b]):
+        effects.insert(column, message)
     exc = fx.failures[b]
     return effects + ([] if exc is None else [(type(exc).__name__, str(exc))])
 
@@ -646,6 +647,98 @@ def test_a_play_performs_its_items_as_batches_of_one(big, lo, hi, holes, bound):
     if (big, lo, hi, holes) == ((4, 1), 0, 6, (OutsideBigCell, GaugeFailure)) and bound:
         assert error[0] == "TruncationOverflow" and named == [4]
         assert messages == ["item 1 before column 1", "item 1 before column 3"]
+
+
+_PART_MASS = st.one_of(
+    st.sampled_from([0.0, 1.0, math.nan, math.inf]), st.floats(0.0, 1e-6), st.floats(0.0, 10.0)
+)
+_PART_FAILURES = {
+    "hole": lambda i: OutsideBigCell(f"part {i} is outside the big cell"),
+    "gauge": lambda i: GaugeFailure(f"part {i} has no gauge"),
+    "parity": lambda i: ParityViolation(f"part {i} breaks parity"),
+    "value": lambda i: ValueError(f"part {i} is not finite"),
+}
+
+
+@st.composite
+def _ragged_parts(draw):
+    """Parts no `_Effects` batch makes: empty ones, NaN and infinite masses,
+    warnings at any column (in kernel order), hole-type and fatal failures."""
+    parts = []
+    for i in range(draw(st.integers(0, 6))):
+        masses = draw(st.lists(st.tuples(_PART_MASS, _PART_MASS), max_size=5))
+        columns = sorted(draw(st.lists(st.integers(0, len(masses)), max_size=3)))
+        failure = draw(st.sampled_from([None, None, *_PART_FAILURES]))
+        parts.append((
+            np.array(masses, dtype=float).reshape(-1, 2),
+            [(c, f"part {i} warns before column {c} ({k})") for k, c in enumerate(columns)],
+            None if failure is None else _PART_FAILURES[failure](i),
+        ))
+    return parts
+
+
+def _perform_reference(parts, tail, holes, naming):
+    """Part after part: its masses one `record` at a time, each warning before
+    the mass at its column, then its failure, returned if of a type in
+    `holes` and raised otherwise; an error is raised inside `naming(part)`."""
+    failures = []
+    for i, (masses, warns, failure) in enumerate(parts):
+        pending = list(warns)
+        for k, (dropped, kept) in enumerate(masses.tolist()):
+            while pending and pending[0][0] <= k:
+                warnings.warn(pending.pop(0)[1])
+            if tail is not None:
+                with naming(i):
+                    tail.record(dropped, kept)
+        for _, message in pending:
+            warnings.warn(message)
+        if failure is not None and not isinstance(failure, holes):
+            with naming(i):
+                raise failure
+        failures.append(failure)
+    return failures
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=_ragged_parts(),
+    holes=st.sampled_from([(OutsideBigCell, GaugeFailure), ()]),
+    bound=st.sampled_from([None, 0.0, 1e-9, 1e-3, math.inf]),
+    start=st.tuples(st.floats(0.0, 1e-8), st.floats(1e-3, 10.0)),
+)
+def test_a_play_of_ragged_parts_performs_them_one_after_another(parts, holes, bound, start):
+    """`_play` leaves the failures, the warnings in order, the account (as
+    float.hex), and the error with the part `naming` received, of performing
+    the parts one after another with `record`, `warnings.warn` and `raise`;
+    a crossing may fall inside a part."""
+    outcomes = []
+    for perform in (_play, _perform_reference):
+        tail = None if bound is None else TailAccumulator(bound)
+        if tail is not None:
+            tail.dropped, tail.kept = start
+        named = []
+
+        @contextlib.contextmanager
+        def naming(i):
+            try:
+                yield
+            except Exception:
+                named.append(i)
+                raise
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                failures, error = perform(list(parts), tail, holes, naming), None
+            except (NilWeierError, ValueError) as exc:
+                failures, error = None, (type(exc).__name__, str(exc))
+        account = None if tail is None else (tail.dropped.hex(), tail.kept.hex())
+        outcomes.append((failures, error, named, [str(w.message) for w in caught], account))
+    assert outcomes[0] == outcomes[1]
+    failures, error, named, _, _ = outcomes[0]
+    assert len(named) == (error is not None) and (failures is None) == (error is not None)
+    if error is not None and error[0] == "TruncationOverflow":
+        assert bound is not None
 
 
 def _small_pipeline(builtin):

@@ -21,7 +21,7 @@ from nilweier import (
 )
 from nilweier import NilWeierError, factorization
 from nilweier import pipeline as pipeline_module
-from nilweier.loopalg import TailAccumulator
+from nilweier.loopalg import TailAccumulator, _play
 from nilweier.pipeline import (
     Pipeline,
     PotentialSpec,
@@ -133,14 +133,21 @@ DISTINCT_H = np.array([-1.17, -0.73, -0.31, 0.0, 0.29, 0.83, 1.37])
 
 
 def _state(flow, x, tail=None):
-    """The coefficients at x of an `_AxisFlow` or of a `FromZeroAxisFlow`."""
-    out = flow.at(x, tail)
-    return out if isinstance(flow, _AxisFlow) else out.c
+    """The coefficients at x of a `FromZeroAxisFlow`, or of an `_AxisFlow`,
+    which integrates x if it must, plays its node's part into `tail` (its own
+    account if None) and hands the node out."""
+    if not isinstance(flow, _AxisFlow):
+        return flow.at(x, tail).c
+    x = float(x)
+    _integrate((flow, [x]))
+    _play([flow.part(x)], flow.tail if tail is None else tail)
+    flow.hand_out(x)
+    return flow.state(x)
 
 
 def _loops(flow, xs):
     """`TwistedLoop`s sharing an `_AxisFlow`'s states at xs, as `solve_frame_ode` builds them."""
-    return [TwistedLoop(flow.N, flow.at(x), enforce_parity=False) for x in xs]
+    return [TwistedLoop(flow.N, _state(flow, x), enforce_parity=False) for x in xs]
 
 
 def _handed_out(flow):
@@ -313,7 +320,7 @@ def test_stacked_stepper_equals_from_zero_reference():
                 positions += [pos, pos + h / 2.0, pos + h]
         assert sorted(x.hex() for x in calls) == sorted(x.hex() for x in positions)
         for x in rng.permutation(xs):
-            new, old = flow.at(x), ref.at(x)
+            new, old = _state(flow, x), ref.at(x)
             assert np.array_equal(new, old.c), x
             assert (flow.tail.dropped, flow.tail.kept) == (ref.tail.dropped, ref.tail.kept)
         assert _handed_out(flow) and len(calls) == 3 * sum(lengths.values())
@@ -920,9 +927,9 @@ def test_run_builds_no_twisted_loop(monkeypatch):
     axes = (pipe._flow_s, pipe.s_grid, pipe.phi_s), (pipe._flow_t, pipe.t_grid, pipe.phi_t)
     for flow, grid, loops in axes:
         for x in (0.3125, -0.4375):
-            assert not flow.at(x).flags.writeable
+            assert not _state(flow, x).flags.writeable
         for x, loop in zip(grid.tolist(), loops, strict=True):
-            state = flow.at(x)
+            state = _state(flow, x)
             assert not state.flags.writeable and np.shares_memory(loop.c, state)
     assert built == []
     pipe.frame_at(fg.s_grid[1], fg.t_grid[2])

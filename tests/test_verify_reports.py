@@ -236,8 +236,8 @@ def test_only_the_frame_quality_check_evaluates_frame_pairs(monkeypatch):
 
 
 def test_the_engines_tail_records_replay_as_the_record_loop(monkeypatch):
-    """Each of the 268 row replays of one verification, from the account it
-    met, leaves the masses the `record` loop leaves, bit for bit."""
+    """Each of the 36 replays of one verification, from the account it met,
+    leaves the masses the `record` loop leaves, bit for bit."""
     from _oracles import replay_against_record_loop
 
     from nilweier.config import load_config
@@ -245,17 +245,17 @@ def test_the_engines_tail_records_replay_as_the_record_loop(monkeypatch):
     from nilweier.verify import run_verification
 
     replays = []
-    real = TailAccumulator.replay
+    real = TailAccumulator._replay
 
     def replay(self, masses):
         replays.append(((self.dropped, self.kept), masses.reshape(-1, 2).copy(), self.bound))
         return real(self, masses)
 
-    monkeypatch.setattr(TailAccumulator, "replay", replay)
+    monkeypatch.setattr(TailAccumulator, "_replay", replay)
     cfg = load_config(VERIFY_PLANE)
     run_verification(cfg.make_pipeline().run(), oracle=cfg.oracle)
     monkeypatch.undo()
-    assert len(replays) == 268 and sum(len(masses) for _, masses, _ in replays) == 29128
+    assert len(replays) == 36 and sum(len(masses) for _, masses, _ in replays) == 32855
     for start, masses, bound in replays:
         assert replay_against_record_loop(start, masses, bound) is None
 
