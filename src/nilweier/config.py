@@ -153,8 +153,8 @@ def _entries(key: str, value):
 
 
 def _initial_frame_from_dict(d: dict, n: int, thetas) -> TwistedLoop:
-    """The loop at truncation n: a zero term beyond n is dropped; a nonzero one raises,
-    as does a det at e^theta (`_sym_rows` divides by it) 0 or not finite at an angle."""
+    """The loop at truncation n: a zero term beyond n is dropped and a nonzero one raises;
+    so does a det at e^theta, which `_sym_rows` divides by, 0 or not finite at a run angle."""
     coeffs = _entries("coeffs", d["coeffs"])
     if not coeffs:
         raise ValueError("config key 'coeffs' must list at least one term")
