@@ -124,7 +124,7 @@ def main(argv=None) -> int:
             for name in cmd_list_builtins():
                 print(name)
             return 0
-    except (NilWeierError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (NilWeierError, ValueError, OSError, MemoryError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -141,18 +141,23 @@ class Expression:
             raise EvalDomain(f"{self.source!r} is not finite at {self.variable}={value}")
         return out
 
-    def rows(self, xs: np.ndarray):
-        """The values at the items of a float64 array, with `eval`'s bits: a
-        float if the expression does not read its variable, else an array;
-        None if `eval` raises at any item."""
+    def rows(self, xs) -> np.ndarray:
+        """The values at the items of a float64 array, with `eval`'s bits, as
+        an array of its shape: NaN where `eval` raises."""
+        xs = np.asarray(xs, float)
+        items = xs.ravel().tolist() if self._reads else [0.0]
         try:
-            if not self._reads:
-                out = self._scalar(0.0)
-                return out if math.isfinite(out) else None
-            out = np.fromiter(map(self._scalar, xs.tolist()), float, xs.size)
+            out = np.fromiter(map(self._scalar, items), float, len(items))
+        except (ValueError, ZeroDivisionError, OverflowError):  # mark each item that raises
+            out = np.array([self._or_nan(x) for x in items], float)
+        out[~np.isfinite(out)] = np.nan
+        return out.reshape(xs.shape) if self._reads else np.full(xs.shape, out[0])
+
+    def _or_nan(self, x: float) -> float:
+        try:
+            return self._scalar(x)
         except (ValueError, ZeroDivisionError, OverflowError):
-            return None
-        return out if np.isfinite(out).all() else None
+            return math.nan
 
     def pretty(self) -> str:
         return _pretty_prec(self.ast)[0]
@@ -163,15 +168,16 @@ class Expression:
 
 def eval_rows(exprs, xs) -> np.ndarray:
     """`[[e.eval(x) for x in xs] for e in exprs]` as a (len(exprs), len(xs))
-    array, evaluated item by item in the order `for x in xs: for e in exprs`:
-    the row forms where no item raises, else that loop, so the values and
-    the first error are the loop's."""
+    array of their row forms; where a row marks an item, the scalar `eval` of
+    each expression at the first such item raises the loop `for x in xs: for
+    e in exprs`'s first error."""
     xs = np.asarray(xs, float)
-    rows = [e.rows(xs) for e in exprs]
-    if any(row is None for row in rows):
-        items = [[e.eval(x) for e in exprs] for x in xs.tolist()]
-        return np.array(items).reshape(len(xs), len(exprs)).T
-    return np.array([np.broadcast_to(row, xs.shape) for row in rows])
+    out = np.array([e.rows(xs) for e in exprs]).reshape(len(exprs), len(xs))
+    marked = np.flatnonzero(np.isnan(out).any(axis=0))
+    if marked.size:  # at the first, as a Python float: numpy's would divide 0/0 to NaN
+        for e in exprs:
+            e.eval(xs[marked[0]].item())
+    return out
 
 
 # -- compilation ---------------------------------------------------------------

@@ -41,7 +41,6 @@ from .expressions import (
     Expression,
     combine,
     const_times,
-    eval_rows,
     parse_expression,
     rename_variable,
 )
@@ -124,25 +123,22 @@ class PotentialSpec:
 
     def xi_s_rows(self, xs: np.ndarray) -> np.ndarray:
         """`np.stack([self.xi_s(x) for x in xs])` for a float64 array xs, from
-        the row forms of f and Q: the same bits, and the same first error."""
-        return _xi_rows(xs, self.f, self.Q, self.xi_s, lambda f, q: (-f / 4.0, q / f))
+        the row forms of f and Q: the same bits, and NaN where `xi_s` raises."""
+        return _xi_rows(self.f.rows(xs), self.Q.rows(xs), lambda f, q: (-f / 4.0, q / f))
 
     def xi_t_rows(self, xs: np.ndarray) -> np.ndarray:
         """`np.stack([self.xi_t(x) for x in xs])`, as `xi_s_rows`."""
-        return _xi_rows(xs, self.g, self.R, self.xi_t, lambda g, r: (-r / g, g / 4.0))
+        return _xi_rows(self.g.rows(xs), self.R.rows(xs), lambda g, r: (-r / g, g / 4.0))
 
 
-def _xi_rows(xs, lead: Expression, other: Expression, xi, entries) -> np.ndarray:
-    """The (L, 2, 2) stack of `xi` at xs, whose off-diagonal entries are
-    `entries` of the row values of the leading coefficient and the other one;
-    the loop of `xi` where a row value is missing or the leading one
-    vanishes, since an item's `xi` then raises."""
-    lead_vals, other_vals = lead.rows(xs), other.rows(xs)
-    if lead_vals is None or other_vals is None or not np.all(np.abs(lead_vals) >= _VANISH_TOL):
-        return np.stack([xi(x) for x in xs.tolist()])
-    out = np.zeros((len(xs), 2, 2))
-    with np.errstate(over="ignore"):  # Python's float division overflows quietly
-        out[:, 0, 1], out[:, 1, 0] = entries(lead_vals, other_vals)
+def _xi_rows(lead: np.ndarray, other: np.ndarray, entries) -> np.ndarray:
+    """The (L, 2, 2) stack whose off-diagonal entries are `entries` of the row
+    values of the leading coefficient and the other one; NaN where either is
+    marked or the leading one vanishes, since the scalar `xi` raises there."""
+    out = np.zeros((len(lead), 2, 2))
+    with np.errstate(all="ignore"):  # Python's float division overflows quietly; marks are set below
+        out[:, 0, 1], out[:, 1, 0] = entries(lead, other)
+    out[np.isnan(other) | ~(np.abs(lead) >= _VANISH_TOL)] = np.nan
     return out
 
 
@@ -204,28 +200,28 @@ class _AxisFlow:
     each chain once, to its longest abscissa, in one stack with the chains of
     other flows, and keeps every abscissa's read-only state with its chain's
     prefix of the stack's tail records.  `part` hands the records over, with
-    the potential's error where a step's read raised, for `_play` to perform,
-    until `hand_out` drops them.  So every value and every tail record is
-    bit-identical to an integration from 0 at the call, whatever the
-    evaluation order.  A is read through `coeff_rows`, which maps a float64
-    array of abscissae to the (L, 2, 2) stack of their A, as
-    `PotentialSpec.xi_s_rows` does; A must be off-diagonal, as the
-    potential's is, since the stack steps in compact form.  `tail` is the
-    account of the grid nodes.
+    the potential's error where a step's read is marked, for `_play` to
+    perform, until `hand_out` drops them.  So every value and every tail
+    record is bit-identical to an integration from 0 at the call, whatever
+    the evaluation order.  A is read through `coeff_rows`, which maps a
+    float64 array of abscissae to the (L, 2, 2) stack of their A, NaN where
+    the scalar `coeff` raises, as `PotentialSpec.xi_s_rows` and `xi_s` do;
+    A must be off-diagonal, as the potential's is, since the stack steps in
+    compact form.
     """
 
-    def __init__(self, coeff_rows, deg: int, N: int, steps_per_unit: float, tail: TailAccumulator):
+    def __init__(self, coeff_rows, coeff, deg: int, N: int, steps_per_unit: float):
         self.coeff_rows = coeff_rows
+        self.coeff = coeff
         self.deg = deg
         self.N = N
         self.spu = float(steps_per_unit)
-        self.tail = tail
         identity = np.zeros((2 * N + 1, 2, 2))
         identity[N] = np.eye(2)
         identity.setflags(write=False)
         # abscissa -> (read-only state or None, the tail records of its stack
         # until it is first handed out, its chain, how many steps of them it
-        # owns, the positions of the step whose potential raised)
+        # owns, the positions of the step whose potential read is marked)
         self._nodes: dict[float, tuple] = {0.0: (identity, None, 0, 0, None)}
 
     def _steps(self, x: float) -> tuple[int, float]:
@@ -243,8 +239,8 @@ class _AxisFlow:
             return _NOTHING
         masses = records[:steps, :, chain].reshape(-1, 2)
         try:
-            if failed is not None:  # the step whose potential raised: its error
-                self.coeff_rows(failed)
+            for position in failed or ():  # the marked step: its scalar reads' first error
+                self.coeff(position)
         except (EvalDomain, DegeneratePotential) as exc:
             return masses, (), exc
         return masses, (), None
@@ -261,14 +257,13 @@ def _integrate(*requests) -> None:
     the flows share one truncation N.  Each chain steps to its longest
     abscissa and keeps the state after m steps for each abscissa that needs m.
 
-    Each flow reads its potential once, at every position of its chains; if
-    that raises, it reads each chain step by step, and a chain stops at the
-    first step whose three positions raise, its abscissae past that step
-    keeping those positions instead.  The chains are ordered by their last
-    step, so the live ones are a prefix of the stack.  They step in the
-    compact form of `_shift_compact`, t chains (lam^+1) with their degrees
-    reversed, so that one slice shifts every chain.  The four stages' tail
-    masses go, in one pass per step, into one (steps, 4, chains, 2) array.
+    Each flow reads its potential once, at every position of its chains; a
+    chain stops at its first step with a marked position, which its later
+    abscissae keep.  The chains are ordered by their last step, so the live
+    ones are a prefix of the stack.  They step in the compact form of
+    `_shift_compact`, t chains (lam^+1) with their degrees reversed, so that
+    one slice shifts every chain.  The four stages' tail masses go, in one
+    pass per step, into one (steps, 4, chains, 2) array.
     """
     chains = []  # [flow, h, {step count: abscissae}, positions of the step that raises]
     for flow, xs in requests:
@@ -295,20 +290,14 @@ def _integrate(*requests) -> None:
 
     for flow, _ in requests:
         mine = (ks < lengths) & [chain[0] is flow for chain in chains]
-        if not mine.any():
-            continue
-        try:
+        if mine.any():
             coeffs[mine] = read(flow, positions[mine])
-        except (EvalDomain, DegeneratePotential):  # each chain up to its first step that raises
-            for b in np.flatnonzero(mine[0]):
-                for k in range(lengths[b]):
-                    try:
-                        coeffs[k, b] = read(flow, positions[k, b])
-                    except (EvalDomain, DegeneratePotential):
-                        lengths[b], chains[b][3] = k, positions[k, b].copy()
-                        break
+    marked = np.isnan(coeffs).any(axis=(2, 3)) & (ks < lengths)  # (steps, chains)
+    first = marked.argmax(axis=0)
+    for b in np.flatnonzero(marked.any(axis=0)):
+        lengths[b], chains[b][3] = first[b], positions[first[b], b].tolist()
     del positions, pos
-    if np.any(lengths[1:] > lengths[:-1]):  # a chain that raised stops early: order again
+    if np.any(lengths[1:] > lengths[:-1]):  # a marked chain stops early: order again
         order = np.argsort(-lengths, kind="stable")
         chains, lengths, hs = [chains[b] for b in order], lengths[order], hs[order]
         coeffs = coeffs[:, order]
@@ -387,22 +376,19 @@ def solve_frame_ode(
     tail = tail if tail is not None else TailAccumulator()
     min_cell = float(min(np.diff(s_grid).min(), np.diff(t_grid).min()))
     spu = steps_per_cell / min_cell
-    flow_s = _AxisFlow(potential.xi_s_rows, -1, trunc_n, spu, tail)
-    flow_t = _AxisFlow(potential.xi_t_rows, +1, trunc_n, spu, tail)
+    flow_s = _AxisFlow(potential.xi_s_rows, potential.xi_s, -1, trunc_n, spu)
+    flow_t = _AxisFlow(potential.xi_t_rows, potential.xi_t, +1, trunc_n, spu)
     axes = (
         (potential.f, flow_s, [(float(s), 0.0) for s in s_grid]),
         (potential.g, flow_t, [(0.0, float(t)) for t in t_grid]),
     )
     for axis, (coeff, _, points) in enumerate(axes):
-        values = coeff.rows(np.array([point[axis] for point in points]))
-        if values is not None and np.all(np.abs(values) >= _VANISH_TOL):
-            continue
-        for point in points:  # raise the first node's error, naming it
-            x = point[axis]
+        failed = ~(np.abs(coeff.rows(np.array([point[axis] for point in points]))) >= _VANISH_TOL)
+        if failed.any():  # the first marked or vanishing node: its scalar read's error, naming it
+            point = points[failed.argmax()]
             with _naming(point):
-                if abs(coeff.eval(x)) < _VANISH_TOL:
-                    name = "fg"[axis]
-                    raise DegeneratePotential(f"{name} vanishes at sampled {coeff.variable}={x}")
+                coeff.eval(point[axis])
+                raise DegeneratePotential(f"{'fg'[axis]} vanishes at sampled {coeff.variable}={point[axis]}")
     _integrate((flow_s, s_grid), (flow_t, t_grid))
     nodes = [(flow, point, point[axis]) for axis, (_, flow, points) in enumerate(axes) for point in points]
     _play([flow.part(x) for flow, _, x in nodes], tail, (), lambda i: _naming(nodes[i][1]))
@@ -423,13 +409,15 @@ def solve_frame_ode(
 _BATCH_BYTES = 640 * 1024
 
 
-def _split_points(rows, initial):
-    """Frames of rows of (point, Phi_s, Phi_t, f, g) items, in batches of whole
+def _split_points(rows, potential, initial):
+    """Frames of rows of (point, Phi_s, Phi_t) items, in batches of whole
     rows, taken while their systems fit _BATCH_BYTES and at least one: per
-    batch, one stack of its distinct Phi_s (one per s), the Iwasawa split, the
-    diagonal gauge and the initial-frame product.  Yields (points, effects, frames, h,
-    gauge_log, conditioning, W) per batch, W = Phi_s^{-1} Phi_t; the effects
-    play as batches of one's.  A nonpositive angle function is a GaugeFailure."""
+    batch, f and g as rows, one stack of its distinct Phi_s (one per s), the
+    Iwasawa split, the diagonal gauge and the initial-frame product.  Yields
+    (points, effects, frames, h, gauge_log, conditioning, W) per batch, W =
+    Phi_s^{-1} Phi_t; the effects play as batches of one's.  An item whose f
+    or g is marked fails with its scalar read's error, before its split; a
+    nonpositive angle function is a GaugeFailure."""
     batches = []
     for row in filter(None, rows):
         item_bytes = (len(row[0][2]) - 1) ** 2 * 8  # one (2N, 2N) system
@@ -438,10 +426,20 @@ def _split_points(rows, initial):
         batches[-1] += row
     for batch in batches:
         with np.errstate(all="ignore"):  # non-finite frames become holes or errors by their values
-            points, phi_s, phi_t, f_vals, g_vals = zip(*batch)
+            points, phi_s, phi_t = zip(*batch)
             distinct: dict[float, tuple[int, np.ndarray]] = {}  # s -> (stack index, Phi_s)
             index = [distinct.setdefault(s, (len(distinct), phi))[0] for (s, _), phi in zip(points, phi_s)]
             fx = _Effects(len(points))
+            s, t = np.array(points).T
+            f_vals, g_vals = potential.f.rows(s), potential.g.rows(t)
+            for b in np.flatnonzero(np.isnan(f_vals) | np.isnan(g_vals)).tolist():
+                try:  # the scalar reads at Python floats, for their exact error
+                    potential.f.eval(points[b][0]), potential.g.eval(points[b][1])
+                except EvalDomain as exc:  # kept without tracebacks, whose frames would hold `fx`
+                    if exc.__cause__ is not None:  # the closure's error, caught in `eval`
+                        exc.__cause__.with_traceback(None)
+                    fx.fail(b, exc.with_traceback(None))
+            f_vals, g_vals = f_vals.tolist(), g_vals.tolist()
             frame, vplus_inv, vminus, conds, w = _iwasawa_rows(
                 np.stack([phi for _, phi in distinct.values()]), np.array(index), phi_t, fx
             )
@@ -512,16 +510,15 @@ def build_extended_frames(
     holes = np.zeros((ns, nt), dtype=bool)
     hole_errors: list = []
     tail = tail if tail is not None else TailAccumulator()
-    f_vals = eval_rows([potential.f], s_grid)[0].tolist()
-    g_vals = eval_rows([potential.g], t_grid)[0].tolist()
     rows = [
-        [((s, t), phi_s.c, phi_t.c, f, g) for t, phi_t, g in zip(t_grid.tolist(), phi_t_list, g_vals)]
-        for s, phi_s, f in zip(s_grid.tolist(), phi_s_list, f_vals)
+        [((s, t), phi_s.c, phi_t.c) for t, phi_t in zip(t_grid.tolist(), phi_t_list)]
+        for s, phi_s in zip(s_grid.tolist(), phi_s_list)
     ]
     # the kept points whose np.linalg.cond may be the largest, and their W
     near_conds, near_w = np.empty(0), np.empty((0, 2 * N + 1, 2, 2))
 
-    grid_rows = ((lo, out) for out in _split_points(rows, initial) for lo in range(0, len(out[0]), nt))
+    batches = _split_points(rows, potential, initial)
+    grid_rows = ((lo, out) for out in batches for lo in range(0, len(out[0]), nt))
     for i, (lo, (gridpoints, fx, *batch)) in enumerate(grid_rows):
         frame, h_row, log_row, conds, w = (stack[lo : lo + nt] for stack in batch)
         # Each row has its own account, merged in row order: the overflow
@@ -763,26 +760,19 @@ class Pipeline:
     def _split_misses(self, misses) -> dict:
         """{point: (split part, row, h)} of the distinct points `misses`: their
         s and t abscissae are integrated as one stack, and their rows of
-        common s go to `_split_points`; where f or g raises, that error is the
-        part.  A point not finite, or whose axis frame raises or is not
-        integrated (the stack could not be allocated), is left out:
-        `_miss_parts` meets its error first, or splits it alone."""
+        common s go to `_split_points`.  A point not finite, or whose axis
+        frame raises or is not integrated (the stack could not be allocated),
+        is left out: `_miss_parts` meets its error first, or splits it alone."""
         misses = [(s, t) for s, t in misses if math.isfinite(s) and math.isfinite(t)]
         requests = (self._flow_s, [s for s, _ in misses]), (self._flow_t, [t for _, t in misses])
         with contextlib.suppress(ValueError, MemoryError):  # raised before any state changes
             _integrate(*requests)
-        split, row_items = {}, {}  # row_items: s -> (point, phi_s, phi_t, f, g) items
+        split, row_items = {}, {}  # row_items: s -> (point, phi_s, phi_t) items
         for s, t in misses:
             phi_s, phi_t = self._flow_s.state(s), self._flow_t.state(t)
-            if phi_s is None or phi_t is None:
-                continue
-            try:
-                values = self.potential.f.eval(s), self.potential.g.eval(t)
-            except EvalDomain as exc:  # kept without its traceback, which holds `split`
-                split[s, t] = (*_NOTHING[:2], exc.with_traceback(None)), None, None
-                continue
-            row_items.setdefault(s, []).append(((s, t), phi_s, phi_t, *values))
-        for points, fx, frame, h, *_ in _split_points(row_items.values(), self.initial_frame):
+            if phi_s is not None and phi_t is not None:
+                row_items.setdefault(s, []).append(((s, t), phi_s, phi_t))
+        for points, fx, frame, h, *_ in _split_points(row_items.values(), self.potential, self.initial_frame):
             frame.setflags(write=False)  # the point cache's rows are views of it
             for j, key in enumerate(points):
                 split[key] = fx.part(j), frame[j], float(h[j])

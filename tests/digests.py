@@ -1,12 +1,13 @@
 """Print the sha256 of every file the CLI writes, for the same-bytes check.
 
-For each of the five builtins, and for the three benchmark workloads of
-`perfbench/workloads.py` at seeds 0 and 7, this runs `cmd_generate` and
-`cmd_verify` and prints, as JSON with sorted keys, the sha256 of every file
-`cmd_generate` writes and of the `cmd_verify` report; for each builtin also
-the sha256 of `cmd_roundtrip`'s result, written as JSON with sorted keys:
-112 digests in all.  The name does not start with `test_`, so pytest does
-not collect it.
+For each of the five builtins, for the three benchmark workloads of
+`perfbench/workloads.py` at seeds 0 and 7, and for five pair potentials
+whose f or g fails (`FAILING`), this runs `cmd_generate` and `cmd_verify`
+and prints, as JSON with sorted keys, the sha256 of every file
+`cmd_generate` writes and of the `cmd_verify` report, or the command's
+error as `type: message`; for each builtin also the sha256 of
+`cmd_roundtrip`'s result, written as JSON with sorted keys: 137 entries in
+all.  The name does not start with `test_`, so pytest does not collect it.
 
 Run it in two checkouts, say the parent commit and the change, from each
 checkout's root, and compare the outputs:
@@ -32,10 +33,21 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
 
+from nilweier import NilWeierError  # noqa: E402
 from nilweier.cli import cmd_generate, cmd_roundtrip, cmd_verify  # noqa: E402
 from nilweier.config import BUILTINS  # noqa: E402
 
 SEEDS = (0, 7)
+
+# name -> (f, g) of a pair potential with Q = R = 0 on a 9x9 grid over +-1,
+# whose f or g fails at a node, off the grid, between nodes or at a stencil point
+FAILING = {
+    "f-fails-at-a-node": ("2 + sqrt(100*(s-0.25)^2 - 1)", "2"),
+    "g-vanishes-at-a-node": ("2", "t - 0.5"),
+    "f-vanishes-off-the-grid": ("s - 0.3", "2"),  # 54 holes where f g < 0
+    "f-gap-between-nodes": ("2 + sqrt(1e6*(s-0.3)^2 - 1)", "2"),  # verify fails at (0.48, 0.5)
+    "f-gap-at-a-stencil-point": ("2 + sqrt(1e12*(s-0.501)^2 - 1)", "2"),
+}
 
 
 def _sha256(path: str) -> str:
@@ -49,6 +61,10 @@ def configs() -> dict:
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             out[f"{workload}/seed{seed}"] = workloads.workload_config(workload, seed)[1]
+    domain = {"sMin": -1, "sMax": 1, "tMin": -1, "tMax": 1, "ns": 9, "nt": 9}
+    for name, (f, g) in FAILING.items():
+        pair = {"f": f, "g": g, "Q": "0", "R": "0"}
+        out[f"failing/{name}"] = {"potential": {"pair": pair}, "domain": domain, "truncationN": 8, "thetas": [0, 0.1]}
     return out
 
 
@@ -57,9 +73,13 @@ def digests() -> dict:
     with tempfile.TemporaryDirectory() as work:
         for k, (name, source) in enumerate(configs().items()):
             out = os.path.join(work, str(k))
-            cmd_generate(source, out)
+            os.makedirs(out)
             report = os.path.join(out, "verify-report.json")
-            cmd_verify(source, report)
+            for command, run, target in (("generate", cmd_generate, out), ("verify", cmd_verify, report)):
+                try:
+                    run(source, target)
+                except NilWeierError as exc:
+                    result[f"{name}/{command}"] = f"{type(exc).__name__}: {exc}"
             for file in sorted(os.listdir(out)):
                 result[f"{name}/{file}"] = _sha256(os.path.join(out, file))
     for name in BUILTINS:

@@ -518,6 +518,18 @@ def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys):
             {"coeffs": [{"k": 0, "m": [[1, 0], [0, 0]]}]},
             "initialFrame has det 0.0 at spectral angle 0.0",
         ),
+        # sizes past the 128 TiB user address space: the allocation fails at
+        # once on any overcommit setting, committing no memory
+        (
+            "domain",
+            dict(domain, ns=10**15),
+            "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) and data type float64",
+        ),
+        (
+            "stepsPerCell",
+            10**12,
+            "Unable to allocate 466. TiB for an array with shape (2000000000000, 4, 4, 2) and data type float64",
+        ),
     ):
         cases[f"bad-{key}-{len(cases)}"] = (dict(cylinder, **{key: value}), message)
     for name, (config, message) in cases.items():

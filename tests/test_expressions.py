@@ -183,8 +183,9 @@ def _quietly(fn, *args):
 @given(_TREES, _ROWS)
 def test_rows_equal_scalar_eval_bit_for_bit(ast, xs):
     """The scalar evaluator reproduces the recursive walk, and the row form
-    the loop of scalar evaluations: the same bits, signs of zeros included,
-    None where an item raises, and `eval_rows` raises the first item's error."""
+    the loop of scalar evaluations: NaN marks exactly where an item raises,
+    the same bits, signs of zeros included, everywhere else, and `eval_rows`
+    raises the first item's error."""
     e = Expression(ast, "s", "expr")
     loop = []
     for x in xs:
@@ -207,20 +208,21 @@ def test_rows_equal_scalar_eval_bit_for_bit(ast, xs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         row = e.rows(np.array(xs))
+    assert row.shape == (len(xs),)
+    assert np.isnan(row).tolist() == [isinstance(v, Exception) for v in loop]
+    values = [v for v in loop if not isinstance(v, Exception)]
+    assert row[~np.isnan(row)].tobytes() == np.array(values, float).tobytes()
     if errors:
-        assert row is None
         assert _quietly(eval_rows, [e], xs) == (EvalDomain, str(errors[0]))
     else:
-        expected = np.array(loop).tobytes()
-        assert np.broadcast_to(row, len(xs)).tobytes() == expected
-        assert _quietly(lambda: eval_rows([e], xs)[0]) == expected
+        assert _quietly(lambda: eval_rows([e], xs)[0]) == row.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(_TREES, _TREES, _ROWS)
 def test_potential_rows_equal_the_scalar_loop(lead, other, xs):
-    """`xi_s_rows` and `xi_t_rows` against the loop of `xi_s` and `xi_t`: the
-    same bits, or the same first error."""
+    """`xi_s_rows` and `xi_t_rows` against the loop of `xi_s` and `xi_t`: a
+    NaN matrix exactly where the scalar raises, the same bits elsewhere."""
     pot = PotentialSpec(
         f=Expression(lead, "s", "f"),
         g=Expression(lead, "t", "g"),
@@ -228,39 +230,73 @@ def test_potential_rows_equal_the_scalar_loop(lead, other, xs):
         R=Expression(other, "t", "R"),
     )
     for rows, scalar in ((pot.xi_s_rows, pot.xi_s), (pot.xi_t_rows, pot.xi_t)):
-        expected = _outcome(lambda: np.stack([scalar(x) for x in xs]))
-        assert _quietly(rows, np.array(xs)) == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rows(np.array(xs))
+        assert out.shape == (len(xs), 2, 2)
+        for x, xi in zip(xs, out):
+            expected = _outcome(scalar, x)
+            if isinstance(expected, tuple):
+                assert np.isnan(xi).all(), x
+            else:
+                assert xi.tobytes() == expected, x
 
 
-def test_a_raising_item_sends_the_row_to_the_item_loop():
-    """Rows with one raising or vanishing item among healthy ones: no row
-    value, and the loop's first error, of the first such item."""
+def test_a_raising_item_is_marked_in_its_row():
+    """Rows with raising or vanishing items among healthy ones: NaN marks
+    at those items, the scalar values elsewhere, from `eval_rows` the loop's
+    first error, and from the scalar read at a marked item its error."""
     # the scalar evaluation raises where a row of IEEE operations would go on
     # to a finite value: 1/(1/0), 1/(1/0) by a constant divisor, 1/inf after
     # an overflowing power, nan^0
-    for src, xs, message in (
-        ("1/(1/s)", [1.0, 0.0], "at s=0.0: float division by zero"),
-        ("1/(s/0)", [1.0, 2.0], "at s=1.0: float division by zero"),
-        ("1/s^400", [0.5, 10.0], "at s=10.0: math range error"),
-        ("sqrt(s)^0", [1.0, -1.0], "at s=-1.0: math domain error"),
+    for src, xs, marks, message in (
+        ("1/(1/s)", [1.0, 0.0], [False, True], "at s=0.0: float division by zero"),
+        ("1/(s/0)", [1.0, 2.0], [True, True], "at s=1.0: float division by zero"),
+        ("1/s^400", [0.5, 10.0], [False, True], "at s=10.0: math range error"),
+        ("sqrt(s)^0", [1.0, -1.0], [False, True], "at s=-1.0: math domain error"),
     ):
         e = parse_expression(src, "s")
-        assert e.rows(np.array(xs)) is None
+        assert np.isnan(e.rows(np.array(xs))).tolist() == marks
         with pytest.raises(EvalDomain, match=message):
             eval_rows([e], xs)
     e = parse_expression("log(s) + 1/(s - 2)", "s")
     xs = np.array([1.0, 3.0, 2.0, -1.0, 0.5])
-    assert e.rows(xs) is None
+    row = e.rows(xs)
+    assert np.isnan(row).tolist() == [False, False, True, True, False]
+    assert row[[0, 1, 4]].tobytes() == np.array([e.eval(1.0), e.eval(3.0), e.eval(0.5)]).tobytes()
     with pytest.raises(EvalDomain, match=r"at s=2.0: float division by zero"):
         eval_rows([e], xs)
     assert eval_rows([e], xs[:2]).tobytes() == np.array([[e.eval(1.0), e.eval(3.0)]]).tobytes()
+    assert np.isnan(parse_expression("log(-1)", "s").rows(np.zeros((2, 3)))).all()  # read once
     pot = PotentialSpec(
         f=parse_expression("s", "s"),
         g=parse_expression("1", "t"),
         Q=parse_expression("sqrt(s)", "s"),
         R=parse_expression("0", "t"),
     )
-    with pytest.raises(DegeneratePotential, match=r"f vanishes at s=1e-13"):
-        pot.xi_s_rows(np.array([1.0, 1e-13, -1.0]))
-    with pytest.raises(EvalDomain, match=r"cannot evaluate 'sqrt\(s\)' at s=-1.0"):
-        pot.xi_s_rows(np.array([1.0, -1.0, 1e-13]))
+    for xs, marked, error, message in (
+        ([1.0, 1e-13, -1.0], 1e-13, DegeneratePotential, r"f vanishes at s=1e-13"),
+        ([1.0, -1.0, 1e-13], -1.0, EvalDomain, r"cannot evaluate 'sqrt\(s\)' at s=-1.0"),
+    ):
+        out = pot.xi_s_rows(np.array(xs))
+        assert np.isnan(out).all(axis=(1, 2)).tolist() == [False, True, True]
+        assert out[0].tobytes() == pot.xi_s(1.0).tobytes()
+        with pytest.raises(error, match=message):
+            pot.xi_s(marked)
+
+
+def test_eval_rows_raises_the_first_error_of_the_item_loop():
+    """`eval_rows` raises the first error of `for x in xs: for e in exprs`:
+    Q's where it raises at an earlier item than f, and f's where both raise
+    at one item."""
+    f = parse_expression("1/(s - 2)", "s")
+    Q = parse_expression("sqrt(s)", "s")
+    with pytest.raises(EvalDomain, match=r"^cannot evaluate 'sqrt\(s\)' at s=-1.0"):
+        eval_rows([f, Q], [1.0, -1.0, 2.0])
+    with pytest.raises(EvalDomain, match=r"^cannot evaluate '1/\(s - 2\)' at s=2.0"):
+        eval_rows([f, Q], [1.0, 2.0, -1.0])
+    with pytest.raises(EvalDomain, match=r"^cannot evaluate '1/\(s - 2\)' at s=2.0"):
+        eval_rows([f, parse_expression("log(s - 2)", "s")], [3.0, 2.0])
+    xs = [1.0, 3.0, 0.25]
+    expected = np.array([[e.eval(x) for x in xs] for e in (f, Q)])
+    assert eval_rows([f, Q], xs).tobytes() == expected.tobytes()

@@ -119,7 +119,7 @@ def test_ode_nilpotent_case_exact():
 
 
 def test_zero_one_form_integrates_to_identity():
-    flow = _AxisFlow(lambda xs: np.zeros((len(xs), 2, 2)), -1, 6, 16.0, TailAccumulator())
+    flow = _AxisFlow(lambda xs: np.zeros((len(xs), 2, 2)), lambda x: np.zeros((2, 2)), -1, 6, 16.0)
     for x in (0.0, 0.5, -1.2):
         (loop,) = _loops(flow, [x])
         assert (loop - TwistedLoop.identity(6)).norm() == 0.0
@@ -133,14 +133,15 @@ DISTINCT_H = np.array([-1.17, -0.73, -0.31, 0.0, 0.29, 0.83, 1.37])
 
 
 def _state(flow, x, tail=None):
-    """The coefficients at x of a `FromZeroAxisFlow`, or of an `_AxisFlow`,
-    which integrates x if it must, plays its node's part into `tail` (its own
-    account if None) and hands the node out."""
+    """The coefficients at x of a `FromZeroAxisFlow` (its own account if tail
+    is None), or of an `_AxisFlow`, which integrates x if it must, plays its
+    node's part into `tail` (an unbounded account of its own if None) and
+    hands the node out."""
     if not isinstance(flow, _AxisFlow):
         return flow.at(x, tail).c
     x = float(x)
     _integrate((flow, [x]))
-    _play([flow.part(x)], flow.tail if tail is None else tail)
+    _play([flow.part(x)], TailAccumulator(math.inf) if tail is None else tail)
     flow.hand_out(x)
     return flow.state(x)
 
@@ -179,9 +180,10 @@ def test_axis_flow_equals_from_zero_reference(grid, n_chains, seed):
         (VARYING.xi_s_rows, VARYING.xi_s, -1),
         (VARYING.xi_t_rows, VARYING.xi_t, +1),
     ):
+        tails = [TailAccumulator(), TailAccumulator()]  # each flow's own account
         flows = [
-            _AxisFlow(coeff_rows, deg, 12, spu, TailAccumulator()),
-            FromZeroAxisFlow(coeff_fn, deg, 12, spu, TailAccumulator()),
+            _AxisFlow(coeff_rows, coeff_fn, deg, 12, spu),
+            FromZeroAxisFlow(coeff_fn, deg, 12, spu, tails[1]),
         ]
         point_tails = [TailAccumulator(), TailAccumulator()]
         _integrate((flows[0], grid))
@@ -191,13 +193,13 @@ def test_axis_flow_equals_from_zero_reference(grid, n_chains, seed):
         calls += calls[:5]  # cached values record nothing
         for x, own_account in calls:
             new, ref = (
-                _state(flow, x, point_tail if own_account else None)
-                for flow, point_tail in zip(flows, point_tails)
+                _state(flow, x, point_tail if own_account else tail)
+                for flow, tail, point_tail in zip(flows, tails, point_tails)
             )
             assert np.array_equal(new, ref), x
-            for new_tail, ref_tail in ((flows[0].tail, flows[1].tail), point_tails):
+            for new_tail, ref_tail in (tails, point_tails):
                 assert (new_tail.dropped, new_tail.kept) == (ref_tail.dropped, ref_tail.kept)
-        assert flows[0].tail.kept > 0.0 and point_tails[0].kept > 0.0
+        assert tails[0].kept > 0.0 and point_tails[0].kept > 0.0
         assert _handed_out(flows[0])  # every chain state was handed out once
 
 
@@ -305,7 +307,7 @@ def test_stacked_stepper_equals_from_zero_reference():
         (VARYING.xi_t_rows, VARYING.xi_t, +1),
     ):
         calls = []
-        flow = _AxisFlow(_counted(coeff_rows, calls), deg, 12, spu, TailAccumulator())
+        flow, tail = _AxisFlow(_counted(coeff_rows, calls), coeff_fn, deg, 12, spu), TailAccumulator()
         ref = FromZeroAxisFlow(coeff_fn, deg, 12, spu, TailAccumulator())
         _integrate((flow, xs))
         lengths = {}
@@ -320,9 +322,9 @@ def test_stacked_stepper_equals_from_zero_reference():
                 positions += [pos, pos + h / 2.0, pos + h]
         assert sorted(x.hex() for x in calls) == sorted(x.hex() for x in positions)
         for x in rng.permutation(xs):
-            new, old = _state(flow, x), ref.at(x)
+            new, old = _state(flow, x, tail), ref.at(x)
             assert np.array_equal(new, old.c), x
-            assert (flow.tail.dropped, flow.tail.kept) == (ref.tail.dropped, ref.tail.kept)
+            assert (tail.dropped, tail.kept) == (ref.tail.dropped, ref.tail.kept)
         assert _handed_out(flow) and len(calls) == 3 * sum(lengths.values())
 
 
@@ -343,7 +345,7 @@ def test_overflowing_states_equal_the_from_zero_reference(f, Q, records, bound):
     and its own account (as float.hex), equal the from-0 integration's."""
     pot = pair_potential(f, "1", Q, "0")
     xs = [0.1, 0.3, 0.7, 1.0, -0.2, -0.55, 2.0]
-    flow = _AxisFlow(pot.xi_s_rows, -1, 8, 16.0, TailAccumulator(bound))
+    flow = _AxisFlow(pot.xi_s_rows, pot.xi_s, -1, 8, 16.0)
     ref = FromZeroAxisFlow(pot.xi_s, -1, 8, 16.0, TailAccumulator(bound))
     _integrate((flow, xs))
     reached = set()
@@ -371,15 +373,15 @@ def test_stacked_stepper_drops_an_item_whose_potential_raises():
     after the same tail records, and the other items keep exact values."""
     pot = translate_potential("2 + sqrt(100*(z-0.25)^2 - 1)", "0", "0", "0")
     xs = [0.1, 0.149, 0.3, 0.6, 1.0, -0.2, -0.75, -1.5]
-    flow = _AxisFlow(pot.xi_s_rows, -1, 8, 16.0, TailAccumulator())
+    flow, tail = _AxisFlow(pot.xi_s_rows, pot.xi_s, -1, 8, 16.0), TailAccumulator()
     ref = FromZeroAxisFlow(pot.xi_s, -1, 8, 16.0, TailAccumulator())
     _integrate((flow, xs))
     raised = []
     for x in [-1.5, 0.6, 0.1, 0.3, -0.75, 1.0, -0.2, 0.149, 0.6]:
         outcomes = []
-        for f in (flow, ref):
+        for f, account in ((flow, tail), (ref, ref.tail)):
             try:
-                outcomes.append(_state(f, x))
+                outcomes.append(_state(f, x, account))
             except EvalDomain as exc:
                 outcomes.append(str(exc))
         new, old = outcomes
@@ -388,71 +390,76 @@ def test_stacked_stepper_drops_an_item_whose_potential_raises():
             assert new == old
         else:
             assert np.array_equal(new, old), x
-        assert (flow.tail.dropped, flow.tail.kept) == (ref.tail.dropped, ref.tail.kept)
-    assert raised == [0.6, 0.3, 1.0, 0.6] and flow.tail.kept > 0.0
+        assert (tail.dropped, tail.kept) == (ref.tail.dropped, ref.tail.kept)
+    assert raised == [0.6, 0.3, 1.0, 0.6] and tail.kept > 0.0
 
 
 def test_both_axes_step_as_one_stack_while_t_chains_drop_out():
     """g has no value for |t - 0.25| < 0.1: the t chains that step into that
     gap drop out of the stack while the s chains and the other t chains keep
-    stepping with them.  The s potential is read in one row call; the t
-    one's raises, so each t chain is read step by step, up to the first step
-    that raises if one does.  Values, errors and the shared
-    tail account equal the from-0 integration in an interleaved order of s
-    and t abscissae."""
+    stepping with them.  Each potential is read in one row call; a stopped t
+    node's error comes from scalar `xi_t` reads at its stopped step's
+    positions, up to the first that raises, and no other scalar read is
+    made.  Values, errors and the shared tail account equal the from-0
+    integration in an interleaved order of s and t abscissae."""
     pot = pair_potential("1 + s^2/4", "2 + sqrt(100*(t-0.25)^2 - 1)", "cos(s)/16", "t/32")
     xs = [0.1, 0.149, 0.3, 0.6, 1.0, -0.2, -0.75, -1.5]
     tail, ref_tail = TailAccumulator(), TailAccumulator()
-    calls = {"s": [], "t": []}
+    calls = {"s": [], "t": [], "xi_s": [], "xi_t": []}
 
     def sized(coeff_rows, sizes):
         return lambda positions: sizes.append(len(positions)) or coeff_rows(positions)
 
+    def scalar(coeff, reads):
+        return lambda x: reads.append(x) or coeff(x)
+
     flows = {
-        "s": _AxisFlow(sized(pot.xi_s_rows, calls["s"]), -1, 8, 16.0, tail),
-        "t": _AxisFlow(sized(pot.xi_t_rows, calls["t"]), +1, 8, 16.0, tail),
+        "s": _AxisFlow(sized(pot.xi_s_rows, calls["s"]), scalar(pot.xi_s, calls["xi_s"]), -1, 8, 16.0),
+        "t": _AxisFlow(sized(pot.xi_t_rows, calls["t"]), scalar(pot.xi_t, calls["xi_t"]), +1, 8, 16.0),
     }
     refs = {
         "s": FromZeroAxisFlow(pot.xi_s, -1, 8, 16.0, ref_tail),
         "t": FromZeroAxisFlow(pot.xi_t, +1, 8, 16.0, ref_tail),
     }
     _integrate((flows["s"], xs), (flows["t"], xs))
-    chains = {}  # h: longest step count; every x here has its own h
+    chains = {}  # h: longest step count
     for x in xs:
         n = math.ceil(abs(x) * 16.0 - 1e-12)
         chains[x / n] = max(chains.get(x / n, 0), n)
     steps = sum(chains.values())
-    assert calls["s"] == [3 * steps]  # every s position in one row call
+    assert calls["s"] == calls["t"] == [3 * steps]  # every position in one row call
 
-    def step_reads(h, n):  # a chain's steps up to the first that raises
+    def stop_reads(x):  # the positions of x's first step that raises, up to the first that does
+        n = math.ceil(abs(x) * 16.0 - 1e-12)
+        h = x / n
         for k in range(n):
-            try:
-                pot.xi_t_rows(np.array([k * h if k else 0.0, k * h + h / 2.0, k * h + h]))
-            except EvalDomain:
-                return k + 1
-        return n
+            step = [k * h if k else 0.0, k * h + h / 2.0, k * h + h]
+            for j, position in enumerate(step):
+                try:
+                    pot.xi_t(position)
+                except EvalDomain:
+                    return step[: j + 1]
 
-    # every t position, then each chain's steps one at a time
-    reads = sum(step_reads(h, n) for h, n in chains.items())
-    assert calls["t"] == [3 * steps] + [3] * reads and reads < steps
-    raised = []
+    raised, reads = [], []
     rng = np.random.default_rng(3)
     order = [(axis, x) for axis in "st" for x in xs]
     for axis, x in [order[i] for i in rng.permutation(len(order))] + order[:4]:
         outcomes = []
-        for flow in (flows[axis], refs[axis]):
+        for flow, account in ((flows[axis], tail), (refs[axis], ref_tail)):
             try:
-                outcomes.append(_state(flow, x))
+                outcomes.append(_state(flow, x, account))
             except EvalDomain as exc:
                 outcomes.append(str(exc))
         new, old = outcomes
         if isinstance(old, str):
             raised.append((axis, x))
+            reads += stop_reads(x)
             assert new == old
         else:
             assert np.array_equal(new, old), (axis, x)
         assert (tail.dropped, tail.kept) == (ref_tail.dropped, ref_tail.kept)
     assert sorted(raised) == [("t", 0.3), ("t", 0.6), ("t", 1.0)] and tail.kept > 0.0
+    assert calls["xi_s"] == [] and [x.hex() for x in calls["xi_t"]] == [x.hex() for x in reads]
 
 
 def test_det_drift_bounded():
@@ -1050,6 +1057,29 @@ _PLANE_POINTS = [
 ]
 
 
+_AT_SPLIT = translate_potential("2 + 0/(z - 0.65)", "0", "0", "0")
+
+
+def test_a_miss_whose_f_raises_only_at_its_split_names_it():
+    """At 8 steps per unit the last ODE position toward s = 0.65 is
+    0.6500000000000001, so the axis frame at 0.65 integrates and only the
+    split's scalar read of f raises: Python's float division by zero, where
+    numpy's would give NaN and 'is not finite'.  The error leaves no cyclic
+    garbage behind."""
+    pipe = _fresh_plane(pot=_AT_SPLIT)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(EvalDomain, match=r"at s=0.65: float division by zero at gridpoint \(s=0.65, t=0.5\)"):
+            pipe.frames_at([(0.1, 0.2), (0.65, 0.5)])
+        assert gc.collect() == 0  # the kept error's tracebacks hold no frame of the split
+    finally:
+        gc.enable()
+    steps = math.ceil(0.65 * 8 - 1e-12)
+    assert (steps - 1) * (0.65 / steps) + 0.65 / steps == 0.6500000000000001
+    assert pipe._flow_s.state(0.65) is not None and (0.1, 0.2) in pipe._point_cache
+
+
 _FRAMES_AT_CASES = pytest.mark.parametrize(
     "make, points, errors",
     [
@@ -1067,8 +1097,15 @@ _FRAMES_AT_CASES = pytest.mark.parametrize(
             [(0.1, 0.2), (0.7, 0.5), (0.3, 0.5), (0.2, 0.1)],
             (EvalDomain,),
         ),
+        (
+            # f has no value at s = 0.65 alone, which no ODE position reaches
+            # (see test_a_miss_whose_f_raises_only_at_its_split_names_it)
+            lambda: _fresh_plane(pot=_AT_SPLIT),
+            [(0.1, 0.2), (0.7, 0.5), (0.65, 0.5), (0.2, 0.1)],
+            (EvalDomain,),
+        ),
     ],
-    ids=["off-grid", "outside-big-cell", "gauge-failure", "umbrella", "eval-domain"],
+    ids=["off-grid", "outside-big-cell", "gauge-failure", "umbrella", "eval-domain", "eval-domain-at-split"],
 )
 
 

@@ -295,8 +295,8 @@ def test_frames_at_splits_its_misses_in_whole_row_batches(monkeypatch):
         splits.append([])
         return real_split(self, misses)
 
-    def split_points(rows, initial):
-        for batch in real_points(rows, initial):
+    def split_points(rows, potential, initial):
+        for batch in real_points(rows, potential, initial):
             splits[-1].append({})
             for s, _ in batch[0]:
                 splits[-1][-1][s] = splits[-1][-1].get(s, 0) + 1
