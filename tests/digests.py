@@ -64,7 +64,8 @@ def configs() -> dict:
     domain = {"sMin": -1, "sMax": 1, "tMin": -1, "tMax": 1, "ns": 9, "nt": 9}
     for name, (f, g) in FAILING.items():
         pair = {"f": f, "g": g, "Q": "0", "R": "0"}
-        out[f"failing/{name}"] = {"potential": {"pair": pair}, "domain": domain, "truncationN": 8, "thetas": [0, 0.1]}
+        source = {"potential": {"pair": pair}, "domain": domain, "truncationN": 8, "thetas": [0, 0.1]}
+        out[f"failing/{name}"] = source
     return out
 
 

@@ -1070,7 +1070,8 @@ def test_a_miss_whose_f_raises_only_at_its_split_names_it():
     gc.collect()
     gc.disable()
     try:
-        with pytest.raises(EvalDomain, match=r"at s=0.65: float division by zero at gridpoint \(s=0.65, t=0.5\)"):
+        message = r"at s=0.65: float division by zero at gridpoint \(s=0.65, t=0.5\)"
+        with pytest.raises(EvalDomain, match=message):
             pipe.frames_at([(0.1, 0.2), (0.65, 0.5)])
         assert gc.collect() == 0  # the kept error's tracebacks hold no frame of the split
     finally:
