@@ -207,29 +207,24 @@ def _normalized_factor_inverses(w: np.ndarray, sign: int, fx: _Effects):
     live = np.flatnonzero(fx.alive)
     conds[live] = _conditioning(w[live], sign)
 
-    def fail(b, message):
-        fx.fail(b, OutsideBigCell(message, conditioning=float(conds[b])))
-
-    solvable = []
-    for b in live:
-        cond = float(conds[b])
-        if not np.isfinite(cond) or cond > COND_FAIL:
-            fail(b, f"block-Toeplitz system is singular (cond={cond:.3e})")
-            continue
-        if cond > COND_WARN:
-            fx.warn(b, f"factorization near big-cell boundary: cond={cond:.3e}")
-        solvable.append(b)
+    fatal = ~(conds[live] <= COND_FAIL)  # NaN and inf too
+    solvable = live[~fatal]
+    for b in solvable[conds[solvable] > COND_WARN].tolist():  # before any failure of its item
+        fx.warn(b, f"factorization near big-cell boundary: cond={conds[b]:.3e}")
     sol, singular = _solve(*_systems(w if len(solvable) == B else w[solvable], sign))
+    bad = singular | ~np.isfinite(sol).all(axis=(1, 2))
+    # each item fails at most once, in its own slot, so the order across items is free
+    for items, message in (
+        (live[fatal], "block-Toeplitz system is singular (cond={:.3e})"),
+        (solvable[singular], "block-Toeplitz system is singular"),
+        (solvable[bad & ~singular], "block-Toeplitz solve produced non-finite values"),
+    ):
+        for b in items.tolist():
+            fx.fail(b, OutsideBigCell(message.format(conds[b]), conditioning=float(conds[b])))
     u = np.zeros_like(w)  # after the solve: its systems are a batch's largest array
     u[:, N] = np.eye(2)
     ks = sign * np.arange(1, N + 1)
-    for i, b in enumerate(solvable):
-        if singular[i]:
-            fail(b, "block-Toeplitz system is singular")
-        elif not np.all(np.isfinite(sol[i])):
-            fail(b, "block-Toeplitz solve produced non-finite values")
-        else:
-            u[b, ks + N] = sol[i].reshape(N, 2, 2).transpose(0, 2, 1)
+    u[solvable[~bad, None], ks + N] = sol[~bad].reshape(-1, N, 2, 2).transpose(0, 1, 3, 2)
     return _clean_parity(u, N, fx), conds
 
 

@@ -385,16 +385,12 @@ def _dense_sq_sum(c: np.ndarray, at: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 def _check_parity(c: np.ndarray, N: int, fx: _Effects) -> None:
     """Fail each item of a (B, 2N+1, 2, 2) stack whose off-parity mass exceeds
-    round-off of its own scale; one (2N+1, 2, 2) loop shared by all items
-    fails them all."""
-    items = c.reshape(-1, *c.shape[-3:])
-    scale = np.maximum(np.abs(items).reshape(len(items), 4 * (2 * N + 1)).max(axis=1), 1e-300)
-    worst = np.abs(items[:, _mask(N)]).max(axis=1)
+    round-off of its own scale."""
+    scale = np.maximum(np.abs(c).reshape(len(c), 4 * (2 * N + 1)).max(axis=1), 1e-300)
+    worst = np.abs(c[:, _mask(N)]).max(axis=1)
     for b in np.flatnonzero(worst > _PARITY_TOL * scale):
         message = f"twisting parity violated: off-parity mass {worst[b]:.3e} vs scale {scale[b]:.3e}"
-        exc = ParityViolation(message)
-        for item in range(len(fx.failures)) if c.ndim == 3 else (b,):
-            fx.fail(item, exc)
+        fx.fail(b, ParityViolation(message))
 
 
 def _clean_parity(c: np.ndarray, N: int, fx: _Effects) -> np.ndarray:
@@ -418,13 +414,12 @@ def _slots(L: int, lo: int) -> np.ndarray:
 
 
 def _compact(c: np.ndarray, N: int, fx: _Effects) -> np.ndarray:
-    """The (..., 2N+1, 2) compact form of a (B, 2N+1, 2, 2) stack or of one
-    shared loop, read through the parity check: off-parity entries are
-    dropped, and an item whose off-parity mass is above round-off fails."""
+    """The (B, 2N+1, 2) compact form of a (B, 2N+1, 2, 2) stack, read through
+    the parity check: off-parity entries are dropped, and an item whose
+    off-parity mass is above round-off fails."""
     _check_parity(c, N, fx)
-    lead = c.shape[:-3]
-    n = 2 * N + 1
-    return c.reshape(*lead, 4 * n)[..., _slots(n, -N)].reshape(*lead, n, 2)
+    B, n = c.shape[:2]
+    return c.reshape(B, 4 * n)[:, _slots(n, -N)].reshape(B, n, 2)
 
 
 def _expand(c: np.ndarray, lo: int) -> np.ndarray:
@@ -437,8 +432,7 @@ def _expand(c: np.ndarray, lo: int) -> np.ndarray:
 
 
 def _mul_rows(a: np.ndarray, b: np.ndarray, fx: _Effects) -> np.ndarray:
-    """Cauchy products truncated to [-N, N] of (B, 2N+1, 2, 2) stacks; `a`
-    may also be one (2N+1, 2, 2) loop shared by all items.
+    """Cauchy products truncated to [-N, N] of (B, 2N+1, 2, 2) stacks.
 
     The inputs are read in compact form (see `_compact`).  Each entry of the
     2x2 product of two twisted coefficients has one term that can be
@@ -455,8 +449,8 @@ def _mul_rows(a: np.ndarray, b: np.ndarray, fx: _Effects) -> np.ndarray:
     ac, bc = _compact(a, N, fx), _compact(b, N, fx)
     swapped = bc[..., ::-1]
     full = np.zeros((len(b), 2 * n - 1, 2))
-    for m in np.flatnonzero(ac.reshape(-1, n, 2).any(axis=(0, 2))):
-        full[:, m : m + n] += ac[..., m, None, :] * (swapped if (m - N) % 2 else bc)
+    for m in np.flatnonzero(ac.any(axis=(0, 2))):
+        full[:, m : m + n] += ac[:, m, None] * (swapped if (m - N) % 2 else bc)
     kept = _expand(full[:, N : N + n], -N)
     rows = 4 * N * np.arange(len(b))[:, None]
     tails = [(full[:, :N], rows + _slots(N, -2 * N)), (full[:, N + n :], rows + _slots(N, N + 1))]

@@ -427,10 +427,10 @@ def _split_points(rows, potential, initial):
     for batch in batches:
         with np.errstate(all="ignore"):  # non-finite frames become holes or errors by their values
             points, phi_s, phi_t = zip(*batch)
-            distinct: dict[float, tuple[int, np.ndarray]] = {}  # s -> (stack index, Phi_s)
-            index = [distinct.setdefault(s, (len(distinct), phi))[0] for (s, _), phi in zip(points, phi_s)]
             fx = _Effects(len(points))
             s, t = np.array(points).T
+            # one Phi_s per distinct s; -0.0 and 0.0 are one s, both reading the identity node
+            _, first, index = np.unique(s, return_index=True, return_inverse=True)
             f_vals, g_vals = potential.f.rows(s), potential.g.rows(t)
             for b in np.flatnonzero(np.isnan(f_vals) | np.isnan(g_vals)).tolist():
                 try:  # the scalar reads at Python floats, for their exact error
@@ -439,27 +439,23 @@ def _split_points(rows, potential, initial):
                     if exc.__cause__ is not None:  # the closure's error, caught in `eval`
                         exc.__cause__.with_traceback(None)
                     fx.fail(b, exc.with_traceback(None))
-            f_vals, g_vals = f_vals.tolist(), g_vals.tolist()
             frame, vplus_inv, vminus, conds, w = _iwasawa_rows(
-                np.stack([phi for _, phi in distinct.values()]), np.array(index), phi_t, fx
+                np.stack([phi_s[b] for b in first]), index, phi_t, fx
             )
             N = frame.shape[1] // 2
-            h = np.full(len(frame), np.nan)
-            gauge_log = np.full(len(frame), np.nan)
+            d22, fg = vminus[:, N, 1, 1].copy(), f_vals * g_vals
+            for b in np.flatnonzero(fx.alive & ((fg <= 0.0) | (d22 <= 1e-13))).tolist():
+                message = f"angle function not positive (f*g={fg[b]:.3e}, d22={d22[b]:.3e})"
+                fx.fail(b, GaugeFailure(message, gridpoint=points[b]))
+            kept = fx.alive
+            h = np.where(kept, np.sqrt(fg) * d22, np.nan)
+            # libm pow and log on Python floats: numpy's may differ in the last bit
             d = np.ones(len(frame))
-            for b in np.flatnonzero(fx.alive):
-                d22 = float(vminus[b, N, 1, 1])
-                fg = f_vals[b] * g_vals[b]
-                if fg <= 0.0 or d22 <= 1e-13:
-                    message = f"angle function not positive (f*g={fg:.3e}, d22={d22:.3e})"
-                    fx.fail(b, GaugeFailure(message, gridpoint=points[b]))
-                    continue
-                h[b] = math.sqrt(fg) * d22
-                d[b] = (f_vals[b] / (g_vals[b] * d22 * d22)) ** 0.25
-                gauge_log[b] = math.log(d[b])
+            d[kept] = [x**0.25 for x in (f_vals / (g_vals * d22 * d22))[kept].tolist()]
+            gauge_log = np.where(kept, [math.log(x) for x in d.tolist()], np.nan)
             frame = _scale_rows(frame, d)
             if initial is not None:
-                frame = _mul_rows(initial.c, frame, fx)
+                frame = _mul_rows(np.broadcast_to(initial.c, frame.shape), frame, fx)
             del vplus_inv, vminus  # not kept while the caller holds this batch and the next is split
         yield points, fx, frame, h, gauge_log, conds, w
 

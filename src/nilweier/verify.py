@@ -12,6 +12,7 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateMetric, GridTooCoarse
 from .geometry import (
@@ -44,13 +45,9 @@ def safe_points(pipeline: Pipeline, count: int = 9, nil_side: bool = False):
     within a factor 30 of its median are kept, nearest the basepoint first.
     """
     fg = pipeline.frame_grid
-    ns, nt = len(fg.s_grid), len(fg.t_grid)
-    candidates = []
-    for i in range(2, ns - 2):
-        for j in range(2, nt - 2):
-            if fg.holes[i - 2 : i + 3, j - 2 : j + 3].any():
-                continue
-            candidates.append((float(fg.s_grid[i]), float(fg.t_grid[j])))
+    windows = sliding_window_view(np.pad(fg.holes, 2, constant_values=True), (5, 5))  # padding as holes
+    i, j = np.nonzero(~windows.any(axis=(2, 3)))  # row-major, as a loop over i then j
+    candidates = list(zip(fg.s_grid[i].tolist(), fg.t_grid[j].tolist()))
     if nil_side and candidates:
         nulls = _spinor_rows(*pipeline.frames_at(candidates), pipeline.thetas[0])
         vals = [v**2 for v in conformal_factor_root(nulls).tolist()]

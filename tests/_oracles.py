@@ -325,6 +325,19 @@ def grid_loop(fg, i, j):
     return TwistedLoop(fg.trunc_n, fg.frames[i, j], enforce_parity=False)
 
 
+def safe_candidates_reference(holes, s_grid, t_grid):
+    """The interior gridpoints whose 5x5 neighbourhood holds no hole, by a
+    double loop over the rows i and the columns j, one slice test each."""
+    ns, nt = holes.shape
+    candidates = []
+    for i in range(2, ns - 2):
+        for j in range(2, nt - 2):
+            if holes[i - 2 : i + 3, j - 2 : j + 3].any():
+                continue
+            candidates.append((float(s_grid[i]), float(t_grid[j])))
+    return candidates
+
+
 # -- normalized potential extraction, point by point ----------------------------
 
 

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilweier import EmptyGrid, EvalDomain, GridTooCoarse
 from nilweier.cli import cmd_generate, cmd_list_builtins, cmd_roundtrip, cmd_verify, main
@@ -11,6 +14,8 @@ from nilweier.config import RunConfig, builtin_config, load_config
 from nilweier.export import export_csv, export_obj
 from nilweier.pipeline import SurfaceGrid
 from nilweier.verify import roundtrip_errors, run_diagnostics, run_verification, safe_points
+
+from _oracles import safe_candidates_reference
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -269,6 +274,26 @@ def test_nil_side_selection_reads_the_sweep(tmp_path, plane_pipe, monkeypatch):
         (0.0, 0.0), (a, 0.0), (0.0, a), (0.0, b), (b, 0.0),
         (-0.3999999999999999, 0.0), (a, a), (0.0, -0.3999999999999999), (a, b),
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ns=st.integers(2, 9),
+    nt=st.integers(2, 9),
+    density=st.sampled_from([0.0, 0.03, 0.1, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_safe_points_window_equals_the_double_loop(ns, nt, density, seed):
+    """On random hole masks of every side from 2 to 9, square or not, the
+    candidates of `safe_points`, in order, are the double loop's: none for
+    a side below 5."""
+    rng = np.random.default_rng(seed)
+    s_grid, t_grid = np.sort(rng.normal(size=ns)), np.sort(rng.normal(size=nt))
+    holes = rng.random((ns, nt)) < density
+    pipe = SimpleNamespace(frame_grid=SimpleNamespace(holes=holes, s_grid=s_grid, t_grid=t_grid))
+    expected = safe_candidates_reference(holes, s_grid, t_grid)
+    assert safe_points(pipe, count=ns * nt) == expected
+    assert expected or min(ns, nt) < 5 or holes.any()
 
 
 def test_verify_detects_bad_integration(tmp_path):

@@ -22,6 +22,7 @@ from nilweier.factorization import (
     _normalized_factor_inverses,
     _solve,
     _split_rows,
+    _systems,
 )
 from nilweier.loopalg import (
     TailAccumulator,
@@ -88,14 +89,12 @@ def _effects(fx, b):
     return effects + ([] if exc is None else [(type(exc).__name__, str(exc))])
 
 
-def _one_by_one(kernel, *stacks_and_args, shared=()):
-    """Run `kernel` once per item; arguments listed in `shared` are passed whole."""
-    B = max(len(x) for k, x in enumerate(stacks_and_args) if k not in shared)
+def _one_by_one(kernel, *stacks):
+    """Run `kernel` once per item, on each stack's item as a batch of one."""
     outs = []
-    for b in range(B):
+    for b in range(len(stacks[0])):
         fx = _Effects(1)
-        args = [x if k in shared else x[b : b + 1] for k, x in enumerate(stacks_and_args)]
-        outs.append((kernel(*args, fx), fx))
+        outs.append((kernel(*(x[b : b + 1] for x in stacks), fx), fx))
     return outs
 
 
@@ -135,13 +134,13 @@ def _reference_inv(x, lower):
 def test_cauchy_product_batch_equals_batch_of_one(N, B, seed):
     a = _random_stack(seed, N, B)
     b = _random_stack(seed + 1, N, B)
-    for left, shared in ((a, ()), (a[0], (0,))):
+    for left in (a, np.broadcast_to(a[0], a.shape)):  # the second: one loop times every item
         fx = _Effects(B)
         out = _mul_rows(left, b, fx)
-        for i, (one, fx1) in enumerate(_one_by_one(_mul_rows, left, b, shared=shared)):
+        for i, (one, fx1) in enumerate(_one_by_one(_mul_rows, left, b)):
             assert np.array_equal(out[i], one[0])
             assert _effects(fx, i) == _effects(fx1, 0)
-            ref, dropped, kept = _reference_mul(a[0] if shared else a[i], b[i])
+            ref, dropped, kept = _reference_mul(left[i], b[i])
             assert np.array_equal(out[i], ref)
             assert _effects(fx, i) == [(dropped, kept)]
     # the scalar product is the batch of one
@@ -190,11 +189,11 @@ def test_kernels_at_the_workloads_truncations_equal_the_dense_references(N):
         b = np.concatenate(
             [_random_stack(seed + 7, N, 4), _shear_stack(seed + 7, N, 2, seed == 1)]
         )
-        for left in (a, a[0]):
+        for left in (a, np.broadcast_to(a[0], a.shape)):
             fx = _Effects(len(b))
             out = _mul_rows(left, b, fx)
             for i in range(len(b)):
-                ref, dropped, kept = _reference_mul(a[0] if left.ndim == 3 else a[i], b[i])
+                ref, dropped, kept = _reference_mul(left[i], b[i])
                 assert out[i].tobytes() == ref.tobytes()
                 assert _effects(fx, i) == [(dropped, kept)]
         for lower in (True, False):
@@ -341,6 +340,66 @@ def test_a_singular_item_does_not_fail_the_stacked_solve():
     assert singular.tolist() == [False, True, False]
     for b in (0, 2):
         assert sol[b].tobytes() == np.linalg.solve(systems[b], rhs[b]).tobytes()
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_the_solve_fails_its_singular_and_non_finite_items_only(sign, monkeypatch):
+    """One batch with an item past COND_FAIL, an item the stacked solve flags
+    as singular (a wrapped `_solve` marks its system: no finite system at
+    cond <= COND_FAIL is singular), an item whose degree sign*N coefficient
+    is infinite (it enters the right-hand side but no system, so the solve
+    gives non-finite values), an item past a patched COND_WARN, and healthy
+    items.  Each failure has its message and conditioning and leaves
+    U = id, the warning sits at its column, and every other item is its
+    batch of one, bit for bit."""
+    N = 4
+    rng = np.random.default_rng(11)
+    healthy = [random_group_loop(rng, N).c for _ in range(4)]
+    infinite = random_group_loop(rng, N).c.copy()
+    infinite[N + sign * N, 0, 0] = np.inf  # an even degree: diagonal
+    w = np.stack([
+        _nearly_singular(rng, 1e-15, N), healthy[0], random_group_loop(rng, N).c, healthy[1],
+        infinite, _nearly_singular(rng, 1e-6, N), healthy[2], healthy[3],
+    ])
+    fatal, marked, inf_item, warned = 0, 2, 4, 5
+    marked_system = _systems(w[marked : marked + 1], sign)[0][0]
+
+    def marking(systems, rhs):
+        sol, singular = _solve(systems, rhs)
+        return sol, singular | np.array([np.array_equal(x, marked_system) for x in systems], bool)
+
+    monkeypatch.setattr(factorization, "_solve", marking)
+    monkeypatch.setattr(factorization, "COND_WARN", 1e3)
+    fx = _Effects(len(w))
+    fx.record(np.zeros(len(w)), np.ones(len(w)))  # so that the warning's column is 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, conds = _normalized_factor_inverses(w, sign, fx)
+    failures = {
+        fatal: f"block-Toeplitz system is singular (cond={conds[fatal]:.3e})",
+        marked: "block-Toeplitz system is singular",
+        inf_item: "block-Toeplitz solve produced non-finite values",
+    }
+    assert conds[fatal] > COND_FAIL and np.isfinite(conds[[marked, inf_item]]).all()
+    assert np.flatnonzero(~fx.alive).tolist() == sorted(failures)
+    for b, message in failures.items():
+        exc = fx.failures[b]
+        assert type(exc) is OutsideBigCell and str(exc) == message
+        assert exc.conditioning == conds[b] and fx.ends[b] == 1
+        assert u[b].tobytes() == TwistedLoop.identity(N).c.tobytes()
+    message = f"factorization near big-cell boundary: cond={conds[warned]:.3e}"
+    assert [b for b in range(len(w)) if fx.warnings[b]] == [warned]
+    assert fx.warnings[warned] == [(1, message)]
+    for i, ((u1, c1), fx1) in enumerate(
+        _one_by_one(lambda v, f: _normalized_factor_inverses(v, sign, f), w)
+    ):
+        assert conds[i] == c1[0]
+        assert (type(fx.failures[i]), str(fx.failures[i])) == (
+            type(fx1.failures[0]), str(fx1.failures[0])
+        )
+        if i not in failures:
+            assert u[i].tobytes() == u1[0].tobytes()
+            assert fx.warnings[i] == [(1, m) for _, m in fx1.warnings[0]]
 
 
 def test_iwasawa_rows_pair_each_item_with_its_own_phi_s():
@@ -525,7 +584,6 @@ def test_kernels_take_an_empty_stack(N):
     fx = _Effects(0)
     outputs = {
         "mul": _mul_rows(empty, empty, fx),
-        "mul shared": _mul_rows(TwistedLoop.identity(N).c, empty, fx),
         "inv lower": _inv_rows(empty, True, fx),
         "inv upper": _inv_rows(empty, False, fx),
         "clean parity": _clean_parity(empty, N, fx),

@@ -764,7 +764,8 @@ def test_a_crossing_in_a_later_row_of_a_batch_plays_as_point_by_point(monkeypatc
     t_grid = np.array([0.5, 0.0, -1.0, 1.0, -0.5])
     args = _loops(flow_s, s_grid), _loops(flow_t, t_grid), pot, s_grid, t_grid
     merged = _merged_accounts(monkeypatch)
-    _reference_sweep(*args, bound=math.inf)  # every row's account
+    with pytest.warns(UserWarning, match="near big-cell boundary"):
+        _reference_sweep(*args, bound=math.inf)  # every row's account
     ref_rows, merged[:] = merged[:], []
     ref = _sweep_outcome(_reference_sweep, *args, bound=9e-13)
     _rows_per_batch(monkeypatch, 3, len(t_grid), 8)
