@@ -39,6 +39,10 @@ class RunConfig:
             raise ValueError("grid needs ns >= 2 and nt >= 2")
         if not (4 <= self.trunc_n <= 64):
             raise ValueError("truncationN must lie in [4, 64]")
+        bounds = {"sMin": self.s_min, "sMax": self.s_max, "tMin": self.t_min, "tMax": self.t_max}
+        for key, bound in bounds.items():
+            if not math.isfinite(bound):
+                raise ValueError(f"domain bound {key} must be finite, not {bound}")
         if not (self.s_min <= 0.0 <= self.s_max and self.t_min <= 0.0 <= self.t_max):
             raise ValueError("domain must contain the basepoint (0, 0)")
         for out in self.outputs:

@@ -85,7 +85,7 @@ class _Num:
 
 @dataclass(frozen=True)
 class _Var:
-    name: str
+    """The free variable, whose name the Expression holds."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ class Expression:
             return math.nan
 
     def pretty(self) -> str:
-        return _pretty_prec(self.ast)[0]
+        return _pretty_prec(self.ast, self.variable)[0]
 
     def __repr__(self):
         return f"Expression({self.pretty()!r}, variable={self.variable!r})"
@@ -212,22 +212,23 @@ def _compile(node):
     return (lambda x: op(left(x), right(x))), left_reads or right_reads
 
 
-def _pretty_prec(node) -> tuple[str, int]:
-    """Render with the node's effective precedence (atoms 9, unary minus 3)."""
+def _pretty_prec(node, variable: str) -> tuple[str, int]:
+    """Render with the node's effective precedence (atoms 9, unary minus 3),
+    the variable printed as `variable`."""
     if isinstance(node, _Num):
         return f"{node.value:g}", 9
     if isinstance(node, _Var):
-        return node.name, 9
+        return variable, 9
     if isinstance(node, _Call):
-        return f"{node.func}({_pretty_prec(node.arg)[0]})", 9
+        return f"{node.func}({_pretty_prec(node.arg, variable)[0]})", 9
     if isinstance(node, _Neg):
-        inner, ip = _pretty_prec(node.arg)
+        inner, ip = _pretty_prec(node.arg, variable)
         if ip < 9:
             inner = f"({inner})"
         return f"-{inner}", 3
     prec = _PREC[node.op]
-    left, lp = _pretty_prec(node.left)
-    right, rp = _pretty_prec(node.right)
+    left, lp = _pretty_prec(node.left, variable)
+    right, rp = _pretty_prec(node.right, variable)
     if lp < prec or (lp == prec and node.op == "^"):
         left = f"({left})"
     if rp < prec or (rp == prec and node.op != "^"):
@@ -325,7 +326,7 @@ class _Parser:
                 self.expect_op(")")
                 return _Call(t.text, arg)
             if t.text == self.variable:
-                return _Var(t.text)
+                return _Var()
             raise ParseError(
                 t.offset, (f"variable '{self.variable}'", "function name"), repr(t.text)
             )
@@ -355,18 +356,5 @@ def const_times(c: float, a: Expression) -> Expression:
 
 
 def rename_variable(e: Expression, new: str) -> Expression:
-    """Same expression with its free variable renamed."""
-
-    def walk(node):
-        if isinstance(node, _Var):
-            return _Var(new)
-        if isinstance(node, _Neg):
-            return _Neg(walk(node.arg))
-        if isinstance(node, _BinOp):
-            return _BinOp(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, _Call):
-            return _Call(node.func, walk(node.arg))
-        return node
-
-    out = Expression(walk(e.ast), new, e.source)
-    return Expression(out.ast, new, out.pretty())
+    """Same expression with its free variable renamed; its source is the pretty form."""
+    return Expression(e.ast, new, _pretty_prec(e.ast, new)[0])

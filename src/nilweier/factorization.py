@@ -35,11 +35,10 @@ from .loopalg import (
     _clean_parity,
     _Effects,
     _inv_rows,
-    _inv_triangular,
     _mask,
     _mul_rows,
     _sq_sum,
-    loop_inv,  # noqa: F401  perfbench/tracer.py binds this name
+    loop_inv,
     loop_mul,  # noqa: F401  perfbench/tracer.py binds this name
 )
 
@@ -83,7 +82,7 @@ class IwasawaResult:
 
     @property
     def vplus(self) -> TwistedLoop:
-        return _inv_triangular(self.vplus_inv, lower=False)
+        return loop_inv(self.vplus_inv)
 
 
 def _systems(w: np.ndarray, sign: int):

@@ -137,10 +137,7 @@ class TwistedLoop:
     # -- constructors --------------------------------------------------------
     @staticmethod
     def identity(N: int) -> "TwistedLoop":
-        loop = TwistedLoop(N)
-        c = loop.c.copy()
-        c[N] = np.eye(2)
-        return TwistedLoop(N, c)
+        return TwistedLoop.from_terms(N, {0: np.eye(2)})
 
     @staticmethod
     def from_terms(N: int, terms: dict[int, np.ndarray]) -> "TwistedLoop":
@@ -188,11 +185,8 @@ class TwistedLoop:
         return TwistedLoop(self.N, _scale_rows(self.c[None], np.array([d]))[0], enforce_parity=False)
 
     def shift_mul(self, A: np.ndarray, deg: int, tail: TailAccumulator | None = None) -> "TwistedLoop":
-        """Right-multiply by the single-term loop lam^deg * A (exact, cheap)."""
-        out, dropped, kept = _shift_rows(self.c[None], np.asarray(A)[None], deg)
-        if tail is not None:
-            tail.record(float(dropped[0]), float(kept[0]))
-        return TwistedLoop(self.N, out[0], enforce_parity=False)
+        """Right-multiply by the single-term loop lam^deg * A, built by `from_terms`."""
+        return loop_mul(self, TwistedLoop.from_terms(self.N, {deg: A}), tail)
 
     def __add__(self, other: "TwistedLoop") -> "TwistedLoop":
         _check_same_N(self, other)
@@ -304,23 +298,6 @@ def _play(parts, tail, holes=(), naming=contextlib.nullcontext) -> list:
         del error
 
 
-def _shift_rows(c: np.ndarray, A: np.ndarray, deg: int):
-    """Products of a (B, 2N+1, 2, 2) stack with the single-term loops
-    lam^deg * A[b], truncated to [-N, N]; returns (coefficients, dropped,
-    kept) with each item's Frobenius tail masses, in a batch of one's order.
-
-    Each 2x2 product is summed as `np.einsum("kij,jl->kil", ...)` sums one
-    loop: from +0.0, one term at a time, so even the signs of zeros agree.
-    A batched einsum would too, but it is several times slower."""
-    prod = (c[..., 0, None] * A[:, None, None, 0] + 0.0) + c[..., 1, None] * A[:, None, None, 1]
-    out = np.zeros_like(c)
-    n = c.shape[1]
-    lo, hi = max(0, deg), min(n, n + deg)
-    out[:, lo:hi] = prod[:, lo - deg : hi - deg]
-    dropped = np.sqrt(_sq_sum(prod[:, : lo - deg]) + _sq_sum(prod[:, hi - deg :]))
-    return out, dropped, np.sqrt(_sq_sum(out))
-
-
 @functools.cache
 def _parity_swap(n: int) -> np.ndarray:
     """Which of an off-diagonal A's (A01, A10) multiplies each compact entry
@@ -330,13 +307,15 @@ def _parity_swap(n: int) -> np.ndarray:
 
 
 def _shift_compact(c: np.ndarray, A: np.ndarray, kept: np.ndarray, dropped: np.ndarray) -> np.ndarray:
-    """`_shift_rows` on a compact (B, 2N+1, 2) stack stored so that lam^deg
+    """Products of a compact (B, 2N+1, 2) stack with the single-term loops
+    lam^deg * A[b], truncated to [-N, N], with the bits of the dense product
+    `np.einsum("kij,jl->kil", c, A)`.  The stack is stored so that lam^deg
     moves index i + 1 to i (degrees ascending for lam^-1, descending for
     lam^+1), with A[b]'s (A01, A10) gathered by `_parity_swap`.  A dense
-    entry is (x A + 0.0) + y A', x or y off parity and +0.0: where both are
-    finite, the compact entry times its factor plus +0.0.  The kept degrees
-    go to kept[:, :-1] (kept[:, -1] is left zero), the dropped one to
-    `dropped`; returns kept."""
+    entry, summed from +0.0, is (x A + 0.0) + y A', x or y off parity and
+    +0.0: where both are finite, the compact entry times its factor plus
+    +0.0.  The kept degrees go to kept[:, :-1] (kept[:, -1] is left zero),
+    the dropped one to `dropped`; returns kept."""
     full = c * A + 0.0
     kept[:, :-1] = full[:, 1:]
     dropped[...] = full[:, 0]
@@ -345,7 +324,7 @@ def _shift_compact(c: np.ndarray, A: np.ndarray, kept: np.ndarray, dropped: np.n
 
 def _shift_masses(kept, dropped, at, buf, inputs) -> np.ndarray:
     """The (B, 2) (dropped, kept) Frobenius masses of B `_shift_compact`
-    products, as `_shift_rows` sums them (`at` and `buf` as for
+    products, as the dense products' masses are summed (`at` and `buf` as for
     `_dense_sq_sum`).  A dense product's off-parity entries, (x 0 + 0) + 0 y,
     are NaN at each degree whose compact input or A is not finite, and then
     so is the mass of that part.  Such an input or A also makes a compact
@@ -510,15 +489,6 @@ def _inv_rows(x: np.ndarray, lower: bool, fx: _Effects) -> np.ndarray:
     return _expand(out, -N)
 
 
-def _inv_triangular(x: TwistedLoop, lower: bool) -> TwistedLoop:
-    """Exact inverse of a loop supported on [-N,0] (lower) or [0,N] (upper)
-    whose degree-0 coefficient is invertible; stays in the same subalgebra."""
-    fx = _Effects(1)
-    y = _inv_rows(x.c[None], lower, fx)
-    fx.play(0, 1, None)
-    return TwistedLoop(x.N, y[0], enforce_parity=False)
-
-
 def loop_inv(a: TwistedLoop) -> TwistedLoop:
     """Exact inverse of a loop supported on a half line whose degree-0
     coefficient is invertible, by the triangular recursion; a loop with
@@ -527,7 +497,10 @@ def loop_inv(a: TwistedLoop) -> TwistedLoop:
     lo, hi = a.support()
     if lo < 0 < hi:
         raise ValueError(f"loop is supported on [{lo}, {hi}], not on a half line")
-    return _inv_triangular(a, lower=lo < 0)
+    fx = _Effects(1)
+    y = _inv_rows(a.c[None], lo < 0, fx)
+    fx.play(0, 1, None)
+    return TwistedLoop(a.N, y[0], enforce_parity=False)
 
 
 def loop_exp(x: TwistedLoop) -> TwistedLoop:

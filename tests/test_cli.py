@@ -519,6 +519,10 @@ def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys):
         ("outputs", "csv", "config key 'outputs' must be a list, not the string 'csv'"),
         ("domain", dict(domain, ns=5.9), "config key 'ns' must be an integer, not 5.9"),
         ("domain", dict(domain, sMax="1"), "config key 'sMax' must be a number, not '1'"),
+        # Python's json reads Infinity, -Infinity and NaN
+        ("domain", dict(domain, sMax=math.inf), "domain bound sMax must be finite, not inf"),
+        ("domain", dict(domain, tMin=-math.inf), "domain bound tMin must be finite, not -inf"),
+        ("domain", dict(domain, sMin=math.nan), "domain bound sMin must be finite, not nan"),
         (
             "domain",
             dict(domain, sMin=-(10**400)),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nilweier import DegeneratePotential, EvalDomain, ParseError, parse_expression
 from nilweier.expressions import FUNCTIONS, Expression, _BinOp, _Call, _Neg, _Num, _Var, eval_rows
-from nilweier.pipeline import PotentialSpec
+from nilweier.pipeline import PotentialSpec, translate_potential
 
 
 def test_constant_fraction():
@@ -127,6 +127,25 @@ def test_pretty_roundtrip_idempotent():
         assert math.isclose(e1.eval(0.37), e2.eval(0.37), rel_tol=1e-15)
 
 
+def test_translated_sources_name_their_axis_variable():
+    """The translated coefficients' sources, which `EvalDomain` messages
+    print, are the pretty forms of their ASTs in s or t."""
+    pot = translate_potential("1 + z^2", "sin(-z)", "0.0625", "exp(z)/(1 - z)")
+    expected = {
+        "f": ("1 + s^2 + sin(-s)", "s"),
+        "g": ("1 + t^2 - sin(-t)", "t"),
+        "Q": ("4*(0.0625 + exp(s)/(1 - s))", "s"),
+        "R": ("4*(0.0625 - exp(t)/(1 - t))", "t"),
+    }
+    for name, (source, variable) in expected.items():
+        e = getattr(pot, name)
+        assert (e.source, e.variable, e.pretty()) == (source, variable, source)
+        assert repr(e) == f"Expression({source!r}, variable={variable!r})"
+    with pytest.raises(EvalDomain) as info:
+        pot.R.eval(1.0)
+    assert str(info.value).startswith(f"cannot evaluate {expected['R'][0]!r} at t=1.0: ")
+
+
 def test_number_formats():
     assert parse_expression("1.5e2", "s").eval(0) == 150.0
     assert parse_expression(".5", "s").eval(0) == 0.5
@@ -139,8 +158,8 @@ def test_number_formats():
 _CONSTANTS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 1e-300, 1e200, 1e308, math.inf]
 _TREES = st.recursive(
     st.one_of(
-        st.just(_Var("s")),
-        st.just(_Var("s")),
+        st.just(_Var()),
+        st.just(_Var()),
         st.sampled_from(_CONSTANTS).map(_Num),
         st.floats(-4.0, 4.0).map(_Num),
     ),

@@ -37,7 +37,6 @@ from nilweier.loopalg import (
     _play,
     _shift_compact,
     _shift_masses,
-    _shift_rows,
     _slots,
 )
 from nilweier.errors import (
@@ -474,21 +473,31 @@ def test_birkhoff_factors_multiply_back(N, B, seed, sign):
 
 
 @stacks
-@given(**sizes, deg=st.sampled_from([-1, 1]), dense=st.booleans())
-def test_shift_rows_equals_one_einsum_per_item(N, B, seed, deg, dense):
-    """Values, signs of zeros and tail masses of each item are those of one
-    `np.einsum` product; twisted loops and potential matrices carry many
-    zeros, some of them negative, and dense stacks make both terms count."""
+@given(N=st.sampled_from([1, 4, 8, 20]), seed=sizes["seed"], deg=st.sampled_from([-1, 1]))
+def test_shift_mul_equals_one_einsum(N, seed, deg):
+    """`TwistedLoop.shift_mul`, a `loop_mul` by the single-term loop
+    lam^deg A, gives the values, signs of zeros and tail masses of one
+    `np.einsum` product; the loop and the off-diagonal A hold +0.0 and -0.0.
+    An A that is not twisted at deg, or a nonzero one past the truncation,
+    raises as `TwistedLoop.from_terms` does."""
     rng = np.random.default_rng(seed)
-    c = rng.normal(size=(B, 2 * N + 1, 2, 2)) if dense else _random_stack(seed, N, B)
-    c[rng.random(c.shape) < 0.2] *= -1.0
-    A = rng.normal(size=(B, 2, 2))
-    A[rng.random(A.shape) < 0.5] = -0.0
-    out, dropped, kept = _shift_rows(c, A, deg)
-    for b in range(B):
-        ref, ref_dropped, ref_kept = shift_mul_reference(c[b], A[b], deg)
-        assert np.array_equal(out[b], ref) and np.array_equal(np.signbit(out[b]), np.signbit(ref))
-        assert (dropped[b], kept[b]) == (ref_dropped, ref_kept)
+    c = rng.normal(size=(2 * N + 1, 2, 2))
+    c[rng.random(c.shape) < 0.2] = 0.0
+    c[rng.random(c.shape) < 0.5] *= -1.0
+    c[_mask(N)] = 0.0
+    loop = TwistedLoop(N, c)
+    A = np.zeros((2, 2))
+    A[0, 1], A[1, 0] = rng.normal(size=2) * (rng.random(2) < 0.7)
+    A[rng.random(A.shape) < 0.5] *= -1.0
+    tail = TailAccumulator(bound=math.inf)
+    out = loop.shift_mul(A, deg, tail).c
+    ref, ref_dropped, ref_kept = shift_mul_reference(loop.c, A, deg)
+    assert out.tobytes() == ref.tobytes() and np.array_equal(np.signbit(out), np.signbit(ref))
+    assert (tail.dropped, tail.kept) == (ref_dropped, ref_kept)
+    with pytest.raises(ParityViolation):
+        loop.shift_mul(np.diag([1.0, -2.0]), deg)
+    with pytest.raises(ValueError, match=f"degree {N + 1} outside truncation"):
+        loop.shift_mul(np.array([[0.0, 1.0], [0.0, 0.0]]), N + 1)
 
 
 @pytest.mark.parametrize(
@@ -500,13 +509,14 @@ def test_shift_rows_equals_one_einsum_per_item(N, B, seed, deg, dense):
 @given(**sizes)
 def test_compact_shift_equals_shift_rows(where, bad, N, B, seed):
     """One stack of items shifted by lam^-1, stored in ascending degrees, and
-    by lam^+1, stored in descending ones: `_shift_compact`'s entries are
-    those of `_shift_rows`, as bytes, and `_shift_masses` its masses, as
-    float.hex.  Entries and A hold +0.0 and -0.0; an inf or NaN placed only
-    in item 0's dropped degree, only in one of its kept degrees, or in its A
-    makes the dense product's masses NaN where its off-parity entries are;
-    finite entries whose products overflow (1e300 in a kept degree and in A)
-    make them inf, not NaN."""
+    by lam^+1, stored in descending ones: `_shift_compact`'s entries are the
+    shifted rows of `shift_mul_reference`, one `np.einsum` product per item,
+    as bytes, and `_shift_masses` its masses, as float.hex.  Entries and A
+    hold +0.0 and -0.0; an inf or NaN placed only in item 0's dropped degree,
+    only in one of its kept degrees, or in its A makes the dense product's
+    masses NaN where its off-parity entries are; finite entries whose
+    products overflow (1e300 in a kept degree and in A) make them inf, not
+    NaN."""
     rng = np.random.default_rng(seed)
     n = 2 * N + 1
     c = rng.normal(size=(B, n, 2, 2))
@@ -531,15 +541,15 @@ def test_compact_shift_equals_shift_rows(where, bad, N, B, seed):
     with np.errstate(all="ignore"):
         _shift_compact(x, a[:, _parity_swap(n)], kept, dropped)
         masses = _shift_masses(kept, dropped, at, np.zeros((B, 4 * n)), lambda: (x, a))
-        refs = [_shift_rows(c[b : b + 1], A[b : b + 1], deg[b]) for b in range(B)]
+        refs = [shift_mul_reference(c[b], A[b], deg[b]) for b in range(B)]
     for b, (out, ref_dropped, ref_kept) in enumerate(refs):
-        assert [m.hex() for m in masses[b]] == [ref_dropped[0].hex(), ref_kept[0].hex()]
+        assert [m.hex() for m in masses[b]] == [ref_dropped.hex(), ref_kept.hex()]
         assert kept[b, -1].tobytes() == np.zeros(2).tobytes()
         shifted = _expand(kept[b : b + 1, order[b]], -N)[0]
         if b or where in (None, "overflow"):  # the dense product has +0.0 off parity
-            assert shifted.tobytes() == out[0].tobytes()
+            assert shifted.tobytes() == out.tobytes()
         else:
-            assert shifted[~_mask(N)].tobytes() == out[0][~_mask(N)].tobytes()
+            assert shifted[~_mask(N)].tobytes() == out[~_mask(N)].tobytes()
     if where == "overflow":
         assert np.isinf(masses[0, 1]) and not np.isnan(masses[0]).any()
     elif where is not None:
@@ -587,7 +597,6 @@ def test_kernels_take_an_empty_stack(N):
         "inv lower": _inv_rows(empty, True, fx),
         "inv upper": _inv_rows(empty, False, fx),
         "clean parity": _clean_parity(empty, N, fx),
-        "shift": _shift_rows(empty, np.zeros((0, 2, 2)), 1)[0],
         "split -1": _split_rows(empty, -1, fx),
         "split +1": _split_rows(empty, +1, fx),
         "iwasawa": _iwasawa_rows(empty, np.zeros(0, int), empty, fx),
