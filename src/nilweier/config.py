@@ -43,6 +43,9 @@ class RunConfig:
         for key, bound in bounds.items():
             if not math.isfinite(bound):
                 raise ValueError(f"domain bound {key} must be finite, not {bound}")
+        for axis, lo, hi in (("s", self.s_min, self.s_max), ("t", self.t_min, self.t_max)):
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"domain span {axis}Max - {axis}Min must be finite, not {hi - lo}")
         if not (self.s_min <= 0.0 <= self.s_max and self.t_min <= 0.0 <= self.t_max):
             raise ValueError("domain must contain the basepoint (0, 0)")
         for out in self.outputs:

@@ -10,11 +10,12 @@ The solver finds the inverse of the normalized factor directly from the
 linear conditions "the forbidden degrees of U*w vanish", then recovers the
 factor by an exact triangular recursion; a singular system means leaving the
 big cell.  A stack's systems (in the sweep, a batch of whole grid rows) are
-built by one gather and solved as one stacked np.linalg.solve.  The twisting
-parity makes each 2N x 2N system block diagonal in two N x N blocks, so its
-condition number comes from the singular values of the two blocks; the full
-SVD (np.linalg.cond) runs only where that value may exceed COND_WARN, so
-every near-boundary warning, failure and printed value is the full SVD's.
+built by one gather and solved as one stacked np.linalg.solve, per chunk of
+items whose systems fit _BATCH_BYTES.  The twisting parity makes each
+2N x 2N system block diagonal in two N x N blocks, so its condition number
+comes from the singular values of the two blocks; the full SVD
+(np.linalg.cond) runs only where that value may exceed COND_WARN, so every
+near-boundary warning, failure and printed value is the full SVD's.
 
 The Iwasawa decomposition of a pair (Phi_s, Phi_t) = (F, F)(V+, V-) computes
 W = Phi_s^{-1} Phi_t, splits W = V+^{-1} V- with V+(0) = id (all constant
@@ -46,6 +47,11 @@ __all__ = ["BirkhoffResult", "IwasawaResult", "birkhoff_split", "iwasawa_double"
 
 COND_WARN = 1e12
 COND_FAIL = 1e14
+# Budget for a split's float64 work arrays, read at call time: the sweep takes
+# whole grid rows while their loop stacks fit it (pipeline._split_points), and
+# `_normalized_factor_inverses` conditions and solves their (2N, 2N) systems in
+# chunks that fit it.  A split costs numpy calls per batch or chunk, not per item.
+_BATCH_BYTES = 640 * 1024
 _RESID_TOL = 1e-8
 # `_cond_slack`'s constant.  The largest |1/h - 1/c| / (n*eps) measured is
 # 1.06, over the 16,605 splits (n = 32 to 96, cond up to 2.8e15) that
@@ -190,40 +196,51 @@ def _solve(systems: np.ndarray, rhs: np.ndarray):
         return sol, singular
 
 
+def _chunks(items: np.ndarray, n: int) -> list:
+    """`items` in runs whose (n, n) float64 systems fit _BATCH_BYTES, each of
+    at least one item."""
+    size = max(1, _BATCH_BYTES // (n * n * 8))
+    return [items[lo : lo + size] for lo in range(0, len(items), size)]
+
+
 def _normalized_factor_inverses(w: np.ndarray, sign: int, fx: _Effects):
     """For each item of a (B, 2N+1, 2, 2) stack solve for U with U_0 = id
     supported on sign*[0,N] such that (U*w)_k = 0 for k in sign*[1,N].
     sign=-1 gives U = M^{-1} (minus order), sign=+1 gives U = P^{-1} (plus
-    order).  Returns (U, conditioning), see `_conditioning`.  The live items'
-    block-Toeplitz systems are built by one gather and solved as one stack,
-    with each item's bits of its own solve; an item that fails keeps
-    U = id."""
+    order).  Returns (U, conditioning), see `_conditioning`.  The live items
+    are conditioned, and the solvable items' block-Toeplitz systems built by
+    one gather and solved as one stack, in chunks that fit _BATCH_BYTES; each
+    item has the bits of its own solve, so the chunks move none.  An item
+    that fails keeps U = id."""
     B, n = w.shape[:2]
     N = n // 2
     conds = np.ones(B)
     if N == 0:
         return np.broadcast_to(np.eye(2), w.shape).copy(), conds
     live = np.flatnonzero(fx.alive)
-    conds[live] = _conditioning(w[live], sign)
+    for chunk in _chunks(live, 2 * N):
+        conds[chunk] = _conditioning(w[chunk], sign)
 
     fatal = ~(conds[live] <= COND_FAIL)  # NaN and inf too
     solvable = live[~fatal]
     for b in solvable[conds[solvable] > COND_WARN].tolist():  # before any failure of its item
         fx.warn(b, f"factorization near big-cell boundary: cond={conds[b]:.3e}")
-    sol, singular = _solve(*_systems(w if len(solvable) == B else w[solvable], sign))
-    bad = singular | ~np.isfinite(sol).all(axis=(1, 2))
-    # each item fails at most once, in its own slot, so the order across items is free
-    for items, message in (
-        (live[fatal], "block-Toeplitz system is singular (cond={:.3e})"),
-        (solvable[singular], "block-Toeplitz system is singular"),
-        (solvable[bad & ~singular], "block-Toeplitz solve produced non-finite values"),
-    ):
-        for b in items.tolist():
-            fx.fail(b, OutsideBigCell(message.format(conds[b]), conditioning=float(conds[b])))
-    u = np.zeros_like(w)  # after the solve: its systems are a batch's largest array
+    u = np.zeros_like(w)
     u[:, N] = np.eye(2)
     ks = sign * np.arange(1, N + 1)
-    u[solvable[~bad, None], ks + N] = sol[~bad].reshape(-1, N, 2, 2).transpose(0, 1, 3, 2)
+    failures = [(live[fatal], "block-Toeplitz system is singular (cond={:.3e})")]
+    for chunk in _chunks(solvable, 2 * N):
+        sol, singular = _solve(*_systems(w[chunk], sign))
+        bad = singular | ~np.isfinite(sol).all(axis=(1, 2))
+        u[chunk[~bad, None], ks + N] = sol[~bad].reshape(-1, N, 2, 2).transpose(0, 1, 3, 2)
+        failures += [
+            (chunk[singular], "block-Toeplitz system is singular"),
+            (chunk[bad & ~singular], "block-Toeplitz solve produced non-finite values"),
+        ]
+    # each item fails at most once, in its own slot, so the order across items is free
+    for items, message in failures:
+        for b in items.tolist():
+            fx.fail(b, OutsideBigCell(message.format(conds[b]), conditioning=float(conds[b])))
     return _clean_parity(u, N, fx), conds
 
 

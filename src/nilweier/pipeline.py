@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import factorization
 from .errors import (
     DegeneratePotential,
     DegenerateSpinors,
@@ -403,61 +404,67 @@ def solve_frame_ode(
 # ---------------------------------------------------------------------------
 
 
-# Budget for a batch's (B, 2N, 2N) float64 block-Toeplitz systems, B (2N)^2 8 bytes:
-# a split costs numpy calls per batch, not per item.  It takes 3 grid rows of 15 at
-# N = 20 and of 25 at N = 16, and 1 row at N = 48, where 9 points hold 648 KiB.
-_BATCH_BYTES = 640 * 1024
+def _rows_once(expr: Expression, xs: np.ndarray) -> np.ndarray:
+    """`expr.rows(xs)`, reading each distinct bit pattern of xs once, so that
+    -0.0 and 0.0 are read apart."""
+    _, first, inverse = np.unique(xs.view(np.int64), return_index=True, return_inverse=True)
+    return expr.rows(xs[first])[inverse]
 
 
 def _split_points(rows, potential, initial):
     """Frames of rows of (point, Phi_s, Phi_t) items, in batches of whole
-    rows, taken while their systems fit _BATCH_BYTES and at least one: per
-    batch, f and g as rows, one stack of its distinct Phi_s (one per s), the
-    Iwasawa split, the diagonal gauge and the initial-frame product.  Yields
-    (points, effects, frames, h, gauge_log, conditioning, W) per batch, W =
-    Phi_s^{-1} Phi_t; the effects play as batches of one's.  An item whose f
-    or g is marked fails with its scalar read's error, before its split; a
-    nonpositive angle function is a GaugeFailure."""
+    rows, taken while four (2N+1, 2, 2) float64 loops per item fit
+    factorization._BATCH_BYTES, and at least one: it takes 8 grid rows of 15
+    at N = 20, 6 of 25 at N = 16 and 5 of 9 at N = 48.  Yields
+    `_split_batch` of each batch; it keeps nothing of a batch once yielded."""
     batches = []
     for row in filter(None, rows):
-        item_bytes = (len(row[0][2]) - 1) ** 2 * 8  # one (2N, 2N) system
-        if not batches or (len(batches[-1]) + len(row)) * item_bytes > _BATCH_BYTES:
+        item_bytes = 4 * len(row[0][2]) * 32  # its W, V+^{-1}, V- and frame
+        if not batches or (len(batches[-1]) + len(row)) * item_bytes > factorization._BATCH_BYTES:
             batches.append([])
         batches[-1] += row
     for batch in batches:
-        with np.errstate(all="ignore"):  # non-finite frames become holes or errors by their values
-            points, phi_s, phi_t = zip(*batch)
-            fx = _Effects(len(points))
-            s, t = np.array(points).T
-            # one Phi_s per distinct s; -0.0 and 0.0 are one s, both reading the identity node
-            _, first, index = np.unique(s, return_index=True, return_inverse=True)
-            f_vals, g_vals = potential.f.rows(s), potential.g.rows(t)
-            for b in np.flatnonzero(np.isnan(f_vals) | np.isnan(g_vals)).tolist():
-                try:  # the scalar reads at Python floats, for their exact error
-                    potential.f.eval(points[b][0]), potential.g.eval(points[b][1])
-                except EvalDomain as exc:  # kept without tracebacks, whose frames would hold `fx`
-                    if exc.__cause__ is not None:  # the closure's error, caught in `eval`
-                        exc.__cause__.with_traceback(None)
-                    fx.fail(b, exc.with_traceback(None))
-            frame, vplus_inv, vminus, conds, w = _iwasawa_rows(
-                np.stack([phi_s[b] for b in first]), index, phi_t, fx
-            )
-            N = frame.shape[1] // 2
-            d22, fg = vminus[:, N, 1, 1].copy(), f_vals * g_vals
-            for b in np.flatnonzero(fx.alive & ((fg <= 0.0) | (d22 <= 1e-13))).tolist():
-                message = f"angle function not positive (f*g={fg[b]:.3e}, d22={d22[b]:.3e})"
-                fx.fail(b, GaugeFailure(message, gridpoint=points[b]))
-            kept = fx.alive
-            h = np.where(kept, np.sqrt(fg) * d22, np.nan)
-            # libm pow and log on Python floats: numpy's may differ in the last bit
-            d = np.ones(len(frame))
-            d[kept] = [x**0.25 for x in (f_vals / (g_vals * d22 * d22))[kept].tolist()]
-            gauge_log = np.where(kept, [math.log(x) for x in d.tolist()], np.nan)
-            frame = _scale_rows(frame, d)
-            if initial is not None:
-                frame = _mul_rows(np.broadcast_to(initial.c, frame.shape), frame, fx)
-            del vplus_inv, vminus  # not kept while the caller holds this batch and the next is split
-        yield points, fx, frame, h, gauge_log, conds, w
+        yield _split_batch(batch, potential, initial)
+
+
+def _split_batch(batch, potential, initial):
+    """The frames of a batch of (point, Phi_s, Phi_t) items: f and g as rows,
+    read once per distinct s and t, one stack of its distinct Phi_s (one per
+    s), the Iwasawa split, the diagonal gauge and the initial-frame product.
+    Returns (points, effects, frames, h, gauge_log, conditioning, W), W =
+    Phi_s^{-1} Phi_t; the effects play as batches of one's.  An item whose f
+    or g is marked fails with its scalar read's error, before its split; a
+    nonpositive angle function is a GaugeFailure."""
+    with np.errstate(all="ignore"):  # non-finite frames become holes or errors by their values
+        points, phi_s, phi_t = zip(*batch)
+        fx = _Effects(len(points))
+        s, t = np.array(points).T
+        # one Phi_s per distinct s; -0.0 and 0.0 are one s, both reading the identity node
+        _, first, index = np.unique(s, return_index=True, return_inverse=True)
+        f_vals, g_vals = _rows_once(potential.f, s), _rows_once(potential.g, t)
+        for b in np.flatnonzero(np.isnan(f_vals) | np.isnan(g_vals)).tolist():
+            try:  # the scalar reads at Python floats, for their exact error
+                potential.f.eval(points[b][0]), potential.g.eval(points[b][1])
+            except EvalDomain as exc:  # kept without tracebacks, whose frames would hold `fx`
+                if exc.__cause__ is not None:  # the closure's error, caught in `eval`
+                    exc.__cause__.with_traceback(None)
+                fx.fail(b, exc.with_traceback(None))
+        frame, _, vminus, conds, w = _iwasawa_rows(np.stack([phi_s[b] for b in first]), index, phi_t, fx)
+        N = frame.shape[1] // 2
+        d22, fg = vminus[:, N, 1, 1].copy(), f_vals * g_vals
+        for b in np.flatnonzero(fx.alive & ((fg <= 0.0) | (d22 <= 1e-13))).tolist():
+            message = f"angle function not positive (f*g={fg[b]:.3e}, d22={d22[b]:.3e})"
+            fx.fail(b, GaugeFailure(message, gridpoint=points[b]))
+        kept = fx.alive
+        h = np.where(kept, np.sqrt(fg) * d22, np.nan)
+        # libm pow and log on Python floats: numpy's may differ in the last bit
+        d = np.ones(len(frame))
+        d[kept] = [x**0.25 for x in (f_vals / (g_vals * d22 * d22))[kept].tolist()]
+        gauge_log = np.where(kept, [math.log(x) for x in d.tolist()], np.nan)
+        frame = _scale_rows(frame, d)
+        if initial is not None:
+            frame = _mul_rows(np.broadcast_to(initial.c, frame.shape), frame, fx)
+    return points, fx, frame, h, gauge_log, conds, w
 
 
 @dataclass
@@ -513,28 +520,30 @@ def build_extended_frames(
     # the kept points whose np.linalg.cond may be the largest, and their W
     near_conds, near_w = np.empty(0), np.empty((0, 2 * N + 1, 2, 2))
 
-    batches = _split_points(rows, potential, initial)
-    grid_rows = ((lo, out) for out in batches for lo in range(0, len(out[0]), nt))
-    for i, (lo, (gridpoints, fx, *batch)) in enumerate(grid_rows):
-        frame, h_row, log_row, conds, w = (stack[lo : lo + nt] for stack in batch)
-        # Each row has its own account, merged in row order: the overflow
-        # check runs against the row's mass, and the merged sums are the
-        # manifest's tail_relative, so their order must not change.
-        row_tail = TailAccumulator(tail.bound)
-        failures = fx.play(
-            lo, lo + nt, row_tail, (OutsideBigCell, GaugeFailure), lambda b: _naming(gridpoints[b])
-        )
-        holes[i] = [exc is not None for exc in failures]
-        hole_errors += [(i, j, type(e).__name__, str(e)) for j, e in enumerate(failures) if e]
-        kept = ~holes[i]
-        for out, row in ((frames, frame), (h, h_row), (gauge_log, log_row), (conditioning, conds)):
-            out[i, kept] = row[kept]
-        tail.merge(row_tail)
-        if kept.any():
-            near_conds = np.concatenate([near_conds, conds[kept]])
-            near_w = np.concatenate([near_w, w[kept]])
-            near = _near_max(near_conds, 2 * N)
-            near_conds, near_w = near_conds[near], near_w[near]
+    i = 0  # the grid row
+    for gridpoints, fx, *batch in _split_points(rows, potential, initial):
+        for lo in range(0, len(gridpoints), nt):
+            frame, h_row, log_row, conds, w = (stack[lo : lo + nt] for stack in batch)
+            # Each row has its own account, merged in row order: the overflow
+            # check runs against the row's mass, and the merged sums are the
+            # manifest's tail_relative, so their order must not change.
+            row_tail = TailAccumulator(tail.bound)
+            failures = fx.play(
+                lo, lo + nt, row_tail, (OutsideBigCell, GaugeFailure), lambda b: _naming(gridpoints[b])
+            )
+            holes[i] = [exc is not None for exc in failures]
+            hole_errors += [(i, j, type(e).__name__, str(e)) for j, e in enumerate(failures) if e]
+            kept = ~holes[i]
+            for out, row in ((frames, frame), (h, h_row), (gauge_log, log_row), (conditioning, conds)):
+                out[i, kept] = row[kept]
+            tail.merge(row_tail)
+            if kept.any():
+                near_conds = np.concatenate([near_conds, conds[kept]])
+                near_w = np.concatenate([near_w, w[kept]])
+                near = _near_max(near_conds, 2 * N)
+                near_conds, near_w = near_conds[near], near_w[near]
+            i += 1
+        del batch, frame, w  # not kept while the next batch is split
     frames.setflags(write=False)  # the point cache's rows are views of it
     return FrameGrid(
         s_grid=s_grid,

@@ -523,6 +523,8 @@ def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys):
         ("domain", dict(domain, sMax=math.inf), "domain bound sMax must be finite, not inf"),
         ("domain", dict(domain, tMin=-math.inf), "domain bound tMin must be finite, not -inf"),
         ("domain", dict(domain, sMin=math.nan), "domain bound sMin must be finite, not nan"),
+        ("domain", dict(domain, sMin=-1e308, sMax=1e308), "domain span sMax - sMin must be finite, not inf"),
+        ("domain", dict(domain, tMin=-1e308, tMax=1e308), "domain span tMax - tMin must be finite, not inf"),
         (
             "domain",
             dict(domain, sMin=-(10**400)),

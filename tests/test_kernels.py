@@ -401,6 +401,64 @@ def test_the_solve_fails_its_singular_and_non_finite_items_only(sign, monkeypatc
             assert fx.warnings[i] == [(1, m) for _, m in fx1.warnings[0]]
 
 
+@pytest.mark.parametrize("per_chunk", [1, 2])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_chunked_solves_equal_batches_of_one(sign, per_chunk, monkeypatch):
+    """With the budget patched to one or two systems per chunk, one batch
+    holds an item past COND_FAIL, an item past a patched COND_WARN, an item
+    with a NaN entry, healthy items, and an item that a wrapped `_solve`
+    flags as singular in a later chunk.  The solvable items are solved in
+    chunks of that size, and each item's U, conditioning, failure and
+    warning columns are its batch of one's, bit for bit."""
+    N = 4
+    rng = np.random.default_rng(11)
+    healthy = [random_group_loop(rng, N).c for _ in range(4)]
+    nan = healthy[0].copy()
+    nan[N + 1, 0, 1] = np.nan
+    w = np.stack([
+        _nearly_singular(rng, 1e-15, N), healthy[0], _nearly_singular(rng, 1e-6, N), nan,
+        healthy[1], healthy[2], random_group_loop(rng, N).c, healthy[3],
+    ])
+    fatal, warned, nan_item, marked = 0, 2, 3, 6
+    marked_system = _systems(w[marked : marked + 1], sign)[0][0]
+    chunks = []
+
+    def marking(systems, rhs):
+        chunks.append(len(systems))
+        sol, singular = _solve(systems, rhs)
+        return sol, singular | np.array([np.array_equal(x, marked_system) for x in systems], bool)
+
+    def recorded(v, f):  # a column before the split, so that a warning's column is 1
+        f.record(np.zeros(len(v)), np.ones(len(v)))
+        return _normalized_factor_inverses(v, sign, f)
+
+    monkeypatch.setattr(factorization, "_solve", marking)
+    monkeypatch.setattr(factorization, "COND_WARN", 1e3)
+    monkeypatch.setattr(factorization, "_BATCH_BYTES", per_chunk * (2 * N) ** 2 * 8)
+    fx = _Effects(len(w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, conds = recorded(w, fx)
+    # six solvable items; the marked one is the fifth, past the first chunk
+    assert chunks == [per_chunk] * (6 // per_chunk)
+    failures = {
+        fatal: f"block-Toeplitz system is singular (cond={conds[fatal]:.3e})",
+        nan_item: "block-Toeplitz system is singular (cond=inf)",
+        marked: "block-Toeplitz system is singular",
+    }
+    assert np.flatnonzero(~fx.alive).tolist() == sorted(failures)
+    for b, message in failures.items():
+        assert type(fx.failures[b]) is OutsideBigCell and str(fx.failures[b]) == message
+    message = f"factorization near big-cell boundary: cond={conds[warned]:.3e}"
+    assert [b for b in range(len(w)) if fx.warnings[b]] == [warned]
+    assert fx.warnings[warned] == [(1, message)]
+    for i, ((u1, c1), fx1) in enumerate(_one_by_one(recorded, w)):
+        assert u[i].tobytes() == u1[0].tobytes()
+        assert conds[i : i + 1].tobytes() == c1.tobytes()
+        assert _effects(fx, i) == _effects(fx1, 0)
+        assert fx.warnings[i] == fx1.warnings[0]
+
+
 def test_iwasawa_rows_pair_each_item_with_its_own_phi_s():
     """Nine Phi_t against four distinct Phi_s, indexed per item: every output
     and effect of an item equals its batch of one, the four are inverted as

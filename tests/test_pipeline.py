@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import math
 import warnings
@@ -53,6 +54,7 @@ from _oracles import (
     solve_axes_from_zero,
 )
 from nilweier.config import BUILTINS, builtin_config
+from nilweier.expressions import Expression, parse_expression
 from nilweier.geometry import nil_mul
 from nilweier.verify import roundtrip_errors
 
@@ -604,8 +606,9 @@ def _near_boundary_warnings(caught):
 
 
 def _rows_per_batch(monkeypatch, rows, nt, trunc_n):
-    """Set the split budget to the systems of `rows` grid rows of nt points."""
-    monkeypatch.setattr(pipeline_module, "_BATCH_BYTES", rows * nt * (2 * trunc_n) ** 2 * 8)
+    """Set the split budget to the loop stacks of `rows` grid rows of nt
+    points: four (2N+1, 2, 2) float64 loops per point."""
+    monkeypatch.setattr(factorization, "_BATCH_BYTES", rows * nt * 4 * (2 * trunc_n + 1) * 32)
 
 
 def _split_calls(monkeypatch):
@@ -687,6 +690,94 @@ def test_sweep_equals_point_by_point_reference(initial, rows, monkeypatch):
     assert fg.hole_errors == errors
     assert (tail.dropped, tail.kept) == (ref_tail.dropped, ref_tail.kept)
     assert _near_boundary_warnings(caught) == ref_warnings
+
+
+@pytest.mark.parametrize("initial", [False, True], ids=["plain", "umbrella"])
+def test_the_sweep_at_the_smallest_budget_equals_the_default(initial, monkeypatch):
+    """At a budget of one byte each batch is one grid row and each chunk of
+    the solve one system; at the default the 7 rows are one batch, solved in
+    chunks of many systems.  The frame grid, its holes, hole errors and
+    max_conditioning included, the tail account and the warnings are the
+    same, bit for bit."""
+    phi_s, phi_t, pot, s_grid, t_grid, initial = _near_boundary_plane(initial)
+    calls, chunks = _split_calls(monkeypatch), []
+    real_solve = factorization._solve
+
+    def solve(systems, rhs):
+        chunks.append(len(systems))
+        return real_solve(systems, rhs)
+
+    monkeypatch.setattr(factorization, "_solve", solve)
+    outcomes = []
+    for budget in (factorization._BATCH_BYTES, 1):
+        monkeypatch.setattr(factorization, "_BATCH_BYTES", budget)
+        calls[:], chunks[:], tail = [], [], TailAccumulator()
+        fg, error, messages = _sweep_outcome(
+            build_extended_frames, phi_s, phi_t, pot, s_grid, t_grid, initial=initial, tail=tail
+        )
+        assert error is None
+        grid = [x.tobytes() for x in (fg.frames, fg.h, fg.gauge_log, fg.conditioning, fg.holes)]
+        account = tail.dropped.hex(), tail.kept.hex()
+        outcomes.append((grid, fg.hole_errors, fg.max_conditioning, account, messages))
+        outcomes.append((calls[:], chunks[:]))
+    default, default_sizes, smallest, smallest_sizes = outcomes
+    assert default_sizes[0] == [(7, 63)] and max(default_sizes[1]) > 1
+    assert smallest_sizes[0] == [(1, 9)] * 7 and set(smallest_sizes[1]) == {1}
+    assert smallest == default
+    assert len(default[1]) > 0 and default[2] is not None and len(default[4]) == 2
+
+
+def test_the_split_reads_f_and_g_once_per_distinct_abscissa(monkeypatch):
+    """On a 41 x 41 sweep at N = 20 of a potential whose f and g read their
+    variable, each batch of 3 grid rows reads f once per s and g once per t:
+    41 + 14 * 41 items, where reads per point take 2 * 41 * 41.  The frames,
+    h, gauge logs, conditioning and holes are those of the reads per point,
+    bit for bit."""
+    pot = pair_potential("1 + s^2/4", "1 + t^2/8", "cos(s)/16", "t/32")
+    grid = np.linspace(-2, 2, 41)
+    phi_s, phi_t, _, _ = solve_frame_ode(pot, grid, grid, steps_per_cell=4, trunc_n=20)
+    read, real_rows = [], Expression.rows
+
+    def rows(self, xs):
+        if self is pot.f or self is pot.g:
+            read.append(np.size(xs))
+        return real_rows(self, xs)
+
+    monkeypatch.setattr(Expression, "rows", rows)
+    sweeps = []
+    for items in (41 + 14 * 41, 2 * 41 * 41):
+        read[:] = []
+        fg = build_extended_frames(phi_s, phi_t, pot, grid, grid)
+        assert sum(read) == items
+        sweeps.append([x.tobytes() for x in (fg.frames, fg.h, fg.gauge_log, fg.conditioning, fg.holes)])
+        monkeypatch.setattr(pipeline_module, "_rows_once", lambda expr, xs: expr.rows(xs))
+    assert sweeps[0] == sweeps[1]
+
+
+def test_the_split_reads_f_at_minus_zero_apart_from_zero():
+    """f = s at (-0.0, 0.3) and (0.0, 0.7), one batch: each point's
+    GaugeFailure prints its own sign of f g, and `frames_at` fails as the
+    frame_at loop does, in either order.  f = s vanishes at the basepoint
+    node, so the pipelines integrate f = 1 and split with f = s: only the
+    split reads f."""
+    pot = pair_potential("1", "1 + t^2/8", "0", "t/32")
+
+    def make():
+        grid = np.linspace(-1, 1, 9)
+        pipe = Pipeline(pot, grid, grid, trunc_n=8, steps_per_cell=4).run()
+        pipe.potential = dataclasses.replace(pot, f=parse_expression("s", "s"))
+        return pipe
+
+    split = make()._split_misses([(-0.0, 0.3), (0.0, 0.7)])
+    for point, sign in (((-0.0, 0.3), "-"), ((0.0, 0.7), "")):
+        assert type(split[point][0][2]) is GaugeFailure
+        assert f"(f*g={sign}0.000e+00," in str(split[point][0][2])
+    for points in ([(-0.0, 0.3), (0.0, 0.7)], [(0.0, 0.7), (-0.0, 0.3)]):
+        pipes = make(), make()
+        new = _evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
+        ref = _evaluate(pipes[1], lambda pipe: _loop(pipe, points))
+        assert new == ref and ref[3][0] is GaugeFailure and ref[3][2] == points[0]
+        assert f"(f*g={'-' if math.copysign(1, points[0][0]) < 0 else ''}0.000e+00," in ref[3][1]
 
 
 def _sweep_outcome(sweep, *args, **kwargs):
@@ -1135,11 +1226,12 @@ def test_frames_at_equals_a_frame_at_loop(make, points, errors, seed):
 
 @_FRAMES_AT_CASES
 def test_frames_at_in_several_miss_batches_equals_a_frame_at_loop(make, points, errors, monkeypatch):
-    """With a budget of two points' systems, the misses split in several
-    batches of whole rows of common s, some of two rows: the frames,
-    point_tail, warnings and first error are still the frame_at loop's."""
+    """With a budget of two points' loop stacks, the misses split in several
+    batches of whole rows of common s, some of two rows, and each batch
+    solves one system per chunk: the frames, point_tail, warnings and first
+    error are still the frame_at loop's."""
     pipes = make(), make()
-    monkeypatch.setattr(pipeline_module, "_BATCH_BYTES", 2 * (2 * pipes[0].trunc_n) ** 2 * 8)
+    monkeypatch.setattr(factorization, "_BATCH_BYTES", 2 * 4 * (2 * pipes[0].trunc_n + 1) * 32)
     calls = _split_calls(monkeypatch)
     new = _evaluate(pipes[0], lambda pipe: pipe.frames_at(points))
     batches = calls[:]

@@ -277,17 +277,18 @@ def _count_iwasawa_batches(monkeypatch, calls):
 def test_frames_at_splits_its_misses_in_whole_row_batches(monkeypatch):
     """Each `frames_at` call of one verification splits its misses in batches
     of whole rows of common s: each batch takes rows until the next would
-    put its systems over the budget, and at least one.  That is 13
-    `_iwasawa_rows` calls in all, where batches of at most nt points made
-    30."""
+    put its loop stacks over the budget, and at least one.  That is 11
+    `_iwasawa_rows` calls in all, where batches sized by their systems made
+    13 and batches of at most nt points 30."""
     from nilweier import pipeline as pipeline_module
     from nilweier.config import load_config
-    from nilweier.pipeline import _BATCH_BYTES, Pipeline
+    from nilweier.factorization import _BATCH_BYTES
+    from nilweier.pipeline import Pipeline
     from nilweier.verify import run_verification
 
     cfg = load_config(VERIFY_PLANE)
     pipeline = cfg.make_pipeline().run()
-    item_bytes = (2 * pipeline.trunc_n) ** 2 * 8
+    item_bytes = 4 * (2 * pipeline.trunc_n + 1) * 32  # four (2N+1, 2, 2) float64 loops
     splits = []  # per `_split_misses` call, each batch's {s: points}
     real_split, real_points = Pipeline._split_misses, pipeline_module._split_points
 
@@ -315,19 +316,19 @@ def test_frames_at_splits_its_misses_in_whole_row_batches(monkeypatch):
             points = sum(rows.values())
             assert points * item_bytes <= _BATCH_BYTES or len(rows) == 1
             assert after is None or (points + next(iter(after.values()))) * item_bytes > _BATCH_BYTES
-    assert len(calls) == 13
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize("side, trunc_n", [(15, 20), (9, 48)])  # sweep-cylinder, deep-trunc
 def test_the_sweep_splits_whole_grid_rows_per_batch(side, trunc_n, monkeypatch):
     """The sweep splits its side x side gridpoints in batches of as many
-    whole grid rows as keep their (2N, 2N) systems within the budget, and
-    at least one; each `_iwasawa_rows` call takes its rows' Phi_s, once
-    each, and all their points: 5 calls of 3 rows on the sweep-cylinder
-    grid (576 KB of systems each), 9 of one row on the deep-trunc grid (a
-    row alone is 648 KiB)."""
+    whole grid rows as keep four (2N+1, 2, 2) float64 loops per point within
+    the budget, and at least one; each `_iwasawa_rows` call takes its rows'
+    Phi_s, once each, and all their points: calls of 8 and 7 rows on the
+    sweep-cylinder grid (8 rows hold 615 KiB), of 5 and 4 rows on the
+    deep-trunc grid (5 rows hold 546 KiB)."""
     from nilweier.config import load_config
-    from nilweier.pipeline import _BATCH_BYTES
+    from nilweier.factorization import _BATCH_BYTES
 
     config = {
         "potential": {"builtin": "cylinder"},
@@ -340,9 +341,11 @@ def test_the_sweep_splits_whole_grid_rows_per_batch(side, trunc_n, monkeypatch):
     calls = []
     _count_iwasawa_batches(monkeypatch, calls)
     pipeline.run()
-    rows = max(1, _BATCH_BYTES // (side * (2 * trunc_n) ** 2 * 8))
-    assert rows == {20: 3, 48: 1}[trunc_n]
-    assert [(len(phi_s), items) for phi_s, items in calls] == [(rows, rows * side)] * (side // rows)
+    rows = max(1, _BATCH_BYTES // (side * 4 * (2 * trunc_n + 1) * 32))
+    assert rows == {20: 8, 48: 5}[trunc_n]
+    sizes = [min(rows, side - lo) for lo in range(0, side, rows)]
+    assert sizes == {20: [8, 7], 48: [5, 4]}[trunc_n]
+    assert [(len(phi_s), items) for phi_s, items in calls] == [(k, k * side) for k in sizes]
     stacks = np.concatenate([phi_s for phi_s, _ in calls])
     assert np.array_equal(stacks, np.stack([phi.c for phi in pipeline.phi_s]))
 
