@@ -33,7 +33,6 @@ from .loopalg import (
     TailAccumulator,
     TwistedLoop,
     _check_same_N,
-    _clean_parity,
     _Effects,
     _inv_rows,
     _mask,
@@ -176,8 +175,8 @@ def _conditioning(w: np.ndarray, sign: int) -> np.ndarray:
 def _near_max(conds: np.ndarray, n: int) -> np.ndarray:
     """Mask of the items whose np.linalg.cond may be the largest, given each
     item's conditioning (half-block or full) of an n x n system: those with
-    1/c <= 1/max(conds) + 2*slack."""
-    return 1.0 / conds <= 1.0 / conds.max() + 2.0 * _cond_slack(n)
+    1/c <= 1/max(conds) + 2*slack.  NaN items (holes) are not."""
+    return 1.0 / conds <= 1.0 / np.max(conds, where=~np.isnan(conds), initial=1.0) + 2.0 * _cond_slack(n)
 
 
 def _solve(systems: np.ndarray, rhs: np.ndarray):
@@ -207,41 +206,40 @@ def _normalized_factor_inverses(w: np.ndarray, sign: int, fx: _Effects):
     """For each item of a (B, 2N+1, 2, 2) stack solve for U with U_0 = id
     supported on sign*[0,N] such that (U*w)_k = 0 for k in sign*[1,N].
     sign=-1 gives U = M^{-1} (minus order), sign=+1 gives U = P^{-1} (plus
-    order).  Returns (U, conditioning), see `_conditioning`.  The live items
-    are conditioned, and the solvable items' block-Toeplitz systems built by
-    one gather and solved as one stack, in chunks that fit _BATCH_BYTES; each
-    item has the bits of its own solve, so the chunks move none.  An item
-    that fails keeps U = id."""
+    order).  Returns (U, conditioning), see `_conditioning`; U is as solved,
+    and the kernels that read it check its parity.  In one pass per chunk of
+    live items whose systems fit _BATCH_BYTES, the chunk is conditioned and
+    screened at COND_FAIL, and the rest solved as one stack; an item's values
+    and effects are its own, so no chunking moves a bit.  An item that fails
+    keeps U = id."""
     B, n = w.shape[:2]
     N = n // 2
     conds = np.ones(B)
-    if N == 0:
-        return np.broadcast_to(np.eye(2), w.shape).copy(), conds
-    live = np.flatnonzero(fx.alive)
-    for chunk in _chunks(live, 2 * N):
-        conds[chunk] = _conditioning(w[chunk], sign)
-
-    fatal = ~(conds[live] <= COND_FAIL)  # NaN and inf too
-    solvable = live[~fatal]
-    for b in solvable[conds[solvable] > COND_WARN].tolist():  # before any failure of its item
-        fx.warn(b, f"factorization near big-cell boundary: cond={conds[b]:.3e}")
     u = np.zeros_like(w)
     u[:, N] = np.eye(2)
+    if N == 0:
+        return u, conds
     ks = sign * np.arange(1, N + 1)
-    failures = [(live[fatal], "block-Toeplitz system is singular (cond={:.3e})")]
-    for chunk in _chunks(solvable, 2 * N):
-        sol, singular = _solve(*_systems(w[chunk], sign))
+    for chunk in _chunks(np.flatnonzero(fx.alive), 2 * N):
+        stack = w[chunk]
+        conds[chunk] = _conditioning(stack, sign)
+        fatal = ~(conds[chunk] <= COND_FAIL)  # NaN and inf too
+        solvable = chunk[~fatal]
+        for b in solvable[conds[solvable] > COND_WARN].tolist():  # before any failure of its item
+            fx.warn(b, f"factorization near big-cell boundary: cond={conds[b]:.3e}")
+        # a chunk that screens out no item is solved without a second copy
+        sol, singular = _solve(*_systems(stack[~fatal] if fatal.any() else stack, sign))
         bad = singular | ~np.isfinite(sol).all(axis=(1, 2))
-        u[chunk[~bad, None], ks + N] = sol[~bad].reshape(-1, N, 2, 2).transpose(0, 1, 3, 2)
-        failures += [
-            (chunk[singular], "block-Toeplitz system is singular"),
-            (chunk[bad & ~singular], "block-Toeplitz solve produced non-finite values"),
-        ]
-    # each item fails at most once, in its own slot, so the order across items is free
-    for items, message in failures:
-        for b in items.tolist():
-            fx.fail(b, OutsideBigCell(message.format(conds[b]), conditioning=float(conds[b])))
-    return _clean_parity(u, N, fx), conds
+        u[solvable[~bad, None], ks + N] = sol[~bad].reshape(-1, N, 2, 2).transpose(0, 1, 3, 2)
+        # each item fails at most once, in its own slot, so the order across items is free
+        for items, message in (
+            (chunk[fatal], "block-Toeplitz system is singular (cond={:.3e})"),
+            (solvable[singular], "block-Toeplitz system is singular"),
+            (solvable[bad & ~singular], "block-Toeplitz solve produced non-finite values"),
+        ):
+            for b in items.tolist():
+                fx.fail(b, OutsideBigCell(message.format(conds[b]), conditioning=float(conds[b])))
+    return u, conds
 
 
 def _split_rows(w: np.ndarray, sign: int, fx: _Effects):
@@ -287,23 +285,24 @@ def birkhoff_split(w: TwistedLoop, order: str = "minus_star_plus") -> BirkhoffRe
     )
 
 
-def _iwasawa_rows(phi_s: np.ndarray, index: np.ndarray, phi_t: np.ndarray, fx: _Effects):
-    """Iwasawa split of (Phi_s[index[b]], Phi_t[b]) for B Phi_t (a stack or
-    a sequence, stacked only for their product with the Phi_s^{-1}) and a
-    (P, 2N+1, 2, 2) stack of distinct Phi_s in Lambda^-, which are inverted
-    once as one stack by the triangular recursion; their positive degrees
-    are not read.  A sweep batch has one Phi_s per grid row.
-
-    Returns (frame F, V+^{-1}, V-, conditioning, W) as stacks, W = Phi_s^{-1}
-    Phi_t being the split loops; an error while inverting a Phi_s ends every
-    item that shares it.
-    """
+def _loops(phi_s: np.ndarray, index: np.ndarray, phi_t: np.ndarray, fx: _Effects) -> np.ndarray:
+    """The loops W = Phi_s[index[b]]^{-1} Phi_t[b] that the Iwasawa split
+    splits, for B Phi_t (a stack or a sequence) and a (P, 2N+1, 2, 2) stack
+    of distinct Phi_s in Lambda^- (a sweep batch has one per grid row), which
+    are inverted once as one stack by the triangular recursion; their positive
+    degrees are not read.  An error while inverting a Phi_s ends every item
+    that shares it."""
     inverted = _Effects(len(phi_s))
     s_inv = _inv_rows(phi_s, True, inverted)
     fx.fail_as(inverted, index)
-    w = _mul_rows(s_inv[index], np.asarray(phi_t), fx)
-    vminus, vplus_inv, conds = _split_rows(w, +1, fx)
-    return _mul_rows(phi_s[index], vplus_inv, fx), vplus_inv, vminus, conds, w
+    return _mul_rows(s_inv[index], np.asarray(phi_t), fx)
+
+
+def _iwasawa_rows(phi_s: np.ndarray, index: np.ndarray, phi_t: np.ndarray, fx: _Effects):
+    """Iwasawa split of the `_loops` W = Phi_s^{-1} Phi_t, which is not kept
+    past it.  Returns (frame F, V+^{-1}, V-, conditioning) as stacks."""
+    vminus, vplus_inv, conds = _split_rows(_loops(phi_s, index, phi_t, fx), +1, fx)
+    return _mul_rows(phi_s[index], vplus_inv, fx), vplus_inv, vminus, conds
 
 
 def iwasawa_double(
@@ -319,7 +318,7 @@ def iwasawa_double(
     if phi_s.c[phi_s.N + 1 :].any():
         raise ValueError("Phi_s has nonzero positive-degree coefficients; it must lie in Lambda^-")
     fx = _Effects(1)
-    frame, vplus_inv, vminus, conds, _ = _iwasawa_rows(
+    frame, vplus_inv, vminus, conds = _iwasawa_rows(
         phi_s.c[None], np.zeros(1, int), phi_t.c[None], fx
     )
     fx.play(0, 1, tail)

@@ -129,7 +129,7 @@ class TwistedLoop:
                 raise ValueError(f"coefficient array must have shape {(2*self.N+1, 2, 2)}")
         if enforce_parity:
             fx = _Effects(1)
-            c = _clean_parity(c[None], self.N, fx)[0]
+            c = _expand(_compact(c[None], self.N, fx), -self.N)[0]
             fx.play(0, 1, None)
         c.setflags(write=False)
         self.c = c
@@ -370,15 +370,6 @@ def _check_parity(c: np.ndarray, N: int, fx: _Effects) -> None:
     for b in np.flatnonzero(worst > _PARITY_TOL * scale):
         message = f"twisting parity violated: off-parity mass {worst[b]:.3e} vs scale {scale[b]:.3e}"
         fx.fail(b, ParityViolation(message))
-
-
-def _clean_parity(c: np.ndarray, N: int, fx: _Effects) -> np.ndarray:
-    """Zero the off-parity entries of a (B, 2N+1, 2, 2) stack; an item whose
-    off-parity mass exceeds round-off of its own scale fails."""
-    _check_parity(c, N, fx)
-    out = c.copy()
-    out[:, _mask(N)] = 0.0
-    return out
 
 
 @functools.cache

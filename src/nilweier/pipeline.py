@@ -36,6 +36,7 @@ from .errors import (
     EvalDomain,
     GaugeFailure,
     OutsideBigCell,
+    SingularLoop,
     TruncationOverflow,
 )
 from .expressions import (
@@ -48,6 +49,7 @@ from .expressions import (
 from .factorization import (
     _full_conds,
     _iwasawa_rows,
+    _loops,
     _near_max,
     _split_rows,
     birkhoff_split,  # noqa: F401  perfbench/tracer.py binds this name
@@ -431,10 +433,10 @@ def _split_batch(batch, potential, initial):
     """The frames of a batch of (point, Phi_s, Phi_t) items: f and g as rows,
     read once per distinct s and t, one stack of its distinct Phi_s (one per
     s), the Iwasawa split, the diagonal gauge and the initial-frame product.
-    Returns (points, effects, frames, h, gauge_log, conditioning, W), W =
-    Phi_s^{-1} Phi_t; the effects play as batches of one's.  An item whose f
-    or g is marked fails with its scalar read's error, before its split; a
-    nonpositive angle function is a GaugeFailure."""
+    Returns (points, effects, frames, h, gauge_log, conditioning); the
+    effects play as batches of one's.  An item whose f or g is marked fails
+    with its scalar read's error, before its split; a nonpositive angle
+    function is a GaugeFailure."""
     with np.errstate(all="ignore"):  # non-finite frames become holes or errors by their values
         points, phi_s, phi_t = zip(*batch)
         fx = _Effects(len(points))
@@ -449,7 +451,7 @@ def _split_batch(batch, potential, initial):
                 if exc.__cause__ is not None:  # the closure's error, caught in `eval`
                     exc.__cause__.with_traceback(None)
                 fx.fail(b, exc.with_traceback(None))
-        frame, _, vminus, conds, w = _iwasawa_rows(np.stack([phi_s[b] for b in first]), index, phi_t, fx)
+        frame, _, vminus, conds = _iwasawa_rows(np.stack([phi_s[b] for b in first]), index, phi_t, fx)
         N = frame.shape[1] // 2
         d22, fg = vminus[:, N, 1, 1].copy(), f_vals * g_vals
         for b in np.flatnonzero(fx.alive & ((fg <= 0.0) | (d22 <= 1e-13))).tolist():
@@ -464,7 +466,7 @@ def _split_batch(batch, potential, initial):
         frame = _scale_rows(frame, d)
         if initial is not None:
             frame = _mul_rows(np.broadcast_to(initial.c, frame.shape), frame, fx)
-    return points, fx, frame, h, gauge_log, conds, w
+    return points, fx, frame, h, gauge_log, conds
 
 
 @dataclass
@@ -499,8 +501,9 @@ def build_extended_frames(
     point-by-point factorization has them.  Points outside the big cell
     (or with nonpositive angle function) become holes; a TruncationOverflow
     is fatal and names the gridpoint it arose at.  `max_conditioning` is the
-    largest np.linalg.cond over the kept points, taken among those within
-    the half-block values' slack of the largest (factorization._near_max).
+    largest np.linalg.cond over the kept points, taken after the sweep among
+    those within the half-block values' slack of the largest
+    (factorization._near_max), whose split loops W are built again.
     """
     s_grid = np.asarray(s_grid, float)
     t_grid = np.asarray(t_grid, float)
@@ -517,13 +520,10 @@ def build_extended_frames(
         [((s, t), phi_s.c, phi_t.c) for t, phi_t in zip(t_grid.tolist(), phi_t_list)]
         for s, phi_s in zip(s_grid.tolist(), phi_s_list)
     ]
-    # the kept points whose np.linalg.cond may be the largest, and their W
-    near_conds, near_w = np.empty(0), np.empty((0, 2 * N + 1, 2, 2))
-
     i = 0  # the grid row
     for gridpoints, fx, *batch in _split_points(rows, potential, initial):
         for lo in range(0, len(gridpoints), nt):
-            frame, h_row, log_row, conds, w = (stack[lo : lo + nt] for stack in batch)
+            frame, h_row, log_row, conds = (stack[lo : lo + nt] for stack in batch)
             # Each row has its own account, merged in row order: the overflow
             # check runs against the row's mass, and the merged sums are the
             # manifest's tail_relative, so their order must not change.
@@ -537,14 +537,14 @@ def build_extended_frames(
             for out, row in ((frames, frame), (h, h_row), (gauge_log, log_row), (conditioning, conds)):
                 out[i, kept] = row[kept]
             tail.merge(row_tail)
-            if kept.any():
-                near_conds = np.concatenate([near_conds, conds[kept]])
-                near_w = np.concatenate([near_w, w[kept]])
-                near = _near_max(near_conds, 2 * N)
-                near_conds, near_w = near_conds[near], near_w[near]
             i += 1
-        del batch, frame, w  # not kept while the next batch is split
+        del batch, frame  # not kept while the next batch is split
     frames.setflags(write=False)  # the point cache's rows are views of it
+    # the kept points whose np.linalg.cond may be the largest (holes are NaN),
+    # and their split loops W = Phi_s^{-1} Phi_t built again
+    near = np.argwhere(_near_max(conditioning, 2 * N))
+    phi_s, phi_t = (np.array([rows[i][j][k] for i, j in near]).reshape(-1, *frames.shape[2:]) for k in (1, 2))
+    w = _loops(phi_s, np.arange(len(near)), phi_t, _Effects(len(near)))
     return FrameGrid(
         s_grid=s_grid,
         t_grid=t_grid,
@@ -555,7 +555,7 @@ def build_extended_frames(
         conditioning=conditioning,
         holes=holes,
         hole_errors=hole_errors,
-        max_conditioning=float(_full_conds(near_w, +1).max()) if len(near_w) else None,
+        max_conditioning=float(_full_conds(w, +1).max()) if len(w) else None,
     )
 
 
@@ -588,7 +588,7 @@ def _lam_sums(c: np.ndarray, theta: float, count: int) -> list[np.ndarray]:
     return [np.matmul(w, flat).reshape(B, 2, 2) for w in _lam_weights(theta, L // 2, count)]
 
 
-def _sym_rows(c: np.ndarray, theta: float):
+def _sym_rows(c: np.ndarray, theta: float, points=None):
     """Surface data of a C-contiguous (B, 2N+1, 2, 2) stack of frames at one
     spectral angle: (nil, l3, normal), each of shape (B, 3).
 
@@ -602,10 +602,17 @@ def _sym_rows(c: np.ndarray, theta: float):
         normal: (-(C01 + C10)/2, (C10 - C01)/2, C00).
 
     The lam-sums are `_lam_sums`' and the 2x2 products batched `@`: each
-    item has the scalar evaluation's bits.
+    item has the scalar evaluation's bits.  A det F(e^theta) of 0 or not
+    finite raises SingularLoop before the division, naming theta and, where
+    `points` holds the items' (s, t), the first such item's gridpoint.
     """
     M, M1, M2 = _lam_sums(c, theta, 3)
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    with np.errstate(all="ignore"):  # a det that overflows raises below
+        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    bad = np.flatnonzero(~np.isfinite(det) | (det == 0.0))
+    if len(bad):
+        at = "" if points is None else " at gridpoint (s={}, t={})".format(*map(float, points[bad[0]]))
+        raise SingularLoop(f"frame has det {float(det[bad[0]])!r} at spectral angle {theta!r}{at}")
     Minv = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]], axis=1)
     Minv = Minv.reshape(-1, 2, 2) / det[:, None, None]
     D = M1 @ Minv
@@ -637,7 +644,8 @@ class SurfaceGrid:
 
 
 def sym_map(fr: FrameGrid, thetas) -> SurfaceGrid:
-    """One `_sym_rows` call per angle on the frames outside the holes; NaN at holes."""
+    """One `_sym_rows` call per angle on the frames outside the holes, which
+    names the gridpoint of a singular frame; NaN at holes."""
     thetas = np.asarray(thetas, float)
     shape = (len(thetas), *fr.holes.shape, 3)
     nil = np.full(shape, np.nan)
@@ -645,8 +653,9 @@ def sym_map(fr: FrameGrid, thetas) -> SurfaceGrid:
     normals = np.full(shape, np.nan)
     kept = ~fr.holes
     frames = fr.frames[kept]
+    points = np.stack(np.meshgrid(fr.s_grid, fr.t_grid, indexing="ij"), axis=-1)[kept]
     for k, theta in enumerate(thetas):
-        nil[k, kept], l3[k, kept], normals[k, kept] = _sym_rows(frames, float(theta))
+        nil[k, kept], l3[k, kept], normals[k, kept] = _sym_rows(frames, float(theta), points)
     return SurfaceGrid(
         thetas=thetas,
         s_grid=fr.s_grid,
@@ -813,7 +822,7 @@ class Pipeline:
         """The (B, 3, 3) rows (nil point, L3 point, unit normal) at the points
         and one spectral angle: one `_sym_rows` call over their `frames_at`
         stack, each row with `_sym_point`'s bits."""
-        return np.stack(_sym_rows(self.frames_at(points)[0], float(theta)), axis=1)
+        return np.stack(_sym_rows(self.frames_at(points)[0], float(theta), points), axis=1)
 
     def surface_at(self, s: float, t: float, theta: float) -> np.ndarray:
         """(nil point, L3 point, unit normal) at a parameter point: the batch

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -469,6 +470,34 @@ def test_a_spectral_angle_that_overflows_exits_1_naming_it(tmp_path, capsys, the
     message = f"spectral angle {theta!r} overflows e^(theta k) at |k| <= truncationN = 24"
     for argv in (["generate", "--config", str(path), "--out", str(out)], ["verify", "--config", str(path)]):
         assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "theta, gridpoint",
+    [(-40.0, "(s=0.08333333333333333, t=2.0)"), (20.0, "(s=0.25, t=0.0)")],
+)
+def test_a_frame_singular_at_a_run_angle_exits_1_naming_its_gridpoint(tmp_path, capsys, theta, gridpoint):
+    """horizontal-umbrella on s in [0, 0.5], t in [0, 2], 7 x 3, at N = 5: the
+    det of the product frame (initial frame times F) at e^theta cancels to 0
+    at some gridpoints, though the initial frame's own det there passes the
+    config check.  `generate` wrote `v nan nan nan` with exit 0 after numpy
+    RuntimeWarnings; both commands now exit 1 with one error line naming the
+    first such gridpoint and the angle, write nothing and warn nothing."""
+    domain = {"sMin": 0.0, "sMax": 0.5, "tMin": 0.0, "tMax": 2.0, "ns": 7, "nt": 3}
+    config = {
+        "potential": {"builtin": "horizontal-umbrella"}, "domain": domain, "truncationN": 5, "thetas": [theta]
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    message = f"frame has det 0.0 at spectral angle {theta!r} at gridpoint {gridpoint}"
+    for argv in (["generate", "--config", str(path), "--out", str(out)], ["verify", "--config", str(path)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
     assert not out.exists()

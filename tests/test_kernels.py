@@ -19,6 +19,7 @@ from nilweier.factorization import (
     COND_WARN,
     _cond_slack,
     _iwasawa_rows,
+    _loops,
     _normalized_factor_inverses,
     _solve,
     _split_rows,
@@ -27,7 +28,7 @@ from nilweier.factorization import (
 from nilweier.loopalg import (
     TailAccumulator,
     TwistedLoop,
-    _clean_parity,
+    _compact,
     _Effects,
     _inv_rows,
     _expand,
@@ -208,13 +209,19 @@ def test_kernels_at_the_workloads_truncations_equal_the_dense_references(N):
 @stacks
 @given(**sizes, level=st.sampled_from([1e-13, 1e-9, 1e-6]))
 def test_parity_clean_batch_equals_batch_of_one(N, B, seed, level):
+    """The parity-clean loops that `TwistedLoop(enforce_parity=True)` keeps,
+    the compact form read through the parity check and expanded again."""
     rng = np.random.default_rng(seed)
     c = _random_stack(seed, N, B)
     # off-parity noise around the tolerance, of a different size per item
     c = c + _mask(N) * rng.normal(size=c.shape) * level * rng.uniform(0.1, 10.0, size=(B, 1, 1, 1))
+
+    def clean(v, f):
+        return _expand(_compact(v, N, f), -N)
+
     fx = _Effects(B)
-    out = _clean_parity(c, N, fx)
-    for i, (one, fx1) in enumerate(_one_by_one(lambda v, f: _clean_parity(v, N, f), c)):
+    out = clean(c, fx)
+    for i, (one, fx1) in enumerate(_one_by_one(clean, c)):
         assert np.array_equal(out[i], one[0])
         assert _effects(fx, i) == _effects(fx1, 0)
         assert fx.alive[i] == fx1.alive[0]
@@ -299,33 +306,57 @@ _MIXED_EFFECTS = {
 }
 
 
+def _split_with_u(w, sign, fx):
+    """`_split_rows` of a stack, (minus, plus, conditioning), and the U that
+    its `_normalized_factor_inverses` call returned."""
+    real, solved = factorization._normalized_factor_inverses, []
+
+    def recorded(*args):
+        out = real(*args)
+        solved.append(out[0])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorization, "_normalized_factor_inverses", recorded)
+        return (*_split_rows(w, sign, fx), solved[0])
+
+
+def _messages(fx, b):
+    """Item b's `_effects` without its (dropped, kept) records."""
+    return [e for e in _effects(fx, b) if isinstance(e, str) or isinstance(e[0], str)]
+
+
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_failing_items_leave_the_stack_as_their_batches_of_one(sign):
     """A NaN item fails a stacked SVD, a singular one a stacked solve, and a
     zero block's half-block ratio is 0/0: none of them may change another
-    item, and each keeps the effects one np.linalg.cond per item gave."""
+    item, and each keeps the effects one np.linalg.cond per item gave.  U is
+    read through `_split_rows`, whose kernels check its parity: the
+    off-parity item fails there, before the split's first record."""
     w, kinds = _mixed_stack()
-    n = w.shape[1] - 1
+    N, n = w.shape[1] // 2, w.shape[1] - 1
     fx = _Effects(len(w))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from 0/0 or inf
-        u, conds = _normalized_factor_inverses(w, sign, fx)
-    for i, ((u1, c1), fx1) in enumerate(
-        _one_by_one(lambda v, f: _normalized_factor_inverses(v, sign, f), w)
-    ):
-        assert u[i].tobytes() == u1[0].tobytes()
-        assert conds[i] == c1[0]
+        *split, u = _split_with_u(w, sign, fx)
+    conds = split[2]
+    for i, (one, fx1) in enumerate(_one_by_one(lambda v, f: _split_with_u(v, sign, f), w)):
+        compared = slice(None) if fx.alive[i] else slice(2, None)  # a failed item's factors are not read
+        assert [x[i].tobytes() for x in (*split, u)][compared] == [x[0].tobytes() for x in one][compared]
         assert _effects(fx, i) == _effects(fx1, 0)
         ref_u, ref_cond = normalized_factor_inverse_reference(w[i], sign)
         if i in kinds:
-            assert _effects(fx, i) == _MIXED_EFFECTS[sign][kinds[i]]
+            assert _messages(fx, i) == _MIXED_EFFECTS[sign][kinds[i]]
             assert conds[i] == ref_cond  # np.linalg.cond's own value
         else:
-            assert _effects(fx, i) == []
+            assert _messages(fx, i) == []
             assert abs(1.0 / conds[i] - 1.0 / ref_cond) <= _cond_slack(n)
-        if not _effects(fx, i) or kinds.get(i) == "above_warn":
-            assert u[i].tobytes() == ref_u.tobytes()
+        if not _messages(fx, i) or kinds.get(i) == "above_warn":
+            # U as solved: the reference's bytes on parity, and zeros off it
+            assert u[i][~_mask(N)].tobytes() == ref_u[~_mask(N)].tobytes()
+            assert not u[i][_mask(N)].any()
     assert COND_WARN < conds[7] < COND_FAIL < conds[6] < np.inf
+    assert fx.ends[9] == 0  # the off-parity item fails at column 0, as when U had its own parity pass
 
 
 def test_a_singular_item_does_not_fail_the_stacked_solve():
@@ -407,9 +438,10 @@ def test_chunked_solves_equal_batches_of_one(sign, per_chunk, monkeypatch):
     """With the budget patched to one or two systems per chunk, one batch
     holds an item past COND_FAIL, an item past a patched COND_WARN, an item
     with a NaN entry, healthy items, and an item that a wrapped `_solve`
-    flags as singular in a later chunk.  The solvable items are solved in
-    chunks of that size, and each item's U, conditioning, failure and
-    warning columns are its batch of one's, bit for bit."""
+    flags as singular in a later chunk.  The live items are conditioned,
+    screened and solved in chunks of that size, and each item's U,
+    conditioning, failure and warning columns are its batch of one's, bit for
+    bit."""
     N = 4
     rng = np.random.default_rng(11)
     healthy = [random_group_loop(rng, N).c for _ in range(4)]
@@ -439,8 +471,10 @@ def test_chunked_solves_equal_batches_of_one(sign, per_chunk, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u, conds = recorded(w, fx)
-    # six solvable items; the marked one is the fifth, past the first chunk
-    assert chunks == [per_chunk] * (6 // per_chunk)
+    # one solve per chunk of live items, of its items below COND_FAIL: the
+    # fatal and NaN items leave none in their chunks of one; the marked item
+    # is in the last chunk
+    assert chunks == {1: [0, 1, 1, 0, 1, 1, 1, 1], 2: [1, 1, 2, 2]}[per_chunk]
     failures = {
         fatal: f"block-Toeplitz system is singular (cond={conds[fatal]:.3e})",
         nan_item: "block-Toeplitz system is singular (cond=inf)",
@@ -565,7 +599,7 @@ def test_shift_mul_equals_one_einsum(N, seed, deg):
 )
 @stacks
 @given(**sizes)
-def test_compact_shift_equals_shift_rows(where, bad, N, B, seed):
+def test_compact_shift_equals_the_einsum_reference(where, bad, N, B, seed):
     """One stack of items shifted by lam^-1, stored in ascending degrees, and
     by lam^+1, stored in descending ones: `_shift_compact`'s entries are the
     shifted rows of `shift_mul_reference`, one `np.einsum` product per item,
@@ -654,7 +688,8 @@ def test_kernels_take_an_empty_stack(N):
         "mul": _mul_rows(empty, empty, fx),
         "inv lower": _inv_rows(empty, True, fx),
         "inv upper": _inv_rows(empty, False, fx),
-        "clean parity": _clean_parity(empty, N, fx),
+        "parity clean": _expand(_compact(empty, N, fx), -N),
+        "loops": _loops(empty, np.zeros(0, int), empty, fx),
         "split -1": _split_rows(empty, -1, fx),
         "split +1": _split_rows(empty, +1, fx),
         "iwasawa": _iwasawa_rows(empty, np.zeros(0, int), empty, fx),

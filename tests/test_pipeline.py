@@ -648,7 +648,10 @@ def test_sweep_equals_point_by_point_reference(initial, rows, monkeypatch):
     rows s = -1 and s = 1, with holes of both causes (and s = 1 a
     near-boundary warning), are the second row of the first batch and the
     third of the second.  Everything, each row account as float.hex
-    included, is the point-by-point sweep's."""
+    included, is the point-by-point sweep's.  Each grid row's Phi_s is
+    inverted once, and after the sweep once more for the one kept point
+    whose np.linalg.cond may be the largest, (s, t) = (2, -0.4999999999998),
+    whose W is built again for max_conditioning."""
     phi_s, phi_t, pot, s_grid, t_grid, initial = _near_boundary_plane(initial)
     merged = _merged_accounts(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
@@ -673,7 +676,8 @@ def test_sweep_equals_point_by_point_reference(initial, rows, monkeypatch):
         warnings.simplefilter("always")
         fg = build_extended_frames(phi_s, phi_t, pot, s_grid, t_grid, initial=initial, tail=tail)
     # each grid row's Phi_s is inverted once, not once per gridpoint
-    assert np.array_equal(np.stack(inverted), np.stack([phi.c for phi in phi_s]))
+    assert np.array_equal(np.stack(inverted), np.stack([phi.c for phi in phi_s] + [phi_s[6].c]))
+    assert np.argwhere(factorization._near_max(fg.conditioning, 2 * fg.trunc_n)).tolist() == [[6, 4]]
     assert calls == ([(3, 27), (3, 27), (1, 9)] if rows else [(7, 63)])
     assert merged == ref_rows and len(merged) == len(s_grid)
     frames, h, gauge_log, cond, holes, errors, ref_tail = ref
@@ -695,8 +699,9 @@ def test_sweep_equals_point_by_point_reference(initial, rows, monkeypatch):
 @pytest.mark.parametrize("initial", [False, True], ids=["plain", "umbrella"])
 def test_the_sweep_at_the_smallest_budget_equals_the_default(initial, monkeypatch):
     """At a budget of one byte each batch is one grid row and each chunk of
-    the solve one system; at the default the 7 rows are one batch, solved in
-    chunks of many systems.  The frame grid, its holes, hole errors and
+    the solve one live item, which solves nothing where the item is screened
+    out at COND_FAIL (the six singular systems of the 63 points); at the
+    default the 7 rows are one batch, solved in chunks of many systems.  The frame grid, its holes, hole errors and
     max_conditioning included, the tail account and the warnings are the
     same, bit for bit."""
     phi_s, phi_t, pot, s_grid, t_grid, initial = _near_boundary_plane(initial)
@@ -722,7 +727,8 @@ def test_the_sweep_at_the_smallest_budget_equals_the_default(initial, monkeypatc
         outcomes.append((calls[:], chunks[:]))
     default, default_sizes, smallest, smallest_sizes = outcomes
     assert default_sizes[0] == [(7, 63)] and max(default_sizes[1]) > 1
-    assert smallest_sizes[0] == [(1, 9)] * 7 and set(smallest_sizes[1]) == {1}
+    assert smallest_sizes[0] == [(1, 9)] * 7
+    assert sorted(smallest_sizes[1]) == [0] * 6 + [1] * 57
     assert smallest == default
     assert len(default[1]) > 0 and default[2] is not None and len(default[4]) == 2
 
@@ -930,6 +936,28 @@ def test_frame_grid_conditioning_against_the_full_svd(name, monkeypatch):
     assert fg.max_conditioning == max(full)
     # the plane's two near-boundary points and its six singular systems
     assert above == {"near-boundary-plane": 2 + 6}.get(name, 0)
+
+
+def test_a_grid_of_holes_has_no_max_conditioning(monkeypatch):
+    """f g = -1 makes every point of a 5 x 5 grid a GaugeFailure hole, after
+    its split: the kept points' near-max set is empty, so no split loops are
+    built again and max_conditioning is None."""
+    pot = pair_potential("1", "-1", "0", "0")
+    grid = np.linspace(-1, 1, 5)
+    phi_s, phi_t, _, _ = solve_frame_ode(pot, grid, grid, steps_per_cell=4, trunc_n=8)
+    rebuilt, real = [], pipeline_module._loops
+
+    def loops(phi_s, index, phi_t, fx):
+        rebuilt.append(len(phi_t))
+        return real(phi_s, index, phi_t, fx)
+
+    monkeypatch.setattr(pipeline_module, "_loops", loops)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fg = build_extended_frames(phi_s, phi_t, pot, grid, grid)
+    assert fg.holes.all() and {e[2] for e in fg.hole_errors} == {"GaugeFailure"}
+    assert np.isnan(fg.conditioning).all()
+    assert rebuilt == [0] and fg.max_conditioning is None
 
 
 def test_holes_leave_no_reference_cycles(plane_pipe):
